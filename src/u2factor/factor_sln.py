@@ -311,7 +311,7 @@ def _power_free_witness(F: FieldSpec, order: int) -> FieldElement:
     one = F.one()
     if not F.is_finite:
         return F.element(2)
-    for a in F.nonzero_elements():
+    for a in F.iter_nonzero():
         if a ** order != one:
             return a
     raise UnsupportedFieldSize(f"every element satisfies x^{order} = 1")
@@ -452,8 +452,9 @@ def factor(A: Matrix) -> Factorization:
     n = A.n
     if A.det() != F.one():
         raise NotSLn("determinant is not 1")
-    if n == 1:
-        return identity_factorization(F, 1)
+    if A.is_identity():
+        # the empty certificate, even where no route (and no bound) exists
+        return identity_factorization(F, n)
     if n == 2:
         out = factor_sl2(A)
     elif A.is_scalar():

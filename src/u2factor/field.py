@@ -6,6 +6,14 @@ tuple (ascending degree, each in [0, p)) for extension fields, and a
 reduced ``Fraction`` for the rationals.  All witness-producing scans
 (square roots, sum-of-squares, pairings) walk elements in a fixed
 canonical order so results are reproducible run to run.
+
+Over GF(p) the square root of a is min(r, p - r) for the two roots
++-r, which is the first root in canonical order.  Prime-field
+predicates (primality, squareness, square roots) cost polylog(p) per
+call, and the witness scans make elements one at a time and stop at
+the first hit, so no GF(p) element table is built on the
+factorization path.  Extension fields (q <= 27 built in, q bounded by
+``_MAX_IRRED_CHECK`` otherwise) keep their full tables.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -64,13 +72,79 @@ BUILTIN_MODULI = {
 _MAX_IRRED_CHECK = 1 << 20
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson & Webster, Math. Comp. 86, 2017; arXiv 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises FieldError for a probable prime
+    at or above ``_MR_LIMIT``, where the bases no longer prove primality."""
     if p < 2:
         return False
-    for d in range(2, math.isqrt(p) + 1):
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
+    if p >= _MR_LIMIT:
+        raise FieldError(f"cannot certify that {p} is prime")
     return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """Largest r with r**k <= q, for q >= 1."""
+    lo, hi = 1, 1 << (q.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** k <= q:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _prime_sqrt(a: int, p: int) -> Optional[int]:
+    """Square root of the residue a mod p by Euler's criterion and
+    Tonelli-Shanks (Shanks 1973): min(r, p - r), or None for a
+    non-square."""
+    a %= p
+    if p == 2 or a == 0:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 # -- dense polynomial helpers over GF(p), coefficients as plain ints --
@@ -250,6 +324,13 @@ class FieldSpec:
     def nonzero_elements(self):
         return tuple(e for e in self.elements() if not e.is_zero())
 
+    def iter_nonzero(self) -> Iterator["FieldElement"]:
+        """Nonzero elements in canonical order; over GF(p) they are made
+        one at a time, without the element table."""
+        if self.kind == "prime":
+            return (FieldElement(self, r) for r in range(1, self.p))
+        return iter(self.nonzero_elements())
+
     def squares(self) -> frozenset:
         """S = {a^2 : a nonzero}, with a canonical root recorded per entry."""
         if self._squares is None:
@@ -309,10 +390,6 @@ class FieldElement:
 
     def is_one(self) -> bool:
         return self == self.field.one()
-
-    def sort_key(self):
-        """Total order on canonical representations (field-internal)."""
-        return self.rep
 
     # arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -403,25 +480,6 @@ class FieldElement:
         return "(" + ",".join(str(c) for c in self.rep) + ")"
 
 
-def arith(a: FieldElement, b: Optional[FieldElement], op: str) -> FieldElement:
-    """Binary/unary field arithmetic by name (add, sub, mul, div, inv, neg)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    if op == "inv":
-        return a.inverse()
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
 def make_field(kind: str, p: int = 0, k: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(kind, p, k, modulus)
 
@@ -430,17 +488,10 @@ def GF(q: int, modulus=None) -> FieldSpec:
     """Convenience: GF(q) for prime or built-in prime-power q."""
     if _is_prime(q):
         return FieldSpec("prime", q)
-    for p in range(2, q):
-        if _is_prime(p):
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n == 1 and k >= 2:
-                return FieldSpec("extension", p, k, modulus)
-            if n == 1:
-                break
+    for k in range(2, max(q, 1).bit_length()):
+        p = _iroot(q, k)
+        if p ** k == q and _is_prime(p):
+            return FieldSpec("extension", p, k, modulus)
     raise FieldError(f"{q} is not a prime power")
 
 
@@ -473,7 +524,10 @@ _EXT_TOKEN_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
 def parse_element(field: FieldSpec, token: str) -> FieldElement:
     token = token.strip()
     if field.kind == "rational":
-        return field.element(Fraction(token))
+        try:
+            return field.element(Fraction(token))
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in {token!r}")
     if field.kind == "prime":
         return field.element(int(token))
     if token.lstrip("-").isdigit():
@@ -488,8 +542,9 @@ def parse_element(field: FieldSpec, token: str) -> FieldElement:
 # -- number-theoretic predicates the factorization routes branch on -------
 
 def sqrt(a: FieldElement) -> Optional[FieldElement]:
-    """Some b with b*b == a, or None.  Deterministic: first hit in the
-    canonical element order for finite fields, positive root over Q."""
+    """Some b with b*b == a, or None.  Deterministic: the first root in
+    canonical order for finite fields, which over GF(p) is min(r, p - r)
+    (Tonelli-Shanks, polylog(p) per call); the positive root over Q."""
     f = a.field
     if a.is_zero():
         return f.zero()
@@ -501,32 +556,39 @@ def sqrt(a: FieldElement) -> Optional[FieldElement]:
         if rn * rn == fr.numerator and rd * rd == fr.denominator:
             return f.element(Fraction(rn, rd))
         return None
+    if f.kind == "prime":
+        r = _prime_sqrt(a.rep, f.p)
+        return None if r is None else FieldElement(f, r)
     f.squares()
-    root = f._sqrt_of.get(a)
-    return root
+    return f._sqrt_of.get(a)
 
 
 def is_square(a: FieldElement) -> bool:
+    """Zero counts as a square; over GF(p) this is Euler's criterion."""
     if a.is_zero():
         return True
+    f = a.field
+    if f.kind == "prime":
+        return f.p == 2 or pow(a.rep, (f.p - 1) // 2, f.p) == 1
     return sqrt(a) is not None
 
 
 def sum_of_two_nonzero_squares(target: FieldElement):
     """Nonzero (a, b) with a^2 + b^2 == target, or None.
 
-    Exhaustive canonical scan over finite fields.  Over Q the only
-    supported use is target = -1, which has no solution (ordered field).
+    Canonical scan over a, stopping at the first a for which
+    target - a^2 is a nonzero square.  Over Q the only supported use is
+    target = -1, which has no solution (ordered field).
     """
     f = target.field
     if f.kind == "rational":
         return None
-    for a in f.nonzero_elements():
+    for a in f.iter_nonzero():
         need = target - a * a
         if need.is_zero():
             continue
         b = sqrt(need)
-        if b is not None and not b.is_zero():
+        if b is not None:
             return (a, b)
     return None
 
@@ -538,61 +600,67 @@ def square_ne_inverse_witness(F: FieldSpec) -> FieldElement:
     if F.size in (2, 3, 5):
         raise FieldTooSmall(f"no such witness in GF({F.size})")
     one = F.one()
-    for b in F.nonzero_elements():
+    for b in F.iter_nonzero():
         if b ** 4 != one:
             return b
     raise FieldTooSmall(f"no such witness in GF({F.size})")
 
 
-@dataclass(frozen=True)
 class SquareClassData:
     """Partition of the nonzero squares S into exceptional set E and
-    mutually-inverse pairs (alpha, alpha^-1)."""
+    mutually-inverse pairs (alpha, alpha^-1).
 
-    field: FieldSpec
-    S: Optional[frozenset]
-    E: frozenset
-    pairs: Optional[tuple] = None  # finite fields only
+    ``iter_pairs`` streams the pairs: it scans the nonzero elements in
+    canonical order, keeps the squares outside E that are not the
+    inverse of an earlier alpha, and yields (alpha, alpha^-1).  ``S``
+    and the full ``pairs`` tuple are built only when read (None over Q).
+    """
+
+    def __init__(self, field: FieldSpec, E: frozenset):
+        self.field = field
+        self.E = E
 
     def iter_pairs(self) -> Iterator[tuple]:
-        if self.pairs is not None:
-            return iter(self.pairs)
-        return self._rational_stream()
-
-    def _rational_stream(self):
         F = self.field
-        n = 2
-        while True:
-            a = F.element(Fraction(n * n))
-            yield (a, a.inverse())
-            n += 1
+        if not F.is_finite:
+            for m in itertools.count(2):
+                a = F.element(Fraction(m * m))
+                yield (a, a.inverse())
+        used = set()
+        for a in F.iter_nonzero():
+            if a in self.E or not is_square(a):
+                continue
+            if a in used:
+                used.discard(a)
+                continue
+            inv = a.inverse()
+            used.add(inv)
+            yield (a, inv)
+
+    @cached_property
+    def S(self) -> Optional[frozenset]:
+        return self.field.squares() if self.field.is_finite else None
+
+    @cached_property
+    def pairs(self) -> Optional[tuple]:
+        F = self.field
+        if not F.is_finite:
+            return None
+        pairs = tuple(self.iter_pairs())
+        q = F.size
+        expected = (q - 2) // 2 if F.p == 2 else \
+            ((q - 3) // 4 if len(self.E) == 1 else (q - 5) // 4)
+        assert len(pairs) == expected, (len(pairs), expected, q)
+        return pairs
 
 
 def square_class_pairing(F: FieldSpec) -> SquareClassData:
     if F.kind == "rational":
         # -1 is not a rational square, so E = {1}.
-        return SquareClassData(F, None, frozenset({F.one()}), None)
+        return SquareClassData(F, frozenset({F.one()}))
     if F.size in (2, 3, 5):
         raise FieldTooSmall(f"GF({F.size}) has no inverse-pair decomposition")
-    S = F.squares()
     one = F.one()
-    minus_one = -one
-    if F.p == 2 or minus_one not in S:
-        E = frozenset({one})
-    else:
-        E = frozenset({one, minus_one})
-    pairs = []
-    used = set(E)
-    for a in sorted(S - E, key=lambda e: e.sort_key()):
-        if a in used:
-            continue
-        inv = a.inverse()
-        pairs.append((a, inv))
-        used.add(a)
-        used.add(inv)
-    k = len(pairs)
-    q = F.size
-    expected = (q - 2) // 2 if F.p == 2 else \
-        ((q - 3) // 4 if minus_one not in S else (q - 5) // 4)
-    assert k == expected, (k, expected, q)
-    return SquareClassData(F, S, E, tuple(pairs))
+    if F.p == 2 or not is_square(-one):
+        return SquareClassData(F, frozenset({one}))
+    return SquareClassData(F, frozenset({one, -one}))

@@ -373,37 +373,45 @@ def matrix_from_columns(field: FieldSpec, cols) -> Matrix:
 # -- characteristic / minimal polynomial -----------------------------------
 
 def charpoly(A: Matrix) -> Poly:
-    """det(xI - A), by cofactor expansion with subset memoization.
+    """det(xI - A) in O(n^3) field operations.
 
-    Division-free, so valid in any characteristic.
+    A is reduced to upper Hessenberg form H by similarity, pivoting on
+    the first nonzero entry below the subdiagonal; then the leading
+    principal minors p_k = det(xI - H[:k, :k]) follow the standard
+    recurrence (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).  Valid in any characteristic.
     """
     field, n = A.field, A.n
-    x = Poly.x(field)
-    entries = [[x - Poly.constant(A.rows[i][j]) if i == j
-                else -Poly.constant(A.rows[i][j])
-                for j in range(n)] for i in range(n)]
-    memo = {}
-
-    def rec(mask: int) -> Poly:
-        if mask == 0:
-            return Poly.one(field)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        row = n - bin(mask).count("1")
-        acc = Poly.zero(field)
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if not mask & bit:
+    H = [list(r) for r in A.rows]
+    for m in range(1, n - 1):
+        i = next((r for r in range(m, n) if not H[r][m - 1].is_zero()), None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = H[m][m - 1].inverse()
+        for r in range(m + 1, n):
+            u = H[r][m - 1] * inv
+            if u.is_zero():
                 continue
-            term = entries[row][col] * rec(mask & ~bit)
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return rec((1 << n) - 1)
+            # row_r -= u row_m, then col_m += u col_r keeps the similarity
+            H[r] = [a - u * b for a, b in zip(H[r], H[m])]
+            for row in H:
+                row[m] = row[m] + u * row[r]
+    x = Poly.x(field)
+    minors = [Poly.one(field)]
+    for k in range(n):
+        p = (x - Poly.constant(H[k][k])) * minors[k]
+        t = field.one()
+        for i in range(k - 1, -1, -1):
+            t = t * H[i + 1][i]
+            if t.is_zero():
+                break
+            p = p - minors[i] * (t * H[i][k])
+        minors.append(p)
+    return minors[n]
 
 
 def minpoly(A: Matrix) -> Poly:
@@ -577,12 +585,6 @@ def permutation_matrix(field: FieldSpec, perm) -> Matrix:
     return Matrix(field, rows)
 
 
-def permutation_similarity(d: Matrix, target_order) -> Matrix:
-    if not d.is_diagonal():
-        raise LinalgError("permutation similarity expects a diagonal matrix")
-    return permutation_matrix(d.field, list(target_order))
-
-
 def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:
     """Permutation P with P source P^-1 == target, for diagonal matrices
     with equal entry multisets; greedy first-unused matching."""
@@ -627,8 +629,14 @@ def parse_matrix_text(text: str, field: FieldSpec = None) -> Matrix:
         pos = 1
     if field is None:
         raise LinalgError("no field spec in file and none supplied")
+    if pos == len(lines):
+        raise LinalgError("no dimension line")
     n = int(lines[pos])
     pos += 1
+    if n < 1:
+        raise LinalgError(f"dimension must be positive, got {n}")
+    if len(lines) - pos != n:
+        raise LinalgError(f"expected {n} rows, got {len(lines) - pos}")
     rows = []
     for i in range(n):
         tokens = lines[pos + i].split()

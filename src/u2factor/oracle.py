@@ -9,7 +9,7 @@ matrix primitives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import FieldSpec, sqrt
 from .linalg import Matrix, identity

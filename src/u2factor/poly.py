@@ -114,9 +114,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def divides(self, other) -> bool:
-        return (other % self).is_zero()
-
     def __call__(self, x):
         """Evaluate by Horner; x may be a FieldElement or a Matrix."""
         if not self.coeffs:

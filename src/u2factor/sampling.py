@@ -13,7 +13,11 @@ def random_sl(F: FieldSpec, n: int, rng: random.Random,
     """Uniform-ish random element of SL_n(F): rejection-sample an
     invertible matrix, then divide one row by its determinant."""
     for _ in range(max_tries):
-        if F.is_finite:
+        if F.kind == "prime":
+            # one _randbelow(p) per entry, as rng.choice(F.elements()) makes
+            rows = [[F.element(rng.randrange(F.p)) for _ in range(n)]
+                    for _ in range(n)]
+        elif F.is_finite:
             elems = F.elements()
             rows = [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
         else:

@@ -41,12 +41,6 @@ _BACKTRACK_BUDGET = 20000
 
 
 @dataclass(frozen=True)
-class SpectrumPrescription:
-    betas: tuple
-    gammas: tuple
-
-
-@dataclass(frozen=True)
 class SourourFactorization:
     b: Matrix
     c: Matrix

@@ -256,19 +256,35 @@ def factorization_to_dict(f: Factorization) -> dict:
 
 
 def factorization_from_dict(d: dict) -> Factorization:
-    field = parse_field_spec(d["field"])
-    n = d["n"]
+    """Certificate from its JSON object; CertificateError when the
+    object does not have the shape ``factorization_to_dict`` writes."""
+    if not isinstance(d, dict):
+        raise CertificateError("certificate must be a JSON object")
+    spec, n, pairs, route = (d.get("field"), d.get("n"), d.get("pairs"),
+                             d.get("route", []))
+    if not isinstance(spec, str) or type(n) is not int or n < 1:
+        raise CertificateError("certificate needs a field string and n >= 1")
+    if (not isinstance(pairs, list)
+            or not all(isinstance(p, dict) for p in pairs)):
+        raise CertificateError("certificate pairs must be a list of objects")
+    if (not isinstance(route, list)
+            or not all(isinstance(t, str) for t in route)):
+        raise CertificateError("certificate route must be a list of strings")
+    field = parse_field_spec(spec)
 
     def mat(tokens):
-        if len(tokens) != n or any(len(r) != n for r in tokens):
+        if (not isinstance(tokens, list) or len(tokens) != n
+                or any(not isinstance(r, list) or len(r) != n
+                       or not all(isinstance(t, str) for t in r)
+                       for r in tokens)):
             raise CertificateError("matrix token block has wrong shape")
         return Matrix(field, [[parse_element(field, t) for t in row]
                               for row in tokens])
 
-    target = mat(d["target"])
-    pairs = tuple(CommutatorPair(mat(p["x"]), mat(p["y"]))
-                  for p in d["pairs"])
-    return Factorization(target, pairs, tuple(d.get("route", ())))
+    target = mat(d.get("target"))
+    pairs = tuple(CommutatorPair(mat(p.get("x")), mat(p.get("y")))
+                  for p in pairs)
+    return Factorization(target, pairs, tuple(route))
 
 
 def factorization_to_json(f: Factorization) -> str:

@@ -1,8 +1,17 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from u2factor.cli import main
+from u2factor.factor_sln import factor
+from u2factor.field import GF
+from u2factor.linalg import Matrix
+from u2factor.unipotent import factorization_to_dict
 
 
 MATRIX_GF7 = "GF(7)\n2\n0 6\n1 3\n"
@@ -68,8 +77,29 @@ class TestFactor:
         code, _, err = run(capsys, "factor", "--input", str(src))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "GF(7)\n0\n",                    # n = 0
+        "GF(7)\n3\n1 0 0\n0 1 0\n",     # truncated row list
+        "GF(7)\n2\n1 0\n0 1\n1 1\n",   # extra trailing row
+        "Q\n1\n1/0\n",                  # zero denominator
+    ])
+    def test_malformed_matrix_one_line_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.txt"
+        src.write_text(text)
+        code, out, err = run(capsys, "factor", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
+    @pytest.mark.parametrize("payload", [[], [1, 2], "cert", 3, None])
+    def test_non_object_cert_exit_2(self, tmp_path, capsys, payload):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--cert", str(cert))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tampered_cert_exit_1(self, tmp_path, capsys):
         src = tmp_path / "a.txt"
         src.write_text(MATRIX_GF7)
@@ -143,3 +173,82 @@ class TestUsage:
     def test_unknown_flag_exit_2(self, capsys):
         code = main(["bounds", "--field", "GF(5)"])  # missing --n
         assert code == 2
+
+
+# -- fuzzing the two parsers through main ---------------------------------
+
+def _main_on_file(text, *argv):
+    """Exit code and stderr of main with ``text`` as the file argument."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv) + [str(path)])
+    return code, err.getvalue()
+
+
+TOKENS = st.one_of(st.integers(-3, 9).map(str),
+                   st.sampled_from(["1/2", "1/0", "-2/3", "(1,0)", "(1,2,3)",
+                                    "(0,1)", "x", "-", "1.5", "()"]))
+MATRIX_TEXT = st.one_of(
+    st.builds(lambda head, n, rows: head + n + "\n" + "\n".join(rows),
+              st.sampled_from(["", "GF(2)\n", "GF(3)\n", "GF(7)\n",
+                               "GF(9)\n", "Q\n", "GF(6)\n", "GF(x)\n"]),
+              st.one_of(st.integers(-2, 4).map(str),
+                        st.sampled_from(["", "x", "2 2", "1/2"])),
+              st.lists(st.lists(TOKENS, max_size=4).map(" ".join),
+                       max_size=5)),
+    st.text(max_size=40))
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10)
+
+GOOD_CERT = factorization_to_dict(
+    factor(Matrix.from_ints(GF(7), [[0, 6], [1, 3]])))
+CERT_KEYS = st.sampled_from(sorted(GOOD_CERT))
+
+
+@st.composite
+def certificates(draw):
+    """Arbitrary JSON, or a good certificate with one key replaced or
+    dropped, or one matrix entry replaced."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(JSON)
+    cert = json.loads(json.dumps(GOOD_CERT))
+    if kind == 1:
+        key = draw(CERT_KEYS)
+        if draw(st.booleans()):
+            del cert[key]
+        else:
+            cert[key] = draw(JSON)
+        return cert
+    block = draw(st.sampled_from([cert["target"], cert["pairs"][0]["x"],
+                                  cert["pairs"][0]["y"]]))
+    row = draw(st.integers(0, 1))
+    block[row][draw(st.integers(0, 1))] = draw(JSON | TOKENS)
+    return cert
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestParserFuzz:
+    @FUZZ
+    @given(MATRIX_TEXT)
+    def test_matrix_text(self, text):
+        code, err = _main_on_file(text, "factor", "--input")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @FUZZ
+    @given(certificates())
+    def test_certificate_json(self, cert):
+        code, err = _main_on_file(json.dumps(cert), "verify", "--cert")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

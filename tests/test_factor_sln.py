@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from u2factor.field import GF, rationals
@@ -135,6 +137,13 @@ class TestDispatcher:
         cert = check(factor(identity(GF(5), 1)))
         assert cert.pair_count() == 0
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_identity_over_smallest_fields(self, q, n):
+        # I_n has the empty certificate although no route covers SL_n(F_q)
+        cert = check(factor(identity(GF(q), n)))
+        assert cert.pair_count() == 0 and cert.route == ()
+
     def test_bound_promise_consistency(self, sample_sl):
         for q, n in ((4, 3), (5, 4), (7, 5), (9, 3), (8, 6), (13, 4)):
             F = GF(q)
@@ -179,3 +188,20 @@ class TestDispatcher:
         assert promised_max_pairs(rationals(), 4) == 3
         with pytest.raises(UnsupportedFieldSize):
             promised_max_pairs(GF(3), 3)
+
+
+class TestLargeFields:
+    """Prime fields far beyond any element table: nothing on the factor
+    or verify path may cost O(p)."""
+
+    @pytest.mark.parametrize("p,n", [(1000003, 2), (1000003, 4),
+                                     (2 ** 31 - 1, 4)])
+    def test_factor_and_verify(self, p, n):
+        F = GF(p)
+        rng = random.Random(f"large:{p}:{n}")
+        for _ in range(3):
+            A = random_sl(F, n, rng)
+            cert = check(factor(A))
+            assert cert.target == A
+            assert cert.pair_count() <= promised_max_pairs(F, n)
+        assert F._elements is None and F._squares is None

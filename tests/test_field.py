@@ -4,12 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from u2factor.field import (GF, rationals, make_field, parse_field_spec,
-                            parse_element,
+                            parse_element, _is_prime,
                             sqrt, is_square, sum_of_two_nonzero_squares,
                             square_ne_inverse_witness, square_class_pairing,
                             FieldError, NotPrime, ReducibleModulus,
                             NoBuiltinModulus, DivisionByZero, FieldTooSmall,
                             FieldMismatch)
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+# every prime below 600, plus one where p - 1 = 2 * 5003 (p = 3 mod 4)
+# and the pairing stream runs far
+CROSS_CHECK_PRIMES = [p for p in range(600) if _trial_division_prime(p)] \
+    + [10007]
 
 
 class TestConstruction:
@@ -57,6 +67,27 @@ class TestConstruction:
         assert GF(7) != GF(5)
         assert GF(9) != GF(9, (2, 1, 1))
         assert rationals() == rationals()
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        for p in range(-2, 5000):
+            assert _is_prime(p) == _trial_division_prime(p), p
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to every prime base up to 7, 23 and 37
+        for n in (3215031751, 3825123056546413051,
+                  318665857834031151167461):
+            assert not _is_prime(n)
+
+    def test_large_primes(self):
+        for p in (1000003, 2 ** 31 - 1, 2 ** 61 - 1):
+            assert _is_prime(p) and GF(p).kind == "prime"
+        assert GF(3 ** 3).k == 3
+        with pytest.raises(FieldError):
+            GF(10 ** 12)  # not a prime power
+        with pytest.raises(FieldError):
+            GF(2 ** 127 - 1)  # beyond the deterministic bases
 
 
 class TestArithmetic:
@@ -148,6 +179,20 @@ class TestSquareRoots:
         assert sqrt(f.element(2)) is None
         assert sqrt(f.element(-4)) is None
 
+    @pytest.mark.parametrize("p", CROSS_CHECK_PRIMES)
+    def test_fast_sqrt_matches_table(self, p):
+        f = GF(p)
+        f.squares()
+        for a in f.elements():
+            root = sqrt(a)
+            if a.is_zero():
+                assert root == a
+                continue
+            assert root == f._sqrt_of.get(a)
+            assert is_square(a) == (root is not None)
+            if root is not None:
+                assert root.rep == min(root.rep, p - root.rep)
+
     def test_sqrt_deterministic(self):
         f = GF(13)
         a = f.element(4)
@@ -188,6 +233,33 @@ class TestSquareClassPairing:
         for a, ainv in data.pairs:
             assert a * ainv == GF(q).one()
             assert a != ainv
+
+    @pytest.mark.parametrize("p", [p for p in CROSS_CHECK_PRIMES if p > 5])
+    def test_streamed_pairs_match_sorted_reference(self, p):
+        """The stream equals the full sorted scan of the square table,
+        and the full build's count check holds on every field."""
+        f = GF(p)
+        S = f.squares()
+        E = {f.one(), -f.one()} & S
+        want, used = [], set(E)
+        for a in sorted(S - E, key=lambda e: e.rep):
+            if a not in used:
+                want.append((a, a.inverse()))
+                used |= {a, a.inverse()}
+        data = square_class_pairing(f)
+        assert data.E == E
+        assert list(data.iter_pairs()) == want
+        assert list(data.pairs) == want and data.S == S
+        assert len(data.pairs) == ((p - 3) // 4 if len(E) == 1
+                                   else (p - 5) // 4)
+
+    def test_pairs_built_only_when_read(self):
+        f = GF(1000003)
+        stream = square_class_pairing(f).iter_pairs()
+        (a, ainv), (b, _) = next(stream), next(stream)
+        assert 1 < a.rep < b.rep and a * ainv == f.one()
+        assert is_square(a) and is_square(b)
+        assert f._elements is None and f._squares is None
 
     def test_exceptional_set(self):
         f7 = GF(7)  # -1 not a square mod 7

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +85,26 @@ class TestPolynomials:
         # companion of x^3 + x + 1 (signs collapse mod 2)
         assert list(c.rep for c in cp.coeffs) == [1, 1, 0, 1]
 
+    @pytest.mark.parametrize("field,sizes", [
+        (GF(4), range(1, 17, 3)), (GF(9), range(1, 17, 3)),
+        (GF(10007), range(1, 17, 3)), (rationals(), range(1, 9))])
+    def test_charpoly_matches_determinants(self, field, sizes):
+        """charpoly(A)(c) == det(cI - A) at n + 1 distinct points c;
+        where the field has fewer points, the Bareiss determinant of
+        xI - A over F[x] is the reference instead."""
+        rng = random.Random(f"charpoly:{field.spec_string()}")
+        for n in sizes:
+            for A in (random_sl(field, n, rng), _sparse(field, n, rng)):
+                cp = charpoly(A)
+                assert cp.degree == n and cp.is_monic()
+                points = (field.elements()[:n + 1] if field.is_finite
+                          else [field.element(c) for c in range(n + 1)])
+                for c in points:
+                    cI = identity(field, n).scalar_mul(c)
+                    assert cp(c) == (cI - A).det()
+                if len(points) < n + 1:
+                    assert cp == _bareiss_charpoly(A)
+
     def test_char_min_poly_lists(self):
         f = GF(5)
         A = diagonal(f, [f.element(2), f.element(2)])
@@ -94,6 +116,32 @@ class TestPolynomials:
         roots = [f.element(2), f.element(3)]
         p = Poly.from_roots(f, roots)
         assert all(p(r).is_zero() for r in roots)
+
+
+def _sparse(field, n, rng):
+    """Mostly zero entries, so Hessenberg pivots must be searched for."""
+    vals = [field.zero()] * 3 + [field.one(), field.element(2)]
+    return Matrix(field, [[rng.choice(vals) for _ in range(n)]
+                          for _ in range(n)])
+
+
+def _bareiss_charpoly(A):
+    """det(xI - A) by fraction-free elimination over F[x]; no pivoting is
+    needed because every leading minor is a monic characteristic
+    polynomial."""
+    field, n = A.field, A.n
+    x = Poly.x(field)
+    M = [[(x if i == j else Poly.zero(field)) - Poly.constant(A[i, j])
+          for j in range(n)] for i in range(n)]
+    prev = Poly.one(field)
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = (M[i][j] * M[k][k] - M[i][k] * M[k][j]).divmod(prev)
+                assert r.is_zero()
+                M[i][j] = q
+        prev = M[k][k]
+    return M[n - 1][n - 1]
 
 
 class TestJordan:
@@ -200,3 +248,24 @@ class TestMatrixText:
     def test_empty_rejected(self):
         with pytest.raises(LinalgError):
             parse_matrix_text("# nothing here\n")
+
+
+class TestSampling:
+    @pytest.mark.parametrize("q", [7, 101])
+    def test_prime_stream_matches_element_choice(self, q):
+        """Prime fields draw residues without the element table; the
+        seeded stream is the one rng.choice(F.elements()) gave."""
+        F = GF(q)
+        new, old = random.Random(q), random.Random(q)
+        for n in (1, 2, 3, 5):
+            for _ in range(5):
+                A = random_sl(F, n, new)
+                while True:
+                    B = Matrix(F, [[old.choice(F.elements()) for _ in range(n)]
+                                   for _ in range(n)])
+                    if not B.det().is_zero():
+                        break
+                inv = B.det().inverse()
+                rows = [list(r) for r in B.rows]
+                rows[0] = [e * inv for e in rows[0]]
+                assert A == Matrix(F, rows)
