@@ -14,8 +14,8 @@ from . import oracle
 from .field import FieldError, parse_field_spec, GF, rationals
 from .linalg import LinalgError, Matrix, diagonal, jordan_block, \
     parse_matrix_text
-from .unipotent import (CertificateError, verify, factorization_to_json,
-                        factorization_from_json)
+from .unipotent import (CertificateError, VerificationFailed, verify,
+                        factorization_to_json, factorization_from_json)
 from .sourour import SourourError
 from .factor_sl2 import FactorError
 from .factor_sln import factor, promised_max_pairs
@@ -39,10 +39,10 @@ def _read_text(path: str) -> str:
 def _cmd_factor(args) -> int:
     field = parse_field_spec(args.field) if args.field else None
     A = parse_matrix_text(_read_text(args.input), field)
-    f = factor(A)
-    report = verify(f)
-    if not report.passed:
-        print(report.text())
+    try:
+        f = factor(A)
+    except VerificationFailed as exc:
+        print(exc.report.text())
         return 1
     payload = factorization_to_json(f)
     if args.json:

@@ -5,20 +5,22 @@ tr(A) - 2 is a nonzero square), diagonal squares (1 pair), -I_2
 specializations (2 or 3 pairs depending on the field), a generic
 two-commutator split through prescribed-spectrum factorization for
 |F| >= 4, and a derived-subgroup lookup for |F| <= 3.
+
+The routes build certificates without checking them.  A direct call
+returns an unchecked result; ``factor_sln.factor`` is the checked
+entry point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import (FieldSpec, FieldElement, NotASquare, FieldTooSmall,
-                    sqrt, sum_of_two_nonzero_squares,
-                    square_ne_inverse_witness)
-from .linalg import (Matrix, identity, diagonal, jordan_block,
+from .field import (FieldSpec, FieldElement, NotASquare, sqrt,
+                    sum_of_two_nonzero_squares, square_ne_inverse_witness)
+from .linalg import (Matrix, diagonal, jordan_block, unipotent_jordan,
                      companion_similarity_2x2, diagonalize_known_spectrum,
                      ScalarInput)
-from .poly import Poly
-from .unipotent import (Factorization, CommutatorPair, commutator,
+from .unipotent import (Factorization, CommutatorPair,
                         identity_factorization, conjugate_factorization,
                         invert_factorization, concat_factorizations)
 from .sourour import sourour_factor
@@ -85,8 +87,7 @@ def trace_construction(A: Matrix, alpha: FieldElement) -> Factorization:
     Y = Matrix(field, [[one - ai * t, -(ai * t * t)],
                        [ai, one + ai * t]])
     comp = Matrix(field, [[zero, -one], [one, two + a2]])
-    assert commutator(X, Y) == comp, "companion commutator identity failed"
-    base = Factorization(comp, (CommutatorPair(X, Y),),
+    base = Factorization(comp, (CommutatorPair.unchecked(X, Y),),
                          (f"thm3.2(alpha={alpha.token()})",))
     return conjugate_factorization(base, P.inverse())
 
@@ -134,7 +135,6 @@ def neg_identity(F: FieldSpec) -> Factorization:
         a2 = alpha * alpha
         A = Matrix(F, [[two, one], [two * a2 - one, a2]])
         B = Matrix(F, [[-a2, one], [two * a2 - one, -two]])
-        assert A @ B == target, "sum-of-squares factors do not recompose"
         beta = two * b1
         fa = trace_construction(A, alpha)
         fb = trace_construction(B, beta)
@@ -153,7 +153,6 @@ def neg_identity(F: FieldSpec) -> Factorization:
     d = b * b
     f1 = diag_commutator(d)
     rest = diagonal(F, [-d.inverse(), -d])  # = (-(diag))^{-1}
-    assert f1.target @ rest == target
     f2 = _factor_nonscalar(rest)
     return concat_factorizations(target, [f1, f2], ("prop3.12(generic)",))
 
@@ -209,7 +208,6 @@ def _factor_nonscalar_gf5(A: Matrix) -> Factorization:
         parts = []
         for part in (split.b, split.c):
             alpha = single_commutator_test(part)
-            assert alpha is not None
             parts.append(trace_construction(part, alpha))
         return concat_factorizations(
             A, parts, (split.route_tag(spectrum, spectrum), "prop3.11(q=5)"))
@@ -221,11 +219,8 @@ def _factor_nonscalar_gf5(A: Matrix) -> Factorization:
     j1 = jordan_block(field, 2, one)
     fj1 = concat_factorizations(j1, [fD, fD], ("prop3.11(q=5,J2(1)=D^2)",))
     # A^-1 is unipotent of index 2, similar to J_2(1)
-    from .linalg import unipotent_jordan
     jd = unipotent_jordan(A.inverse())
-    assert jd.partition == (2,)
     cert_inv = conjugate_factorization(fj1, jd.transform.inverse())
-    assert cert_inv.target == A.inverse()
     out = invert_factorization(cert_inv)
     return Factorization(A, out.pairs,
                          (split.route_tag(spectrum, spectrum),) + out.route)
@@ -234,7 +229,10 @@ def _factor_nonscalar_gf5(A: Matrix) -> Factorization:
 def factor_sl2(A: Matrix) -> Factorization:
     """Dispatcher for SL_2: certificate with at most three pairs when
     |F| >= 4, and at most |F| - 1 pairs on the derived subgroup when
-    |F| <= 3 (error outside it)."""
+    |F| <= 3 (error outside it).
+
+    The result is not checked here; ``factor_sln.factor`` verifies it.
+    """
     field = A.field
     if A.n != 2:
         raise NotSL2("expected a 2x2 matrix")
@@ -244,16 +242,14 @@ def factor_sl2(A: Matrix) -> Factorization:
         return identity_factorization(field, 2)
     if A.is_scalar():
         # det 1 forces the scalar to be -1 (or 1, handled above)
-        f = neg_identity(field)
-        assert f.target == A
-        return f
+        return neg_identity(field)
     if field.is_finite and field.size <= 3:
         key = tuple(e.rep for r in A.rows for e in r)
         if key not in _derived_membership(field):
             raise OutsideDerivedSubgroup(
                 "not a product of commutators of U2-matrices")
+        # derived nonscalars are single commutators
         alpha = single_commutator_test(A)
-        assert alpha is not None, "derived nonscalars are single commutators"
         f = trace_construction(A, alpha)
         return Factorization(A, f.pairs,
                              (f"thm3.8(q={field.size})",) + f.route)

@@ -1,13 +1,13 @@
 """Factorization routes for SL_n, n > 2, plus the top-level dispatcher.
 
-Every route assembles its certificate from smaller certified pieces via
-the transport operations (conjugation, direct sums, inversion), so each
-intermediate is independently verifiable.
+Every route assembles its certificate from smaller pieces via the
+transport operations (conjugation, direct sums, inversion), none of
+which re-checks its pairs.  ``factor`` is the one checked boundary: it
+verifies each finished certificate once, with plain checks that also
+run under ``python -O``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
     square_class_pairing
@@ -15,12 +15,13 @@ from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
                      unipotent_jordan, find_diagonal_permutation,
                      similarity_to_diagonal, diagonalize_known_spectrum,
                      ScalarInput)
-from .unipotent import (Factorization, CommutatorPair, commutator,
-                        identity_factorization, conjugate_factorization,
-                        invert_factorization, direct_sum_factorization,
-                        embed_factorization, concat_factorizations)
+from .unipotent import (Factorization, CommutatorPair, VerificationFailed,
+                        verify, identity_factorization,
+                        conjugate_factorization, invert_factorization,
+                        direct_sum_factorization, embed_factorization,
+                        concat_factorizations)
 from .factor_sl2 import (factor_sl2, diag_commutator, neg_identity,
-                         FactorError, OutsideDerivedSubgroup)
+                         FactorError)
 from .sourour import sourour_factor
 
 
@@ -65,8 +66,8 @@ def i_plus_j21(F: FieldSpec) -> Factorization:
     X = Matrix.from_ints(F, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     Y = Matrix.from_ints(F, [[1, 0, 0], [-1, 1, 0], [0, 0, 1]])
     target = direct_sum_all([identity(F, 1), jordan_block(F, 2, F.one())])
-    assert commutator(X, Y) == target
-    return Factorization(target, (CommutatorPair(X, Y),), ("prop4.1",))
+    return Factorization(target, (CommutatorPair.unchecked(X, Y),),
+                         ("prop4.1",))
 
 
 def _jn1_xy(F: FieldSpec, n: int):
@@ -87,29 +88,22 @@ def jn1_factor(n: int, F: FieldSpec) -> Factorization:
     """At most two pairs for the full Jordan block J_n(1), n > 2."""
     if n <= 2:
         raise FactorError("route applies to n > 2 only")
-    one = F.one()
-    X, Y = _jn1_xy(F, n)
-    M = commutator(X, Y)
+    pair = CommutatorPair.unchecked(*_jn1_xy(F, n))
+    M = pair.value()
     jd = unipotent_jordan(M)
     hi, lo = (n + 1) // 2, n // 2
-    assert jd.partition == (hi, lo), jd.partition
     # first factor: J_hi(1) (+) J_lo(1), via the conjugated explicit pair
     f1 = conjugate_factorization(
-        Factorization(M, (CommutatorPair(X, Y),), (f"prop4.3(n={n})",)),
-        jd.transform)
+        Factorization(M, (pair,), (f"prop4.3(n={n})",)), jd.transform)
     # second factor: I (+) J_2(1) (+) I straddling the block boundary
     before = lo if n % 2 else hi - 1
     after = n - before - 2
     f2 = embed_factorization(i_plus_j21(F), before - 1, after) \
         if before >= 1 else embed_factorization(i_plus_j21(F), 0, after)
-    assert f2.target.n == n
     G = f1.target @ f2.target
     fG = concat_factorizations(G, [f1, f2])
-    jg = unipotent_jordan(G)
-    assert jg.partition == (n,), "glued product must be a single Jordan block"
-    out = conjugate_factorization(fG, jg.transform)
-    assert out.target == jordan_block(F, n, one)
-    return out
+    # G is a single Jordan block, so the transform carries it to J_n(1)
+    return conjugate_factorization(fG, unipotent_jordan(G).transform)
 
 
 # -- diagonal-blockwise assembly helpers ----------------------------------------
@@ -121,7 +115,6 @@ def _factor_sl2_blocks(blocks, route_tag: str) -> Factorization:
     certs = []
     for blk in blocks:
         if blk.n == 1:
-            assert blk.is_identity()
             certs.append(identity_factorization(blk.field, 1))
         else:
             certs.append(factor_sl2(blk))
@@ -187,16 +180,13 @@ def _scalar_odd(lam, n, target):
         second_entries.extend([lam ** (n - i + 1), lam ** (i + 1)])
     second_entries.append(lam)
     second = diagonal(F, second_entries)
-    assert first @ second == target
     f1 = _square_diag_blocks_cert(F, [lam ** i for i in range(1, k + 1)],
                                   f"prop4.8(odd,n={n})")
     f1 = direct_sum_factorization(f1, identity_factorization(F, 1))
     f1 = Factorization(first, f1.pairs, f1.route)
-    assert f1.product() == first
     # second factor is permutation similar to the first
     P = find_diagonal_permutation(first, second)
-    f2 = conjugate_factorization(Factorization(first, f1.pairs, f1.route), P)
-    assert f2.target == second
+    f2 = conjugate_factorization(f1, P)
     return concat_factorizations(target, [f1, f2])
 
 
@@ -210,22 +200,15 @@ def _scalar_even_gf5(lam, n, target):
         out = block
         for _ in range(n // 2 - 1):
             out = direct_sum_factorization(out, block)
-        assert out.target == target
         return Factorization(target, out.pairs,
                              (f"lemma4.6(q=5,lambda=-1,n={n})",) + out.route)
-    # lam is 2 or 3; 3I = (2I)^-1
-    two = F.element(2)
+    # lam is 2 or 3 (so 4 | n); 3I = (2I)^-1
     if lam == F.element(3):
-        inv_cert = scalar_factor(two, n)
-        out = invert_factorization(inv_cert)
-        assert out.target == target
-        return out
-    assert lam == two and n % 4 == 0
+        return invert_factorization(scalar_factor(F.element(2), n))
     block4 = _two_i4_gf5(F)
     out = block4
     for _ in range(n // 4 - 1):
         out = direct_sum_factorization(out, block4)
-    assert out.target == target
     return out
 
 
@@ -245,22 +228,14 @@ def _two_i4_gf5(F) -> Factorization:
     inner = direct_sum_factorization(alpha_cert, identity_factorization(F, 1))
     inner = conjugate_factorization(inner, perm)
     fD = embed_factorization(inner, 1, 0)
-    D = direct_sum_all([identity(F, 1),
-                        Matrix.from_ints(F, [[-1, 0, 1], [0, 1, 0],
-                                             [0, 0, -1]])])
-    assert fD.target == D
     fE = embed_factorization(alpha_cert, 1, 1)
-    G = D @ fE.target
+    G = fD.target @ fE.target
     fG = concat_factorizations(G, [fD, fE])
-    C = diagonal(F, [one, minus_one, one, minus_one])
-    P = similarity_to_diagonal(G, C.diagonal())
+    P = similarity_to_diagonal(G, [one, minus_one, one, minus_one])
     fC = conjugate_factorization(fG, P)
-    assert fC.target == C
     target = diagonal(F, [F.element(2)] * 4)
-    assert fBB.target @ C == target
-    out = concat_factorizations(target, [fBB, fC],
-                                ("lemma4.6(q=5,lambda=2)",))
-    return out
+    return concat_factorizations(target, [fBB, fC],
+                                 ("lemma4.6(q=5,lambda=2)",))
 
 
 def _scalar_even_bigfield(lam, n, target):
@@ -286,22 +261,17 @@ def _scalar_even_bigfield(lam, n, target):
         c_entries.extend([t * dinv, t * d])
     Bmat = diagonal(F, b_entries)
     Cmat = diagonal(F, c_entries)
-    assert Bmat @ Cmat == target
     # C ~ blocks diag(y, y^-1) with y = lam^(2-2i) d^-1 = (lam^(1-i)/a)^2
     y_vals = [lam ** (2 - 2 * i) * dinv for i in range(1, k + 1)]
-    c_sorted = diagonal(F, [e for y in y_vals for e in (y, y.inverse())])
     fC_sorted = _square_diag_blocks_cert(F, y_vals,
                                          f"prop5.3(n={n},a={a.token()})")
-    assert fC_sorted.target == c_sorted
-    PC = find_diagonal_permutation(c_sorted, Cmat)
+    PC = find_diagonal_permutation(fC_sorted.target, Cmat)
     fC = conjugate_factorization(fC_sorted, PC)
     # B ~ blocks diag(x, x^-1) with x = lam^(2i-1) d, never scalar
     x_vals = [lam ** (2 * i - 1) * d for i in range(1, k + 1)]
-    b_sorted = diagonal(F, [e for x in x_vals for e in (x, x.inverse())])
     blocks = [diagonal(F, [x, x.inverse()]) for x in x_vals]
     fB_sorted = _factor_sl2_blocks(blocks, f"prop5.3(blocks,n={n})")
-    assert fB_sorted.target == b_sorted
-    PB = find_diagonal_permutation(b_sorted, Bmat)
+    PB = find_diagonal_permutation(fB_sorted.target, Bmat)
     fB = conjugate_factorization(fB_sorted, PB)
     return concat_factorizations(target, [fB, fC])
 
@@ -322,29 +292,17 @@ def _scalar_even_general(lam, n, target):
     odd/even power split; each diagonal SL_2 block through factor_sl2."""
     F = lam.field
     k = n // 2
-    b_entries = []
-    c_entries = []
-    for i in range(1, k + 1):
-        b_entries.extend([lam ** (2 * i - 1), lam ** (n - 2 * i + 1)])
-        c_entries.extend([lam ** (2 - 2 * i), lam ** (2 * i)])
-    Bmat = diagonal(F, b_entries)
-    Cmat = diagonal(F, c_entries)
-    assert Bmat @ Cmat == target
+    Cmat = diagonal(F, [e for i in range(1, k + 1)
+                        for e in (lam ** (2 - 2 * i), lam ** (2 * i))])
     b_blocks = [diagonal(F, [lam ** (2 * i - 1), lam ** (n - 2 * i + 1)])
                 for i in range(1, k + 1)]
     fB = _factor_sl2_blocks(b_blocks, f"prop4.8(even,B,n={n})")
-    assert fB.target == Bmat
     # C is permutation similar to I_2 (+) diag blocks of even powers
     c_blocks = [lam ** (2 * i) for i in range(1, k)]
-    c_sorted_entries = [F.one(), F.one()]
-    for c in c_blocks:
-        c_sorted_entries.extend([c, c.inverse()])
-    c_sorted = diagonal(F, c_sorted_entries)
     blocks = [identity(F, 2)] + \
         [diagonal(F, [c, c.inverse()]) for c in c_blocks]
     fC_sorted = _factor_sl2_blocks(blocks, f"prop4.8(even,C,n={n})")
-    assert fC_sorted.target == c_sorted
-    P = find_diagonal_permutation(c_sorted, Cmat)
+    P = find_diagonal_permutation(fC_sorted.target, Cmat)
     fC = conjugate_factorization(fC_sorted, P)
     return concat_factorizations(target, [fB, fC])
 
@@ -409,7 +367,6 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
             cert = direct_sum_factorization(cert, c)
         if n % 2 == 1:
             cert = direct_sum_factorization(identity_factorization(F, 1), cert)
-        assert cert.target == diagonal(F, spectrum)
         parts.append(conjugate_factorization(cert, P.inverse()))
     return concat_factorizations(
         A, parts, (split.route_tag(spectrum, spectrum),
@@ -437,7 +394,6 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
         cert = block_certs[0]
         for c in block_certs[1:]:
             cert = direct_sum_factorization(cert, c)
-        assert cert.target == jd.form
         parts.append(conjugate_factorization(cert, jd.transform.inverse()))
     return concat_factorizations(
         A, parts, (split.route_tag(ones, ones), f"prop4.5(n={n})"))
@@ -447,7 +403,12 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
 
 def factor(A: Matrix) -> Factorization:
     """Certificate for any A in SL_n(F) covered by the constructive
-    routes; pair count is bounded by promised_max_pairs(F, n)."""
+    routes; pair count is bounded by promised_max_pairs(F, n).
+
+    This is the checked entry point.  The certificate is returned only
+    if ``verify`` passes, its target is A and its pair count is within
+    the promise; otherwise VerificationFailed carries the report.
+    """
     F = A.field
     n = A.n
     if A.det() != F.one():
@@ -462,6 +423,10 @@ def factor(A: Matrix) -> Factorization:
     else:
         out = nonscalar_factor(A)
     bound = promised_max_pairs(F, n)
-    assert out.pair_count() <= bound, \
-        f"{out.pair_count()} pairs exceeds the promised bound {bound}"
+    report = verify(out)
+    report.record("target equals input", out.target == A)
+    report.record(f"pair count <= {bound}", out.pair_count() <= bound,
+                  f"{out.pair_count()} pairs")
+    if not report.passed:
+        raise VerificationFailed(report)
     return out

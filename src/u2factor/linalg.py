@@ -514,7 +514,6 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     P = Q.inverse()
     form = direct_sum_all([jordan_block(field, h, field.one())
                            for (_, h) in tops])
-    assert P @ A @ Q == form, "Jordan transform failed"
     partition = tuple(h for (_, h) in tops)
     return JordanData(partition, P, form)
 
@@ -542,13 +541,16 @@ def companion_similarity_2x2(A: Matrix) -> Matrix:
 
 def similarity_to_diagonal(A: Matrix, entries) -> Matrix:
     """P with P A P^-1 = diag(entries), for diagonalizable A whose
-    eigenvalue multiset equals the requested entries (repeats allowed)."""
+    eigenvalue multiset equals the requested entries (repeats allowed).
+
+    Column i of P^-1 is taken from ker(A - entries[i] I), so an
+    invertible P^-1 already proves P A P^-1 = diag(entries) exactly;
+    a spectrum that does not match leaves some eigenspace too small.
+    """
     field, n = A.field, A.n
     entries = list(entries)
     if len(entries) != n:
         raise SpectrumMismatch("entry count != dimension")
-    if charpoly(A) != Poly.from_roots(field, entries):
-        raise SpectrumMismatch("characteristic polynomial mismatch")
     pools = {}
     cols = [None] * n
     for i, lam in enumerate(entries):
@@ -563,7 +565,6 @@ def similarity_to_diagonal(A: Matrix, entries) -> Matrix:
         P = Q.inverse()
     except Singular:
         raise SpectrumMismatch("matrix is not diagonalizable")
-    assert P @ A @ Q == diagonal(field, entries)
     return P
 
 
@@ -601,9 +602,7 @@ def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:
             raise LinalgError("diagonal multisets differ")
         used[j] = True
         perm.append(j)
-    P = permutation_matrix(source.field, perm)
-    assert P @ source @ P.inverse() == target
-    return P
+    return permutation_matrix(source.field, perm)
 
 
 # -- matrix file format -------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .field import FieldSpec, sqrt
 from .linalg import Matrix, identity
-from .unipotent import is_u2, commutator, Report
+from .unipotent import is_u2, Report
 
 
 class OracleError(Exception):

@@ -3,6 +3,9 @@ self-verifying certificate data model.
 
 A certificate stores the pair (X, Y) for every factor rather than the
 product [X, Y], so verification is an independent recomputation.
+Every factor is U2, (X - I)^2 = 0, so it inverts as X^-1 = 2I - X.
+The transports build pairs without re-checking them; ``verify`` checks
+a finished certificate once.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .field import FieldSpec, FieldElement, parse_field_spec, parse_element
-from .linalg import Matrix, identity, direct_sum, Singular
+from .linalg import Matrix, identity, direct_sum
 
 
 class CertificateError(Exception):
@@ -20,6 +23,15 @@ class CertificateError(Exception):
 
 class NotU2(CertificateError):
     pass
+
+
+class VerificationFailed(CertificateError):
+    """A built certificate failed its final check; ``report`` says which."""
+
+    def __init__(self, report: "Report"):
+        failed = ", ".join(name for name, _ in report.failures())
+        super().__init__(f"certificate failed its final check: {failed}")
+        self.report = report
 
 
 def is_unipotent_index(A: Matrix, k: int) -> bool:
@@ -36,12 +48,19 @@ def is_unipotent_index(A: Matrix, k: int) -> bool:
 
 
 def is_u2(A: Matrix) -> bool:
-    return is_unipotent_index(A, 2)
+    N = A - identity(A.field, A.n)
+    return not N.is_zero() and (N @ N).is_zero()
 
 
 def commutator(X: Matrix, Y: Matrix) -> Matrix:
     """[X, Y] = X Y X^-1 Y^-1."""
     return X @ Y @ X.inverse() @ Y.inverse()
+
+
+def u2_inverse(X: Matrix) -> Matrix:
+    """2I - X, which is X^-1 exactly when X is U2."""
+    one = identity(X.field, X.n)
+    return one + one - X
 
 
 @dataclass(frozen=True)
@@ -76,7 +95,11 @@ def classify_u2_sl2(A: Matrix) -> U2Type:
 
 @dataclass(frozen=True)
 class CommutatorPair:
-    """A certified pair of U2-matrices; the factor it certifies is [X, Y]."""
+    """A pair of U2-matrices; the factor it certifies is [X, Y].
+
+    The constructor checks both members; ``unchecked`` is for pairs the
+    routes and transports build, which ``verify`` checks later.
+    """
 
     x: Matrix
     y: Matrix
@@ -86,8 +109,16 @@ class CommutatorPair:
             if not is_u2(m):
                 raise NotU2(f"{name} is not a U2-matrix")
 
+    @classmethod
+    def unchecked(cls, x: Matrix, y: Matrix) -> "CommutatorPair":
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "x", x)
+        object.__setattr__(pair, "y", y)
+        return pair
+
     def value(self) -> Matrix:
-        return commutator(self.x, self.y)
+        """[X, Y], with the U2 inverses 2I - X and 2I - Y."""
+        return self.x @ self.y @ u2_inverse(self.x) @ u2_inverse(self.y)
 
 
 @dataclass(frozen=True)
@@ -138,20 +169,22 @@ class Report:
 
 
 def verify(f: Factorization) -> Report:
+    """Recompute every commutator once; each feeds its det check and the
+    running product."""
     report = Report()
     one = f.target.field.one()
+    product = identity(f.target.field, f.target.n)
     for i, pair in enumerate(f.pairs):
         for name, m in ((f"pair[{i}].X", pair.x), (f"pair[{i}].Y", pair.y)):
             ok = is_u2(m)
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
-        try:
-            det = pair.value().det()
-            report.record(f"pair[{i}] value det=1", det == one,
-                          "" if det == one else f"det={det.token()}")
-        except Singular:
-            report.record(f"pair[{i}] value det=1", False, "singular factor")
-    prod_ok = f.product() == f.target
+        value = pair.value()
+        det = value.det()
+        report.record(f"pair[{i}] value det=1", det == one,
+                      "" if det == one else f"det={det.token()}")
+        product = product @ value
+    prod_ok = product == f.target
     report.record("product equals target", prod_ok,
                   "" if prod_ok else "recomposition mismatch")
     return report
@@ -161,7 +194,8 @@ def verify(f: Factorization) -> Report:
 
 def invert_factorization(f: Factorization) -> Factorization:
     """Certificate for target^-1: pairs reversed, each (X, Y) -> (Y, X)."""
-    pairs = tuple(CommutatorPair(p.y, p.x) for p in reversed(f.pairs))
+    pairs = tuple(CommutatorPair.unchecked(p.y, p.x)
+                  for p in reversed(f.pairs))
     return Factorization(f.target.inverse(), pairs,
                          f.route + ("transport:invert",))
 
@@ -169,7 +203,7 @@ def invert_factorization(f: Factorization) -> Factorization:
 def conjugate_factorization(f: Factorization, P: Matrix) -> Factorization:
     """Certificate for P target P^-1."""
     Pinv = P.inverse()
-    pairs = tuple(CommutatorPair(P @ p.x @ Pinv, P @ p.y @ Pinv)
+    pairs = tuple(CommutatorPair.unchecked(P @ p.x @ Pinv, P @ p.y @ Pinv)
                   for p in f.pairs)
     return Factorization(P @ f.target @ Pinv, pairs,
                          f.route + ("transport:conjugate",))
@@ -179,8 +213,7 @@ def direct_sum_factorization(f: Factorization, g: Factorization) -> Factorizatio
     """Certificate for target_f (+) target_g with max(r, s) pairs.
 
     The shorter pair list is padded with identity blocks on its side;
-    a padded pair is legal because the other side's members are already
-    certified U2 (asserted via CommutatorPair validation on combine).
+    a padded pair is still U2 because the other side's members are.
     """
     if f.target.field != g.target.field:
         raise CertificateError("direct sum over different fields")
@@ -192,12 +225,8 @@ def direct_sum_factorization(f: Factorization, g: Factorization) -> Factorizatio
     for i in range(max(r, s)):
         fx, fy = (f.pairs[i].x, f.pairs[i].y) if i < r else (im, im)
         gx, gy = (g.pairs[i].x, g.pairs[i].y) if i < s else (in_, in_)
-        x = direct_sum(fx, gx)
-        y = direct_sum(fy, gy)
-        if x.is_identity() and y.is_identity():
-            # both inputs exhausted; cannot happen inside max(r, s)
-            continue
-        pairs.append(CommutatorPair(x, y))
+        pairs.append(CommutatorPair.unchecked(direct_sum(fx, gx),
+                                              direct_sum(fy, gy)))
     return Factorization(direct_sum(f.target, g.target), tuple(pairs),
                          f.route + g.route)
 
@@ -219,15 +248,17 @@ def embed_factorization(f: Factorization, before: int, after: int) -> Factorizat
 
 def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorization:
     """Certificate for a product target = part_1 ... part_k by pair
-    concatenation; recomposition is asserted."""
+    concatenation; asserts that the parts' targets multiply to target."""
     pairs = []
     route = []
+    product = identity(target.field, target.n)
     for part in parts:
         pairs.extend(part.pairs)
         route.extend(part.route)
-    f = Factorization(target, tuple(pairs), tuple(route) + tuple(route_extra))
-    assert f.product() == target, "concatenated certificate does not recompose"
-    return f
+        product = product @ part.target
+    assert product == target, "part targets do not multiply to the target"
+    return Factorization(target, tuple(pairs),
+                         tuple(route) + tuple(route_extra))
 
 
 def expand_to_u2_product(f: Factorization):
@@ -235,7 +266,7 @@ def expand_to_u2_product(f: Factorization):
     target: [X, Y] = X * (Y X^-1 Y^-1)."""
     out = []
     for pair in f.pairs:
-        second = pair.y @ pair.x.inverse() @ pair.y.inverse()
+        second = pair.y @ u2_inverse(pair.x) @ u2_inverse(pair.y)
         if not is_u2(second):
             raise CertificateError("conjugated inverse lost the U2 property")
         out.append(pair.x)

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -124,6 +125,28 @@ class TestBounds:
     def test_unsupported_exit_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--field", "GF(3)", "--n", "4")
         assert code == 2
+
+
+class TestFieldSizeBound:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--field", "GF(361;2,1,1)", "--n", "2"),
+        ("factor", "--field", "GF(361;2,1,1)", "--input", "{src}"),
+    ])
+    def test_large_extension_refused_fast(self, tmp_path, capsys, argv):
+        src = tmp_path / "a.txt"
+        src.write_text("2\n1 1\n0 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(src=src) for a in argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_degree_8_modulus_factors(self, tmp_path, capsys):
+        src = tmp_path / "a.txt"
+        src.write_text("GF(256;1,1,0,1,1,0,0,0,1)\n2\n1 1\n0 1\n")
+        code, out, _ = run(capsys, "factor", "--input", str(src))
+        assert code == 0
+        assert "pairs: 2" in out
 
 
 class TestOracleCommands:

@@ -284,3 +284,19 @@ class TestSquareClassPairing:
                                              Fraction(16)]
         for a, ainv in first:
             assert a * ainv == f.one()
+
+
+class TestExtensionSizeBound:
+    def test_user_modulus_above_256_refused(self):
+        with pytest.raises(FieldError, match="too large"):
+            parse_field_spec("GF(361;2,1,1)")
+        with pytest.raises(FieldError, match="too large"):
+            GF(2 ** 20, (1,) + (0,) * 19 + (1,))
+
+    def test_degree_8_modulus_for_256(self):
+        # x^8 + x^4 + x^3 + x + 1, irreducible over GF(2)
+        f = parse_field_spec("GF(256;1,1,0,1,1,0,0,0,1)")
+        assert f.size == 256
+        x = f.element((0, 1))
+        assert x ** 255 == f.one() and x ** 17 != f.one()
+        assert x * x.inverse() == f.one()

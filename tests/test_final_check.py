@@ -1,0 +1,111 @@
+"""``factor`` checks every certificate once, at the end, with plain ``if``
+checks; these tests run it under ``python -O``, where ``assert`` is gone,
+and feed it broken certificates from a patched route."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PRELUDE = textwrap.dedent("""
+    import json, sys
+    assert False, "asserts must be stripped"
+    from u2factor import cli, factor_sln
+    from u2factor.field import GF
+    from u2factor.linalg import Matrix
+    from u2factor.unipotent import (CommutatorPair, Factorization,
+                                    VerificationFailed, invert_factorization,
+                                    verify)
+
+    F = GF(7)
+    A = Matrix.from_ints(F, [[0, 6], [1, 3]])
+    route = factor_sln.factor_sl2
+
+    def wrong_pair(M):
+        f = route(M)
+        x = f.pairs[0].x
+        return Factorization(f.target, (CommutatorPair(x, x),) + f.pairs[1:],
+                             f.route)
+
+    def wrong_target(M):
+        return invert_factorization(route(M))
+
+    def too_many_pairs(M):
+        f = route(M)
+        p = f.pairs[0]
+        extra = (p, CommutatorPair(p.y, p.x))  # [X, Y][Y, X] = I
+        return Factorization(f.target, f.pairs + extra, f.route)
+
+    def outcome(M):
+        try:
+            f = factor_sln.factor(M)
+        except VerificationFailed as exc:
+            return {"raised": True, "failures": [n for n, _ in
+                                                 exc.report.failures()]}
+        return {"raised": False, "passed": verify(f).passed}
+""")
+
+
+def run_optimized(body: str, *args: str) -> dict:
+    """Run PRELUDE + body under ``python -O``; the body prints one JSON
+    object as its last line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PRELUDE + textwrap.dedent(body), *args],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("patch, failure", [
+    ("wrong_pair", "product equals target"),
+    ("wrong_target", "target equals input"),
+    ("too_many_pairs", "pair count <= 2"),
+])
+def test_factor_raises_under_O(patch, failure):
+    got = run_optimized(f"""
+        factor_sln.factor_sl2 = {patch}
+        print(json.dumps(outcome(A)))
+    """)
+    assert got["raised"]
+    assert got["failures"] == [failure]
+
+
+def test_cli_factor_exit_1_under_O(tmp_path):
+    src = tmp_path / "a.txt"
+    src.write_text("GF(7)\n2\n0 6\n1 3\n")
+    got = run_optimized("""
+        import io
+        from contextlib import redirect_stdout
+        factor_sln.factor_sl2 = wrong_pair
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["factor", "--input", sys.argv[1]])
+        print(json.dumps({"code": code, "out": out.getvalue()}))
+    """, str(src))
+    assert got["code"] == 1
+    lines = got["out"].splitlines()
+    assert "FAIL product equals target (recomposition mismatch)" in lines
+    assert lines[-1] == "FAIL"
+    assert "pairs:" not in got["out"]
+
+
+def test_clean_inputs_factor_under_O():
+    got = run_optimized("""
+        import random
+        from u2factor.field import rationals
+        from u2factor.sampling import random_sl
+        rng = random.Random(3)
+        results = [outcome(A)]
+        for field, n in ((GF(5), 2), (GF(4), 4), (GF(7), 5), (GF(31), 6),
+                         (rationals(), 3)):
+            results.append(outcome(random_sl(field, n, rng)))
+        print(json.dumps(results))
+    """)
+    assert got == [{"raised": False, "passed": True}] * 6
