@@ -1,0 +1,52 @@
+"""``factor`` reproduces every certificate of the golden corpus byte for
+byte.
+
+The corpus in ``tests/golden/`` was written by ``scripts/make_golden.py``:
+one seeded SL_n input per (field, n), as ``<case>.txt``, and the bytes
+``factorization_to_json`` returned for it, as ``<case>.json``.  The
+checks are plain ``if`` statements, not ``assert``, so the test still
+checks under ``python -O``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from u2factor import factor, factorization_to_json, parse_matrix_text
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _grid():
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [name for name, _, _ in module.cases()]
+
+
+CASES = _grid()
+
+
+def test_corpus_matches_grid():
+    on_disk = sorted(p.stem for p in GOLDEN.glob("*.txt"))
+    if on_disk != sorted(CASES):
+        pytest.fail(f"golden inputs {on_disk} differ from the grid {CASES}")
+    missing = [c for c in CASES if not (GOLDEN / f"{c}.json").exists()]
+    if missing:
+        pytest.fail(f"no certificate for {missing}")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificate_bytes(case):
+    A = parse_matrix_text((GOLDEN / f"{case}.txt").read_text(encoding="utf-8"))
+    got = factorization_to_json(factor(A))
+    want = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    if got != want:
+        diff = next(i for i, (a, b) in enumerate(
+            zip(got.splitlines() + [""], want.splitlines() + [""])) if a != b)
+        pytest.fail(f"{case}: certificate differs from the golden one at "
+                    f"line {diff + 1}: {got.splitlines()[diff:diff + 1]} vs "
+                    f"{want.splitlines()[diff:diff + 1]}")
