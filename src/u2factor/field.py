@@ -7,21 +7,31 @@ reduced ``Fraction`` for the rationals.  All witness-producing scans
 (square roots, sum-of-squares, pairings) walk elements in a fixed
 canonical order so results are reproducible run to run.
 
+Arithmetic on those representations lives in one class per field kind
+(``PrimeArith``, ``ExtensionArith``, ``RationalArith``), which
+``FieldSpec`` chooses when it is made.  Element operators and matrix
+products both call it.  Over GF(p) it works on ints mod p, and a matrix
+entry is one integer dot product reduced once.  Over GF(p^k) products
+go through log/antilog tables of a primitive element, O(q) entries
+built from q - 1 polynomial products.  Over Q it uses ``Fraction``.
+
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
 predicates (primality, squareness, square roots) cost polylog(p) per
 call, and the witness scans make elements one at a time and stop at
 the first hit, so no GF(p) element table is built on the
 factorization path.  Extension fields (q <= 27 built in, q up to
-``_MAX_EXTENSION_SIZE`` with a user modulus) keep their full tables.
+``_MAX_EXTENSION_SIZE`` with a user modulus) keep their element and
+square tables.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -69,8 +79,10 @@ BUILTIN_MODULI = {
     27: (1, 2, 0, 1),      # x^3 + 2x + 1
 }
 
-# Extension-field arithmetic builds a table of all q^2 products on first
-# use: 0.8 s at q = 256, 4 s at q = 361.  Larger q is refused up front.
+# Extension fields build O(q) log/antilog tables when they are made, from
+# q - 1 polynomial products (about 5 ms at q = 256 and 2.7 s at q = 2^16 on
+# a 2-vCPU VM), and their square roots and witness scans walk all q
+# elements.  Larger q is refused up front, before the modulus is tested.
 _MAX_EXTENSION_SIZE = 256
 
 
@@ -185,6 +197,13 @@ def _pmod(a, m, p):
     return _ptrim(a)
 
 
+def _pmulmod(a, b, modulus, p) -> tuple:
+    """a * b mod the monic modulus over GF(p), as a coefficient tuple of
+    length deg(modulus)."""
+    prod = _pmod(_pmul(_ptrim(list(a)), _ptrim(list(b)), p), modulus, p)
+    return tuple(prod) + (0,) * (len(modulus) - 1 - len(prod))
+
+
 def _poly_is_irreducible(modulus, p: int) -> bool:
     """Brute-force irreducibility over GF(p): no monic factor of degree
     1..k//2 divides the modulus."""
@@ -199,28 +218,209 @@ def _poly_is_irreducible(modulus, p: int) -> bool:
     return True
 
 
+# -- one arithmetic class per field kind, on canonical reps ---------------
+# FieldSpec picks one in __init__.  FieldElement's operators and
+# Matrix.__matmul__ hand it reps and wrap the reps it returns.
+
+class PrimeArith:
+    """GF(p): residues in [0, p)."""
+
+    __slots__ = ("p", "zero", "one")
+
+    def __init__(self, p: int):
+        self.p, self.zero, self.one = p, 0, 1
+
+    def coerce(self, value) -> int:
+        return int(value) % self.p
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def matmul(self, a, b) -> list:
+        """Rows of a @ b, for a and b given as rows of reps: one exact
+        integer dot product and one reduction mod p per entry."""
+        p, mul = self.p, operator.mul
+        cols = list(zip(*b))
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
+
+    def token(self, a) -> str:
+        return str(a)
+
+
+class ExtensionArith:
+    """GF(p^k): coefficient tuples (ascending degree) modulo the monic
+    irreducible modulus.
+
+    Products go through log/antilog tables of the first primitive
+    element g in canonical order (Lidl & Niederreiter, Finite Fields,
+    ch. 2), built once with q - 1 polynomial products.  Zero's log is
+    the sentinel 2(q - 1) - 1 and the antilog table holds zero from that
+    index on, so log a + log b indexes the product of any a and b
+    without a branch on zero.  Sums stay coefficient-wise mod p.
+    """
+
+    __slots__ = ("p", "k", "zero", "one", "_order", "_log", "_exp",
+                 "_packed")
+
+    def __init__(self, p: int, k: int, modulus):
+        order = p ** k - 1
+        zero, one = (0,) * k, (1,) + (0,) * (k - 1)
+        for g in itertools.product(range(p), repeat=k):
+            if g == zero:
+                continue
+            powers, x = [one], g
+            while x != one:
+                powers.append(x)
+                x = _pmulmod(x, g, modulus, p)
+            if len(powers) == order:
+                break
+        self.p, self.k, self.zero, self.one = p, k, zero, one
+        self._order = order
+        self._log = {x: i for i, x in enumerate(powers)}
+        self._log[zero] = 2 * order - 1
+        self._exp = powers + powers[:-1] + [zero] * (2 * order)
+        self._packed = {}
+
+    def coerce(self, value) -> tuple:
+        if isinstance(value, int):
+            return (value % self.p,) + self.zero[1:]
+        rep = tuple(int(c) % self.p for c in value)
+        if len(rep) < self.k:
+            rep = rep + self.zero[len(rep):]
+        if len(rep) != self.k:
+            raise FieldError("coefficient vector has wrong length")
+        return rep
+
+    def is_zero(self, a) -> bool:
+        return a == self.zero
+
+    def add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def neg(self, a):
+        p = self.p
+        return tuple(-x % p for x in a)
+
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a):
+        return self._exp[-self._log[a] % self._order]
+
+    def matmul(self, a, b) -> list:
+        """Rows of a @ b, for a and b given as rows of reps.
+
+        Each term is one lookup at log x + log y in a copy of the
+        antilog table that packs coefficient i into bits [i w, (i+1) w).
+        With 2^w > n (p - 1) no field overflows, so an entry is the
+        integer sum of its n terms, unpacked and reduced mod p once.
+        """
+        p, k = self.p, self.k
+        width = (len(b) * (p - 1)).bit_length()
+        packed = self._packed.get(width)
+        if packed is None:
+            packed = self._packed[width] = [
+                sum(c << (width * i) for i, c in enumerate(x))
+                for x in self._exp]
+        log = self._log
+        rows = [[log[x] for x in r] for r in a]
+        cols = [[log[x] for x in c] for c in zip(*b)]
+        at, add = packed.__getitem__, operator.add
+        mask, shifts = (1 << width) - 1, range(0, width * k, width)
+        out = []
+        for r in rows:
+            sums = [sum(map(at, map(add, r, c))) for c in cols]
+            out.append([tuple((v >> s & mask) % p for s in shifts)
+                        for v in sums])
+        return out
+
+    def token(self, a) -> str:
+        return "(" + ",".join(str(c) for c in a) + ")"
+
+
+class RationalArith:
+    """Q: reduced Fractions."""
+
+    __slots__ = ()
+    zero, one = Fraction(0), Fraction(1)
+
+    def coerce(self, value) -> Fraction:
+        return Fraction(value)
+
+    def is_zero(self, a) -> bool:
+        return a == 0  # an int operand takes Fraction.__eq__'s fast path
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1 / a
+
+    def matmul(self, a, b) -> list:
+        """Rows of a @ b, for a and b given as rows of reps."""
+        add, mul = operator.add, operator.mul
+        cols = list(zip(*b))
+        return [[reduce(add, map(mul, r, c)) for c in cols] for r in a]
+
+    def token(self, a) -> str:
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+
+
 class FieldSpec:
     """Descriptor for GF(p), GF(p^k), or Q.
 
-    Immutable after construction; arithmetic tables for small extension
-    fields are cached lazily.
+    Immutable after construction.  ``arith`` is the field kind's
+    arithmetic class, chosen here; element and square tables are built
+    lazily.
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "size", "_elements",
-                 "_squares", "_sqrt_of", "_mul_table", "_inv_table",
-                 "_hash")
+    __slots__ = ("kind", "p", "k", "modulus", "size", "arith", "_elements",
+                 "_squares", "_sqrt_of", "_hash")
 
     def __init__(self, kind: str, p: int = 0, k: int = 1, modulus=None):
         if kind == "rational":
             self.kind, self.p, self.k = "rational", 0, 1
             self.modulus = None
             self.size = None
+            self.arith = RationalArith()
         elif kind == "prime":
             if not _is_prime(p):
                 raise NotPrime(f"{p} is not prime")
             self.kind, self.p, self.k = "prime", p, 1
             self.modulus = None
             self.size = p
+            self.arith = PrimeArith(p)
         elif kind == "extension":
             if not _is_prime(p):
                 raise NotPrime(f"{p} is not prime")
@@ -242,13 +442,12 @@ class FieldSpec:
             self.kind, self.p, self.k = "extension", p, k
             self.modulus = modulus
             self.size = q
+            self.arith = ExtensionArith(p, k, modulus)
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self._elements = None
         self._squares = None
         self._sqrt_of = None
-        self._mul_table = None
-        self._inv_table = None
         self._hash = hash((self.kind, self.p, self.k, self.modulus))
 
     # identity -------------------------------------------------------
@@ -283,26 +482,14 @@ class FieldSpec:
 
     # element construction -------------------------------------------
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, self.arith.zero)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, self.arith.one)
 
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction, or coefficient sequence."""
-        if self.kind == "prime":
-            return FieldElement(self, int(value) % self.p)
-        if self.kind == "rational":
-            return FieldElement(self, Fraction(value))
-        if isinstance(value, int):
-            rep = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, rep)
-        rep = tuple(int(c) % self.p for c in value)
-        if len(rep) < self.k:
-            rep = rep + (0,) * (self.k - len(rep))
-        if len(rep) != self.k:
-            raise FieldError("coefficient vector has wrong length")
-        return FieldElement(self, rep)
+        return FieldElement(self, self.arith.coerce(value))
 
     def generator(self) -> "FieldElement":
         """The class of x in GF(p)[x]/(modulus)."""
@@ -345,27 +532,6 @@ class FieldSpec:
             self._sqrt_of = sqrt_of
         return self._squares
 
-    # small-field extension arithmetic tables -------------------------
-    def _tables(self):
-        if self._mul_table is None:
-            mul = {}
-            inv = {}
-            p, mod = self.p, self.modulus
-            reps = [e.rep for e in self.elements()]
-            for ra in reps:
-                for rb in reps:
-                    prod = _pmod(_pmul(_ptrim(list(ra)), _ptrim(list(rb)), p),
-                                 mod, p)
-                    res = tuple(prod) + (0,) * (self.k - len(prod))
-                    mul[(ra, rb)] = res
-            one = (1,) + (0,) * (self.k - 1)
-            for ra in reps:
-                for rb in reps:
-                    if mul[(ra, rb)] == one:
-                        inv[ra] = rb
-            self._mul_table, self._inv_table = mul, inv
-        return self._mul_table, self._inv_table
-
 
 class FieldElement:
     """A canonical element of a FieldSpec; arithmetic is pure and exact."""
@@ -384,65 +550,36 @@ class FieldElement:
             raise FieldMismatch("elements belong to different fields")
 
     def is_zero(self) -> bool:
-        f = self.field
-        if f.kind == "prime":
-            return self.rep == 0
-        if f.kind == "rational":
-            return self.rep == 0
-        return not any(self.rep)
+        return self.field.arith.is_zero(self.rep)
 
     def is_one(self) -> bool:
         return self == self.field.one()
 
-    # arithmetic -------------------------------------------------------
+    # arithmetic: each operator hands the reps to the field's arith class -
     def __add__(self, other):
         self._check(other)
         f = self.field
-        if f.kind == "prime":
-            return FieldElement(f, (self.rep + other.rep) % f.p)
-        if f.kind == "rational":
-            return FieldElement(f, self.rep + other.rep)
-        return FieldElement(f, tuple((a + b) % f.p
-                                     for a, b in zip(self.rep, other.rep)))
+        return FieldElement(f, f.arith.add(self.rep, other.rep))
 
     def __sub__(self, other):
         self._check(other)
         f = self.field
-        if f.kind == "prime":
-            return FieldElement(f, (self.rep - other.rep) % f.p)
-        if f.kind == "rational":
-            return FieldElement(f, self.rep - other.rep)
-        return FieldElement(f, tuple((a - b) % f.p
-                                     for a, b in zip(self.rep, other.rep)))
+        return FieldElement(f, f.arith.sub(self.rep, other.rep))
 
     def __neg__(self):
         f = self.field
-        if f.kind == "prime":
-            return FieldElement(f, (-self.rep) % f.p)
-        if f.kind == "rational":
-            return FieldElement(f, -self.rep)
-        return FieldElement(f, tuple((-a) % f.p for a in self.rep))
+        return FieldElement(f, f.arith.neg(self.rep))
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        if f.kind == "prime":
-            return FieldElement(f, (self.rep * other.rep) % f.p)
-        if f.kind == "rational":
-            return FieldElement(f, self.rep * other.rep)
-        mul, _ = f._tables()
-        return FieldElement(f, mul[(self.rep, other.rep)])
+        return FieldElement(f, f.arith.mul(self.rep, other.rep))
 
     def inverse(self):
-        f = self.field
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if f.kind == "prime":
-            return FieldElement(f, pow(self.rep, -1, f.p))
-        if f.kind == "rational":
-            return FieldElement(f, 1 / self.rep)
-        _, inv = f._tables()
-        return FieldElement(f, inv[self.rep])
+        f = self.field
+        return FieldElement(f, f.arith.inv(self.rep))
 
     def __truediv__(self, other):
         self._check(other)
@@ -473,14 +610,7 @@ class FieldElement:
 
     # serialization -------------------------------------------------------
     def token(self) -> str:
-        f = self.field
-        if f.kind == "prime":
-            return str(self.rep)
-        if f.kind == "rational":
-            if self.rep.denominator == 1:
-                return str(self.rep.numerator)
-            return f"{self.rep.numerator}/{self.rep.denominator}"
-        return "(" + ",".join(str(c) for c in self.rep) + ")"
+        return self.field.arith.token(self.rep)
 
 
 def make_field(kind: str, p: int = 0, k: int = 1, modulus=None) -> FieldSpec:

@@ -94,18 +94,17 @@ class Matrix:
         return Matrix(self.field, [[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
+        """The product, computed on raw reps by the field's arith class:
+        each operand's reps are read once and each entry is wrapped once."""
         self._check(other)
-        cols = list(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in cols:
-                acc = ra[0] * cb[0]
-                for a, b in zip(ra[1:], cb[1:]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out)
+        field = self.field
+        prod = field.arith.matmul([[e.rep for e in r] for r in self.rows],
+                                  [[e.rep for e in r] for r in other.rows])
+        out = object.__new__(Matrix)
+        out.field, out.n = field, self.n
+        out.rows = tuple(tuple(FieldElement(field, x) for x in r)
+                         for r in prod)
+        return out
 
     def scalar_mul(self, c: FieldElement):
         return Matrix(self.field, [[a * c for a in r] for r in self.rows])

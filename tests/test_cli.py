@@ -148,6 +148,17 @@ class TestFieldSizeBound:
         assert code == 0
         assert "pairs: 2" in out
 
+    def test_degree_8_modulus_factors_fast(self, tmp_path, capsys):
+        # The field is parsed afresh, so this pays for its tables too.
+        src = tmp_path / "a.txt"
+        src.write_text("GF(256;1,1,0,1,1,0,0,0,1)\n2\n"
+                       "(0,0,1,1,0,1,0,0) (0,1,0,0,1,1,1,1)\n"
+                       "(1,0,1,0,1,0,0,1) (1,0,1,1,0,1,0,0)\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "factor", "--input", str(src))
+        assert time.perf_counter() - start < 0.3
+        assert code == 0 and "pairs: " in out
+
 
 class TestOracleCommands:
     def test_lengths_csv_gf5(self, capsys):

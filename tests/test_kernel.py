@@ -1,0 +1,126 @@
+"""Cross-checks of ``Matrix.__matmul__`` and the extension-field tables.
+
+``@`` computes on raw reps through the field's arithmetic class.  Here
+its results must equal a naive triple loop of element operations, and
+extension-field element products must equal plain polynomial products
+reduced by the modulus, computed in this file.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from u2factor.field import GF, FieldMismatch, parse_field_spec, rationals
+from u2factor.linalg import Matrix
+
+GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
+FIELDS = ["GF(2)", "GF(3)", "GF(2147483647)", "GF(4)", "GF(8)", "GF(9)",
+          "GF(16)", "GF(25)", "GF(27)", GF256, "Q"]
+SIZES = (1, 2, 3, 5, 8)
+
+
+def random_entry(F, rng):
+    if rng.random() < 0.25:
+        return F.zero()
+    if F.kind == "rational":
+        sign = rng.choice((-1, 1))
+        return F.element(Fraction(sign * rng.getrandbits(500),
+                                  rng.getrandbits(500) + 1))
+    if F.kind == "prime":
+        return F.element(rng.randrange(F.p))
+    return F.element(tuple(rng.randrange(F.p) for _ in range(F.k)))
+
+
+def random_matrix(F, n, rng):
+    return Matrix(F, [[random_entry(F, rng) for _ in range(n)]
+                      for _ in range(n)])
+
+
+def naive_product(A, B):
+    """Rows of A @ B by element operations, left to right."""
+    n = A.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = A[i, 0] * B[0, j]
+            for t in range(1, n):
+                acc = acc + A[i, t] * B[t, j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def assert_same_entries(got, want):
+    assert got.rows == want
+    for rg, rw in zip(got.rows, want):
+        for g, w in zip(rg, rw):
+            assert type(g.rep) is type(w.rep)
+            assert g.field is got.field
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_matmul_matches_element_loop(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(spec)
+    for n in SIZES:
+        for _ in range(3):
+            A, B = random_matrix(F, n, rng), random_matrix(F, n, rng)
+            assert_same_entries(A @ B, naive_product(A, B))
+
+
+@pytest.mark.parametrize("spec", [s for s in FIELDS if s.startswith("GF(")
+                                  and parse_field_spec(s).kind == "extension"])
+def test_matmul_largest_coefficient_sums(spec):
+    # Every term has all coefficients p - 1, so each packed coefficient
+    # of an entry reaches its largest sum, n (p - 1).
+    F = parse_field_spec(spec)
+    top = F.element((F.p - 1,) * F.k)
+    for n in (1, 2, 3, 4, 7, 8, 9, 16, 17):
+        A = Matrix(F, [[F.one()] * n for _ in range(n)])
+        B = Matrix(F, [[top] * n for _ in range(n)])
+        assert_same_entries(A @ B, naive_product(A, B))
+
+
+def poly_mulmod(a, b, modulus, p):
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        for i, m in enumerate(modulus):
+            prod[d - k + i] -= c * m
+    return tuple(c % p for c in prod[:k])
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(9)", "GF(16)",
+                                  "GF(25)", "GF(27)", GF256])
+def test_extension_products_match_polynomials(spec):
+    F = parse_field_spec(spec)
+    elems = F.elements()
+    pairs = itertools.product(elems, elems)
+    if F.size > 27:
+        rng = random.Random(spec)
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(4000)]
+    for a, b in pairs:
+        assert (a * b).rep == poly_mulmod(a.rep, b.rep, F.modulus, F.p)
+    one = F.one()
+    for a in elems[1:]:
+        assert a * a.inverse() == one
+
+
+def test_matmul_across_fields_rejected():
+    gf9b = GF(9, (2, 1, 1))  # x^2 + x + 2, not the built-in x^2 + 1
+    pairs = [(GF(5), GF(7)), (GF(9), gf9b), (GF(4), rationals()),
+             (GF(2147483647), GF(2))]
+    for F, G in pairs:
+        A = Matrix.from_ints(F, [[1, 0], [0, 1]])
+        B = Matrix.from_ints(G, [[1, 0], [0, 1]])
+        with pytest.raises(FieldMismatch):
+            A @ B
+        with pytest.raises(FieldMismatch):
+            B @ A
