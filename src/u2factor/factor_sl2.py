@@ -79,7 +79,7 @@ def trace_construction(A: Matrix, alpha: FieldElement) -> Factorization:
     two = field.element(2)
     if alpha.is_zero() or A.trace() != two + alpha * alpha:
         raise PreconditionViolated("need nonzero alpha with tr = 2 + alpha^2")
-    P = companion_similarity_2x2(A)  # P A P^-1 = companion
+    P, Pinv = companion_similarity_2x2(A)  # P A P^-1 = companion
     a2 = alpha * alpha
     X = Matrix(field, [[one, a2], [zero, one]])
     t = a2 + alpha + one
@@ -89,12 +89,17 @@ def trace_construction(A: Matrix, alpha: FieldElement) -> Factorization:
     comp = Matrix(field, [[zero, -one], [one, two + a2]])
     base = Factorization(comp, (CommutatorPair.unchecked(X, Y),),
                          (f"thm3.2(alpha={alpha.token()})",))
-    return conjugate_factorization(base, P.inverse())
+    return conjugate_factorization(base, Pinv, P)
 
 
+@lru_cache(maxsize=256)
 def diag_commutator(a: FieldElement) -> Factorization:
     """One-pair certificate for diag(a, a^-1), requiring a to be a
-    square outside {-1, 0, 1}."""
+    square outside {-1, 0, 1}.
+
+    Memoised per process, keyed by the value of a (so by its field too):
+    callers get a shared, immutable certificate.
+    """
     field = a.field
     one = field.one()
     if a.is_zero() or a == one or a == -one:
@@ -109,8 +114,13 @@ def diag_commutator(a: FieldElement) -> Factorization:
                          (f"cor3.6(a={a.token()},b={b.token()})",) + f.route[1:])
 
 
+@lru_cache(maxsize=32)
 def neg_identity(F: FieldSpec) -> Factorization:
-    """Certificate for -I_2, route chosen by the field's square structure."""
+    """Certificate for -I_2, route chosen by the field's square structure.
+
+    Memoised per process, keyed by the field: callers get a shared,
+    immutable certificate.
+    """
     one = F.one()
     minus_one = -one
     if F.p == 2:
@@ -157,15 +167,14 @@ def neg_identity(F: FieldSpec) -> Factorization:
     return concat_factorizations(target, [f1, f2], ("prop3.12(generic)",))
 
 
+@lru_cache(maxsize=2)
 def _derived_membership(F: FieldSpec):
-    """Canonical keys of SL_2(F)' for |F| <= 3, from the brute-force oracle."""
+    """Canonical keys of SL_2(F)' for |F| <= 3, from the brute-force oracle;
+    memoised for the only two such fields, GF(2) and GF(3)."""
     from . import oracle
     table = oracle.enumerate_group(F, 2)
     ids = oracle.derived_subgroup(table)
     return frozenset(oracle._matrix_key(table.elements[i]) for i in ids)
-
-
-_derived_membership = lru_cache(maxsize=None)(_derived_membership)
 
 
 def _factor_nonscalar(A: Matrix) -> Factorization:
@@ -185,11 +194,11 @@ def _factor_nonscalar(A: Matrix) -> Factorization:
     d = b * b
     spectrum = (d, d.inverse())
     split = sourour_factor(A, spectrum, spectrum)
+    cert = diag_commutator(d)
     parts = []
     for part in (split.b, split.c):
-        P = diagonalize_known_spectrum(part, spectrum)
-        cert = conjugate_factorization(diag_commutator(d), P.inverse())
-        parts.append(cert)
+        P, Pinv = diagonalize_known_spectrum(part, spectrum)
+        parts.append(conjugate_factorization(cert, Pinv, P))
     return concat_factorizations(
         A, parts, (split.route_tag(spectrum, spectrum), "prop3.11(generic)"))
 
@@ -220,7 +229,7 @@ def _factor_nonscalar_gf5(A: Matrix) -> Factorization:
     fj1 = concat_factorizations(j1, [fD, fD], ("prop3.11(q=5,J2(1)=D^2)",))
     # A^-1 is unipotent of index 2, similar to J_2(1)
     jd = unipotent_jordan(A.inverse())
-    cert_inv = conjugate_factorization(fj1, jd.transform.inverse())
+    cert_inv = conjugate_factorization(fj1, jd.transform_inverse, jd.transform)
     out = invert_factorization(cert_inv)
     return Factorization(A, out.pairs,
                          (split.route_tag(spectrum, spectrum),) + out.route)

@@ -9,6 +9,8 @@ run under ``python -O``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
     square_class_pairing
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
@@ -60,9 +62,14 @@ def promised_max_pairs(F: FieldSpec, n: int) -> int:
 
 # -- explicit small constructions ----------------------------------------------
 
+@lru_cache(maxsize=32)
 def i_plus_j21(F: FieldSpec) -> Factorization:
     """One-pair certificate for [1] (+) J_2(1), from an explicit pair of
-    3x3 U2-matrices."""
+    3x3 U2-matrices.
+
+    Memoised per process, keyed by the field: callers get a shared,
+    immutable certificate.
+    """
     X = Matrix.from_ints(F, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     Y = Matrix.from_ints(F, [[1, 0, 0], [-1, 1, 0], [0, 0, 1]])
     target = direct_sum_all([identity(F, 1), jordan_block(F, 2, F.one())])
@@ -84,8 +91,13 @@ def _jn1_xy(F: FieldSpec, n: int):
     return X, Y
 
 
+@lru_cache(maxsize=64)
 def jn1_factor(n: int, F: FieldSpec) -> Factorization:
-    """At most two pairs for the full Jordan block J_n(1), n > 2."""
+    """At most two pairs for the full Jordan block J_n(1), n > 2.
+
+    Memoised per process, keyed by (n, field): callers get a shared,
+    immutable certificate.
+    """
     if n <= 2:
         raise FactorError("route applies to n > 2 only")
     pair = CommutatorPair.unchecked(*_jn1_xy(F, n))
@@ -94,16 +106,28 @@ def jn1_factor(n: int, F: FieldSpec) -> Factorization:
     hi, lo = (n + 1) // 2, n // 2
     # first factor: J_hi(1) (+) J_lo(1), via the conjugated explicit pair
     f1 = conjugate_factorization(
-        Factorization(M, (pair,), (f"prop4.3(n={n})",)), jd.transform)
-    # second factor: I (+) J_2(1) (+) I straddling the block boundary
+        Factorization(M, (pair,), (f"prop4.3(n={n})",)),
+        jd.transform, jd.transform_inverse)
+    # second factor: I (+) J_2(1) (+) I straddling the block boundary;
+    # before >= 1 since n > 2
     before = lo if n % 2 else hi - 1
     after = n - before - 2
-    f2 = embed_factorization(i_plus_j21(F), before - 1, after) \
-        if before >= 1 else embed_factorization(i_plus_j21(F), 0, after)
+    f2 = embed_factorization(i_plus_j21(F), before - 1, after)
     G = f1.target @ f2.target
     fG = concat_factorizations(G, [f1, f2])
     # G is a single Jordan block, so the transform carries it to J_n(1)
-    return conjugate_factorization(fG, unipotent_jordan(G).transform)
+    jg = unipotent_jordan(G)
+    return conjugate_factorization(fG, jg.transform, jg.transform_inverse)
+
+
+@lru_cache(maxsize=32)
+def j21_factor(F: FieldSpec) -> Factorization:
+    """factor_sl2's certificate for J_2(1).
+
+    Memoised per process, keyed by the field: callers get a shared,
+    immutable certificate.
+    """
+    return factor_sl2(jordan_block(F, 2, F.one()))
 
 
 # -- diagonal-blockwise assembly helpers ----------------------------------------
@@ -186,7 +210,7 @@ def _scalar_odd(lam, n, target):
     f1 = Factorization(first, f1.pairs, f1.route)
     # second factor is permutation similar to the first
     P = find_diagonal_permutation(first, second)
-    f2 = conjugate_factorization(f1, P)
+    f2 = conjugate_factorization(f1, P, P.transpose())
     return concat_factorizations(target, [f1, f2])
 
 
@@ -212,9 +236,14 @@ def _scalar_even_gf5(lam, n, target):
     return out
 
 
+@lru_cache(maxsize=32)
 def _two_i4_gf5(F) -> Factorization:
     """2*I_4 = (B (+) B) C over GF(5) with B = diag(2, 3) and
-    C = diag(1, -1, 1, -1); at most four pairs."""
+    C = diag(1, -1, 1, -1); at most four pairs.
+
+    Memoised per process, keyed by the field: callers get a shared,
+    immutable certificate.
+    """
     one = F.one()
     minus_one = -one
     B = diagonal(F, [F.element(2), F.element(3)])
@@ -226,13 +255,13 @@ def _two_i4_gf5(F) -> Factorization:
     # D = [1] (+) (permutation of J_2(-1) (+) [1])
     perm = Matrix.from_ints(F, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     inner = direct_sum_factorization(alpha_cert, identity_factorization(F, 1))
-    inner = conjugate_factorization(inner, perm)
+    inner = conjugate_factorization(inner, perm, perm.transpose())
     fD = embed_factorization(inner, 1, 0)
     fE = embed_factorization(alpha_cert, 1, 1)
     G = fD.target @ fE.target
     fG = concat_factorizations(G, [fD, fE])
-    P = similarity_to_diagonal(G, [one, minus_one, one, minus_one])
-    fC = conjugate_factorization(fG, P)
+    P, Pinv = similarity_to_diagonal(G, [one, minus_one, one, minus_one])
+    fC = conjugate_factorization(fG, P, Pinv)
     target = diagonal(F, [F.element(2)] * 4)
     return concat_factorizations(target, [fBB, fC],
                                  ("lemma4.6(q=5,lambda=2)",))
@@ -266,13 +295,13 @@ def _scalar_even_bigfield(lam, n, target):
     fC_sorted = _square_diag_blocks_cert(F, y_vals,
                                          f"prop5.3(n={n},a={a.token()})")
     PC = find_diagonal_permutation(fC_sorted.target, Cmat)
-    fC = conjugate_factorization(fC_sorted, PC)
+    fC = conjugate_factorization(fC_sorted, PC, PC.transpose())
     # B ~ blocks diag(x, x^-1) with x = lam^(2i-1) d, never scalar
     x_vals = [lam ** (2 * i - 1) * d for i in range(1, k + 1)]
     blocks = [diagonal(F, [x, x.inverse()]) for x in x_vals]
     fB_sorted = _factor_sl2_blocks(blocks, f"prop5.3(blocks,n={n})")
     PB = find_diagonal_permutation(fB_sorted.target, Bmat)
-    fB = conjugate_factorization(fB_sorted, PB)
+    fB = conjugate_factorization(fB_sorted, PB, PB.transpose())
     return concat_factorizations(target, [fB, fC])
 
 
@@ -303,7 +332,7 @@ def _scalar_even_general(lam, n, target):
         [diagonal(F, [c, c.inverse()]) for c in c_blocks]
     fC_sorted = _factor_sl2_blocks(blocks, f"prop4.8(even,C,n={n})")
     P = find_diagonal_permutation(fC_sorted.target, Cmat)
-    fC = conjugate_factorization(fC_sorted, P)
+    fC = conjugate_factorization(fC_sorted, P, P.transpose())
     return concat_factorizations(target, [fB, fC])
 
 
@@ -358,16 +387,16 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
         spectrum.extend([a, ainv])
     spectrum = tuple(spectrum)
     split = sourour_factor(A, spectrum, spectrum)
+    blocks = [_diag_pair_cert(F, a) for (a, _) in alphas]
+    cert = blocks[0]
+    for c in blocks[1:]:
+        cert = direct_sum_factorization(cert, c)
+    if n % 2 == 1:
+        cert = direct_sum_factorization(identity_factorization(F, 1), cert)
     parts = []
     for part in (split.b, split.c):
-        P = diagonalize_known_spectrum(part, spectrum)
-        blocks = [_diag_pair_cert(F, a) for (a, _) in alphas]
-        cert = blocks[0]
-        for c in blocks[1:]:
-            cert = direct_sum_factorization(cert, c)
-        if n % 2 == 1:
-            cert = direct_sum_factorization(identity_factorization(F, 1), cert)
-        parts.append(conjugate_factorization(cert, P.inverse()))
+        P, Pinv = diagonalize_known_spectrum(part, spectrum)
+        parts.append(conjugate_factorization(cert, Pinv, P))
     return concat_factorizations(
         A, parts, (split.route_tag(spectrum, spectrum),
                    f"prop5.2(n={n})"))
@@ -388,13 +417,14 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
             if size == 1:
                 block_certs.append(identity_factorization(F, 1))
             elif size == 2:
-                block_certs.append(factor_sl2(jordan_block(F, 2, F.one())))
+                block_certs.append(j21_factor(F))
             else:
                 block_certs.append(jn1_factor(size, F))
         cert = block_certs[0]
         for c in block_certs[1:]:
             cert = direct_sum_factorization(cert, c)
-        parts.append(conjugate_factorization(cert, jd.transform.inverse()))
+        parts.append(conjugate_factorization(cert, jd.transform_inverse,
+                                             jd.transform))
     return concat_factorizations(
         A, parts, (split.route_tag(ones, ones), f"prop4.5(n={n})"))
 

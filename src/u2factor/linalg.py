@@ -465,11 +465,13 @@ def char_min_poly(A: Matrix):
 
 @dataclass(frozen=True)
 class JordanData:
-    """Partition and transform P with P A P^-1 = direct sum of J_{n_i}(1)."""
+    """Partition and transform P with P A P^-1 = direct sum of J_{n_i}(1);
+    ``transform_inverse`` is P^-1, the column matrix P was inverted from."""
 
     partition: tuple
     transform: Matrix
     form: Matrix
+    transform_inverse: Matrix
 
 
 def unipotent_jordan(A: Matrix) -> JordanData:
@@ -492,7 +494,8 @@ def unipotent_jordan(A: Matrix) -> JordanData:
         raise NotUnipotent("matrix is not unipotent")
     if index == 1:
         # A == I
-        return JordanData((1,) * n, identity(field, n), identity(field, n))
+        eye = identity(field, n)
+        return JordanData((1,) * n, eye, eye, eye)
     kernels = [[]]
     for j in range(1, index + 1):
         kernels.append(kernel_basis(npowers[j]))
@@ -514,13 +517,14 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     form = direct_sum_all([jordan_block(field, h, field.one())
                            for (_, h) in tops])
     partition = tuple(h for (_, h) in tops)
-    return JordanData(partition, P, form)
+    return JordanData(partition, P, form, Q)
 
 
 # -- similarity transforms ---------------------------------------------------
 
-def companion_similarity_2x2(A: Matrix) -> Matrix:
-    """P with P A P^-1 = [[0, -det A], [1, tr A]] for nonscalar 2x2 A."""
+def companion_similarity_2x2(A: Matrix):
+    """(P, P^-1) with P A P^-1 = [[0, -det A], [1, tr A]] for nonscalar
+    2x2 A."""
     if A.n != 2:
         raise SizeMismatch("companion form is for 2x2 input")
     if A.is_scalar():
@@ -534,12 +538,12 @@ def companion_similarity_2x2(A: Matrix) -> Matrix:
         d = v[0] * av[1] - v[1] * av[0]
         if not d.is_zero():
             Q = matrix_from_columns(field, [v, av])
-            return Q.inverse()
+            return Q.inverse(), Q
     raise ScalarInput("no non-eigenvector found; matrix is scalar")
 
 
-def similarity_to_diagonal(A: Matrix, entries) -> Matrix:
-    """P with P A P^-1 = diag(entries), for diagonalizable A whose
+def similarity_to_diagonal(A: Matrix, entries):
+    """(P, P^-1) with P A P^-1 = diag(entries), for diagonalizable A whose
     eigenvalue multiset equals the requested entries (repeats allowed).
 
     Column i of P^-1 is taken from ker(A - entries[i] I), so an
@@ -564,11 +568,12 @@ def similarity_to_diagonal(A: Matrix, entries) -> Matrix:
         P = Q.inverse()
     except Singular:
         raise SpectrumMismatch("matrix is not diagonalizable")
-    return P
+    return P, Q
 
 
-def diagonalize_known_spectrum(A: Matrix, spectrum) -> Matrix:
-    """P with P A P^-1 = diag(spectrum); the spectrum must be distinct."""
+def diagonalize_known_spectrum(A: Matrix, spectrum):
+    """(P, P^-1) with P A P^-1 = diag(spectrum); the spectrum must be
+    distinct."""
     spectrum = list(spectrum)
     if len(set(spectrum)) != len(spectrum):
         raise SpectrumMismatch("spectrum entries must be distinct")
@@ -587,7 +592,8 @@ def permutation_matrix(field: FieldSpec, perm) -> Matrix:
 
 def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:
     """Permutation P with P source P^-1 == target, for diagonal matrices
-    with equal entry multisets; greedy first-unused matching."""
+    with equal entry multisets; greedy first-unused matching.  P^-1 is
+    P's transpose."""
     if not (source.is_diagonal() and target.is_diagonal()):
         raise LinalgError("both matrices must be diagonal")
     src = list(source.diagonal())

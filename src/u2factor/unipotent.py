@@ -200,9 +200,13 @@ def invert_factorization(f: Factorization) -> Factorization:
                          f.route + ("transport:invert",))
 
 
-def conjugate_factorization(f: Factorization, P: Matrix) -> Factorization:
-    """Certificate for P target P^-1."""
-    Pinv = P.inverse()
+def conjugate_factorization(f: Factorization, P: Matrix,
+                            Pinv: Matrix) -> Factorization:
+    """Certificate for P target P^-1, given P^-1 as ``Pinv``.
+
+    ``Pinv`` is not checked against P (the similarity helpers return
+    the inverse they built); ``verify`` catches a wrong one.
+    """
     pairs = tuple(CommutatorPair.unchecked(P @ p.x @ Pinv, P @ p.y @ Pinv)
                   for p in f.pairs)
     return Factorization(P @ f.target @ Pinv, pairs,

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import u2factor  # loads every library module, so `memos` sees them all
 from u2factor.field import GF, rationals
 from u2factor.sampling import random_sl
 
@@ -28,3 +30,18 @@ def small_fields():
 @pytest.fixture(scope="session")
 def Q():
     return rationals()
+
+
+@pytest.fixture
+def memos():
+    """Every lru_cache-wrapped function in the library's modules, by
+    qualified name, cleared before the test (each starts cold)."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "u2factor" or name.startswith("u2factor."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[f"{value.__module__}.{value.__qualname__}"] = value
+    for memo in found.values():
+        memo.cache_clear()
+    return found

@@ -20,6 +20,35 @@ def check(f):
     return f
 
 
+def _primes(start, count):
+    out, p = [], start
+    while len(out) < count:
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+class TestMemos:
+    def test_memos_stay_bounded(self, memos):
+        """More distinct fields than the largest memo holds: every memo
+        evicts instead of growing."""
+        short = {name.rsplit(".", 1)[1] for name in memos}
+        assert {"diag_commutator", "neg_identity", "i_plus_j21", "jn1_factor",
+                "j21_factor", "_two_i4_gf5"} <= short
+        largest = max(m.cache_info().maxsize for m in memos.values())
+        rng = random.Random(11)
+        # GF(5) takes the unipotent split (J_n(1) blocks), GF(p >= 7) the
+        # two-pair route (one diag_commutator block per field)
+        for p in _primes(5, largest + 10):
+            check(factor(random_sl(GF(p), 3, rng)))
+        for name, memo in memos.items():
+            info = memo.cache_info()
+            assert info.maxsize is not None, name
+            assert info.currsize <= info.maxsize, (name, info)
+        assert max(m.cache_info().misses for m in memos.values()) > largest
+
+
 class TestExplicitBlocks:
     @pytest.mark.parametrize("q", [2, 4, 5, 7])
     def test_i_plus_j21(self, q):

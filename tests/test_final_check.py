@@ -109,3 +109,54 @@ def test_clean_inputs_factor_under_O():
         print(json.dumps(results))
     """)
     assert got == [{"raised": False, "passed": True}] * 6
+
+
+def test_wrong_handed_over_inverse_caught_under_O():
+    """A similarity helper's inverse is used as given; the final check
+    catches a wrong one."""
+    got = run_optimized("""
+        import importlib
+        factor_sl2 = importlib.import_module("u2factor.factor_sl2")
+        helper = factor_sl2.companion_similarity_2x2
+        calls = []
+
+        def wrong_inverse(M):
+            calls.append(M)
+            P, P_inv = helper(M)
+            return P, P_inv.scalar_mul(F.element(2))
+
+        factor_sl2.companion_similarity_2x2 = wrong_inverse
+        print(json.dumps(dict(outcome(A), calls=len(calls))))
+    """)
+    assert got["calls"] > 0
+    assert got["raised"]
+    assert "product equals target" in got["failures"]
+
+
+@pytest.mark.parametrize("memo, field, n, seed", [
+    ("diag_commutator", 31, 3, 0),
+    ("jn1_factor", 5, 3, 1),
+])
+def test_wrong_memoised_block_caught_under_O(memo, field, n, seed):
+    """A memoised block is shared as it is; the final check catches a
+    wrong one."""
+    got = run_optimized(f"""
+        import random
+        from u2factor.sampling import random_sl
+        block = factor_sln.{memo}
+        calls = []
+
+        def wrong_block(*args):
+            calls.append(args)
+            f = block(*args)
+            x = f.pairs[0].x
+            return Factorization(f.target, (CommutatorPair(x, x),) + f.pairs[1:],
+                                 f.route)
+
+        factor_sln.{memo} = wrong_block
+        M = random_sl(GF({field}), {n}, random.Random({seed}))
+        print(json.dumps(dict(outcome(M), calls=len(calls))))
+    """)
+    assert got["calls"] > 0
+    assert got["raised"]
+    assert got["failures"] == ["product equals target"]

@@ -5,7 +5,8 @@ The corpus in ``tests/golden/`` was written by ``scripts/make_golden.py``:
 one seeded SL_n input per (field, n), as ``<case>.txt``, and the bytes
 ``factorization_to_json`` returned for it, as ``<case>.json``.  The
 checks are plain ``if`` statements, not ``assert``, so the test still
-checks under ``python -O``.
+checks under ``python -O``.  The corpus is also factored once with every
+memo cold and once warm, so a cached block cannot change a byte.
 """
 
 import importlib.util
@@ -50,3 +51,24 @@ def test_certificate_bytes(case):
         pytest.fail(f"{case}: certificate differs from the golden one at "
                     f"line {diff + 1}: {got.splitlines()[diff:diff + 1]} vs "
                     f"{want.splitlines()[diff:diff + 1]}")
+
+
+def test_cold_and_warm_memos_agree(memos):
+    inputs = {case: parse_matrix_text(
+        (GOLDEN / f"{case}.txt").read_text(encoding="utf-8"))
+        for case in CASES}
+    cold = {}
+    for case, A in inputs.items():
+        for memo in memos.values():
+            memo.cache_clear()
+        cold[case] = factorization_to_json(factor(A))
+    warm = {case: factorization_to_json(factor(A))
+            for case, A in inputs.items()}
+    for case in CASES:
+        want = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+        if cold[case] != want:
+            pytest.fail(f"{case}: cold certificate differs from the golden one")
+        if warm[case] != want:
+            pytest.fail(f"{case}: warm certificate differs from the golden one")
+    if not any(memo.cache_info().hits for memo in memos.values()):
+        pytest.fail("the warm pass hit no memo")

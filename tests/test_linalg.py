@@ -165,11 +165,21 @@ class TestJordan:
         with pytest.raises(NotUnipotent):
             unipotent_jordan(diagonal(f, [f.element(2), f.element(3)]))
 
-    def test_transform_exact(self):
+    def test_transform_exact(self, rng):
         f = GF(4)
         A = jordan_block(f, 4, f.one())
         jd = unipotent_jordan(A)
         assert jd.transform @ A @ jd.transform.inverse() == jd.form
+        assert jd.transform @ jd.transform_inverse == identity(f, 4)
+        for f in (GF(7), GF(9), rationals()):
+            one = f.one()
+            form = direct_sum_all([jordan_block(f, 3, one),
+                                   jordan_block(f, 1, one)])
+            P0 = random_sl(f, 4, rng)
+            A = P0 @ form @ P0.inverse()
+            jd = unipotent_jordan(A)
+            assert jd.transform @ jd.transform_inverse == identity(f, 4)
+            assert jd.transform @ A @ jd.transform_inverse == jd.form
 
     def test_deterministic(self, rng):
         f = GF(7)
@@ -182,10 +192,19 @@ class TestSimilarity:
     def test_companion_2x2(self):
         f = GF(7)
         A = Matrix.from_ints(f, [[2, 3], [1, 5]])
-        P = companion_similarity_2x2(A)
+        P, P_inv = companion_similarity_2x2(A)
         C = P @ A @ P.inverse()
         assert C[0, 0].is_zero() and C[1, 0] == f.one()
         assert C[1, 1] == A.trace() and C[0, 1] == -A.det()
+        # the returned inverse, also where e_1 is an eigenvector
+        for f in (GF(7), GF(9), rationals()):
+            for rows in ([[2, 3], [1, 5]], [[2, 1], [0, 5]]):
+                A = Matrix.from_ints(f, rows)
+                P, P_inv = companion_similarity_2x2(A)
+                assert P @ P_inv == identity(f, 2)
+                C = P @ A @ P_inv
+                assert C[0, 0].is_zero() and C[1, 0] == f.one()
+                assert C[1, 1] == A.trace() and C[0, 1] == -A.det()
 
     def test_companion_scalar_rejected(self):
         with pytest.raises(ScalarInput):
@@ -196,8 +215,15 @@ class TestSimilarity:
         entries = [f.element(2), f.element(4), f.element(2)]
         P0 = random_sl(f, 3, rng)
         A = P0 @ diagonal(f, entries) @ P0.inverse()
-        P = similarity_to_diagonal(A, entries)
+        P, P_inv = similarity_to_diagonal(A, entries)
         assert P @ A @ P.inverse() == diagonal(f, entries)
+        for f in (GF(7), GF(9), rationals()):
+            entries = [f.element(2), f.element(4), f.element(2)]
+            P0 = random_sl(f, 3, rng)
+            A = P0 @ diagonal(f, entries) @ P0.inverse()
+            P, P_inv = similarity_to_diagonal(A, entries)
+            assert P @ P_inv == identity(f, 3)
+            assert P @ A @ P_inv == diagonal(f, entries)
 
     def test_similarity_spectrum_mismatch(self):
         f = GF(7)

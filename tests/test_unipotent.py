@@ -89,7 +89,7 @@ class TestTransports:
         f = GF(7)
         cert = sample_cert(f)
         P = Matrix.from_ints(f, [[1, 2], [1, 3]])
-        conj = conjugate_factorization(cert, P)
+        conj = conjugate_factorization(cert, P, P.inverse())
         assert conj.target == P @ cert.target @ P.inverse()
         assert verify(conj).passed
 
