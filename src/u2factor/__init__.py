@@ -10,7 +10,8 @@ from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum,
                      matrix_to_text)
 from .unipotent import (is_unipotent_index, is_u2, commutator, CommutatorPair,
                         Factorization, verify, expand_to_u2_product,
-                        factorization_to_json, factorization_from_json)
+                        factorization_to_json, factorization_from_json,
+                        unchecked_factorization_from_json)
 from .sourour import sourour_factor
 from .factor_sl2 import factor_sl2, single_commutator_test
 from .factor_sln import factor, promised_max_pairs
@@ -27,6 +28,7 @@ __all__ = [
     "is_unipotent_index", "is_u2", "commutator", "CommutatorPair",
     "Factorization", "verify", "expand_to_u2_product",
     "factorization_to_json", "factorization_from_json",
+    "unchecked_factorization_from_json",
     "sourour_factor", "factor_sl2", "single_commutator_test",
     "factor", "promised_max_pairs",
 ]

@@ -10,6 +10,7 @@ outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
     parse_element
@@ -64,11 +65,28 @@ class Matrix:
     def from_ints(cls, field: FieldSpec, rows):
         return cls(field, [[field.element(v) for v in r] for r in rows])
 
+    @classmethod
+    def from_reps(cls, field: FieldSpec, rows) -> "Matrix":
+        """Wrap square rows of canonical reps, as the field's arith class
+        returns them, without checking them."""
+        out = object.__new__(cls)
+        out.field, out.n = field, len(rows)
+        out.rows = tuple(tuple(FieldElement(field, x) for x in r)
+                         for r in rows)
+        return out
+
+    def reps(self) -> list:
+        """Rows of raw reps, for the field's arith class."""
+        return [[e.rep for e in r] for r in self.rows]
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
-    def _check(self, other):
+    def check_operand(self, other):
+        """Raise as an arithmetic operation with ``other`` would: TypeError
+        for a non-matrix, FieldMismatch or SizeMismatch for another field
+        or size."""
         if not isinstance(other, Matrix):
             raise TypeError("expected Matrix")
         if other.field != self.field:
@@ -79,13 +97,13 @@ class Matrix:
     # -- arithmetic --
 
     def __add__(self, other):
-        self._check(other)
+        self.check_operand(other)
         return Matrix(self.field,
                       [[a + b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        self._check(other)
+        self.check_operand(other)
         return Matrix(self.field,
                       [[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)])
@@ -96,15 +114,9 @@ class Matrix:
     def __matmul__(self, other):
         """The product, computed on raw reps by the field's arith class:
         each operand's reps are read once and each entry is wrapped once."""
-        self._check(other)
-        field = self.field
-        prod = field.arith.matmul([[e.rep for e in r] for r in self.rows],
-                                  [[e.rep for e in r] for r in other.rows])
-        out = object.__new__(Matrix)
-        out.field, out.n = field, self.n
-        out.rows = tuple(tuple(FieldElement(field, x) for x in r)
-                         for r in prod)
-        return out
+        self.check_operand(other)
+        return Matrix.from_reps(self.field, self.field.arith.matmul(
+            self.reps(), other.reps()))
 
     def scalar_mul(self, c: FieldElement):
         return Matrix(self.field, [[a * c for a in r] for r in self.rows])
@@ -143,26 +155,7 @@ class Matrix:
         return acc
 
     def det(self) -> FieldElement:
-        work = [list(r) for r in self.rows]
-        field, n = self.field, self.n
-        det = field.one()
-        for col in range(n):
-            pivot = next((r for r in range(col, n)
-                          if not work[r][col].is_zero()), None)
-            if pivot is None:
-                return field.zero()
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
-            for r in range(col + 1, n):
-                if work[r][col].is_zero():
-                    continue
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b
-                           for a, b in zip(work[r], work[col])]
-        return det
+        return FieldElement(self.field, det_reps(self.field.arith, self.reps()))
 
     def rank(self) -> int:
         return len(_rref([list(r) for r in self.rows])[1])
@@ -281,6 +274,35 @@ def direct_sum_all(mats) -> Matrix:
 
 
 # -- elimination core ------------------------------------------------------
+
+def det_reps(arith, rows):
+    """Determinant of a square matrix given as rows of reps, by Gaussian
+    elimination through the field's arith class: the first nonzero
+    entry in each column is the pivot, and entries left of the pivot
+    column are never read again, so they are not updated."""
+    is_zero, mul, sub = arith.is_zero, arith.mul, arith.sub
+    work = [list(r) for r in rows]
+    n = len(work)
+    det = arith.one
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not is_zero(work[r][col])), None)
+        if pivot is None:
+            return arith.zero
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = arith.neg(det)
+        head = work[col][col]
+        det = mul(det, head)
+        inv = arith.inv(head)
+        tail = work[col][col + 1:]
+        for row in work[col + 1:]:
+            if not is_zero(row[col]):
+                factor = mul(row[col], inv)
+                row[col + 1:] = map(sub, row[col + 1:],
+                                    map(mul, repeat(factor), tail))
+    return det
+
 
 def _rref(work, limit=None):
     """In-place reduced row echelon form; returns (rows, pivot_columns).

@@ -6,15 +6,26 @@ product [X, Y], so verification is an independent recomputation.
 Every factor is U2, (X - I)^2 = 0, so it inverts as X^-1 = 2I - X.
 The transports build pairs without re-checking them; ``verify`` checks
 a finished certificate once.
+
+The U2 test, the commutator, the running product and the determinant
+(``linalg.det_reps``) exist once, as helpers on rows of raw reps that
+run through the field's arith class.  ``verify`` reads the target and
+each pair's X and Y as reps once and builds no FieldElement or Matrix
+in between; ``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
+``Factorization.product`` and ``Matrix.det`` wrap the same helpers.
+``factorization_from_json`` raises NotU2 for a pair that is not U2,
+while ``unchecked_factorization_from_json`` checks the shape only and
+leaves that finding to ``verify``'s report.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 from .field import FieldSpec, FieldElement, parse_field_spec, parse_element
-from .linalg import Matrix, identity, direct_sum
+from .linalg import Matrix, identity, direct_sum, det_reps
 
 
 class CertificateError(Exception):
@@ -34,33 +45,86 @@ class VerificationFailed(CertificateError):
         self.report = report
 
 
+# -- the certificate kernel, on rows of raw reps ----------------------------
+
+def _identity_reps(arith, n: int) -> list:
+    one, zero = arith.one, arith.zero
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _index_reps(arith, rows, k: int) -> bool:
+    """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps."""
+    one, sub, is_zero = arith.one, arith.sub, arith.is_zero
+    N = [list(r) for r in rows]
+    for i, r in enumerate(N):
+        r[i] = sub(r[i], one)
+    power = N if k > 1 else _identity_reps(arith, len(N))
+    for _ in range(k - 2):
+        power = arith.matmul(power, N)
+    return (not all(map(is_zero, chain.from_iterable(power)))
+            and all(map(is_zero, chain.from_iterable(
+                arith.matmul(power, N)))))
+
+
+def _u2_inverse_reps(arith, rows) -> list:
+    """2I - X, which is X^-1 exactly when X is U2."""
+    two, neg, sub = arith.add(arith.one, arith.one), arith.neg, arith.sub
+    out = [list(map(neg, r)) for r in rows]
+    for i, r in enumerate(out):
+        r[i] = sub(two, rows[i][i])
+    return out
+
+
+def _commutator_reps(arith, x, y, x_inv, y_inv) -> list:
+    """[X, Y] = X Y X^-1 Y^-1, given both inverses."""
+    matmul = arith.matmul
+    return matmul(matmul(matmul(x, y), x_inv), y_inv)
+
+
+def _pair_value_reps(arith, x, y) -> list:
+    """[X, Y] of a pair, with the U2 inverses 2I - X and 2I - Y."""
+    return _commutator_reps(arith, x, y, _u2_inverse_reps(arith, x),
+                            _u2_inverse_reps(arith, y))
+
+
+def _product_reps(arith, n: int, factors) -> list:
+    """The product of n x n factors in order; I_n for none."""
+    acc = _identity_reps(arith, n)
+    for m in factors:
+        acc = arith.matmul(acc, m)
+    return acc
+
+
+def _pair_reps(target: Matrix, pair) -> tuple:
+    """X and Y of a pair as rows of reps; raises as ``target @ X`` would
+    when a member is over another field or of another size."""
+    target.check_operand(pair.x)
+    target.check_operand(pair.y)
+    return pair.x.reps(), pair.y.reps()
+
+
 def is_unipotent_index(A: Matrix, k: int) -> bool:
     """(A - I)^k == 0 and (A - I)^(k-1) != 0, both checked exactly."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    N = A - identity(A.field, A.n)
-    power = identity(A.field, A.n)
-    for _ in range(k - 1):
-        power = power @ N
-    if power.is_zero():
-        return False
-    return (power @ N).is_zero()
+    return _index_reps(A.field.arith, A.reps(), k)
 
 
 def is_u2(A: Matrix) -> bool:
-    N = A - identity(A.field, A.n)
-    return not N.is_zero() and (N @ N).is_zero()
+    return _index_reps(A.field.arith, A.reps(), 2)
 
 
 def commutator(X: Matrix, Y: Matrix) -> Matrix:
-    """[X, Y] = X Y X^-1 Y^-1."""
-    return X @ Y @ X.inverse() @ Y.inverse()
+    """[X, Y] = X Y X^-1 Y^-1, for any invertible X and Y."""
+    X.check_operand(Y)
+    return Matrix.from_reps(X.field, _commutator_reps(
+        X.field.arith, X.reps(), Y.reps(), X.inverse().reps(),
+        Y.inverse().reps()))
 
 
 def u2_inverse(X: Matrix) -> Matrix:
     """2I - X, which is X^-1 exactly when X is U2."""
-    one = identity(X.field, X.n)
-    return one + one - X
+    return Matrix.from_reps(X.field, _u2_inverse_reps(X.field.arith, X.reps()))
 
 
 @dataclass(frozen=True)
@@ -118,7 +182,9 @@ class CommutatorPair:
 
     def value(self) -> Matrix:
         """[X, Y], with the U2 inverses 2I - X and 2I - Y."""
-        return self.x @ self.y @ u2_inverse(self.x) @ u2_inverse(self.y)
+        self.x.check_operand(self.y)
+        return Matrix.from_reps(self.x.field, _pair_value_reps(
+            self.x.field.arith, self.x.reps(), self.y.reps()))
 
 
 @dataclass(frozen=True)
@@ -134,10 +200,12 @@ class Factorization:
         object.__setattr__(self, "route", tuple(self.route))
 
     def product(self) -> Matrix:
-        acc = identity(self.target.field, self.target.n)
-        for pair in self.pairs:
-            acc = acc @ pair.value()
-        return acc
+        target = self.target
+        arith = target.field.arith
+        values = (_pair_value_reps(arith, *_pair_reps(target, pair))
+                  for pair in self.pairs)
+        return Matrix.from_reps(target.field,
+                                _product_reps(arith, target.n, values))
 
     def pair_count(self) -> int:
         return len(self.pairs)
@@ -169,22 +237,27 @@ class Report:
 
 
 def verify(f: Factorization) -> Report:
-    """Recompute every commutator once; each feeds its det check and the
-    running product."""
+    """Check a certificate on raw reps: read the target and each pair's
+    X and Y once, then test both for U2, compute [X, Y] once for its det
+    check and the running product, and compare the product with the
+    target.  A pair over another field or of another size raises."""
     report = Report()
-    one = f.target.field.one()
-    product = identity(f.target.field, f.target.n)
+    target = f.target
+    arith = target.field.arith
+    values = []
     for i, pair in enumerate(f.pairs):
-        for name, m in ((f"pair[{i}].X", pair.x), (f"pair[{i}].Y", pair.y)):
-            ok = is_u2(m)
+        x, y = _pair_reps(target, pair)
+        for name, m in ((f"pair[{i}].X", x), (f"pair[{i}].Y", y)):
+            ok = _index_reps(arith, m, 2)
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
-        value = pair.value()
-        det = value.det()
-        report.record(f"pair[{i}] value det=1", det == one,
-                      "" if det == one else f"det={det.token()}")
-        product = product @ value
-    prod_ok = product == f.target
+        value = _pair_value_reps(arith, x, y)
+        det = det_reps(arith, value)
+        ok = det == arith.one
+        report.record(f"pair[{i}] value det=1", ok,
+                      "" if ok else f"det={arith.token(det)}")
+        values.append(value)
+    prod_ok = _product_reps(arith, target.n, values) == target.reps()
     report.record("product equals target", prod_ok,
                   "" if prod_ok else "recomposition mismatch")
     return report
@@ -290,9 +363,11 @@ def factorization_to_dict(f: Factorization) -> dict:
     }
 
 
-def factorization_from_dict(d: dict) -> Factorization:
-    """Certificate from its JSON object; CertificateError when the
-    object does not have the shape ``factorization_to_dict`` writes."""
+def unchecked_factorization_from_dict(d: dict) -> Factorization:
+    """Certificate from its JSON object, checked for shape only:
+    CertificateError when the object does not have the shape
+    ``factorization_to_dict`` writes.  The pairs are not tested for U2;
+    ``verify`` reports that."""
     if not isinstance(d, dict):
         raise CertificateError("certificate must be a JSON object")
     spec, n, pairs, route = (d.get("field"), d.get("n"), d.get("pairs"),
@@ -317,9 +392,17 @@ def factorization_from_dict(d: dict) -> Factorization:
                               for row in tokens])
 
     target = mat(d.get("target"))
-    pairs = tuple(CommutatorPair(mat(p.get("x")), mat(p.get("y")))
+    pairs = tuple(CommutatorPair.unchecked(mat(p.get("x")), mat(p.get("y")))
                   for p in pairs)
     return Factorization(target, pairs, tuple(route))
+
+
+def factorization_from_dict(d: dict) -> Factorization:
+    """Certificate from its JSON object: CertificateError for a wrong
+    shape, and NotU2 when a pair member is not U2."""
+    f = unchecked_factorization_from_dict(d)
+    return Factorization(f.target, tuple(CommutatorPair(p.x, p.y)
+                                         for p in f.pairs), f.route)
 
 
 def factorization_to_json(f: Factorization) -> str:
@@ -328,3 +411,7 @@ def factorization_to_json(f: Factorization) -> str:
 
 def factorization_from_json(text: str) -> Factorization:
     return factorization_from_dict(json.loads(text))
+
+
+def unchecked_factorization_from_json(text: str) -> Factorization:
+    return unchecked_factorization_from_dict(json.loads(text))

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +19,7 @@ from u2factor.unipotent import factorization_to_dict
 
 
 MATRIX_GF7 = "GF(7)\n2\n0 6\n1 3\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -114,6 +118,22 @@ class TestVerify:
         assert "FAIL" in out
 
 
+    def test_non_u2_member_exit_1(self, tmp_path, capsys):
+        """A well-formed certificate whose pair member is not U2 fails
+        verification (exit 1) instead of being refused as input."""
+        src = tmp_path / "a.txt"
+        src.write_text(MATRIX_GF7)
+        cert = tmp_path / "cert.json"
+        run(capsys, "factor", "--input", str(src), "--json", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["pairs"][0]["x"][0][0] = "3"  # no longer U2
+        cert.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--cert", str(cert))
+        assert code == 1 and err == ""
+        assert "FAIL pair[0].X is U2" in out
+        assert out.strip().endswith("FAIL")
+
+
 class TestBounds:
     def test_bounds_output(self, capsys):
         code, out, _ = run(capsys, "bounds", "--field", "GF(5)", "--n", "2")
@@ -207,6 +227,26 @@ class TestUsage:
     def test_unknown_flag_exit_2(self, capsys):
         code = main(["bounds", "--field", "GF(5)"])  # missing --n
         assert code == 2
+
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path, capsys):
+        """main builds its parser once per process; calls that share it
+        give the codes and output of one fresh process per call."""
+        src = tmp_path / "a.txt"
+        src.write_text(MATRIX_GF7)
+        calls = [["bounds", "--field", "GF(5)", "--n", "2"],
+                 ["factor", "--input", str(src)],
+                 ["bounds", "--field", "GF(5)", "--nn", "2"],
+                 ["bounds", "--field", "GF(9)", "--n", "4"]]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        fresh = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "u2factor.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        shared = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
 
 
 # -- fuzzing the two parsers through main ---------------------------------
