@@ -10,14 +10,22 @@ triangular first row/column, and recurse on the Schur-type correction
 A' = A_1 - v u / (b1 g1).  Bounded backtracking over the non-eigenvector
 choice and over which (beta_i, gamma_j) heads lead handles the rare
 scalar-residual dead ends.
+
+The search runs on rows of raw reps through the field's arith class;
+``Matrix`` appears only in ``sourour_factor``.  A level's basis change
+Q = [x, y, e_t, ...] is the identity up to column order, except for the
+dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
+Q^-1 A Q, the correction and the assembly Q Bt Q^-1, Q Ct Q^-1 cost
+O(m^2) each at an m x m level, O(n^3) in all, with no elimination and
+no dense matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 
-from .linalg import (Matrix, identity, diagonal, matrix_from_columns,
-                     IndependentSet, ScalarInput)
+from .linalg import Matrix, ScalarInput
 
 
 class SourourError(Exception):
@@ -51,37 +59,149 @@ class SourourFactorization:
         return f"sourour(betas={bs};gammas={gs};backtracks={self.backtracks})"
 
 
-def _candidate_vectors(field, m):
-    """e_1..e_m, then e_i + e_j: for a nonscalar matrix at least one of
-    these is not an eigenvector."""
-    one, zero = field.one(), field.zero()
-    for i in range(m):
-        vec = [zero] * m
-        vec[i] = one
-        yield tuple(vec)
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = [zero] * m
-            vec[i] = one
-            vec[j] = one
-            yield tuple(vec)
+def _candidate_supports(m):
+    """Supports of e_1..e_m, then of e_i + e_j: for a nonscalar matrix at
+    least one of these vectors is not an eigenvector."""
+    return chain(combinations(range(m), 1), combinations(range(m), 2))
 
 
-def _match_scalar(lam, betas, gammas):
-    """Pair every beta with a distinct gamma so beta*gamma = lam, or None."""
+def _match_scalar(mul, lam, betas, gammas):
+    """Pair every beta with a distinct gamma so beta*gamma = lam, or None.
+
+    Whether the rest can be paired depends only on the multiset of the
+    gammas left, so a gamma value that failed at this depth is not
+    tried again: at most one value can pass the test, so each depth
+    recurses at most once."""
     if not betas:
         return []
     b = betas[0]
+    tried = set()
     for j, g in enumerate(gammas):
-        if b * g == lam:
-            rest = _match_scalar(lam, betas[1:], gammas[:j] + gammas[j + 1:])
+        if g in tried:
+            continue
+        tried.add(g)
+        if mul(b, g) == lam:
+            rest = _match_scalar(mul, lam, betas[1:],
+                                 gammas[:j] + gammas[j + 1:])
             if rest is not None:
                 return [g] + rest
     return None
 
 
+def _is_scalar(arith, A) -> bool:
+    d = A[0][0]
+    return all(v == d if i == j else arith.is_zero(v)
+               for i, row in enumerate(A) for j, v in enumerate(row))
+
+
+def _diagonal(arith, entries):
+    m = len(entries)
+    return [[e if i == j else arith.zero for j in range(m)]
+            for i, e in enumerate(entries)]
+
+
+def _dots(arith, rows, vec):
+    """rows @ vec, also when vec is empty."""
+    if not vec:
+        return [arith.zero] * len(rows)
+    return [r[0] for r in arith.matmul(rows, [[v] for v in vec])]
+
+
+def _axpy(arith, row, c, other):
+    """row - c * other, without work when c is zero."""
+    if arith.is_zero(c):
+        return row
+    return list(map(arith.sub, row, map(arith.mul, repeat(c), other)))
+
+
+class _Basis:
+    """One level's basis change Q = [x, y, e_t for t in kept].
+
+    x is e_k or e_i + e_j (``support``) and y is dense.  The canonical
+    extension skips exactly the two indices where some vector of
+    span(x, y) has its last nonzero entry: a, the last index of x, and
+    p, the last nonzero index of z = y - y_a x.  So Q c = v is a 2x2
+    system in the rows a and p, with determinant z_p, followed by one
+    substitution per kept row; the only kept row where x is nonzero is
+    ``xt`` (i, for x = e_i + e_j and p != i).
+    """
+
+    __slots__ = ("arith", "m", "y", "a", "p", "xp", "xt", "kept", "ya",
+                 "d_inv", "y_kept")
+
+    def __init__(self, arith, support, y, p, d):
+        self.arith, self.m, self.y = arith, len(y), y
+        self.a, self.p = support[-1], p
+        self.xp = p in support          # x_p, the one extra 1 at p
+        self.xt = support[0] if len(support) == 2 and not self.xp else None
+        self.kept = [t for t in range(self.m) if t != self.a and t != p]
+        self.ya = y[self.a]
+        self.d_inv = arith.inv(d)
+        self.y_kept = [y[t] for t in self.kept]
+
+    @classmethod
+    def extend(cls, arith, support, y):
+        """The basis for x = sum of e_s over support and y, or None when
+        y is in span(x), i.e. x is an eigenvector."""
+        a, ya = support[-1], y[support[-1]]
+        for t in range(len(y) - 1, -1, -1):
+            if t == a:
+                continue
+            z = arith.sub(y[t], ya) if t in support else y[t]
+            if not arith.is_zero(z):
+                return cls(arith, support, y, t, z)
+        return None
+
+    def solve_rows(self, W):
+        """Rows of Q^-1 W, for W given as m rows."""
+        ar = self.arith
+        Wa, Wp = W[self.a], W[self.p]
+        if self.xp:
+            Wp = list(map(ar.sub, Wp, Wa))
+        cy = list(map(ar.mul, repeat(self.d_inv), Wp))
+        cx = _axpy(ar, Wa, self.ya, cy)
+        out = [cx, cy]
+        for t in self.kept:
+            row = W[t]
+            if t == self.xt:
+                row = list(map(ar.sub, row, cx))
+            out.append(_axpy(ar, row, self.y[t], cy))
+        return out
+
+    def conjugate(self, X):
+        """Rows of Q X Q^-1, for X given in the basis Q."""
+        ar = self.arith
+        zero, sub, mul = ar.zero, ar.sub, ar.mul
+        m, a, p, xt = self.m, self.a, self.p, self.xt
+        # Q X: row r is x_r X[0] + y_r X[1], plus X's row for e_r if kept
+        QX = [None] * m
+        for idx, t in enumerate(self.kept):
+            QX[t] = X[2 + idx]
+        QX[a] = X[0]
+        QX[p] = X[0] if self.xp else [zero] * m
+        if xt is not None:
+            QX[xt] = list(map(ar.add, QX[xt], X[0]))
+        QX = [_axpy(ar, row, ar.neg(yr), X[1]) for row, yr in zip(QX, self.y)]
+        # s = w Q^-1 solves s Q = w: s_t = w_t' on kept t, then the 2x2
+        # system s.x = w_0, s.y = w_1 in s_a, s_p
+        r1s = _dots(ar, [w[2:] for w in QX], self.y_kept)
+        out = []
+        xt_col = 2 + self.kept.index(xt) if xt is not None else None
+        for w, dot in zip(QX, r1s):
+            r0 = w[0] if xt_col is None else sub(w[0], w[xt_col])
+            r1 = sub(w[1], dot)
+            sp = mul(self.d_inv, sub(r1, mul(self.ya, r0)))
+            sa = sub(r0, sp) if self.xp else r0
+            s = w[2:]
+            for i, v in sorted(((a, sa), (p, sp))):
+                s.insert(i, v)
+            out.append(s)
+        return out
+
+
 class _Search:
-    def __init__(self, budget):
+    def __init__(self, arith, budget):
+        self.arith = arith
         self.budget = budget
         self.backtracks = 0
 
@@ -90,21 +210,19 @@ class _Search:
         if self.backtracks > self.budget:
             raise ConstructionFailed("backtracking budget exhausted")
 
-    def factor(self, A: Matrix, betas, gammas):
-        field, m = A.field, A.n
+    def factor(self, A, betas, gammas):
+        """(B, C) as rows of reps for A given as rows of reps."""
+        ar, m = self.arith, len(A)
         if m == 1:
-            want = betas[0] * gammas[0]
-            if A[0, 0] != want:
+            if A[0][0] != ar.mul(betas[0], gammas[0]):
                 # determinant bookkeeping guarantees this never happens
                 raise _Dead
-            return (Matrix(field, [[betas[0]]]),
-                    Matrix(field, [[gammas[0]]]))
-        if A.is_scalar():
-            lam = A[0, 0]
-            matched = _match_scalar(lam, list(betas), list(gammas))
+            return [[betas[0]]], [[gammas[0]]]
+        if _is_scalar(ar, A):
+            matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
             if matched is None:
                 raise _Dead
-            return (diagonal(field, betas), diagonal(field, matched))
+            return _diagonal(ar, betas), _diagonal(ar, matched)
         head_orders = [(0, 0)]
         head_orders += [(i, j) for i in range(len(betas))
                         for j in range(len(gammas)) if (i, j) != (0, 0)]
@@ -124,53 +242,39 @@ class _Search:
         raise _Dead
 
     def _step(self, A, b1, g1, rest_b, rest_g):
-        field, m = A.field, A.n
-        mu = b1 * g1
-        muI = identity(field, m).scalar_mul(mu)
-        shifted = A - muI
-        for x in _candidate_vectors(field, m):
-            y = shifted.apply(x)
-            span = IndependentSet(field, m)
-            span.add(x)
-            if not span.add(y):
+        ar, m = self.arith, len(A)
+        zero, add, sub, mul = ar.zero, ar.add, ar.sub, ar.mul
+        mu = mul(b1, g1)
+        for support in _candidate_supports(m):
+            # y = (A - mu I) x
+            if len(support) == 1:
+                y = [row[support[0]] for row in A]
+            else:
+                i, j = support
+                y = [add(row[i], row[j]) for row in A]
+            for s in support:
+                y[s] = sub(y[s], mu)
+            basis = _Basis.extend(ar, support, y)
+            if basis is None:
                 continue  # x is an eigenvector of A
-            # extend (x, y) to a basis with canonical vectors
-            cols = [x, y]
-            one, zero = field.one(), field.zero()
-            for i in range(m):
-                if len(cols) == m:
-                    break
-                e = tuple(one if t == i else zero for t in range(m))
-                if span.add(e):
-                    cols.append(e)
-            Q = matrix_from_columns(field, cols)
-            Qinv = Q.inverse()
-            At = Qinv @ A @ Q
-            # first column is (mu, 1, 0, ..., 0)^T by construction
-            u = At.rows[0][1:]
-            A1 = Matrix(field, [r[1:] for r in At.rows[1:]])
-            mu_inv = mu.inverse()
-            corrected = [list(r) for r in A1.rows]
-            corrected[0] = [a - ui * mu_inv
-                            for a, ui in zip(corrected[0], u)]
-            Aprime = Matrix(field, corrected)
+            # columns 1.. of Q^-1 A Q; column 0 is (mu, 1, 0, ..., 0)^T
+            Ay = _dots(ar, A, y)
+            u, *A1 = basis.solve_rows(
+                [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
+            A1[0] = _axpy(ar, A1[0], ar.inv(mu), u)
             try:
-                B1, C1 = self.factor(Aprime, rest_b, rest_g)
+                B1, C1 = self.factor(A1, rest_b, rest_g)
             except _Dead:
                 self.spend()
                 continue
-            g1_inv = g1.inverse()
-            b1_inv = b1.inverse()
-            Bt_rows = [[b1] + [zero] * (m - 1)]
-            for i in range(m - 1):
-                lead = g1_inv if i == 0 else zero
-                Bt_rows.append([lead] + list(B1.rows[i]))
-            Ct_rows = [[g1] + [ui * b1_inv for ui in u]]
-            for i in range(m - 1):
-                Ct_rows.append([zero] + list(C1.rows[i]))
-            Bt = Matrix(field, Bt_rows)
-            Ct = Matrix(field, Ct_rows)
-            return (Q @ Bt @ Qinv, Q @ Ct @ Qinv)
+            g1_inv = ar.inv(g1)
+            b1_inv = ar.inv(b1)
+            Bt = [[b1] + [zero] * (m - 1)]
+            Bt += [[g1_inv if i == 0 else zero] + list(r)
+                   for i, r in enumerate(B1)]
+            Ct = [[g1] + [mul(ui, b1_inv) for ui in u]]
+            Ct += [[zero] + list(r) for r in C1]
+            return basis.conjugate(Bt), basis.conjugate(Ct)
         raise _Dead
 
 
@@ -203,9 +307,11 @@ def sourour_factor(A: Matrix, betas, gammas,
         prod = prod * e
     if prod != det:
         raise DeterminantMismatch("prod(betas)*prod(gammas) != det(A)")
-    search = _Search(budget)
+    search = _Search(field.arith, budget)
     try:
-        B, C = search.factor(A, betas, gammas)
+        B, C = search.factor(A.reps(), tuple(e.rep for e in betas),
+                             tuple(e.rep for e in gammas))
     except _Dead:
         raise ConstructionFailed("search space exhausted")
-    return SourourFactorization(B, C, search.backtracks)
+    return SourourFactorization(Matrix.from_reps(field, B),
+                                Matrix.from_reps(field, C), search.backtracks)

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .field import FieldSpec, FieldElement, parse_field_spec, parse_element
+from .field import FieldSpec, parse_field_spec, parse_element
 from .linalg import Matrix, identity, direct_sum, det_reps
 
 
@@ -125,36 +125,6 @@ def commutator(X: Matrix, Y: Matrix) -> Matrix:
 def u2_inverse(X: Matrix) -> Matrix:
     """2I - X, which is X^-1 exactly when X is U2."""
     return Matrix.from_reps(X.field, _u2_inverse_reps(X.field.arith, X.reps()))
-
-
-@dataclass(frozen=True)
-class U2Type:
-    """Classification of a 2x2 U2-matrix [[1+a, b], [c, 1-a]], a^2+bc=0."""
-
-    tag: str  # type_i_upper | type_i_lower | type_ii
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-
-
-def classify_u2_sl2(A: Matrix) -> U2Type:
-    if A.n != 2:
-        raise NotU2("classification is for 2x2 matrices")
-    field = A.field
-    one = field.one()
-    a = A[0, 0] - one
-    b = A[0, 1]
-    c = A[1, 0]
-    if A[1, 1] != one - a:
-        raise NotU2("trace != 2, not a U2-matrix")
-    if not (a * a + b * c).is_zero():
-        raise NotU2("a^2 + bc != 0")
-    if a.is_zero() and b.is_zero() and c.is_zero():
-        raise NotU2("identity matrix has index 1")
-    if a.is_zero():
-        return U2Type("type_i_upper" if not b.is_zero() else "type_i_lower",
-                      a, b, c)
-    return U2Type("type_ii", a, b, c)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 import random
+import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from u2factor.field import GF, rationals
-from u2factor.linalg import Matrix, identity, diagonal, charpoly, ScalarInput
+from u2factor import linalg, sourour
+from u2factor.field import GF, rationals, parse_field_spec
+from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
+                             ScalarInput, IndependentSet, matrix_from_columns)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
-                              DeterminantMismatch)
+                              DeterminantMismatch, ConstructionFailed,
+                              _BACKTRACK_BUDGET, _Basis, _Dead,
+                              _candidate_supports, _match_scalar)
 
 
 def random_prescription(F, n, det, rng):
@@ -99,3 +106,304 @@ class TestValidation:
         split = sourour_factor(A, spec, spec)
         tag = split.route_tag(spec, spec)
         assert tag.startswith("sourour(betas=2,4;gammas=2,4;backtracks=")
+
+
+# -- the dense split this module replaced, kept as a reference -------------
+# Each level builds Q = [x, y, e_i, ...] as a dense matrix, inverts it by
+# RREF and forms Q^-1 A Q, Q Bt Q^-1 and Q Ct Q^-1 with dense products.
+# The structured split must give exactly the same B, C and backtracks.
+
+def _old_candidate_vectors(field, m):
+    one, zero = field.one(), field.zero()
+    for i in range(m):
+        vec = [zero] * m
+        vec[i] = one
+        yield tuple(vec)
+    for i in range(m):
+        for j in range(i + 1, m):
+            vec = [zero] * m
+            vec[i] = one
+            vec[j] = one
+            yield tuple(vec)
+
+
+def _old_match_scalar(lam, betas, gammas):
+    """The matching as it was: every equal-valued gamma is retried."""
+    if not betas:
+        return []
+    b = betas[0]
+    for j, g in enumerate(gammas):
+        if b * g == lam:
+            rest = _old_match_scalar(lam, betas[1:],
+                                     gammas[:j] + gammas[j + 1:])
+            if rest is not None:
+                return [g] + rest
+    return None
+
+
+class _DenseSearch:
+    def __init__(self, budget=_BACKTRACK_BUDGET):
+        self.budget = budget
+        self.backtracks = 0
+
+    def spend(self):
+        self.backtracks += 1
+        if self.backtracks > self.budget:
+            raise ConstructionFailed("backtracking budget exhausted")
+
+    def factor(self, A, betas, gammas):
+        field, m = A.field, A.n
+        if m == 1:
+            if A[0, 0] != betas[0] * gammas[0]:
+                raise _Dead
+            return (Matrix(field, [[betas[0]]]),
+                    Matrix(field, [[gammas[0]]]))
+        if A.is_scalar():
+            matched = _old_match_scalar(A[0, 0], list(betas), list(gammas))
+            if matched is None:
+                raise _Dead
+            return (diagonal(field, betas), diagonal(field, matched))
+        head_orders = [(0, 0)]
+        head_orders += [(i, j) for i in range(len(betas))
+                        for j in range(len(gammas)) if (i, j) != (0, 0)]
+        tried_heads = set()
+        for (hi, hj) in head_orders:
+            b1, g1 = betas[hi], gammas[hj]
+            if (b1, g1) in tried_heads:
+                continue
+            tried_heads.add((b1, g1))
+            rest_b = betas[:hi] + betas[hi + 1:]
+            rest_g = gammas[:hj] + gammas[hj + 1:]
+            try:
+                return self._step(A, b1, g1, rest_b, rest_g)
+            except _Dead:
+                self.spend()
+        raise _Dead
+
+    def _step(self, A, b1, g1, rest_b, rest_g):
+        field, m = A.field, A.n
+        mu = b1 * g1
+        shifted = A - identity(field, m).scalar_mul(mu)
+        one, zero = field.one(), field.zero()
+        for x in _old_candidate_vectors(field, m):
+            y = shifted.apply(x)
+            span = IndependentSet(field, m)
+            span.add(x)
+            if not span.add(y):
+                continue
+            cols = [x, y]
+            for i in range(m):
+                if len(cols) == m:
+                    break
+                e = tuple(one if t == i else zero for t in range(m))
+                if span.add(e):
+                    cols.append(e)
+            Q = matrix_from_columns(field, cols)
+            Qinv = Q.inverse()
+            At = Qinv @ A @ Q
+            u = At.rows[0][1:]
+            corrected = [list(r[1:]) for r in At.rows[1:]]
+            corrected[0] = [a - ui * mu.inverse()
+                            for a, ui in zip(corrected[0], u)]
+            try:
+                B1, C1 = self.factor(Matrix(field, corrected), rest_b, rest_g)
+            except _Dead:
+                self.spend()
+                continue
+            Bt = [[b1] + [zero] * (m - 1)]
+            Bt += [[g1.inverse() if i == 0 else zero] + list(B1.rows[i])
+                   for i in range(m - 1)]
+            Ct = [[g1] + [ui * b1.inverse() for ui in u]]
+            Ct += [[zero] + list(C1.rows[i]) for i in range(m - 1)]
+            return (Q @ Matrix(field, Bt) @ Qinv,
+                    Q @ Matrix(field, Ct) @ Qinv)
+        raise _Dead
+
+
+def distinct_prescription(F, n, det, rng):
+    """(betas, gammas), each with n distinct entries, prod * prod == det."""
+    pool = (F.nonzero_elements() if F.is_finite else
+            tuple(F.element(Fraction(a, b)) for a in range(-9, 10) if a
+                  for b in (1, 2, 3)))
+    while True:
+        betas = rng.sample(pool, n)
+        gammas = rng.sample(pool, n - 1)
+        prod = F.one()
+        for v in betas + gammas:
+            prod = prod * v
+        gammas.append(det * prod.inverse())
+        if len(set(gammas)) == n:
+            return tuple(betas), tuple(gammas)
+
+
+def repeated_prescription(F, n, det, rng):
+    """Entries drawn from two values, the last fixing the determinant."""
+    pool = (F.nonzero_elements() if F.is_finite else
+            tuple(F.element(v) for v in (-1, 1, 2)))
+    two = rng.sample(pool, 2)
+    vals = [rng.choice(two) for _ in range(2 * n - 1)]
+    prod = F.one()
+    for v in vals:
+        prod = prod * v
+    vals.append(det * prod.inverse())
+    return tuple(vals[:n]), tuple(vals[n:])
+
+
+def prescriptions(F, n, A, rng):
+    kinds = [("ones", ((F.one(),) * n,) * 2),
+             ("repeated", repeated_prescription(F, n, A.det(), rng))]
+    if not F.is_finite or n < F.size:
+        kinds.append(("distinct", distinct_prescription(F, n, A.det(), rng)))
+    return kinds
+
+
+def nonscalar_sl(F, n, rng):
+    A = random_sl(F, n, rng)
+    while A.is_scalar():
+        A = random_sl(F, n, rng)
+    return A
+
+
+def assert_same_as_dense(A, betas, gammas):
+    ref = _DenseSearch()
+    B, C = ref.factor(A, tuple(betas), tuple(gammas))
+    split = sourour_factor(A, betas, gammas)
+    assert (split.b, split.c, split.backtracks) == (B, C, ref.backtracks)
+    return split
+
+
+class TestAgainstDenseSplit:
+    @pytest.mark.parametrize("spec,n", [
+        ("GF(4)", 2), ("GF(4)", 3), ("GF(4)", 8),
+        ("GF(7)", 3), ("GF(7)", 6), ("GF(7)", 10),
+        ("GF(9)", 4), ("GF(9)", 8),
+        ("GF(31)", 6), ("GF(31)", 12), ("GF(31)", 16),
+        ("GF(10007)", 9), ("GF(10007)", 16),
+        ("Q", 3), ("Q", 5), ("Q", 7),
+    ])
+    def test_same_split(self, spec, n):
+        F = parse_field_spec(spec)
+        rng = random.Random(f"{spec}-{n}")
+        for _ in range(2):
+            A = nonscalar_sl(F, n, rng)
+            for _, (betas, gammas) in prescriptions(F, n, A, rng):
+                assert_same_as_dense(A, betas, gammas)
+
+    def test_backtracking_splits(self):
+        # about one repeated prescription in a hundred backtracks at
+        # these sizes; these seeds include several
+        backtracked = 0
+        for spec, n in (("GF(4)", 3), ("GF(4)", 4), ("GF(4)", 5),
+                        ("GF(7)", 4)):
+            F = parse_field_spec(spec)
+            for seed in range(100):
+                rng = random.Random(seed)
+                A = nonscalar_sl(F, n, rng)
+                betas, gammas = repeated_prescription(F, n, A.det(), rng)
+                split = assert_same_as_dense(A, betas, gammas)
+                backtracked += split.backtracks > 0
+        assert backtracked > 0
+
+
+class TestBasis:
+    """``_Basis`` against the dense Q = [x, y, e_t, ...] that the greedy
+    canonical extension builds, for every candidate x and for random,
+    partly sparse y, so that each case of the 2x2 solve is reached."""
+
+    @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)", "Q"])
+    def test_matches_dense_basis(self, spec):
+        F = parse_field_spec(spec)
+        rng = random.Random(spec)
+        elems = (F.elements() if F.is_finite else
+                 tuple(F.element(v) for v in range(-3, 4)))
+        one, zero = F.one(), F.zero()
+        cases = set()
+        for m in (2, 3, 5):
+            for _ in range(15):
+                y = tuple(rng.choice(elems) if rng.random() < 0.6 else zero
+                          for _ in range(m))
+                W = Matrix(F, [[rng.choice(elems) for _ in range(m)]
+                               for _ in range(m)])
+                X = Matrix(F, [[rng.choice(elems) for _ in range(m)]
+                               for _ in range(m)])
+                for support in _candidate_supports(m):
+                    x = tuple(one if t in support else zero for t in range(m))
+                    basis = _Basis.extend(F.arith, support,
+                                          [v.rep for v in y])
+                    span = IndependentSet(F, m)
+                    span.add(x)
+                    if not span.add(y):
+                        assert basis is None
+                        continue
+                    units = [tuple(one if t == i else zero for t in range(m))
+                             for i in range(m)]
+                    added = [i for i in range(m) if span.add(units[i])]
+                    assert basis.kept == added
+                    Q = matrix_from_columns(
+                        F, [x, y] + [units[i] for i in added])
+                    Qinv = Q.inverse()
+                    assert basis.solve_rows(W.reps()) == (Qinv @ W).reps()
+                    assert basis.conjugate(X.reps()) == (Q @ X @ Qinv).reps()
+                    cases.add((len(support), basis.xp, basis.xt is not None))
+        assert cases == {(1, False, False), (2, True, False), (2, False, True)}
+
+
+class TestMatchScalar:
+    def test_repeated_gammas_fail_fast(self):
+        F = GF(7)
+        lam, mu = F.element(3), F.element(5)
+        m = 12
+        betas = (F.one().rep,) * m
+        gammas = (lam.rep,) * (m - 1) + (mu.rep,)
+        start = time.perf_counter()
+        assert _match_scalar(F.arith.mul, lam.rep, betas, gammas) is None
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("q", [4, 5, 7])
+    def test_same_as_old_recursion(self, q):
+        F = GF(q)
+        rng = random.Random(q)
+        pool = F.nonzero_elements()[:3]
+        found = 0
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            betas = [rng.choice(pool) for _ in range(m)]
+            gammas = [rng.choice(pool) for _ in range(m)]
+            lam = betas[0] * rng.choice(gammas)
+            old = _old_match_scalar(lam, betas, gammas)
+            new = _match_scalar(F.arith.mul, lam.rep,
+                                tuple(b.rep for b in betas),
+                                tuple(g.rep for g in gammas))
+            assert new == (None if old is None else [g.rep for g in old])
+            found += old is not None
+        assert 0 < found < 300
+
+
+class TestStructure:
+    def test_no_elimination_or_dense_product(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
+        monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
+        monkeypatch.setattr(Matrix, "__matmul__",
+                            spy("matmul", Matrix.__matmul__))
+        for spec, n in (("GF(10007)", 16), ("GF(9)", 8)):
+            F = parse_field_spec(spec)
+            rng = random.Random(n)
+            A = nonscalar_sl(F, n, rng)
+            betas, gammas = distinct_prescription(F, n, A.det(), rng)
+            split = sourour_factor(A, betas, gammas)
+            assert calls == Counter()
+            # the spies do see these calls
+            assert split.b @ split.c == A
+            split.b.inverse()
+            assert set(calls) == {"rref", "inverse", "matmul"}
+            calls.clear()
+        assert not hasattr(sourour, "IndependentSet")
+        assert not hasattr(sourour, "matrix_from_columns")

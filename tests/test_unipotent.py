@@ -5,7 +5,7 @@ import pytest
 from u2factor.field import GF, rationals
 from u2factor.linalg import Matrix, identity, diagonal, jordan_block
 from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
-                                classify_u2_sl2, CommutatorPair,
+                                CommutatorPair,
                                 Factorization, verify, NotU2,
                                 invert_factorization, conjugate_factorization,
                                 direct_sum_factorization,
@@ -47,20 +47,6 @@ class TestPredicates:
         assert is_u2(jordan_block(f, 2, f.one()))
         J3 = jordan_block(f, 3, f.one())
         assert not is_u2(J3) and is_unipotent_index(J3, 3)
-
-    def test_classification(self):
-        f = GF(7)
-        upper = Matrix.from_ints(f, [[1, 3], [0, 1]])
-        lower = Matrix.from_ints(f, [[1, 0], [2, 1]])
-        assert classify_u2_sl2(upper).tag == "type_i_upper"
-        assert classify_u2_sl2(lower).tag == "type_i_lower"
-        # a = 1, bc = -1
-        mixed = Matrix.from_ints(f, [[2, 1], [-1, 0]])
-        assert classify_u2_sl2(mixed).tag == "type_ii"
-        with pytest.raises(NotU2):
-            classify_u2_sl2(identity(f, 2))
-        with pytest.raises(NotU2):
-            classify_u2_sl2(Matrix.from_ints(f, [[2, 0], [0, 4]]))
 
     def test_pair_validation(self):
         f = GF(5)
