@@ -13,7 +13,10 @@ Arithmetic on those representations lives in one class per field kind
 products both call it.  Over GF(p) it works on ints mod p, and a matrix
 entry is one integer dot product reduced once.  Over GF(p^k) products
 go through log/antilog tables of a primitive element, O(q) entries
-built from q - 1 polynomial products.  Over Q it uses ``Fraction``.
+built from q - 1 polynomial products.  Over Q element operations use
+``Fraction``, and a matrix product clears each operand to an integer
+matrix over one common denominator, so an entry costs one integer dot
+product and one ``gcd`` instead of one per term.
 
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
@@ -31,7 +34,7 @@ import itertools
 import math
 import operator
 import re
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -358,8 +361,20 @@ class ExtensionArith:
         return "(" + ",".join(str(c) for c in a) + ")"
 
 
+def _clear_denominators(rows):
+    """(d, integer rows) with rows == integer rows / d, where d is the
+    lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return d, [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+
+
 class RationalArith:
-    """Q: reduced Fractions."""
+    """Q: reduced Fractions.
+
+    Element operations are ``Fraction``'s.  ``matmul`` works on integer
+    matrices over a common denominator and builds one reduced
+    ``Fraction`` per entry.
+    """
 
     __slots__ = ()
     zero, one = Fraction(0), Fraction(1)
@@ -386,10 +401,18 @@ class RationalArith:
         return 1 / a
 
     def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps."""
-        add, mul = operator.add, operator.mul
-        cols = list(zip(*b))
-        return [[reduce(add, map(mul, r, c)) for c in cols] for r in a]
+        """Rows of a @ b, for a and b given as rows of reps.
+
+        Each operand is cleared to an integer matrix over one common
+        denominator, the lcm of its entries' denominators, so an entry
+        is one integer dot product over da * db, reduced once.
+        """
+        da, ia = _clear_denominators(a)
+        db, ib = _clear_denominators(b)
+        den, mul = da * db, operator.mul
+        cols = list(zip(*ib))
+        return [[Fraction(sum(map(mul, r, c)), den) for c in cols]
+                for r in ia]
 
     def token(self, a) -> str:
         if a.denominator == 1:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from u2factor.field import GF, FieldMismatch, parse_field_spec, rationals
-from u2factor.linalg import Matrix
+from u2factor.linalg import Matrix, identity
 
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
 FIELDS = ["GF(2)", "GF(3)", "GF(2147483647)", "GF(4)", "GF(8)", "GF(9)",
@@ -124,3 +124,96 @@ def test_matmul_across_fields_rejected():
             A @ B
         with pytest.raises(FieldMismatch):
             B @ A
+
+
+# -- Q products over one common denominator per operand --------------------
+
+Q = rationals()
+
+
+def q_matrix(rows):
+    return Matrix(Q, [[Q.element(v) for v in r] for r in rows])
+
+
+def assert_same_tokens(got, want):
+    """Entry for entry and token for token, whatever the reps' types."""
+    assert [[e.rep for e in r] for r in got.rows] == \
+        [[e.rep for e in r] for r in want]
+    assert got.tokens() == [[e.token() for e in r] for r in want]
+    assert all(type(e.rep) is Fraction for r in got.rows for e in r)
+
+
+def test_q_integer_operands():
+    rng = random.Random("ints")
+    for n in (1, 2, 3, 5, 8):
+        A, B = (q_matrix([[rng.randint(-10**30, 10**30) for _ in range(n)]
+                          for _ in range(n)]) for _ in range(2))
+        got = A @ B
+        assert_same_entries(got, naive_product(A, B))
+        assert all(e.rep.denominator == 1 for r in got.rows for e in r)
+
+
+def test_q_zero_and_identity_operands():
+    rng = random.Random("zero-identity")
+    for n in (1, 2, 4, 7):
+        A = random_matrix(Q, n, rng)
+        Z, I = q_matrix([[0] * n] * n), identity(Q, n)
+        for X, Y in ((A, Z), (Z, A), (Z, Z), (A, I), (I, A), (I, I)):
+            assert_same_entries(X @ Y, naive_product(X, Y))
+        assert A @ I == A and I @ A == A
+        assert (A @ Z).tokens() == [["0"] * n] * n
+
+
+def test_q_products_cancelling_to_zero():
+    # Row i of A is (x_i, y_i, ...) and column j of B is (y_j, -x_j, 0, ...)
+    # scaled so that every entry with i == j cancels exactly.
+    rng = random.Random("cancel")
+    for n in (2, 3, 6):
+        rows = [[Fraction(rng.getrandbits(200) + 1, rng.getrandbits(200) + 1)
+                 for _ in range(n)] for _ in range(n)]
+        A = q_matrix(rows)
+        B = q_matrix([[rows[j][1] if i == 0 else -rows[j][0] if i == 1
+                       else 0 for j in range(n)] for i in range(n)])
+        got = A @ B
+        assert_same_entries(got, naive_product(A, B))
+        for i in range(n):
+            rep = got[i, i].rep
+            assert type(rep) is Fraction and rep == Fraction(0)
+            assert rep.denominator == 1 and got[i, i].token() == "0"
+
+
+def test_q_one_by_one():
+    for a, b in ((Fraction(3, 7), Fraction(-14, 9)), (Fraction(0), 5),
+                 (Fraction(1, 2**500 + 1), Fraction(2**500 + 1))):
+        A, B = q_matrix([[a]]), q_matrix([[b]])
+        assert_same_tokens(A @ B, naive_product(A, B))
+
+
+def test_q_mixed_small_and_large_denominators():
+    rng = random.Random("mixed-denominators")
+    for n in (2, 3, 5, 8):
+        def entry():
+            num = rng.randint(-2**64, 2**64)
+            if rng.random() < 0.5:
+                return Fraction(num)
+            return Fraction(num, rng.getrandbits(500) | 1 << 499)
+        A, B = (q_matrix([[entry() for _ in range(n)] for _ in range(n)])
+                for _ in range(2))
+        assert_same_entries(A @ B, naive_product(A, B))
+
+
+def test_q_int_reps_mixed_with_fractions():
+    # RationalArith admits int operands; the product still comes back as
+    # reduced Fractions equal to the element loop's entries.
+    rng = random.Random("int-reps")
+    for n in (1, 2, 3, 5):
+        def rep():
+            if rng.random() < 0.5:
+                return rng.randint(-50, 50)
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        A, B = (Matrix.from_reps(Q, [[rep() for _ in range(n)]
+                                     for _ in range(n)]) for _ in range(2))
+        assert_same_tokens(A @ B, naive_product(A, B))
+        ints = Matrix.from_reps(Q, [[rng.randint(-9, 9) for _ in range(n)]
+                                    for _ in range(n)])
+        assert_same_tokens(ints @ ints, naive_product(ints, ints))
