@@ -261,6 +261,10 @@ class PrimeArith:
         cols = list(zip(*b))
         return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
 
+    def primitive(self, vec):
+        """The eigenvector scale over Q; a finite field keeps vec as is."""
+        return vec
+
     def token(self, a) -> str:
         return str(a)
 
@@ -357,6 +361,10 @@ class ExtensionArith:
                         for v in sums])
         return out
 
+    def primitive(self, vec):
+        """The eigenvector scale over Q; a finite field keeps vec as is."""
+        return vec
+
     def token(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"
 
@@ -413,6 +421,18 @@ class RationalArith:
         cols = list(zip(*ib))
         return [[Fraction(sum(map(mul, r, c)), den) for c in cols]
                 for r in ia]
+
+    def primitive(self, vec) -> list:
+        """vec scaled to a primitive integer vector (coprime integer
+        coordinates) whose last nonzero coordinate is positive; a zero
+        vec is returned as is."""
+        _, (ints,) = _clear_denominators([vec])
+        g = math.gcd(*ints)
+        if not g:
+            return vec
+        if next(x for x in reversed(ints) if x) < 0:
+            g = -g
+        return [Fraction(x // g) for x in ints]
 
     def token(self, a) -> str:
         if a.denominator == 1:

@@ -571,8 +571,14 @@ def similarity_to_diagonal(A: Matrix, entries):
     Column i of P^-1 is taken from ker(A - entries[i] I), so an
     invertible P^-1 already proves P A P^-1 = diag(entries) exactly;
     a spectrum that does not match leaves some eigenspace too small.
+    Over a finite field the column is the ``kernel_basis`` vector as it
+    is (last nonzero coordinate 1).  Over Q it is that vector scaled to
+    a primitive integer vector whose last nonzero coordinate is
+    positive, which keeps the entries of P and of the certificates
+    built from it short.
     """
     field, n = A.field, A.n
+    scale = field.arith.primitive
     entries = list(entries)
     if len(entries) != n:
         raise SpectrumMismatch("entry count != dimension")
@@ -581,11 +587,11 @@ def similarity_to_diagonal(A: Matrix, entries):
     for i, lam in enumerate(entries):
         if lam not in pools:
             basis = kernel_basis(A - scalar_matrix(field, lam, n))
-            pools[lam] = list(basis)
+            pools[lam] = [scale([e.rep for e in v]) for v in basis]
         if not pools[lam]:
             raise SpectrumMismatch(f"eigenspace of {lam.token()} too small")
         cols[i] = pools[lam].pop(0)
-    Q = matrix_from_columns(field, cols)
+    Q = Matrix.from_reps(field, list(zip(*cols)))
     try:
         P = Q.inverse()
     except Singular:

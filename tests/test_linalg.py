@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,21 @@ class TestJordan:
         assert unipotent_jordan(B).transform == unipotent_jordan(B).transform
 
 
+def _kernel_vector_similarity(A, entries):
+    """similarity_to_diagonal as it was before Q eigenvectors were
+    scaled: column i of P^-1 is the kernel_basis vector as it is, for
+    every field."""
+    field, n = A.field, A.n
+    pools = {}
+    cols = []
+    for lam in entries:
+        if lam not in pools:
+            pools[lam] = list(kernel_basis(A - diagonal(field, [lam] * n)))
+        cols.append(pools[lam].pop(0))
+    Q = Matrix(field, zip(*cols))
+    return Q.inverse(), Q
+
+
 class TestSimilarity:
     def test_companion_2x2(self):
         f = GF(7)
@@ -224,6 +241,38 @@ class TestSimilarity:
             P, P_inv = similarity_to_diagonal(A, entries)
             assert P @ P_inv == identity(f, 3)
             assert P @ A @ P_inv == diagonal(f, entries)
+
+    SPECTRA = ((2, 4, 5), (2, 4, 2), (3, 3, 3, 5), (1, 2, 3, 4, 6))
+
+    def test_similarity_over_q_gives_primitive_integer_columns(self, rng):
+        f = rationals()
+        spectra = [[f.element(Fraction(v)) for v in spec] for spec in
+                   ((2, Fraction(1, 3), -5, Fraction(7, 2)),
+                    (2, 2, Fraction(-1, 3), Fraction(-1, 3), 5),
+                    (Fraction(-4, 9),) * 3 + (6,))]
+        for entries in spectra:
+            for _ in range(3):
+                n = len(entries)
+                P0 = random_sl(f, n, rng)
+                A = P0 @ diagonal(f, entries) @ P0.inverse()
+                P, P_inv = similarity_to_diagonal(A, entries)
+                assert P @ P_inv == identity(f, n)
+                assert P @ A @ P_inv == diagonal(f, entries)
+                for col in zip(*P_inv.rows):
+                    reps = [e.rep for e in col]
+                    assert all(x.denominator == 1 for x in reps)
+                    assert math.gcd(*(x.numerator for x in reps)) == 1
+                    assert next(x for x in reversed(reps) if x) > 0
+
+    @pytest.mark.parametrize("q", [7, 9])
+    def test_similarity_over_finite_fields_unchanged(self, q, rng):
+        f = GF(q)
+        for spec in self.SPECTRA:
+            entries = [f.element(v) for v in spec]
+            P0 = random_sl(f, len(entries), rng)
+            A = P0 @ diagonal(f, entries) @ P0.inverse()
+            assert similarity_to_diagonal(A, entries) == \
+                _kernel_vector_similarity(A, entries)
 
     def test_similarity_spectrum_mismatch(self):
         f = GF(7)
