@@ -35,6 +35,7 @@ import math
 import operator
 import re
 from functools import cached_property
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -369,6 +370,24 @@ class ExtensionArith:
         return "(" + ",".join(str(c) for c in a) + ")"
 
 
+# Python refuses a base-10 int <-> str conversion longer than
+# sys.get_int_max_str_digits() digits (4300 by default, never set below
+# 640).  Q tokens longer than the bounds below, which sit under every
+# allowed limit, convert through ``decimal`` instead, exactly and without
+# touching the process-wide limit.
+_SHORT_INT_BITS = 2000      # at most 603 digits
+_SHORT_INT_DIGITS = 600
+
+
+def _int_to_str(n: int) -> str:
+    return str(n) if n.bit_length() <= _SHORT_INT_BITS else str(Decimal(n))
+
+
+def _str_to_int(s: str) -> int:
+    """int(s) for an ASCII string of an optional sign and digits."""
+    return int(s) if len(s) <= _SHORT_INT_DIGITS else int(Decimal(s))
+
+
 def _clear_denominators(rows):
     """(d, integer rows) with rows == integer rows / d, where d is the
     lcm of the entries' denominators."""
@@ -436,8 +455,8 @@ class RationalArith:
 
     def token(self, a) -> str:
         if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+            return _int_to_str(a.numerator)
+        return f"{_int_to_str(a.numerator)}/{_int_to_str(a.denominator)}"
 
 
 class FieldSpec:
@@ -695,15 +714,21 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 _EXT_TOKEN_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
+# A Q token: an optional sign, digits, and optionally "/" and digits.
+_Q_TOKEN_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_element(field: FieldSpec, token: str) -> FieldElement:
     token = token.strip()
     if field.kind == "rational":
-        try:
-            return field.element(Fraction(token))
-        except ZeroDivisionError:
+        m = _Q_TOKEN_RE.fullmatch(token)
+        if not m:
+            raise FieldError(f"bad rational token {token!r}: expected an "
+                             f"integer or p/q")
+        den = 1 if m.group(2) is None else _str_to_int(m.group(2))
+        if den == 0:
             raise FieldError(f"zero denominator in {token!r}")
+        return field.element(Fraction(_str_to_int(m.group(1)), den))
     if field.kind == "prime":
         return field.element(int(token))
     if token.lstrip("-").isdigit():

@@ -82,6 +82,28 @@ class TestFactor:
         code, _, err = run(capsys, "factor", "--input", str(src))
         assert code == 2
 
+    def test_q_entries_beyond_int_str_limit(self, tmp_path, capsys):
+        # diag(N, 1/N) with a 4400-digit N: longer than the default
+        # sys.get_int_max_str_digits() of 4300 in both directions.
+        N = "1" + "0" * 4398 + "7"
+        src, cert = tmp_path / "big.txt", tmp_path / "cert.json"
+        src.write_text(f"Q\n2\n{N} 0\n0 1/{N}\n")
+        code, _, err = run(capsys, "factor", "--input", str(src),
+                           "--json", str(cert))
+        assert code == 0 and err == ""
+        assert N in cert.read_text()
+        code, out, err = run(capsys, "verify", "--cert", str(cert))
+        assert code == 0 and "PASS" in out and err == ""
+
+    @pytest.mark.parametrize("token", ["1e5", "0.5", "1_0"])
+    def test_q_token_outside_grammar_exit_2(self, tmp_path, capsys, token):
+        src = tmp_path / "bad.txt"
+        src.write_text(f"Q\n2\n1 {token}\n0 1\n")  # in SL_2 if parsed
+        code, out, err = run(capsys, "factor", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(token) in err
+
     @pytest.mark.parametrize("text", [
         "GF(7)\n0\n",                    # n = 0
         "GF(7)\n3\n1 0 0\n0 1 0\n",     # truncated row list

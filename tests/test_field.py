@@ -147,6 +147,30 @@ class TestTokens:
         assert f.element(5).token() == "5"
         assert parse_element(f, "-7/3").rep == Fraction(-7, 3)
 
+    def test_rational_token_grammar(self):
+        # An optional sign, digits, and optionally /digits; Fraction()'s
+        # exponents, decimals and underscores are refused.
+        f = rationals()
+        assert parse_element(f, "3").rep == Fraction(3)
+        assert parse_element(f, " +3/6 ").rep == Fraction(1, 2)
+        for token in ("1e5", "0.5", "1_0", "1/-2", "--1",
+                      "3/", "/3", "", "inf", "nan", "\u0663"):
+            with pytest.raises(FieldError):
+                parse_element(f, token)
+        with pytest.raises(FieldError, match="zero denominator"):
+            parse_element(f, "1/0")
+
+    def test_rational_tokens_beyond_int_str_limit(self):
+        f = rationals()
+        for num, den in ((3 ** 10000, 7), (-1, 10 ** 5000 + 1),
+                         (2 ** 20000 + 1, 3 ** 9000)):
+            e = f.element(Fraction(num, den))
+            token = e.token()
+            assert len(token) > 4300
+            assert parse_element(f, token) == e
+        digits = "9" * 4400
+        assert parse_element(f, "-" + digits).rep == -(10 ** 4400 - 1)
+
     def test_extension_tokens(self):
         f = GF(9)
         e = f.element((2, 1))
@@ -156,6 +180,25 @@ class TestTokens:
         assert parse_element(f, "2") == f.element(2)
         with pytest.raises(FieldError):
             parse_element(f, "(2;1)")
+
+
+class TestPrimitive:
+    def test_rational_vectors_become_primitive_integer_vectors(self):
+        arith, F = rationals().arith, Fraction
+        for vec, want in (([F(2, 3), F(-4, 3), F(-2)], [-1, 2, 3]),
+                          ([F(6), F(0), F(-9), F(0)], [-2, 0, 3, 0]),
+                          ([F(1, 6), F(1, 4), F(0)], [2, 3, 0]),
+                          ([F(-5, 7)], [1]),
+                          ([F(4), F(6)], [2, 3])):
+            got = arith.primitive(vec)
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
+        zero = [F(0), F(0)]
+        assert arith.primitive(zero) == zero
+
+    def test_finite_fields_keep_the_vector(self):
+        for F, vec in ((GF(7), [3, 0, 5]), (GF(9), [(1, 2), (0, 0)])):
+            assert F.arith.primitive(vec) is vec
 
 
 class TestSquareRoots:

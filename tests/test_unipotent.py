@@ -151,6 +151,19 @@ class TestJson:
         assert factorization_to_json(again) == payload
         assert again.target == cert.target and again.pairs == cert.pairs
 
+    def test_round_trip_beyond_int_str_limit(self):
+        # sys.get_int_max_str_digits() is 4300 by default; the tokens of
+        # this certificate are longer and must still convert both ways.
+        F = rationals()
+        N = F.element(10 ** 4999 + 3)
+        cert = factor_sl2(diagonal(F, [N, N.inverse()]))
+        payload = factorization_to_json(cert)
+        assert max(len(t) for row in json.loads(payload)["target"]
+                   for t in row) >= 5000
+        again = factorization_from_json(payload)
+        assert again.target == cert.target and again.pairs == cert.pairs
+        assert factorization_to_json(again) == payload
+
     def test_schema(self):
         cert = sample_cert(GF(7))
         d = factorization_to_dict(cert)
