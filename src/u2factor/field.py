@@ -16,7 +16,11 @@ go through log/antilog tables of a primitive element, O(q) entries
 built from q - 1 polynomial products.  Over Q element operations use
 ``Fraction``, and a matrix product clears each operand to an integer
 matrix over one common denominator, so an entry costs one integer dot
-product and one ``gcd`` instead of one per term.
+product and one ``gcd`` instead of one per term.  ``primitive`` is the
+scale ``similarity_to_diagonal`` puts on each eigenvector: over Q a
+primitive integer vector with a positive last nonzero coordinate, over
+a finite field the vector as it is.  Q tokens are an optional sign,
+digits and optionally ``/digits``, of any length.
 
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
@@ -34,9 +38,9 @@ import itertools
 import math
 import operator
 import re
-from functools import cached_property
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -400,7 +404,10 @@ class RationalArith:
 
     Element operations are ``Fraction``'s.  ``matmul`` works on integer
     matrices over a common denominator and builds one reduced
-    ``Fraction`` per entry.
+    ``Fraction`` per entry.  ``primitive`` clears a vector's
+    denominators and divides out the gcd of its coordinates.  ``token``
+    writes integers past Python's int -> str digit limit through
+    ``decimal``.
     """
 
     __slots__ = ()
