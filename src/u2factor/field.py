@@ -14,13 +14,15 @@ products both call it.  Over GF(p) it works on ints mod p, and a matrix
 entry is one integer dot product reduced once.  Over GF(p^k) products
 go through log/antilog tables of a primitive element, O(q) entries
 built from q - 1 polynomial products.  Over Q element operations use
-``Fraction``, and a matrix product clears each operand to an integer
-matrix over one common denominator, so an entry costs one integer dot
-product and one ``gcd`` instead of one per term.  ``primitive`` is the
+``Fraction``, and a matrix product clears each row of its left operand
+and each column of its right one to integers over their own common
+denominator, so an entry costs one integer dot product and one ``gcd``
+instead of one per term.  ``primitive`` is the
 scale ``similarity_to_diagonal`` puts on each eigenvector: over Q a
 primitive integer vector with a positive last nonzero coordinate, over
 a finite field the vector as it is.  Q tokens are an optional sign,
-digits and optionally ``/digits``, of any length.
+digits and optionally ``/digits``, of any length: they convert through
+``decimal``, which Python's int <-> str digit limit does not cover.
 
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
@@ -374,40 +376,21 @@ class ExtensionArith:
         return "(" + ",".join(str(c) for c in a) + ")"
 
 
-# Python refuses a base-10 int <-> str conversion longer than
-# sys.get_int_max_str_digits() digits (4300 by default, never set below
-# 640).  Q tokens longer than the bounds below, which sit under every
-# allowed limit, convert through ``decimal`` instead, exactly and without
-# touching the process-wide limit.
-_SHORT_INT_BITS = 2000      # at most 603 digits
-_SHORT_INT_DIGITS = 600
-
-
-def _int_to_str(n: int) -> str:
-    return str(n) if n.bit_length() <= _SHORT_INT_BITS else str(Decimal(n))
-
-
-def _str_to_int(s: str) -> int:
-    """int(s) for an ASCII string of an optional sign and digits."""
-    return int(s) if len(s) <= _SHORT_INT_DIGITS else int(Decimal(s))
-
-
-def _clear_denominators(rows):
-    """(d, integer rows) with rows == integer rows / d, where d is the
-    lcm of the entries' denominators."""
-    d = math.lcm(*(x.denominator for r in rows for x in r))
-    return d, [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+def _clear_denominators(vec):
+    """(d, integers) with vec == integers / d, where d is the lcm of the
+    entries' denominators."""
+    d = math.lcm(*(x.denominator for x in vec))
+    return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
 class RationalArith:
     """Q: reduced Fractions.
 
     Element operations are ``Fraction``'s.  ``matmul`` works on integer
-    matrices over a common denominator and builds one reduced
-    ``Fraction`` per entry.  ``primitive`` clears a vector's
-    denominators and divides out the gcd of its coordinates.  ``token``
-    writes integers past Python's int -> str digit limit through
-    ``decimal``.
+    rows and columns, each over its own common denominator, and builds
+    one reduced ``Fraction`` per entry.  ``primitive`` clears a vector's
+    denominators and divides out the gcd of its coordinates.  Tokens
+    convert through ``decimal``, which has no digit limit.
     """
 
     __slots__ = ()
@@ -437,22 +420,23 @@ class RationalArith:
     def matmul(self, a, b) -> list:
         """Rows of a @ b, for a and b given as rows of reps.
 
-        Each operand is cleared to an integer matrix over one common
-        denominator, the lcm of its entries' denominators, so an entry
-        is one integer dot product over da * db, reduced once.
+        Each row of a and each column of b is cleared to integers over
+        the lcm of its own denominators, so entry (i, j) is one integer
+        dot product over d_i * d_j, reduced once.  Clearing per row and
+        per column keeps the integers as wide as one row's or one
+        column's denominators, however unrelated the rows' are.
         """
-        da, ia = _clear_denominators(a)
-        db, ib = _clear_denominators(b)
-        den, mul = da * db, operator.mul
-        cols = list(zip(*ib))
-        return [[Fraction(sum(map(mul, r, c)), den) for c in cols]
-                for r in ia]
+        rows = [_clear_denominators(r) for r in a]
+        cols = [_clear_denominators(c) for c in zip(*b)]
+        mul = operator.mul
+        return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
+                for dr, r in rows]
 
     def primitive(self, vec) -> list:
         """vec scaled to a primitive integer vector (coprime integer
         coordinates) whose last nonzero coordinate is positive; a zero
         vec is returned as is."""
-        _, (ints,) = _clear_denominators([vec])
+        _, ints = _clear_denominators(vec)
         g = math.gcd(*ints)
         if not g:
             return vec
@@ -462,8 +446,8 @@ class RationalArith:
 
     def token(self, a) -> str:
         if a.denominator == 1:
-            return _int_to_str(a.numerator)
-        return f"{_int_to_str(a.numerator)}/{_int_to_str(a.denominator)}"
+            return str(Decimal(a.numerator))
+        return f"{Decimal(a.numerator)}/{Decimal(a.denominator)}"
 
 
 class FieldSpec:
@@ -732,10 +716,10 @@ def parse_element(field: FieldSpec, token: str) -> FieldElement:
         if not m:
             raise FieldError(f"bad rational token {token!r}: expected an "
                              f"integer or p/q")
-        den = 1 if m.group(2) is None else _str_to_int(m.group(2))
+        den = 1 if m.group(2) is None else int(Decimal(m.group(2)))
         if den == 0:
             raise FieldError(f"zero denominator in {token!r}")
-        return field.element(Fraction(_str_to_int(m.group(1)), den))
+        return field.element(Fraction(int(Decimal(m.group(1))), den))
     if field.kind == "prime":
         return field.element(int(token))
     if token.lstrip("-").isdigit():

@@ -126,7 +126,7 @@ def test_matmul_across_fields_rejected():
             B @ A
 
 
-# -- Q products over one common denominator per operand --------------------
+# -- Q products over one common denominator per row and per column ---------
 
 Q = rationals()
 
