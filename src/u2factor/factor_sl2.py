@@ -14,6 +14,7 @@ entry point.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .field import (FieldSpec, FieldElement, NotASquare, sqrt,
                     sum_of_two_nonzero_squares, square_ne_inverse_witness)
@@ -253,7 +254,7 @@ def factor_sl2(A: Matrix) -> Factorization:
         # det 1 forces the scalar to be -1 (or 1, handled above)
         return neg_identity(field)
     if field.is_finite and field.size <= 3:
-        key = tuple(e.rep for r in A.rows for e in r)
+        key = tuple(chain.from_iterable(A.reps()))
         if key not in _derived_membership(field):
             raise OutsideDerivedSubgroup(
                 "not a product of commutators of U2-matrices")

@@ -229,8 +229,8 @@ def _poly_is_irreducible(modulus, p: int) -> bool:
 
 
 # -- one arithmetic class per field kind, on canonical reps ---------------
-# FieldSpec picks one in __init__.  FieldElement's operators and
-# Matrix.__matmul__ hand it reps and wrap the reps it returns.
+# FieldSpec picks one in __init__.  Every Matrix algorithm runs on reps
+# through it; FieldElement's operators hand it reps and wrap the result.
 
 class PrimeArith:
     """GF(p): residues in [0, p)."""

@@ -5,12 +5,21 @@ matrices, pivoting is "first nonzero in column order" (the only
 deterministic choice in exact arithmetic), and the canonical-form
 transforms are constructed so identical inputs always give identical
 outputs.
+
+A ``Matrix`` holds rows of canonical reps, and every algorithm here
+runs on them through the field's arith class, with rep helpers
+(``*_reps``, ``sub_scaled``) that ``unipotent`` and ``sourour`` share.
+FieldElements are checked where a matrix is built from them, and made
+only where a caller reads a scalar: ``A[i, j]``, ``rows``,
+``diagonal()``, ``trace()``, ``det()`` and the results of
+``kernel_basis``, ``apply`` and ``charpoly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import chain, repeat
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
     parse_element
@@ -41,23 +50,28 @@ class SpectrumMismatch(LinalgError):
     pass
 
 
-class Matrix:
-    """Immutable square matrix of FieldElements."""
+def _reps_of(field: FieldSpec, entries) -> tuple:
+    """The reps of FieldElements, each of which must belong to field."""
+    entries = tuple(entries)
+    if any(e.field != field for e in entries):
+        raise FieldMismatch("entry from a different field")
+    return tuple(e.rep for e in entries)
 
-    __slots__ = ("field", "n", "rows")
+
+class Matrix:
+    """Immutable square matrix over a field, held as rows of canonical
+    reps; entries read through the API are FieldElements."""
+
+    __slots__ = ("field", "n", "_reps")
 
     def __init__(self, field: FieldSpec, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise SizeMismatch("matrix must be square")
-            for e in r:
-                if e.field != field:
-                    raise FieldMismatch("entry from a different field")
+        reps = tuple(_reps_of(field, r) for r in rows)
+        n = len(reps)
+        if any(len(r) != n for r in reps):
+            raise SizeMismatch("matrix must be square")
         self.field = field
         self.n = n
-        self.rows = rows
+        self._reps = reps
 
     # -- construction helpers --
 
@@ -67,21 +81,26 @@ class Matrix:
 
     @classmethod
     def from_reps(cls, field: FieldSpec, rows) -> "Matrix":
-        """Wrap square rows of canonical reps, as the field's arith class
-        returns them, without checking them."""
+        """Square rows of canonical reps, as the field's arith class
+        returns them, taken without checking them."""
         out = object.__new__(cls)
         out.field, out.n = field, len(rows)
-        out.rows = tuple(tuple(FieldElement(field, x) for x in r)
-                         for r in rows)
+        out._reps = tuple(map(tuple, rows))
         return out
 
     def reps(self) -> list:
         """Rows of raw reps, for the field's arith class."""
-        return [[e.rep for e in r] for r in self.rows]
+        return [list(r) for r in self._reps]
+
+    @property
+    def rows(self) -> tuple:
+        """Rows of FieldElements."""
+        f = self.field
+        return tuple(tuple(FieldElement(f, x) for x in r) for r in self._reps)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return FieldElement(self.field, self._reps[i][j])
 
     def check_operand(self, other):
         """Raise as an arithmetic operation with ``other`` would: TypeError
@@ -96,33 +115,36 @@ class Matrix:
 
     # -- arithmetic --
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         self.check_operand(other)
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return Matrix.from_reps(self.field, [
+            list(map(op, ra, rb)) for ra, rb in zip(self._reps, other._reps)])
+
+    def __add__(self, other):
+        return self._entrywise(self.field.arith.add, other)
 
     def __sub__(self, other):
-        self.check_operand(other)
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(self.field.arith.sub, other)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        neg = self.field.arith.neg
+        return Matrix.from_reps(self.field,
+                                [list(map(neg, r)) for r in self._reps])
 
     def __matmul__(self, other):
-        """The product, computed on raw reps by the field's arith class:
-        each operand's reps are read once and each entry is wrapped once."""
+        """The product, computed on raw reps by the field's arith class."""
         self.check_operand(other)
         return Matrix.from_reps(self.field, self.field.arith.matmul(
-            self.reps(), other.reps()))
+            self._reps, other._reps))
 
     def scalar_mul(self, c: FieldElement):
-        return Matrix(self.field, [[a * c for a in r] for r in self.rows])
+        (c,) = _reps_of(self.field, (c,))
+        mul = self.field.arith.mul
+        return Matrix.from_reps(self.field, [list(map(mul, r, repeat(c)))
+                                             for r in self._reps])
 
     def transpose(self):
-        return Matrix(self.field, zip(*self.rows))
+        return Matrix.from_reps(self.field, list(zip(*self._reps)))
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -138,104 +160,117 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product; vec is a tuple of FieldElements."""
-        out = []
-        for r in self.rows:
-            acc = r[0] * vec[0]
-            for a, b in zip(r[1:], vec[1:]):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        f = self.field
+        return tuple(FieldElement(f, x) for x in
+                     apply_reps(f.arith, self._reps, _reps_of(f, vec)))
 
     # -- scalar invariants --
 
     def trace(self) -> FieldElement:
-        acc = self.rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return FieldElement(self.field, reduce(
+            self.field.arith.add, (r[i] for i, r in enumerate(self._reps))))
 
     def det(self) -> FieldElement:
-        return FieldElement(self.field, det_reps(self.field.arith, self.reps()))
+        return FieldElement(self.field, det_reps(self.field.arith, self._reps))
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.rows])[1])
+        return len(_rref(self.field.arith, self.reps())[1])
 
     def nullity(self) -> int:
         return self.n - self.rank()
 
     def inverse(self) -> "Matrix":
-        field, n = self.field, self.n
-        work = [list(r) + [field.one() if i == j else field.zero()
-                           for j in range(n)]
-                for i, r in enumerate(self.rows)]
-        work, pivots = _rref(work, limit=n)
+        arith, n = self.field.arith, self.n
+        eye = diagonal_reps(arith, [arith.one] * n)
+        work, pivots = _rref(arith, [list(r) + e
+                                     for r, e in zip(self._reps, eye)],
+                             limit=n)
         if len(pivots) != n:
             raise Singular("matrix is not invertible")
-        return Matrix(field, [r[n:] for r in work])
+        return Matrix.from_reps(self.field, [r[n:] for r in work])
 
     # -- predicates --
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.rows for e in r)
+        return all(map(self.field.arith.is_zero,
+                       chain.from_iterable(self._reps)))
 
     def is_identity(self) -> bool:
         return self == identity(self.field, self.n)
 
     def is_scalar(self) -> bool:
-        d = self.rows[0][0]
-        for i in range(self.n):
-            for j in range(self.n):
-                e = self.rows[i][j]
-                if i == j:
-                    if e != d:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return is_scalar_reps(self.field.arith, self._reps)
 
     def is_diagonal(self) -> bool:
-        return all(self.rows[i][j].is_zero()
-                   for i in range(self.n) for j in range(self.n) if i != j)
+        is_zero = self.field.arith.is_zero
+        return all(is_zero(v) for i, r in enumerate(self._reps)
+                   for j, v in enumerate(r) if i != j)
 
     def diagonal(self):
-        return tuple(self.rows[i][i] for i in range(self.n))
+        f = self.field
+        return tuple(FieldElement(f, r[i]) for i, r in enumerate(self._reps))
 
     # -- identity / io --
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows)
+                and self._reps == other._reps)
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self._reps))
 
     def __repr__(self):
-        body = "; ".join(" ".join(e.token() for e in r) for r in self.rows)
+        body = "; ".join(" ".join(r) for r in self.tokens())
         return f"Matrix({self.field.spec_string()}, [{body}])"
 
     def tokens(self):
-        return [[e.token() for e in r] for r in self.rows]
+        token = self.field.arith.token
+        return [[token(x) for x in r] for r in self._reps]
+
+
+# -- helpers on rows of reps ----------------------------------------------
+
+def diagonal_reps(arith, entries) -> list:
+    """Rows of the diagonal matrix with the given reps on its diagonal."""
+    zero, m = arith.zero, len(entries)
+    return [[e if i == j else zero for j in range(m)]
+            for i, e in enumerate(entries)]
+
+
+def is_scalar_reps(arith, rows) -> bool:
+    d = rows[0][0]
+    return all(v == d if i == j else arith.is_zero(v)
+               for i, row in enumerate(rows) for j, v in enumerate(row))
+
+
+def sub_scaled(arith, row, c, other):
+    """row - c * other, without work when c is zero."""
+    if arith.is_zero(c):
+        return row
+    return list(map(arith.sub, row, map(arith.mul, repeat(c), other)))
+
+
+def apply_reps(arith, rows, vec) -> list:
+    """rows @ vec, also when vec is empty."""
+    if not vec:
+        return [arith.zero] * len(rows)
+    return [r[0] for r in arith.matmul(rows, [[v] for v in vec])]
 
 
 # -- constructors ---------------------------------------------------------
 
 def identity(field: FieldSpec, n: int) -> Matrix:
-    one, zero = field.one(), field.zero()
-    return Matrix(field, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+    arith = field.arith
+    return Matrix.from_reps(field, diagonal_reps(arith, [arith.one] * n))
 
 
 def zeros(field: FieldSpec, n: int) -> Matrix:
-    zero = field.zero()
-    return Matrix(field, [[zero] * n for _ in range(n)])
+    return Matrix.from_reps(field, [[field.arith.zero] * n] * n)
 
 
 def diagonal(field: FieldSpec, entries) -> Matrix:
-    entries = list(entries)
-    zero = field.zero()
-    return Matrix(field, [[entries[i] if i == j else zero
-                           for j in range(len(entries))]
-                          for i in range(len(entries))])
+    return Matrix.from_reps(field, diagonal_reps(field.arith,
+                                                 _reps_of(field, entries)))
 
 
 def scalar_matrix(field: FieldSpec, c: FieldElement, n: int) -> Matrix:
@@ -243,34 +278,23 @@ def scalar_matrix(field: FieldSpec, c: FieldElement, n: int) -> Matrix:
 
 
 def jordan_block(field: FieldSpec, n: int, lam: FieldElement) -> Matrix:
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = lam
-        if i + 1 < n:
-            rows[i][i + 1] = one
-    return Matrix(field, rows)
+    rows = diagonal_reps(field.arith, _reps_of(field, [lam]) * n)
+    for i in range(n - 1):
+        rows[i][i + 1] = field.arith.one
+    return Matrix.from_reps(field, rows)
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise FieldMismatch("direct sum over different fields")
-    zero = a.field.zero()
-    n, m = a.n, b.n
-    rows = []
-    for r in a.rows:
-        rows.append(list(r) + [zero] * m)
-    for r in b.rows:
-        rows.append([zero] * n + list(r))
-    return Matrix(a.field, rows)
+    zero = a.field.arith.zero
+    right, left = (zero,) * b.n, (zero,) * a.n
+    return Matrix.from_reps(a.field, [r + right for r in a._reps]
+                            + [left + r for r in b._reps])
 
 
 def direct_sum_all(mats) -> Matrix:
-    mats = list(mats)
-    out = mats[0]
-    for m in mats[1:]:
-        out = direct_sum(out, m)
-    return out
+    return reduce(direct_sum, mats)
 
 
 # -- elimination core ------------------------------------------------------
@@ -304,14 +328,18 @@ def det_reps(arith, rows):
     return det
 
 
-def _rref(work, limit=None):
-    """In-place reduced row echelon form; returns (rows, pivot_columns).
+def _rref(arith, work, limit=None):
+    """In-place reduced row echelon form of rows of reps; returns (rows,
+    pivot_columns).
 
     Pivot choice: first nonzero entry scanning rows top-down within each
     column, columns left to right (deterministic in exact arithmetic).
+    Left of the pivot column the pivot row is zero, so only the columns
+    from the pivot on are scaled and subtracted.
     """
     if not work:
         return work, []
+    is_zero, mul, sub = arith.is_zero, arith.mul, arith.sub
     nrows = len(work)
     ncols = len(work[0]) if limit is None else limit
     pivots = []
@@ -320,71 +348,75 @@ def _rref(work, limit=None):
         if row >= nrows:
             break
         pivot = next((r for r in range(row, nrows)
-                      if not work[r][col].is_zero()), None)
+                      if not is_zero(work[r][col])), None)
         if pivot is None:
             continue
         work[row], work[pivot] = work[pivot], work[row]
-        inv = work[row][col].inverse()
-        work[row] = [a * inv for a in work[row]]
+        head = work[row]
+        head[col:] = map(mul, head[col:], repeat(arith.inv(head[col])))
+        tail = head[col:]
         for r in range(nrows):
-            if r != row and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [a - factor * b
-                           for a, b in zip(work[r], work[row])]
+            factor = work[r][col]
+            if r != row and not is_zero(factor):
+                work[r][col:] = map(sub, work[r][col:],
+                                    map(mul, repeat(factor), tail))
         pivots.append(col)
         row += 1
     return work, pivots
 
 
-def kernel_basis(A: Matrix):
-    """Basis of the right kernel, as tuples, in canonical (free-column)
-    order."""
-    field, n = A.field, A.n
-    work, pivots = _rref([list(r) for r in A.rows])
+def _kernel_reps(arith, rows) -> list:
+    """Basis of the right kernel of square rows of reps, in canonical
+    (free-column) order: each vector has a 1 at its free column."""
+    n = len(rows)
+    work, pivots = _rref(arith, [list(r) for r in rows])
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
     basis = []
-    one, zero = field.one(), field.zero()
-    for f in free:
-        vec = [zero] * n
-        vec[f] = one
+    for f in (j for j in range(n) if j not in pivot_set):
+        vec = [arith.zero] * n
+        vec[f] = arith.one
         for rowi, pj in enumerate(pivots):
-            vec[pj] = -work[rowi][f]
-        basis.append(tuple(vec))
+            vec[pj] = arith.neg(work[rowi][f])
+        basis.append(vec)
     return basis
 
 
+def kernel_basis(A: Matrix):
+    """Basis of the right kernel, as tuples, in canonical (free-column)
+    order."""
+    f = A.field
+    return [tuple(FieldElement(f, x) for x in v)
+            for v in _kernel_reps(f.arith, A._reps)]
+
+
 class IndependentSet:
-    """Incremental linear-independence tracker over a field."""
+    """Incremental linear-independence tracker over a field, on vectors
+    of reps."""
 
     def __init__(self, field: FieldSpec, dim: int):
-        self.field = field
+        self.arith = field.arith
         self.dim = dim
         self.rows = []       # reduced, each with a recorded pivot column
         self.pivots = []
 
-    def reduce(self, vec):
+    def reduce(self, vec) -> list:
         vec = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
+            vec = sub_scaled(self.arith, vec, vec[p], row)
         return vec
 
     def add(self, vec) -> bool:
         """Add vec if independent of the current span; returns True if added."""
+        arith = self.arith
         red = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(red) if not c.is_zero()), None)
+        pivot = next((i for i, c in enumerate(red) if not arith.is_zero(c)),
+                     None)
         if pivot is None:
             return False
-        inv = red[pivot].inverse()
-        red = [c * inv for c in red]
-        self.rows.append(red)
+        self.rows.append(list(map(arith.mul, red,
+                                  repeat(arith.inv(red[pivot])))))
         self.pivots.append(pivot)
         return True
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def matrix_from_columns(field: FieldSpec, cols) -> Matrix:
@@ -400,80 +432,85 @@ def charpoly(A: Matrix) -> Poly:
     the first nonzero entry below the subdiagonal; then the leading
     principal minors p_k = det(xI - H[:k, :k]) follow the standard
     recurrence (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.2.9).  Valid in any characteristic.
+    Theory, Alg. 2.2.9).  Valid in any characteristic.  Both run on
+    reps; the minors are ascending coefficient lists.
     """
     field, n = A.field, A.n
-    H = [list(r) for r in A.rows]
+    arith = field.arith
+    is_zero, add, sub, mul = arith.is_zero, arith.add, arith.sub, arith.mul
+    H = [list(r) for r in A._reps]
     for m in range(1, n - 1):
-        i = next((r for r in range(m, n) if not H[r][m - 1].is_zero()), None)
+        i = next((r for r in range(m, n) if not is_zero(H[r][m - 1])), None)
         if i is None:
             continue
         if i != m:
             H[i], H[m] = H[m], H[i]
             for row in H:
                 row[i], row[m] = row[m], row[i]
-        inv = H[m][m - 1].inverse()
+        inv = arith.inv(H[m][m - 1])
         for r in range(m + 1, n):
-            u = H[r][m - 1] * inv
-            if u.is_zero():
+            u = mul(H[r][m - 1], inv)
+            if is_zero(u):
                 continue
             # row_r -= u row_m, then col_m += u col_r keeps the similarity
-            H[r] = [a - u * b for a, b in zip(H[r], H[m])]
+            H[r] = sub_scaled(arith, H[r], u, H[m])
             for row in H:
-                row[m] = row[m] + u * row[r]
-    x = Poly.x(field)
-    minors = [Poly.one(field)]
+                row[m] = add(row[m], mul(u, row[r]))
+    minors = [[arith.one]]
     for k in range(n):
-        p = (x - Poly.constant(H[k][k])) * minors[k]
-        t = field.one()
+        # p_{k+1} = (x - H[k][k]) p_k - sum_i t_i H[i][k] p_i
+        prev = minors[k]
+        p = [arith.zero] + prev
+        p[:k + 1] = map(sub, p[:k + 1], map(mul, repeat(H[k][k]), prev))
+        t = arith.one
         for i in range(k - 1, -1, -1):
-            t = t * H[i + 1][i]
-            if t.is_zero():
+            t = mul(t, H[i + 1][i])
+            if is_zero(t):
                 break
-            p = p - minors[i] * (t * H[i][k])
+            c = mul(t, H[i][k])
+            p[:i + 1] = map(sub, p[:i + 1], map(mul, repeat(c), minors[i]))
         minors.append(p)
-    return minors[n]
+    return Poly(field, [FieldElement(field, c) for c in minors[n]])
 
 
 def minpoly(A: Matrix) -> Poly:
     """Monic minimal polynomial via the first Krylov dependency among
     vectorized powers I, A, A^2, ..."""
     field, n = A.field, A.n
-    powers = [identity(field, n)]
+    arith = field.arith
+    current = diagonal_reps(arith, [arith.one] * n)
+    powers = [list(chain.from_iterable(current))]
     span = IndependentSet(field, n * n)
-    vec = tuple(e for r in powers[0].rows for e in r)
-    span.add(vec)
-    current = powers[0]
+    span.add(powers[0])
     for m in range(1, n + 1):
-        current = current @ A
-        flat = tuple(e for r in current.rows for e in r)
-        red = span.reduce(flat)
-        if all(c.is_zero() for c in red):
+        current = arith.matmul(current, A._reps)
+        flat = list(chain.from_iterable(current))
+        if all(map(arith.is_zero, span.reduce(flat))):
             # solve sum c_i A^i = A^m exactly
-            cols = [tuple(e for r in P.rows for e in r) for P in powers]
-            coeffs = _solve_columns(field, cols, flat)
-            poly_coeffs = [-c for c in coeffs] + [field.one()]
-            mp = Poly(field, poly_coeffs)
+            coeffs = _solve_columns(arith, powers, flat)
+            mp = Poly(field, [FieldElement(field, arith.neg(c))
+                              for c in coeffs] + [field.one()])
             cp = charpoly(A)
             assert (cp % mp).is_zero(), "minimal polynomial must divide charpoly"
             return mp
-        powers.append(current)
+        powers.append(flat)
         span.add(flat)
     raise LinalgError("no Krylov dependency found (unreachable)")
 
 
-def _solve_columns(field, cols, target):
-    """Solve sum_i c_i cols[i] = target; cols independent, system consistent."""
+def _solve_columns(arith, cols, target):
+    """Solve sum_i c_i cols[i] = target on reps; cols independent, system
+    consistent."""
     m = len(cols)
     dim = len(target)
     work = [[cols[j][i] for j in range(m)] + [target[i]] for i in range(dim)]
-    work, pivots = _rref(work, limit=m)
-    sol = [field.zero()] * m
+    work, pivots = _rref(arith, work, limit=m)
+    sol = [arith.zero] * m
     for rowi, p in enumerate(pivots):
         sol[p] = work[rowi][m]
     # consistency check
     for rowi in range(len(pivots), dim):
-        if not work[rowi][m].is_zero():
+        if not arith.is_zero(work[rowi][m]):
             raise LinalgError("inconsistent system")
     return sol
 
@@ -504,37 +541,32 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     reproducible.
     """
     field, n = A.field, A.n
-    N = A - identity(field, n)
-    npowers = [identity(field, n)]
-    index = None
-    for j in range(1, n + 1):
-        npowers.append(npowers[-1] @ N)
-        if npowers[-1].is_zero():
-            index = j
-            break
-    if index is None:
-        raise NotUnipotent("matrix is not unipotent")
-    if index == 1:
-        # A == I
-        eye = identity(field, n)
-        return JordanData((1,) * n, eye, eye, eye)
-    kernels = [[]]
-    for j in range(1, index + 1):
-        kernels.append(kernel_basis(npowers[j]))
+    arith = field.arith
+    N = A.reps()
+    for i, r in enumerate(N):
+        r[i] = arith.sub(r[i], arith.one)
+    npowers = [diagonal_reps(arith, [arith.one] * n), N]
+    while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
+        if len(npowers) > n:
+            raise NotUnipotent("matrix is not unipotent")
+        npowers.append(arith.matmul(npowers[-1], N))
+    index = len(npowers) - 1
+    kernels = [[]] + [_kernel_reps(arith, npowers[j])
+                      for j in range(1, index + 1)]
     tops = []  # (vector, height), heights non-increasing by construction
     for j in range(index, 0, -1):
         span = IndependentSet(field, n)
         for v in kernels[j - 1]:
             span.add(v)
         for (u, h) in tops:
-            span.add(npowers[h - j].apply(u))
+            span.add(apply_reps(arith, npowers[h - j], u))
         for v in kernels[j]:
             if span.add(v):
                 tops.append((v, j))
     cols = []
     for (v, h) in tops:
-        cols.extend(npowers[h - 1 - i].apply(v) for i in range(h))
-    Q = matrix_from_columns(field, cols)
+        cols.extend(apply_reps(arith, npowers[h - 1 - i], v) for i in range(h))
+    Q = Matrix.from_reps(field, list(zip(*cols)))
     P = Q.inverse()
     form = direct_sum_all([jordan_block(field, h, field.one())
                            for (_, h) in tops])
@@ -551,15 +583,13 @@ def companion_similarity_2x2(A: Matrix):
         raise SizeMismatch("companion form is for 2x2 input")
     if A.is_scalar():
         raise ScalarInput("scalar matrices have no companion form")
-    field = A.field
-    one, zero = field.one(), field.zero()
-    candidates = [(one, zero), (zero, one), (one, one)]
-    for v in candidates:
-        av = A.apply(v)
+    arith = A.field.arith
+    one, zero, mul = arith.one, arith.zero, arith.mul
+    for v in ((one, zero), (zero, one), (one, one)):
+        av = apply_reps(arith, A._reps, v)
         # independent iff the 2x2 det [v | Av] is nonzero
-        d = v[0] * av[1] - v[1] * av[0]
-        if not d.is_zero():
-            Q = matrix_from_columns(field, [v, av])
+        if not arith.is_zero(arith.sub(mul(v[0], av[1]), mul(v[1], av[0]))):
+            Q = Matrix.from_reps(A.field, list(zip(v, av)))
             return Q.inverse(), Q
     raise ScalarInput("no non-eigenvector found; matrix is scalar")
 
@@ -578,18 +608,22 @@ def similarity_to_diagonal(A: Matrix, entries):
     built from it short.
     """
     field, n = A.field, A.n
-    scale = field.arith.primitive
-    entries = list(entries)
+    arith = field.arith
+    entries = _reps_of(field, entries)
     if len(entries) != n:
         raise SpectrumMismatch("entry count != dimension")
     pools = {}
     cols = [None] * n
     for i, lam in enumerate(entries):
         if lam not in pools:
-            basis = kernel_basis(A - scalar_matrix(field, lam, n))
-            pools[lam] = [scale([e.rep for e in v]) for v in basis]
+            shifted = A.reps()
+            for j, r in enumerate(shifted):
+                r[j] = arith.sub(r[j], lam)
+            pools[lam] = list(map(arith.primitive,
+                                  _kernel_reps(arith, shifted)))
         if not pools[lam]:
-            raise SpectrumMismatch(f"eigenspace of {lam.token()} too small")
+            raise SpectrumMismatch(
+                f"eigenspace of {arith.token(lam)} too small")
         cols[i] = pools[lam].pop(0)
     Q = Matrix.from_reps(field, list(zip(*cols)))
     try:
@@ -608,34 +642,22 @@ def diagonalize_known_spectrum(A: Matrix, spectrum):
     return similarity_to_diagonal(A, spectrum)
 
 
-def permutation_matrix(field: FieldSpec, perm) -> Matrix:
-    """P with (P d P^-1)_{ii} = d_{perm[i], perm[i]} for diagonal d."""
-    n = len(perm)
-    one, zero = field.one(), field.zero()
-    rows = [[zero] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        rows[i][j] = one
-    return Matrix(field, rows)
-
-
 def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:
     """Permutation P with P source P^-1 == target, for diagonal matrices
     with equal entry multisets; greedy first-unused matching.  P^-1 is
     P's transpose."""
     if not (source.is_diagonal() and target.is_diagonal()):
         raise LinalgError("both matrices must be diagonal")
-    src = list(source.diagonal())
-    tgt = list(target.diagonal())
-    used = [False] * len(src)
-    perm = []
-    for t in tgt:
-        j = next((j for j, s in enumerate(src) if not used[j] and s == t),
-                 None)
+    unused = [r[i] for i, r in enumerate(source._reps)]
+    eye = identity(source.field, source.n)._reps
+    rows = []
+    for i, r in enumerate(target._reps):
+        j = next((j for j, s in enumerate(unused) if s == r[i]), None)
         if j is None:
             raise LinalgError("diagonal multisets differ")
-        used[j] = True
-        perm.append(j)
-    return permutation_matrix(source.field, perm)
+        unused[j] = None  # no rep equals None
+        rows.append(eye[j])
+    return Matrix.from_reps(source.field, rows)
 
 
 # -- matrix file format -------------------------------------------------------
@@ -680,6 +702,5 @@ def parse_matrix_text(text: str, field: FieldSpec = None) -> Matrix:
 
 def matrix_to_text(A: Matrix) -> str:
     lines = [A.field.spec_string(), str(A.n)]
-    for r in A.rows:
-        lines.append(" ".join(e.token() for e in r))
+    lines += [" ".join(r) for r in A.tokens()]
     return "\n".join(lines) + "\n"

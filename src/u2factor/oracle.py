@@ -39,7 +39,7 @@ def sl_order(q: int, n: int) -> int:
 
 def _matrix_key(A: Matrix):
     """Canonical hashable encoding: row-major element representations."""
-    return tuple(e.rep for r in A.rows for e in r)
+    return tuple(itertools.chain.from_iterable(A.reps()))
 
 
 @dataclass

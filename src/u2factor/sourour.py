@@ -11,8 +11,9 @@ A' = A_1 - v u / (b1 g1).  Bounded backtracking over the non-eigenvector
 choice and over which (beta_i, gamma_j) heads lead handles the rare
 scalar-residual dead ends.
 
-The search runs on rows of raw reps through the field's arith class;
-``Matrix`` appears only in ``sourour_factor``.  A level's basis change
+The search runs on rows of raw reps through the field's arith class,
+with the rep helpers ``linalg`` shares; ``Matrix`` appears only in
+``sourour_factor``.  A level's basis change
 Q = [x, y, e_t, ...] is the identity up to column order, except for the
 dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
 Q^-1 A Q, the correction and the assembly Q Bt Q^-1, Q Ct Q^-1 cost
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
-from .linalg import Matrix, ScalarInput
+from .linalg import Matrix, ScalarInput, apply_reps, diagonal_reps, \
+    is_scalar_reps, sub_scaled
 
 
 class SourourError(Exception):
@@ -88,32 +90,6 @@ def _match_scalar(mul, lam, betas, gammas):
     return None
 
 
-def _is_scalar(arith, A) -> bool:
-    d = A[0][0]
-    return all(v == d if i == j else arith.is_zero(v)
-               for i, row in enumerate(A) for j, v in enumerate(row))
-
-
-def _diagonal(arith, entries):
-    m = len(entries)
-    return [[e if i == j else arith.zero for j in range(m)]
-            for i, e in enumerate(entries)]
-
-
-def _dots(arith, rows, vec):
-    """rows @ vec, also when vec is empty."""
-    if not vec:
-        return [arith.zero] * len(rows)
-    return [r[0] for r in arith.matmul(rows, [[v] for v in vec])]
-
-
-def _axpy(arith, row, c, other):
-    """row - c * other, without work when c is zero."""
-    if arith.is_zero(c):
-        return row
-    return list(map(arith.sub, row, map(arith.mul, repeat(c), other)))
-
-
 class _Basis:
     """One level's basis change Q = [x, y, e_t for t in kept].
 
@@ -159,13 +135,13 @@ class _Basis:
         if self.xp:
             Wp = list(map(ar.sub, Wp, Wa))
         cy = list(map(ar.mul, repeat(self.d_inv), Wp))
-        cx = _axpy(ar, Wa, self.ya, cy)
+        cx = sub_scaled(ar, Wa, self.ya, cy)
         out = [cx, cy]
         for t in self.kept:
             row = W[t]
             if t == self.xt:
                 row = list(map(ar.sub, row, cx))
-            out.append(_axpy(ar, row, self.y[t], cy))
+            out.append(sub_scaled(ar, row, self.y[t], cy))
         return out
 
     def conjugate(self, X):
@@ -181,10 +157,11 @@ class _Basis:
         QX[p] = X[0] if self.xp else [zero] * m
         if xt is not None:
             QX[xt] = list(map(ar.add, QX[xt], X[0]))
-        QX = [_axpy(ar, row, ar.neg(yr), X[1]) for row, yr in zip(QX, self.y)]
+        QX = [sub_scaled(ar, row, ar.neg(yr), X[1])
+              for row, yr in zip(QX, self.y)]
         # s = w Q^-1 solves s Q = w: s_t = w_t' on kept t, then the 2x2
         # system s.x = w_0, s.y = w_1 in s_a, s_p
-        r1s = _dots(ar, [w[2:] for w in QX], self.y_kept)
+        r1s = apply_reps(ar, [w[2:] for w in QX], self.y_kept)
         out = []
         xt_col = 2 + self.kept.index(xt) if xt is not None else None
         for w, dot in zip(QX, r1s):
@@ -218,11 +195,11 @@ class _Search:
                 # determinant bookkeeping guarantees this never happens
                 raise _Dead
             return [[betas[0]]], [[gammas[0]]]
-        if _is_scalar(ar, A):
+        if is_scalar_reps(ar, A):
             matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
             if matched is None:
                 raise _Dead
-            return _diagonal(ar, betas), _diagonal(ar, matched)
+            return diagonal_reps(ar, betas), diagonal_reps(ar, matched)
         head_orders = [(0, 0)]
         head_orders += [(i, j) for i in range(len(betas))
                         for j in range(len(gammas)) if (i, j) != (0, 0)]
@@ -258,10 +235,10 @@ class _Search:
             if basis is None:
                 continue  # x is an eigenvector of A
             # columns 1.. of Q^-1 A Q; column 0 is (mu, 1, 0, ..., 0)^T
-            Ay = _dots(ar, A, y)
+            Ay = apply_reps(ar, A, y)
             u, *A1 = basis.solve_rows(
                 [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
-            A1[0] = _axpy(ar, A1[0], ar.inv(mu), u)
+            A1[0] = sub_scaled(ar, A1[0], ar.inv(mu), u)
             try:
                 B1, C1 = self.factor(A1, rest_b, rest_g)
             except _Dead:

@@ -7,11 +7,12 @@ Every factor is U2, (X - I)^2 = 0, so it inverts as X^-1 = 2I - X.
 The transports build pairs without re-checking them; ``verify`` checks
 a finished certificate once.
 
-The U2 test, the commutator, the running product and the determinant
-(``linalg.det_reps``) exist once, as helpers on rows of raw reps that
-run through the field's arith class.  ``verify`` reads the target and
-each pair's X and Y as reps once and builds no FieldElement or Matrix
-in between; ``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
+A ``Matrix`` holds rows of raw reps.  The U2 test, the commutator and
+the running product exist once, as helpers on those rows that run
+through the field's arith class, beside ``linalg``'s ``det_reps`` and
+``diagonal_reps`` (the identity).  ``verify`` reads the target and each
+pair's X and Y once and builds no FieldElement or Matrix in between;
+``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
 ``Factorization.product`` and ``Matrix.det`` wrap the same helpers.
 ``factorization_from_json`` raises NotU2 for a pair that is not U2,
 while ``unchecked_factorization_from_json`` checks the shape only and
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_element
-from .linalg import Matrix, identity, direct_sum, det_reps
+from .linalg import Matrix, identity, direct_sum, det_reps, diagonal_reps
 
 
 class CertificateError(Exception):
@@ -47,18 +49,13 @@ class VerificationFailed(CertificateError):
 
 # -- the certificate kernel, on rows of raw reps ----------------------------
 
-def _identity_reps(arith, n: int) -> list:
-    one, zero = arith.one, arith.zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _index_reps(arith, rows, k: int) -> bool:
     """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps."""
     one, sub, is_zero = arith.one, arith.sub, arith.is_zero
     N = [list(r) for r in rows]
     for i, r in enumerate(N):
         r[i] = sub(r[i], one)
-    power = N if k > 1 else _identity_reps(arith, len(N))
+    power = N if k > 1 else diagonal_reps(arith, [one] * len(N))
     for _ in range(k - 2):
         power = arith.matmul(power, N)
     return (not all(map(is_zero, chain.from_iterable(power)))
@@ -89,10 +86,7 @@ def _pair_value_reps(arith, x, y) -> list:
 
 def _product_reps(arith, n: int, factors) -> list:
     """The product of n x n factors in order; I_n for none."""
-    acc = _identity_reps(arith, n)
-    for m in factors:
-        acc = arith.matmul(acc, m)
-    return acc
+    return reduce(arith.matmul, factors, diagonal_reps(arith, [arith.one] * n))
 
 
 def _pair_reps(target: Matrix, pair) -> tuple:

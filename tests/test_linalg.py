@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u2factor.field import GF, rationals, FieldMismatch
+from u2factor import factor, linalg, verify
+from u2factor.field import GF, rationals, FieldMismatch, FieldElement, \
+    parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
                              direct_sum, direct_sum_all, kernel_basis,
                              charpoly, minpoly, char_min_poly,
@@ -13,7 +17,8 @@ from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
                              similarity_to_diagonal, find_diagonal_permutation,
                              parse_matrix_text, matrix_to_text,
                              Singular, SizeMismatch, NotUnipotent,
-                             ScalarInput, SpectrumMismatch, LinalgError)
+                             ScalarInput, SpectrumMismatch, LinalgError,
+                             IndependentSet)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 
@@ -344,3 +349,209 @@ class TestSampling:
                 rows = [list(r) for r in B.rows]
                 rows[0] = [e * inv for e in rows[0]]
                 assert A == Matrix(F, rows)
+
+
+# -- the element-level eliminations, as they were before Matrix held reps ---
+
+def _ref_rref(work, limit=None):
+    if not work:
+        return work, []
+    nrows = len(work)
+    ncols = len(work[0]) if limit is None else limit
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        pivot = next((r for r in range(row, nrows)
+                      if not work[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = work[row][col].inverse()
+        work[row] = [a * inv for a in work[row]]
+        for r in range(nrows):
+            if r != row and not work[r][col].is_zero():
+                factor = work[r][col]
+                work[r] = [a - factor * b
+                           for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+    return work, pivots
+
+
+def _ref_kernel_basis(A):
+    field, n = A.field, A.n
+    work, pivots = _ref_rref([list(r) for r in A.rows])
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    basis = []
+    one, zero = field.one(), field.zero()
+    for f in free:
+        vec = [zero] * n
+        vec[f] = one
+        for rowi, pj in enumerate(pivots):
+            vec[pj] = -work[rowi][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _ref_inverse(A):
+    field, n = A.field, A.n
+    work = [list(r) + [field.one() if i == j else field.zero()
+                       for j in range(n)]
+            for i, r in enumerate(A.rows)]
+    work, pivots = _ref_rref(work, limit=n)
+    if len(pivots) != n:
+        raise Singular("matrix is not invertible")
+    return Matrix(field, [r[n:] for r in work])
+
+
+class _RefIndependentSet:
+    def __init__(self, field, dim):
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = vec[p]
+            if not c.is_zero():
+                vec = [a - c * b for a, b in zip(vec, row)]
+        return vec
+
+    def add(self, vec) -> bool:
+        red = self.reduce(vec)
+        pivot = next((i for i, c in enumerate(red) if not c.is_zero()), None)
+        if pivot is None:
+            return False
+        inv = red[pivot].inverse()
+        self.rows.append([c * inv for c in red])
+        self.pivots.append(pivot)
+        return True
+
+
+def _reps(rows):
+    return [[e.rep for e in r] for r in rows]
+
+
+def _entry_pool(F, rng):
+    """A draw of entries: over Q, 500-bit numerators and denominators."""
+    if F.is_finite:
+        elems = F.elements()
+        return lambda: rng.choice(elems)
+    return lambda: F.element(Fraction(rng.getrandbits(500) - (1 << 499),
+                                      rng.getrandbits(500) | 1))
+
+
+def _elimination_inputs(F, rng):
+    """Random square matrices, and singular ones: sparse, with a row that
+    is a combination of two others, and of rank 1."""
+    entry = _entry_pool(F, rng)
+    zero = F.zero()
+    for n in ((1, 2, 3, 4) if not F.is_finite else (1, 2, 3, 5, 8)):
+        for _ in range(3):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            yield Matrix(F, rows)
+            yield Matrix(F, [[e if rng.random() < 0.3 else zero for e in r]
+                             for r in rows])
+            if n >= 3:
+                a, b = entry(), entry()
+                dep = [x * a + y * b for x, y in zip(rows[0], rows[1])]
+                yield Matrix(F, rows[:-1] + [dep])
+            col = [entry() for _ in range(n)]
+            yield Matrix(F, [[c * e for e in rows[0]] for c in col])
+
+
+class TestEliminationReference:
+    """``_rref``, ``kernel_basis``, ``inverse`` and ``IndependentSet`` on
+    reps give what the element-level versions gave, pivot order
+    included."""
+
+    @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
+                                      "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
+    def test_same_as_element_level(self, spec):
+        F = parse_field_spec(spec)
+        rng = random.Random(f"elimination:{spec}")
+        singular = 0
+        for A in _elimination_inputs(F, rng):
+            n = A.n
+            extra = [[e for e in r[:2]] for r in A.rows]
+            for rows, limit in ((A.rows, None), (A.rows, n - 1),
+                                ([r + tuple(x) for r, x in
+                                  zip(A.rows, extra)], n)):
+                want, want_pivots = _ref_rref([list(r) for r in rows], limit)
+                got, got_pivots = linalg._rref(F.arith, _reps(rows), limit)
+                assert got_pivots == want_pivots
+                assert got == _reps(want)
+            assert kernel_basis(A) == _ref_kernel_basis(A)
+            assert A.rank() == n - len(_ref_kernel_basis(A))
+            try:
+                want_inv = _ref_inverse(A)
+            except Singular:
+                singular += 1
+                with pytest.raises(Singular):
+                    A.inverse()
+            else:
+                assert A.inverse() == want_inv
+            vecs = list(A.rows) + list(zip(*A.rows)) + _ref_kernel_basis(A)
+            ref, span = _RefIndependentSet(F, n), IndependentSet(F, n)
+            for v in vecs:
+                assert span.add(_reps([v])[0]) == ref.add(v)
+            assert span.pivots == ref.pivots
+            assert span.rows == _reps(ref.rows)
+        assert singular > 0
+
+
+class TestNoElementOps:
+    """While ``factor`` runs, the eliminations and the algorithms on them
+    make no FieldElement arithmetic and no ``_check``."""
+
+    WATCHED = ("_rref", "Matrix.inverse", "kernel_basis",
+               "IndependentSet.reduce", "IndependentSet.add", "Matrix.apply",
+               "unipotent_jordan", "similarity_to_diagonal")
+
+    def test_factor(self, monkeypatch):
+        codes = {}
+        for name in self.WATCHED:
+            obj = linalg
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            codes[obj.__code__] = name
+        reached, outside = Counter(), Counter()
+
+        def spy(op, fn):
+            def wrapped(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code not in codes:
+                    frame = frame.f_back
+                if frame is None:
+                    outside[op] += 1
+                else:
+                    reached[codes[frame.f_code], op] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for op in ("__add__", "__sub__", "__mul__", "inverse", "_check"):
+            monkeypatch.setattr(FieldElement, op,
+                                spy(op, getattr(FieldElement, op)))
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                entered.add(codes[frame.f_code])
+
+        for spec, n in (("GF(10007)", 12), ("GF(9)", 6)):
+            F = parse_field_spec(spec)
+            A = random_sl(F, n, random.Random(spec))
+            sys.setprofile(profile)
+            try:
+                f = factor(A)
+            finally:
+                sys.setprofile(None)
+            assert f.target == A and verify(f).passed
+        assert reached == Counter()
+        # the spies are installed, and the watched functions did run
+        assert outside["__mul__"] > 0 and outside["_check"] > 0
+        assert entered >= {"_rref", "Matrix.inverse", "IndependentSet.add",
+                           "unipotent_jordan", "similarity_to_diagonal"}

@@ -127,6 +127,11 @@ def _old_candidate_vectors(field, m):
             yield tuple(vec)
 
 
+def _reps(vec):
+    """A vector of FieldElements as the reps IndependentSet takes."""
+    return [e.rep for e in vec]
+
+
 def _old_match_scalar(lam, betas, gammas):
     """The matching as it was: every equal-valued gamma is retried."""
     if not betas:
@@ -188,15 +193,15 @@ class _DenseSearch:
         for x in _old_candidate_vectors(field, m):
             y = shifted.apply(x)
             span = IndependentSet(field, m)
-            span.add(x)
-            if not span.add(y):
+            span.add(_reps(x))
+            if not span.add(_reps(y)):
                 continue
             cols = [x, y]
             for i in range(m):
                 if len(cols) == m:
                     break
                 e = tuple(one if t == i else zero for t in range(m))
-                if span.add(e):
+                if span.add(_reps(e)):
                     cols.append(e)
             Q = matrix_from_columns(field, cols)
             Qinv = Q.inverse()
@@ -331,13 +336,13 @@ class TestBasis:
                     basis = _Basis.extend(F.arith, support,
                                           [v.rep for v in y])
                     span = IndependentSet(F, m)
-                    span.add(x)
-                    if not span.add(y):
+                    span.add(_reps(x))
+                    if not span.add(_reps(y)):
                         assert basis is None
                         continue
                     units = [tuple(one if t == i else zero for t in range(m))
                              for i in range(m)]
-                    added = [i for i in range(m) if span.add(units[i])]
+                    added = [i for i in range(m) if span.add(_reps(units[i]))]
                     assert basis.kept == added
                     Q = matrix_from_columns(
                         F, [x, y] + [units[i] for i in added])
