@@ -20,9 +20,11 @@ denominator, so an entry costs one integer dot product and one ``gcd``
 instead of one per term.  ``primitive`` is the
 scale ``similarity_to_diagonal`` puts on each eigenvector: over Q a
 primitive integer vector with a positive last nonzero coordinate, over
-a finite field the vector as it is.  Q tokens are an optional sign,
-digits and optionally ``/digits``, of any length: they convert through
-``decimal``, which Python's int <-> str digit limit does not cover.
+a finite field the vector as it is.  Every integer in a token or a field
+spec is an optional sign and ASCII digits, and a Q token is such an
+integer and optionally ``/digits``.  Tokens of any length convert
+through ``decimal``, which Python's int <-> str digit limit does not
+cover.
 
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
@@ -685,28 +687,50 @@ def rationals() -> FieldSpec:
     return FieldSpec("rational")
 
 
-# -- spec grammar: GF(7), GF(9;1,0,1), Q ---------------------------------
+# -- token grammar ------------------------------------------------------------
+# One integer pattern, an optional sign and ASCII digits, serves every
+# integer in a field spec, an element token and a matrix file's dimension
+# line.  Every integer token converts through ``decimal``, which Python's
+# int <-> str digit limit does not cover.
 
-_SPEC_RE = re.compile(r"^GF\(\s*(\d+)\s*(?:;\s*([0-9,\s]+))?\)$")
+_INT = r"[+-]?[0-9]+"
+_INT_LIST = rf"({_INT}(?:\s*,\s*{_INT})*)"
+_INT_RE = re.compile(_INT)
+# GF(7), GF(9;1,0,1)
+_SPEC_RE = re.compile(rf"GF\(\s*({_INT})\s*(?:;\s*{_INT_LIST}\s*)?\)")
+# An extension element: a coefficient tuple such as (1,2).
+_EXT_TOKEN_RE = re.compile(rf"\(\s*{_INT_LIST}\s*\)")
+# A Q token: an integer, and optionally "/" and digits.
+_Q_TOKEN_RE = re.compile(rf"({_INT})(?:/([0-9]+))?")
+
+
+def is_int_token(text: str) -> bool:
+    return _INT_RE.fullmatch(text) is not None
+
+
+def parse_int(token: str) -> int:
+    """The value of an integer token; FieldError for any other text."""
+    if not is_int_token(token):
+        raise FieldError(f"bad integer token {token!r}: expected ASCII "
+                         f"digits with an optional sign")
+    return int(Decimal(token))
+
+
+def _parse_ints(text: str) -> tuple:
+    return tuple(int(Decimal(t)) for t in _INT_RE.findall(text))
 
 
 def parse_field_spec(text: str) -> FieldSpec:
     text = text.strip()
     if text == "Q":
         return rationals()
-    m = _SPEC_RE.match(text)
+    m = _SPEC_RE.fullmatch(text)
     if not m:
         raise FieldError(f"cannot parse field spec {text!r}")
-    q = int(m.group(1))
+    q = int(Decimal(m.group(1)))
     if m.group(2) is None:
         return GF(q)
-    coeffs = tuple(int(c) for c in m.group(2).replace(" ", "").split(","))
-    return GF(q, coeffs)
-
-
-_EXT_TOKEN_RE = re.compile(r"^\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
-# A Q token: an optional sign, digits, and optionally "/" and digits.
-_Q_TOKEN_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+    return GF(q, _parse_ints(m.group(2)))
 
 
 def parse_element(field: FieldSpec, token: str) -> FieldElement:
@@ -720,15 +744,13 @@ def parse_element(field: FieldSpec, token: str) -> FieldElement:
         if den == 0:
             raise FieldError(f"zero denominator in {token!r}")
         return field.element(Fraction(int(Decimal(m.group(1))), den))
-    if field.kind == "prime":
-        return field.element(int(token))
-    if token.lstrip("-").isdigit():
-        return field.element(int(token))  # prime-subfield embedding
-    m = _EXT_TOKEN_RE.match(token)
+    if field.kind == "prime" or is_int_token(token):
+        # over GF(p^k), an integer is the prime-subfield embedding
+        return field.element(parse_int(token))
+    m = _EXT_TOKEN_RE.fullmatch(token)
     if not m:
         raise FieldError(f"bad extension element token {token!r}")
-    return field.element(tuple(int(c) for c in
-                               m.group(1).replace(" ", "").split(",")))
+    return field.element(_parse_ints(m.group(1)))
 
 
 # -- number-theoretic predicates the factorization routes branch on -------

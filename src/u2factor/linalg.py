@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import chain, repeat
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
-    parse_element
+    parse_element, parse_int, is_int_token
 from .poly import Poly
 
 
@@ -675,7 +675,7 @@ def parse_matrix_text(text: str, field: FieldSpec = None) -> Matrix:
         raise LinalgError("empty matrix file")
     pos = 0
     first = lines[0]
-    if not first.lstrip("-").isdigit():
+    if not is_int_token(first):
         file_field = parse_field_spec(first)
         if field is not None and field != file_field:
             raise FieldMismatch("matrix file field disagrees with --field")
@@ -685,7 +685,7 @@ def parse_matrix_text(text: str, field: FieldSpec = None) -> Matrix:
         raise LinalgError("no field spec in file and none supplied")
     if pos == len(lines):
         raise LinalgError("no dimension line")
-    n = int(lines[pos])
+    n = parse_int(lines[pos])
     pos += 1
     if n < 1:
         raise LinalgError(f"dimension must be positive, got {n}")

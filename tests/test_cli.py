@@ -105,6 +105,30 @@ class TestFactor:
         assert repr(token) in err
 
     @pytest.mark.parametrize("text", [
+        "GF(7)\n2\n1 1_0\n0 1\n",        # underscore in a GF(p) entry
+        "GF(7)\n2\n1 \u0663\n0 1\n",      # non-ASCII digit, GF(p)
+        "GF(9)\n2\n1 \u0663\n0 1\n",      # ... bare GF(p^k) integer
+        "GF(9)\n2\n1 (\u0663,1)\n0 1\n",  # ... GF(p^k) coefficient
+        "GF(\u0667)\n2\n1 1\n0 1\n",       # ... field spec
+    ])
+    def test_integer_token_outside_grammar_exit_2(self, tmp_path, capsys,
+                                                  text):
+        # each matrix is in SL_2 if its tokens are read through int()
+        src = tmp_path / "bad.txt"
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "factor", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_dimension_outside_grammar_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_text("GF(7)\n\u00b2\n1 0\n0 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "factor", "--input", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad integer token") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
         "GF(7)\n0\n",                    # n = 0
         "GF(7)\n3\n1 0 0\n0 1 0\n",     # truncated row list
         "GF(7)\n2\n1 0\n0 1\n1 1\n",   # extra trailing row

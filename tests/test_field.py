@@ -181,6 +181,38 @@ class TestTokens:
         with pytest.raises(FieldError):
             parse_element(f, "(2;1)")
 
+    def test_integer_token_grammar(self):
+        # every integer token is an optional sign and ASCII digits, as in
+        # a Q token: no underscores, no non-ASCII digits
+        f7, f9 = GF(7), GF(9)
+        assert parse_element(f7, "+10") == f7.element(3)
+        assert parse_element(f9, "(-1, +2)") == f9.element((2, 2))
+        assert parse_field_spec("GF( 9 ; 1 , 0 , 1 )") == GF(9)
+        for field, token in ((f7, "1_0"), (f7, "\u0663"), (f7, "3.0"),
+                             (f7, "\u00b2"), (f9, "\u0663"), (f9, "1_0"),
+                             (f9, "(\u0663,1)"), (f9, "(1_0,1)")):
+            with pytest.raises(FieldError):
+                parse_element(field, token)
+        for spec in ("GF(\u0667)", "GF(1_1)", "GF(9;1,0,\u0661)",
+                     "GF(9;1,,1)", "GF(9;1 0 1)"):
+            with pytest.raises(FieldError):
+                parse_field_spec(spec)
+
+    def test_dimension_line_grammar(self):
+        from u2factor.linalg import parse_matrix_text
+        assert parse_matrix_text("GF(7)\n+1\n3\n")[0, 0] == GF(7).element(3)
+        for dim in ("\u00b2", "\u0661", "1_0"):
+            with pytest.raises(FieldError):
+                parse_matrix_text(f"GF(7)\n{dim}\n1\n")
+
+    def test_prime_tokens_beyond_int_str_limit(self):
+        f = GF(10007)
+        digits = "1" + "0" * 5000
+        assert parse_element(f, digits) == f.element(pow(10, 5000, 10007))
+        assert parse_element(f, "-" + digits) == \
+            f.element(-pow(10, 5000, 10007))
+        assert parse_element(GF(9), digits) == GF(9).element(1)
+
 
 class TestPrimitive:
     def test_rational_vectors_become_primitive_integer_vectors(self):
