@@ -370,7 +370,9 @@ def factorization_from_dict(d: dict) -> Factorization:
 
 
 def factorization_to_json(f: Factorization) -> str:
-    return json.dumps(factorization_to_dict(f), indent=2) + "\n"
+    """The certificate as compact JSON on one line; the loaders read any
+    JSON layout of the same object."""
+    return json.dumps(factorization_to_dict(f), separators=(",", ":")) + "\n"
 
 
 def factorization_from_json(text: str) -> Factorization:

@@ -10,11 +10,13 @@ memo cold and once warm, so a cached block cannot change a byte.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from u2factor import factor, factorization_to_json, parse_matrix_text
+from u2factor.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -72,3 +74,17 @@ def test_cold_and_warm_memos_agree(memos):
             pytest.fail(f"{case}: warm certificate differs from the golden one")
     if not any(memo.cache_info().hits for memo in memos.values()):
         pytest.fail("the warm pass hit no memo")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_indented_certificate_verifies(case, tmp_path, capsys):
+    """A certificate written with the indented layout of earlier versions
+    still loads and verifies from the command line."""
+    cert = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert, indent=2) + "\n", encoding="utf-8")
+    code = main(["verify", "--cert", str(path)])
+    out = capsys.readouterr().out
+    if code != 0 or not out.endswith("PASS\n"):
+        pytest.fail(f"{case}: the indented certificate did not verify "
+                    f"(exit {code})")
