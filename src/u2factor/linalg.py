@@ -294,7 +294,11 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def direct_sum_all(mats) -> Matrix:
-    return reduce(direct_sum, mats)
+    mats = list(mats)
+    out = mats[0]
+    for m in mats[1:]:
+        out = direct_sum(out, m)
+    return out
 
 
 # -- elimination core ------------------------------------------------------
@@ -475,44 +479,22 @@ def charpoly(A: Matrix) -> Poly:
 
 def minpoly(A: Matrix) -> Poly:
     """Monic minimal polynomial via the first Krylov dependency among
-    vectorized powers I, A, A^2, ..."""
+    vectorized powers I, A, ..., A^n.  The powers below the degree d are
+    independent and every later one lies in their span, so the reduced
+    echelon form of the powers as columns has pivots 0..d-1, and its
+    column d holds the c_i with A^d = sum_{i<d} c_i A^i."""
     field, n = A.field, A.n
     arith = field.arith
-    current = diagonal_reps(arith, [arith.one] * n)
-    powers = [list(chain.from_iterable(current))]
-    span = IndependentSet(field, n * n)
-    span.add(powers[0])
-    for m in range(1, n + 1):
-        current = arith.matmul(current, A._reps)
-        flat = list(chain.from_iterable(current))
-        if all(map(arith.is_zero, span.reduce(flat))):
-            # solve sum c_i A^i = A^m exactly
-            coeffs = _solve_columns(arith, powers, flat)
-            mp = Poly(field, [FieldElement(field, arith.neg(c))
-                              for c in coeffs] + [field.one()])
-            cp = charpoly(A)
-            assert (cp % mp).is_zero(), "minimal polynomial must divide charpoly"
-            return mp
-        powers.append(flat)
-        span.add(flat)
-    raise LinalgError("no Krylov dependency found (unreachable)")
-
-
-def _solve_columns(arith, cols, target):
-    """Solve sum_i c_i cols[i] = target on reps; cols independent, system
-    consistent."""
-    m = len(cols)
-    dim = len(target)
-    work = [[cols[j][i] for j in range(m)] + [target[i]] for i in range(dim)]
-    work, pivots = _rref(arith, work, limit=m)
-    sol = [arith.zero] * m
-    for rowi, p in enumerate(pivots):
-        sol[p] = work[rowi][m]
-    # consistency check
-    for rowi in range(len(pivots), dim):
-        if not arith.is_zero(work[rowi][m]):
-            raise LinalgError("inconsistent system")
-    return sol
+    powers = [diagonal_reps(arith, [arith.one] * n)]
+    for _ in range(n):
+        powers.append(arith.matmul(powers[-1], A._reps))
+    cols = [list(chain.from_iterable(P)) for P in powers]
+    work, pivots = _rref(arith, [list(r) for r in zip(*cols)])
+    d = len(pivots)
+    mp = Poly(field, [FieldElement(field, arith.neg(r[d])) for r in work[:d]]
+              + [field.one()])
+    assert (charpoly(A) % mp).is_zero(), "minimal polynomial must divide charpoly"
+    return mp
 
 
 def char_min_poly(A: Matrix):

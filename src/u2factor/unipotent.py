@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_element
@@ -86,7 +85,10 @@ def _pair_value_reps(arith, x, y) -> list:
 
 def _product_reps(arith, n: int, factors) -> list:
     """The product of n x n factors in order; I_n for none."""
-    return reduce(arith.matmul, factors, diagonal_reps(arith, [arith.one] * n))
+    acc = diagonal_reps(arith, [arith.one] * n)
+    for m in factors:
+        acc = arith.matmul(acc, m)
+    return acc
 
 
 def _pair_reps(target: Matrix, pair) -> tuple:
