@@ -243,6 +243,14 @@ def is_scalar_reps(arith, rows) -> bool:
                for i, row in enumerate(rows) for j, v in enumerate(row))
 
 
+def shift_reps(arith, rows, lam) -> list:
+    """Rows of A - lam I, for A given as rows of reps."""
+    out = [list(r) for r in rows]
+    for i, r in enumerate(out):
+        r[i] = arith.sub(r[i], lam)
+    return out
+
+
 def sub_scaled(arith, row, c, other):
     """row - c * other, without work when c is zero."""
     if arith.is_zero(c):
@@ -524,9 +532,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     """
     field, n = A.field, A.n
     arith = field.arith
-    N = A.reps()
-    for i, r in enumerate(N):
-        r[i] = arith.sub(r[i], arith.one)
+    N = shift_reps(arith, A._reps, arith.one)
     npowers = [diagonal_reps(arith, [arith.one] * n), N]
     while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
         if len(npowers) > n:
@@ -598,11 +604,8 @@ def similarity_to_diagonal(A: Matrix, entries):
     cols = [None] * n
     for i, lam in enumerate(entries):
         if lam not in pools:
-            shifted = A.reps()
-            for j, r in enumerate(shifted):
-                r[j] = arith.sub(r[j], lam)
-            pools[lam] = list(map(arith.primitive,
-                                  _kernel_reps(arith, shifted)))
+            pools[lam] = list(map(arith.primitive, _kernel_reps(
+                arith, shift_reps(arith, A._reps, lam))))
         if not pools[lam]:
             raise SpectrumMismatch(
                 f"eigenspace of {arith.token(lam)} too small")

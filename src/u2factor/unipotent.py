@@ -9,14 +9,16 @@ a finished certificate once.
 
 A ``Matrix`` holds rows of raw reps.  The U2 test, the commutator and
 the running product exist once, as helpers on those rows that run
-through the field's arith class, beside ``linalg``'s ``det_reps`` and
-``diagonal_reps`` (the identity).  ``verify`` reads the target and each
-pair's X and Y once and builds no FieldElement or Matrix in between;
-``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
-``Factorization.product`` and ``Matrix.det`` wrap the same helpers.
-``factorization_from_json`` raises NotU2 for a pair that is not U2,
-while ``unchecked_factorization_from_json`` checks the shape only and
-leaves that finding to ``verify``'s report.
+through the field's arith class, beside ``linalg``'s rep helpers
+(``det_reps``, ``diagonal_reps`` for I, ``shift_reps`` for A - I).
+``verify`` reads the target and each pair's X and Y once and builds no
+FieldElement or Matrix in between; ``is_u2``, ``CommutatorPair.value``,
+``u2_inverse``, ``Factorization.product`` and ``Matrix.det`` wrap the
+same helpers.  ``factorization_from_json`` raises NotU2 for a pair that
+is not U2, while ``unchecked_factorization_from_json`` checks the shape
+only and leaves that finding to ``verify``'s report.  Certificates are
+written as compact JSON; the loaders read any layout of the same
+object.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_element
-from .linalg import Matrix, identity, direct_sum, det_reps, diagonal_reps
+from .linalg import Matrix, identity, direct_sum, det_reps, diagonal_reps, \
+    shift_reps
 
 
 class CertificateError(Exception):
@@ -50,10 +53,8 @@ class VerificationFailed(CertificateError):
 
 def _index_reps(arith, rows, k: int) -> bool:
     """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps."""
-    one, sub, is_zero = arith.one, arith.sub, arith.is_zero
-    N = [list(r) for r in rows]
-    for i, r in enumerate(N):
-        r[i] = sub(r[i], one)
+    one, is_zero = arith.one, arith.is_zero
+    N = shift_reps(arith, rows, one)
     power = N if k > 1 else diagonal_reps(arith, [one] * len(N))
     for _ in range(k - 2):
         power = arith.matmul(power, N)

@@ -436,7 +436,8 @@ def _reps(rows):
 
 
 def _entry_pool(F, rng):
-    """A draw of entries: over Q, 500-bit numerators and denominators."""
+    """A function that draws one entry: any element of a finite field,
+    or over Q a fraction with a 500-bit numerator and denominator."""
     if F.is_finite:
         elems = F.elements()
         return lambda: rng.choice(elems)
@@ -449,7 +450,7 @@ def _elimination_inputs(F, rng):
     is a combination of two others, and of rank 1."""
     entry = _entry_pool(F, rng)
     zero = F.zero()
-    for n in ((1, 2, 3, 4) if not F.is_finite else (1, 2, 3, 5, 8)):
+    for n in (1, 2, 3, 5, 8) if F.is_finite else (1, 2, 3, 4):
         for _ in range(3):
             rows = [[entry() for _ in range(n)] for _ in range(n)]
             yield Matrix(F, rows)
@@ -476,10 +477,9 @@ class TestEliminationReference:
         singular = 0
         for A in _elimination_inputs(F, rng):
             n = A.n
-            extra = [[e for e in r[:2]] for r in A.rows]
+            # square, a column limit, and two extra columns as in inverse
             for rows, limit in ((A.rows, None), (A.rows, n - 1),
-                                ([r + tuple(x) for r, x in
-                                  zip(A.rows, extra)], n)):
+                                ([r + r[:2] for r in A.rows], n)):
                 want, want_pivots = _ref_rref([list(r) for r in rows], limit)
                 got, got_pivots = linalg._rref(F.arith, _reps(rows), limit)
                 assert got_pivots == want_pivots
