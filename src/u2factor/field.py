@@ -733,8 +733,11 @@ def parse_field_spec(text: str) -> FieldSpec:
     return GF(q, _parse_ints(m.group(2)))
 
 
-def parse_element(field: FieldSpec, token: str) -> FieldElement:
+def parse_rep(field: FieldSpec, token: str):
+    """The canonical rep of an element token; FieldError for any text
+    outside the token grammar."""
     token = token.strip()
+    arith = field.arith
     if field.kind == "rational":
         m = _Q_TOKEN_RE.fullmatch(token)
         if not m:
@@ -743,14 +746,18 @@ def parse_element(field: FieldSpec, token: str) -> FieldElement:
         den = 1 if m.group(2) is None else int(Decimal(m.group(2)))
         if den == 0:
             raise FieldError(f"zero denominator in {token!r}")
-        return field.element(Fraction(int(Decimal(m.group(1))), den))
+        return arith.coerce(Fraction(int(Decimal(m.group(1))), den))
     if field.kind == "prime" or is_int_token(token):
         # over GF(p^k), an integer is the prime-subfield embedding
-        return field.element(parse_int(token))
+        return arith.coerce(parse_int(token))
     m = _EXT_TOKEN_RE.fullmatch(token)
     if not m:
         raise FieldError(f"bad extension element token {token!r}")
-    return field.element(_parse_ints(m.group(1)))
+    return arith.coerce(_parse_ints(m.group(1)))
+
+
+def parse_element(field: FieldSpec, token: str) -> FieldElement:
+    return FieldElement(field, parse_rep(field, token))
 
 
 # -- number-theoretic predicates the factorization routes branch on -------

@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import chain, repeat
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
-    parse_element, parse_int, is_int_token
+    parse_rep, parse_int, is_int_token
 from .poly import Poly
 
 
@@ -681,8 +681,8 @@ def parse_matrix_text(text: str, field: FieldSpec = None) -> Matrix:
         tokens = lines[pos + i].split()
         if len(tokens) != n:
             raise LinalgError(f"row {i} has {len(tokens)} entries, expected {n}")
-        rows.append([parse_element(field, t) for t in tokens])
-    return Matrix(field, rows)
+        rows.append([parse_rep(field, t) for t in tokens])
+    return Matrix.from_reps(field, rows)
 
 
 def matrix_to_text(A: Matrix) -> str:

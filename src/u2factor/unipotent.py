@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .field import FieldSpec, parse_field_spec, parse_element
+from .field import FieldSpec, parse_field_spec, parse_rep
 from .linalg import Matrix, identity, direct_sum, det_reps, diagonal_reps, \
     shift_reps
 
@@ -355,8 +355,8 @@ def unchecked_factorization_from_dict(d: dict) -> Factorization:
                        or not all(isinstance(t, str) for t in r)
                        for r in tokens)):
             raise CertificateError("matrix token block has wrong shape")
-        return Matrix(field, [[parse_element(field, t) for t in row]
-                              for row in tokens])
+        return Matrix.from_reps(field, [[parse_rep(field, t) for t in row]
+                                        for row in tokens])
 
     target = mat(d.get("target"))
     pairs = tuple(CommutatorPair.unchecked(mat(p.get("x")), mat(p.get("y")))
