@@ -690,8 +690,7 @@ def rationals() -> FieldSpec:
 # -- token grammar ------------------------------------------------------------
 # One integer pattern, an optional sign and ASCII digits, serves every
 # integer in a field spec, an element token and a matrix file's dimension
-# line.  Every integer token converts through ``decimal``, which Python's
-# int <-> str digit limit does not cover.
+# line.
 
 _INT = r"[+-]?[0-9]+"
 _INT_LIST = rf"({_INT}(?:\s*,\s*{_INT})*)"
