@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from . import oracle
-from .field import FieldError, parse_field_spec, GF, rationals
+from .field import FieldError, parse_field_spec, parse_int, GF, rationals
 from .linalg import LinalgError, Matrix, diagonal, jordan_block, \
     parse_matrix_text
 from .unipotent import (CertificateError, VerificationFailed, verify,
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="promised pair-count bound")
     common(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True)
     sp.set_defaults(fn=_cmd_bounds)
 
     for name, fn in (("oracle-lengths", _cmd_oracle_lengths),
@@ -190,14 +190,29 @@ def build_parser() -> argparse.ArgumentParser:
                      ("oracle-check-trace", _cmd_oracle_check_trace)):
         sp = sub.add_parser(name)
         common(sp)
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+        sp.add_argument("--n", default="2")
+        sp.add_argument("--budget", default=str(oracle.DEFAULT_BUDGET))
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("selftest", help="run the embedded example suite")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", default="0")
     sp.set_defaults(fn=_cmd_selftest)
     return p
+
+
+_INT_OPTIONS = ("n", "budget", "seed")
+
+
+def _read_int_options(args):
+    """Replace the integer options' text by its value, read by the token
+    grammar, so that a malformed one is a one-line error, as a matrix
+    entry is."""
+    for name in _INT_OPTIONS:
+        if name in vars(args):
+            try:
+                setattr(args, name, parse_int(getattr(args, name)))
+            except FieldError as exc:
+                raise UsageError(f"--{name}: {exc}")
 
 
 @lru_cache(maxsize=1)
@@ -212,6 +227,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _read_int_options(args)
         return args.fn(args)
     except (UsageError, FieldError, LinalgError, CertificateError,
             SourourError, FactorError, oracle.OracleError,

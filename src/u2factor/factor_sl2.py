@@ -19,7 +19,7 @@ from itertools import chain
 from .field import (FieldSpec, FieldElement, NotASquare, sqrt,
                     sum_of_two_nonzero_squares, square_ne_inverse_witness)
 from .linalg import (Matrix, diagonal, jordan_block, unipotent_jordan,
-                     companion_similarity_2x2, diagonalize_known_spectrum,
+                     companion_similarity_2x2, diagonalize_triangular,
                      ScalarInput)
 from .unipotent import (Factorization, CommutatorPair,
                         identity_factorization, conjugate_factorization,
@@ -196,9 +196,10 @@ def _factor_nonscalar(A: Matrix) -> Factorization:
     spectrum = (d, d.inverse())
     split = sourour_factor(A, spectrum, spectrum)
     cert = diag_commutator(d)
+    T, T_inv, L, U = split.triangularize()
     parts = []
-    for part in (split.b, split.c):
-        P, Pinv = diagonalize_known_spectrum(part, spectrum)
+    for R in (L, U):
+        P, Pinv = diagonalize_triangular(T, T_inv, R, spectrum)
         parts.append(conjugate_factorization(cert, Pinv, P))
     return concat_factorizations(
         A, parts, (split.route_tag(spectrum, spectrum), "prop3.11(generic)"))

@@ -15,7 +15,7 @@ from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
     square_class_pairing
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
                      unipotent_jordan, find_diagonal_permutation,
-                     similarity_to_diagonal, diagonalize_known_spectrum,
+                     similarity_to_diagonal, diagonalize_triangular,
                      ScalarInput)
 from .unipotent import (Factorization, CommutatorPair, VerificationFailed,
                         verify, identity_factorization,
@@ -393,9 +393,10 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
         cert = direct_sum_factorization(cert, c)
     if n % 2 == 1:
         cert = direct_sum_factorization(identity_factorization(F, 1), cert)
+    T, T_inv, L, U = split.triangularize()
     parts = []
-    for part in (split.b, split.c):
-        P, Pinv = diagonalize_known_spectrum(part, spectrum)
+    for R in (L, U):
+        P, Pinv = diagonalize_triangular(T, T_inv, R, spectrum)
         parts.append(conjugate_factorization(cert, Pinv, P))
     return concat_factorizations(
         A, parts, (split.route_tag(spectrum, spectrum),

@@ -17,14 +17,15 @@ built from q - 1 polynomial products.  Over Q element operations use
 ``Fraction``, and a matrix product clears each row of its left operand
 and each column of its right one to integers over their own common
 denominator, so an entry costs one integer dot product and one ``gcd``
-instead of one per term.  ``primitive`` is the
-scale ``similarity_to_diagonal`` puts on each eigenvector: over Q a
-primitive integer vector with a positive last nonzero coordinate, over
-a finite field the vector as it is.  Every integer in a token or a field
-spec is an optional sign and ASCII digits, and a Q token is such an
-integer and optionally ``/digits``.  Tokens of any length convert
-through ``decimal``, which Python's int <-> str digit limit does not
-cover.
+instead of one per term.  ``primitive`` is the scale that
+``similarity_to_diagonal`` and ``diagonalize_triangular`` put on each
+eigenvector: over Q a primitive integer vector with a positive last
+nonzero coordinate, over a finite field the vector as it is.
+
+Every integer in a token or a field spec is an optional sign and ASCII
+digits, and a Q token is such an integer and optionally ``/digits``.
+Tokens convert by ``int``, and through ``decimal`` past Python's
+int <-> str digit limit, so they may have any length.
 
 Over GF(p) the square root of a is min(r, p - r) for the two roots
 +-r, which is the first root in canonical order.  Prime-field
@@ -712,11 +713,20 @@ def parse_int(token: str) -> int:
     if not is_int_token(token):
         raise FieldError(f"bad integer token {token!r}: expected ASCII "
                          f"digits with an optional sign")
-    return int(Decimal(token))
+    return _int(token)
+
+
+def _int(digits: str) -> int:
+    """The value of text the integer grammar has accepted: by ``int``,
+    and through ``decimal`` past Python's int <-> str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def _parse_ints(text: str) -> tuple:
-    return tuple(int(Decimal(t)) for t in _INT_RE.findall(text))
+    return tuple(map(_int, _INT_RE.findall(text)))
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -726,7 +736,7 @@ def parse_field_spec(text: str) -> FieldSpec:
     m = _SPEC_RE.fullmatch(text)
     if not m:
         raise FieldError(f"cannot parse field spec {text!r}")
-    q = int(Decimal(m.group(1)))
+    q = _int(m.group(1))
     if m.group(2) is None:
         return GF(q)
     return GF(q, _parse_ints(m.group(2)))
@@ -742,10 +752,10 @@ def parse_rep(field: FieldSpec, token: str):
         if not m:
             raise FieldError(f"bad rational token {token!r}: expected an "
                              f"integer or p/q")
-        den = 1 if m.group(2) is None else int(Decimal(m.group(2)))
+        den = 1 if m.group(2) is None else _int(m.group(2))
         if den == 0:
             raise FieldError(f"zero denominator in {token!r}")
-        return arith.coerce(Fraction(int(Decimal(m.group(1))), den))
+        return arith.coerce(Fraction(_int(m.group(1)), den))
     if field.kind == "prime" or is_int_token(token):
         # over GF(p^k), an integer is the prime-subfield embedding
         return arith.coerce(parse_int(token))

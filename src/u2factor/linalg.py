@@ -13,6 +13,14 @@ FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
 ``kernel_basis``, ``apply`` and ``charpoly``.
+
+Two similarities diagonalize a matrix.  ``similarity_to_diagonal``
+takes each eigenspace as a kernel, one elimination per eigenvalue, and
+allows repeated eigenvalues.  ``diagonalize_triangular`` is given the
+matrix as T R T^-1 with R triangular and a distinct spectrum, as a
+Sourour split provides it, and runs no elimination: triangular
+substitution and two products, O(n^3) in all.  Both scale eigenvectors
+the same way, so for a distinct spectrum they give the same P and P^-1.
 """
 
 from __future__ import annotations
@@ -618,13 +626,67 @@ def similarity_to_diagonal(A: Matrix, entries):
     return P, Q
 
 
-def diagonalize_known_spectrum(A: Matrix, spectrum):
-    """(P, P^-1) with P A P^-1 = diag(spectrum); the spectrum must be
-    distinct."""
-    spectrum = list(spectrum)
-    if len(set(spectrum)) != len(spectrum):
-        raise SpectrumMismatch("spectrum entries must be distinct")
-    return similarity_to_diagonal(A, spectrum)
+def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
+    """(P, P^-1) with P (T R T^-1) P^-1 = diag(spectrum), for R lower or
+    upper triangular with the distinct spectrum on its diagonal, in any
+    order, and T_inv the inverse of T.
+
+    No elimination runs.  The eigenvectors of R are the columns of a
+    unit triangular W, by substitution, and W^-1, whose rows are the
+    left eigenvectors, follows by substitution too.  Column i of P^-1 is T w for the column w of
+    spectrum[i], scaled as ``similarity_to_diagonal`` scales its kernel
+    vectors: last nonzero coordinate 1, then ``primitive``.  An
+    eigenspace of a distinct spectrum is a line, so both give the same
+    column, and the same P: the matching row of W^-1, divided by that
+    column's scale, times T^-1.
+    """
+    field, n = R.field, R.n
+    arith = field.arith
+    zero, one, mul, is_zero = arith.zero, arith.one, arith.mul, arith.is_zero
+    spectrum = _reps_of(field, spectrum)
+    rows = R._reps
+    upper = not all(map(is_zero, chain.from_iterable(
+        r[i + 1:] for i, r in enumerate(rows))))
+    if upper:
+        rows = _flip(rows)  # J R J, with J the reversal, is lower
+    diag = [r[i] for i, r in enumerate(rows)]
+    if len(set(spectrum)) != n or set(spectrum) != set(diag):
+        raise SpectrumMismatch("spectrum must be distinct and equal the "
+                               "diagonal of R")
+    # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k]
+    W = []
+    for i, r in enumerate(rows):
+        s = arith.matmul([r[:i]], W)[0] if i else ()
+        W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
+                  for k in range(i)] + [one] + [zero] * (n - 1 - i))
+    # row i of W W^-1 = I: W^-1[i] = e_i - W[i][:i] . W^-1[:i]
+    W_inv = []
+    for i, w in enumerate(W):
+        e = [one if j == i else zero for j in range(n)]
+        W_inv.append(list(map(arith.sub, e, arith.matmul(
+            [w[:i]], W_inv)[0])) if i else e)
+    if upper:
+        W, W_inv, diag = _flip(W), _flip(W_inv), diag[::-1]
+    where = {lam: k for k, lam in enumerate(diag)}
+    TW = arith.matmul(T._reps, W)
+    cols, P_rows = [], []
+    for lam in spectrum:
+        k = where[lam]
+        v = [r[k] for r in TW]
+        last = next(j for j in range(n - 1, -1, -1) if not is_zero(v[j]))
+        col = arith.primitive(list(map(mul, v,
+                                       repeat(arith.inv(v[last])))))
+        cols.append(col)
+        # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
+        back = mul(v[last], arith.inv(col[last]))
+        P_rows.append(list(map(mul, W_inv[k], repeat(back))))
+    return (Matrix.from_reps(field, arith.matmul(P_rows, T_inv._reps)),
+            Matrix.from_reps(field, list(zip(*cols))))
+
+
+def _flip(rows) -> list:
+    """Rows of J X J, J the reversal permutation: X turned by 180 degrees."""
+    return [list(r[::-1]) for r in reversed(rows)]
 
 
 def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:

@@ -19,10 +19,21 @@ dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
 Q^-1 A Q, the correction and the assembly Q Bt Q^-1, Q Ct Q^-1 cost
 O(m^2) each at an m x m level, O(n^3) in all, with no elimination and
 no dense matrix product.
+
+The levels also make one triangularizing basis (Sourour, "A
+factorization theorem for matrices", Linear Multilinear Algebra 19,
+1986): Bt is lower and Ct upper block triangular, so unwinding the
+recursion gives B = T L T^-1 and C = T U T^-1 with
+T = Q_1 (1 (+) Q_2) (1 (+) 1 (+) Q_3) ..., L lower triangular with the
+betas on its diagonal and U upper triangular with the gammas.  The
+search keeps the levels of its success path, and
+``SourourFactorization.triangularize`` unwinds them when a caller asks,
+in O(n^3), through the two halves of ``_Basis.conjugate``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
@@ -51,14 +62,56 @@ _BACKTRACK_BUDGET = 20000
 
 @dataclass(frozen=True)
 class SourourFactorization:
+    """A = B C, with charpoly(B) and charpoly(C) the prescribed ones.
+
+    The levels of the search's success path are kept, not compared and
+    not shown, so that ``triangularize`` can give the basis T in which
+    B is lower and C upper triangular; a caller that does not ask pays
+    only for keeping them.
+    """
+
     b: Matrix
     c: Matrix
     backtracks: int
+    _core: tuple = dataclasses.field(repr=False, compare=False)
+    _levels: tuple = dataclasses.field(repr=False, compare=False)
+
+    def triangularize(self):
+        """(T, T^-1, L, U) with B = T L T^-1 and C = T U T^-1, L lower
+        triangular with the betas on its diagonal and U upper triangular
+        with the gammas, in the order the search placed them.
+
+        The innermost split is diagonal, with T = I.  Each level around
+        it, with basis Q, gives T = Q (1 (+) T1), T^-1 = (1 (+) T1^-1)
+        Q^-1, the new column g1^-1 T1^-1 e1 of L and the new row
+        (u / b1) T1 of U, in O(m^2) at an m x m level.
+        """
+        field = self.b.field
+        ar = field.arith
+        zero, one = ar.zero, ar.one
+        betas, gammas = self._core
+        T = Tinv = diagonal_reps(ar, [one] * len(betas))
+        L, U = diagonal_reps(ar, betas), diagonal_reps(ar, gammas)
+        for basis, b1, g1, top in self._levels:
+            pad = [zero] * len(T)
+            g1_inv = ar.inv(g1)
+            L = [[b1] + pad] + [[ar.mul(g1_inv, t[0])] + r
+                                for t, r in zip(Tinv, L)]
+            U = [[g1] + ar.matmul([top], T)[0]] + [[zero] + r for r in U]
+            T = basis.left_mul(_bump(ar, T))
+            Tinv = basis.right_div(_bump(ar, Tinv))
+        return tuple(Matrix.from_reps(field, X) for X in (T, Tinv, L, U))
 
     def route_tag(self, betas, gammas) -> str:
         bs = ",".join(e.token() for e in betas)
         gs = ",".join(e.token() for e in gammas)
         return f"sourour(betas={bs};gammas={gs};backtracks={self.backtracks})"
+
+
+def _bump(arith, rows):
+    """Rows of 1 (+) X, for X given as rows."""
+    return ([[arith.one] + [arith.zero] * len(rows)]
+            + [[arith.zero] + r for r in rows])
 
 
 def _candidate_supports(m):
@@ -144,27 +197,32 @@ class _Basis:
             out.append(sub_scaled(ar, row, self.y[t], cy))
         return out
 
-    def conjugate(self, X):
-        """Rows of Q X Q^-1, for X given in the basis Q."""
-        ar = self.arith
-        zero, sub, mul = ar.zero, ar.sub, ar.mul
-        m, a, p, xt = self.m, self.a, self.p, self.xt
-        # Q X: row r is x_r X[0] + y_r X[1], plus X's row for e_r if kept
+    def left_mul(self, X):
+        """Rows of Q X, for X given as m rows, one per basis vector."""
+        ar, m = self.arith, self.m
+        # row r is x_r X[0] + y_r X[1], plus X's row for e_r if kept
         QX = [None] * m
         for idx, t in enumerate(self.kept):
             QX[t] = X[2 + idx]
-        QX[a] = X[0]
-        QX[p] = X[0] if self.xp else [zero] * m
-        if xt is not None:
-            QX[xt] = list(map(ar.add, QX[xt], X[0]))
-        QX = [sub_scaled(ar, row, ar.neg(yr), X[1])
-              for row, yr in zip(QX, self.y)]
+        QX[self.a] = X[0]
+        QX[self.p] = X[0] if self.xp else [ar.zero] * m
+        if self.xt is not None:
+            QX[self.xt] = list(map(ar.add, QX[self.xt], X[0]))
+        return [sub_scaled(ar, row, ar.neg(yr), X[1])
+                for row, yr in zip(QX, self.y)]
+
+    def right_div(self, W):
+        """Rows of W Q^-1, for W given as rows whose m columns follow the
+        basis vectors."""
+        ar = self.arith
+        sub, mul = ar.sub, ar.mul
+        a, p, xt = self.a, self.p, self.xt
         # s = w Q^-1 solves s Q = w: s_t = w_t' on kept t, then the 2x2
         # system s.x = w_0, s.y = w_1 in s_a, s_p
-        r1s = apply_reps(ar, [w[2:] for w in QX], self.y_kept)
+        r1s = apply_reps(ar, [w[2:] for w in W], self.y_kept)
         out = []
         xt_col = 2 + self.kept.index(xt) if xt is not None else None
-        for w, dot in zip(QX, r1s):
+        for w, dot in zip(W, r1s):
             r0 = w[0] if xt_col is None else sub(w[0], w[xt_col])
             r1 = sub(w[1], dot)
             sp = mul(self.d_inv, sub(r1, mul(self.ya, r0)))
@@ -175,12 +233,21 @@ class _Basis:
             out.append(s)
         return out
 
+    def conjugate(self, X):
+        """Rows of Q X Q^-1, for X given in the basis Q."""
+        return self.right_div(self.left_mul(X))
+
 
 class _Search:
     def __init__(self, arith, budget):
         self.arith = arith
         self.budget = budget
         self.backtracks = 0
+        # the success path, for SourourFactorization.triangularize: the
+        # diagonals of the innermost split, which is diagonal, and each
+        # level's (basis, b1, g1, u / b1), innermost first
+        self.core = None
+        self.levels = []
 
     def spend(self):
         self.backtracks += 1
@@ -194,11 +261,13 @@ class _Search:
             if A[0][0] != ar.mul(betas[0], gammas[0]):
                 # determinant bookkeeping guarantees this never happens
                 raise _Dead
+            self.core = betas, gammas
             return [[betas[0]]], [[gammas[0]]]
         if is_scalar_reps(ar, A):
             matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
             if matched is None:
                 raise _Dead
+            self.core = betas, matched
             return diagonal_reps(ar, betas), diagonal_reps(ar, matched)
         head_orders = [(0, 0)]
         head_orders += [(i, j) for i in range(len(betas))
@@ -245,11 +314,12 @@ class _Search:
                 self.spend()
                 continue
             g1_inv = ar.inv(g1)
-            b1_inv = ar.inv(b1)
+            top = list(map(mul, u, repeat(ar.inv(b1))))
+            self.levels.append((basis, b1, g1, top))
             Bt = [[b1] + [zero] * (m - 1)]
             Bt += [[g1_inv if i == 0 else zero] + list(r)
                    for i, r in enumerate(B1)]
-            Ct = [[g1] + [mul(ui, b1_inv) for ui in u]]
+            Ct = [[g1] + top]
             Ct += [[zero] + list(r) for r in C1]
             return basis.conjugate(Bt), basis.conjugate(Ct)
         raise _Dead
@@ -291,4 +361,5 @@ def sourour_factor(A: Matrix, betas, gammas,
     except _Dead:
         raise ConstructionFailed("search space exhausted")
     return SourourFactorization(Matrix.from_reps(field, B),
-                                Matrix.from_reps(field, C), search.backtracks)
+                                Matrix.from_reps(field, C), search.backtracks,
+                                search.core, tuple(search.levels))

@@ -265,6 +265,31 @@ class TestSelftest:
         assert out.strip().endswith("PASS")
 
 
+class TestIntegerOptions:
+    """--n, --budget and --seed are integer tokens, as a matrix file's
+    dimension line is: an optional sign and ASCII digits."""
+
+    def test_signed_ascii_values(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--field", "GF(7)", "--n", "+3")
+        assert code == 0 and "n: 3\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--field", "GF(7)", "--n", "\u0663"),
+        ("bounds", "--field", "GF(7)", "--n", "1_0"),
+        ("bounds", "--field", "GF(7)", "--n", "x"),
+        ("oracle-lengths", "--field", "GF(2)", "--n", "\u0662"),
+        ("oracle-lengths", "--field", "GF(2)", "--budget", "1_000"),
+        ("oracle-derived", "--field", "GF(2)", "--budget", "1e3"),
+        ("selftest", "--seed", "\u0663"),
+        ("selftest", "--seed", "1_0"),
+    ])
+    def test_malformed_value_one_line_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[-2]}: bad integer token")
+        assert err.count("\n") == 1
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         code = main([])

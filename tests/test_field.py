@@ -212,6 +212,10 @@ class TestTokens:
         assert parse_element(f, "-" + digits) == \
             f.element(-pow(10, 5000, 10007))
         assert parse_element(GF(9), digits) == GF(9).element(1)
+        nines = "9" * 4400
+        assert parse_element(f, nines) == f.element(10 ** 4400 - 1)
+        # 10^4400 = 1 mod 3
+        assert parse_field_spec(f"GF(9;1{'0' * 4400},0,1)") == GF(9)
 
 
 class TestPrimitive:

@@ -509,7 +509,8 @@ class TestNoElementOps:
 
     WATCHED = ("_rref", "Matrix.inverse", "kernel_basis",
                "IndependentSet.reduce", "IndependentSet.add", "Matrix.apply",
-               "unipotent_jordan", "similarity_to_diagonal")
+               "unipotent_jordan", "similarity_to_diagonal",
+               "diagonalize_triangular")
 
     def test_factor(self, monkeypatch):
         codes = {}
@@ -554,4 +555,4 @@ class TestNoElementOps:
         # the spies are installed, and the watched functions did run
         assert outside["__mul__"] > 0 and outside["_check"] > 0
         assert entered >= {"_rref", "Matrix.inverse", "IndependentSet.add",
-                           "unipotent_jordan", "similarity_to_diagonal"}
+                           "unipotent_jordan", "diagonalize_triangular"}

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor import linalg, sourour
+from u2factor import factor_sln, linalg, sourour
+from u2factor.factor_sln import factor
 from u2factor.field import GF, rationals, parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
-                             ScalarInput, IndependentSet, matrix_from_columns)
+                             diagonalize_triangular, similarity_to_diagonal,
+                             ScalarInput, SpectrumMismatch, IndependentSet,
+                             matrix_from_columns)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
@@ -274,7 +277,24 @@ def assert_same_as_dense(A, betas, gammas):
     B, C = ref.factor(A, tuple(betas), tuple(gammas))
     split = sourour_factor(A, betas, gammas)
     assert (split.b, split.c, split.backtracks) == (B, C, ref.backtracks)
+    assert_triangularized(split, betas, gammas)
     return split
+
+
+def assert_triangularized(split, betas, gammas):
+    """B = T L T^-1 and C = T U T^-1, L lower and U upper triangular with
+    the betas and the gammas on their diagonals."""
+    T, T_inv, L, U = split.triangularize()
+    F, n = T.field, T.n
+    assert T @ T_inv == identity(F, n)
+    assert T @ L @ T_inv == split.b
+    assert T @ U @ T_inv == split.c
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert L[i, j].is_zero() and U[j, i].is_zero()
+    assert Counter(L.diagonal()) == Counter(betas)
+    assert Counter(U.diagonal()) == Counter(gammas)
+    return T, T_inv, L, U
 
 
 class TestAgainstDenseSplit:
@@ -308,6 +328,45 @@ class TestAgainstDenseSplit:
                 split = assert_same_as_dense(A, betas, gammas)
                 backtracked += split.backtracks > 0
         assert backtracked > 0
+
+
+class TestTriangularize:
+    """The triangularizing basis of a split, and the diagonalizations
+    taken from it by substitution, against the kernel eliminations of
+    ``similarity_to_diagonal``."""
+
+    @pytest.mark.parametrize("spec,n", [
+        ("GF(4)", 2), ("GF(4)", 3), ("GF(4)", 9), ("GF(4)", 16),
+        ("GF(7)", 2), ("GF(7)", 5), ("GF(7)", 6), ("GF(7)", 16),
+        ("GF(9)", 4), ("GF(9)", 8), ("GF(9)", 16),
+        ("GF(31)", 7), ("GF(31)", 16),
+        ("GF(10007)", 2), ("GF(10007)", 11), ("GF(10007)", 16),
+        ("GF(256;1,1,0,1,1,0,0,0,1)", 5), ("GF(256;1,1,0,1,1,0,0,0,1)", 16),
+        ("Q", 2), ("Q", 4), ("Q", 7),
+    ])
+    def test_factors_and_diagonalization(self, spec, n):
+        F = parse_field_spec(spec)
+        rng = random.Random(f"triangular-{spec}-{n}")
+        A = nonscalar_sl(F, n, rng)
+        for kind, (betas, gammas) in prescriptions(F, n, A, rng):
+            split = sourour_factor(A, betas, gammas)
+            T, T_inv, L, U = assert_triangularized(split, betas, gammas)
+            if kind != "distinct":
+                continue
+            for part, R, spectrum in ((split.b, L, betas),
+                                      (split.c, U, gammas)):
+                assert diagonalize_triangular(T, T_inv, R, spectrum) == \
+                    similarity_to_diagonal(part, spectrum)
+
+    def test_spectrum_must_be_distinct_and_on_the_diagonal(self):
+        F = GF(7)
+        A = Matrix.from_ints(F, [[0, 6], [1, 3]])
+        two, four = F.element(2), F.element(4)
+        split = sourour_factor(A, (two, four), (two, four))
+        T, T_inv, L, U = split.triangularize()
+        for spectrum in ((two, two), (two, F.element(3)), (two,)):
+            with pytest.raises(SpectrumMismatch):
+                diagonalize_triangular(T, T_inv, L, spectrum)
 
 
 class TestBasis:
@@ -348,6 +407,8 @@ class TestBasis:
                         F, [x, y] + [units[i] for i in added])
                     Qinv = Q.inverse()
                     assert basis.solve_rows(W.reps()) == (Qinv @ W).reps()
+                    assert basis.left_mul(X.reps()) == (Q @ X).reps()
+                    assert basis.right_div(X.reps()) == (X @ Qinv).reps()
                     assert basis.conjugate(X.reps()) == (Q @ X @ Qinv).reps()
                     cases.add((len(support), basis.xp, basis.xt is not None))
         assert cases == {(1, False, False), (2, True, False), (2, False, True)}
@@ -412,3 +473,44 @@ class TestStructure:
             calls.clear()
         assert not hasattr(sourour, "IndependentSet")
         assert not hasattr(sourour, "matrix_from_columns")
+
+    def test_two_commutator_route_runs_no_elimination(self, monkeypatch):
+        # once the split is made, the parts are diagonalized by
+        # substitution in its triangularizing basis; the first call of
+        # each input fills the memos of the 2x2 diagonal blocks, whose
+        # companion similarities invert, so the second one is counted
+        calls = Counter()
+        split_made = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                if split_made:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def split(*args, **kwargs):
+            out = sourour_factor(*args, **kwargs)
+            split_made.append(out)
+            return out
+
+        monkeypatch.setattr(factor_sln, "sourour_factor", split)
+        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
+        monkeypatch.setattr(linalg, "_kernel_reps",
+                            spy("kernel", linalg._kernel_reps))
+        monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
+        for spec, n in (("GF(10007)", 16), ("Q", 7)):
+            F = parse_field_spec(spec)
+            A = nonscalar_sl(F, n, random.Random(spec))
+            first = factor(A)
+            split_made.clear()
+            calls.clear()
+            f = factor(A)
+            assert f == first and f"prop5.2(n={n})" in f.route
+            assert len(split_made) == 1 and calls == Counter()
+            # the spies do see these calls
+            linalg.kernel_basis(split_made[0].b)
+            split_made[0].b.inverse()
+            assert set(calls) == {"rref", "kernel", "inverse"}
+            calls.clear()
+            split_made.clear()
