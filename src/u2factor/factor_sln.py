@@ -14,9 +14,9 @@ from functools import lru_cache
 from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
     square_class_pairing
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
-                     unipotent_jordan, find_diagonal_permutation,
-                     similarity_to_diagonal, diagonalize_triangular,
-                     ScalarInput)
+                     unipotent_jordan, single_block_jordan,
+                     find_diagonal_permutation, similarity_to_diagonal,
+                     diagonalize_triangular, ScalarInput)
 from .unipotent import (Factorization, CommutatorPair, VerificationFailed,
                         verify, identity_factorization,
                         conjugate_factorization, invert_factorization,
@@ -405,14 +405,20 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
 
 def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
     """General route: A = B C with both parts unipotent; each part's
-    Jordan blocks are certified separately and direct-summed."""
+    Jordan blocks are certified separately and direct-summed.
+
+    A part that is one Jordan block gets its Jordan data by substitution
+    in the split's triangularizing basis; only another part is built
+    and put through ``unipotent_jordan``."""
     F = A.field
     n = A.n
     ones = tuple([F.one()] * n)
     split = sourour_factor(A, ones, ones)
+    T, T_inv, L, U = split.triangularize()
     parts = []
-    for part in (split.b, split.c):
-        jd = unipotent_jordan(part)
+    for R, side in ((L, "b"), (U, "c")):
+        jd = (single_block_jordan(T, T_inv, R)
+              or unipotent_jordan(getattr(split, side)))
         block_certs = []
         for size in jd.partition:
             if size == 1:

@@ -351,7 +351,11 @@ class ExtensionArith:
         antilog table that packs coefficient i into bits [i w, (i+1) w).
         With 2^w > n (p - 1) no field overflows, so an entry is the
         integer sum of its n terms, unpacked and reduced mod p once.
+        An empty b has no columns, so each row of the product is empty,
+        as for the other kinds.
         """
+        if not b:
+            return [[] for _ in a]
         p, k = self.p, self.k
         width = (len(b) * (p - 1)).bit_length()
         packed = self._packed.get(width)

@@ -21,6 +21,14 @@ matrix as T R T^-1 with R triangular and a distinct spectrum, as a
 Sourour split provides it, and runs no elimination: triangular
 substitution and two products, O(n^3) in all.  Both scale eigenvectors
 the same way, so for a distinct spectrum they give the same P and P^-1.
+
+Two functions give the Jordan data of a unipotent matrix.
+``unipotent_jordan`` takes the kernels of the powers of A - I, one
+elimination per power, which is O(n^4) when A is one Jordan block.
+``single_block_jordan`` is given A as T R T^-1 with R unit triangular,
+as a unipotent Sourour split provides it; when A is one block it gives
+the same data with no elimination, by a chain in the basis T and
+triangular substitution, O(n^3) in all.
 """
 
 from __future__ import annotations
@@ -68,9 +76,10 @@ def _reps_of(field: FieldSpec, entries) -> tuple:
 
 class Matrix:
     """Immutable square matrix over a field, held as rows of canonical
-    reps; entries read through the API are FieldElements."""
+    reps; entries read through the API are FieldElements.  The
+    determinant is kept once computed."""
 
-    __slots__ = ("field", "n", "_reps")
+    __slots__ = ("field", "n", "_reps", "_det")
 
     def __init__(self, field: FieldSpec, rows):
         reps = tuple(_reps_of(field, r) for r in rows)
@@ -80,6 +89,7 @@ class Matrix:
         self.field = field
         self.n = n
         self._reps = reps
+        self._det = None
 
     # -- construction helpers --
 
@@ -94,6 +104,7 @@ class Matrix:
         out = object.__new__(cls)
         out.field, out.n = field, len(rows)
         out._reps = tuple(map(tuple, rows))
+        out._det = None
         return out
 
     def reps(self) -> list:
@@ -179,7 +190,9 @@ class Matrix:
             self.field.arith.add, (r[i] for i, r in enumerate(self._reps))))
 
     def det(self) -> FieldElement:
-        return FieldElement(self.field, det_reps(self.field.arith, self._reps))
+        if self._det is None:
+            self._det = det_reps(self.field.arith, self._reps)
+        return FieldElement(self.field, self._det)
 
     def rank(self) -> int:
         return len(_rref(self.field.arith, self.reps())[1])
@@ -570,6 +583,45 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     return JordanData(partition, P, form, Q)
 
 
+def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
+    """``unipotent_jordan(T R T^-1)`` when that is one Jordan block, for R
+    unit lower or upper triangular and T_inv the inverse of T; None when
+    it is not one block.
+
+    No elimination runs.  An upper R is turned by 180 degrees (J R J,
+    with T J and J T^-1 in place of T and T^-1), so let R be lower and
+    N = R - I.  The part is one block exactly when N's subdiagonal has
+    no zero, and then N^(n-1) = c e_(n-1) e_0^T with c != 0, so
+    (T R T^-1 - I)^(n-1) = c T[:, n-1] T^-1[0, :].  The top vector that
+    ``unipotent_jordan`` picks, the first unit vector outside that
+    power's kernel, is therefore e_f for the first nonzero T^-1[0, f].
+    Its chain, columns (T R T^-1 - I)^(n-1-j) e_f, is T K with K's
+    columns the chain of N on w = T^-1 e_f.  N^k w has its first
+    nonzero at k, so K reversed in column order is lower triangular:
+    P^-1 = T K, and P = K^-1 T^-1 with K^-1 by substitution.
+    """
+    field, n = R.field, R.n
+    arith = field.arith
+    rows, Tr, Tinv = R._reps, T._reps, T_inv._reps
+    if any(r[i] != arith.one for i, r in enumerate(rows)):
+        raise NotUnipotent("matrix is not unit triangular")
+    if _has_upper(arith, rows):
+        rows, Tr, Tinv = _flip(rows), [r[::-1] for r in Tr], Tinv[::-1]
+    N = shift_reps(arith, rows, arith.one)
+    if any(arith.is_zero(N[i + 1][i]) for i in range(n - 1)):
+        return None
+    f = next(j for j, v in enumerate(Tinv[0]) if not arith.is_zero(v))
+    powers = [[r[f] for r in Tinv]]
+    for _ in range(n - 1):
+        powers.append(apply_reps(arith, N, powers[-1]))
+    K_rev = [list(r) for r in zip(*powers)]  # K J, lower triangular
+    Q = [r[::-1] for r in arith.matmul(Tr, K_rev)]
+    P = arith.matmul(_lower_inverse(arith, K_rev)[::-1], Tinv)
+    return JordanData((n,), Matrix.from_reps(field, P),
+                      jordan_block(field, n, field.one()),
+                      Matrix.from_reps(field, Q))
+
+
 # -- similarity transforms ---------------------------------------------------
 
 def companion_similarity_2x2(A: Matrix):
@@ -645,8 +697,7 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     zero, one, mul, is_zero = arith.zero, arith.one, arith.mul, arith.is_zero
     spectrum = _reps_of(field, spectrum)
     rows = R._reps
-    upper = not all(map(is_zero, chain.from_iterable(
-        r[i + 1:] for i, r in enumerate(rows))))
+    upper = _has_upper(arith, rows)
     if upper:
         rows = _flip(rows)  # J R J, with J the reversal, is lower
     diag = [r[i] for i, r in enumerate(rows)]
@@ -656,15 +707,10 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k]
     W = []
     for i, r in enumerate(rows):
-        s = arith.matmul([r[:i]], W)[0] if i else ()
+        s = arith.matmul([r[:i]], W)[0]
         W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
                   for k in range(i)] + [one] + [zero] * (n - 1 - i))
-    # row i of W W^-1 = I: W^-1[i] = e_i - W[i][:i] . W^-1[:i]
-    W_inv = []
-    for i, w in enumerate(W):
-        e = [one if j == i else zero for j in range(n)]
-        W_inv.append(list(map(arith.sub, e, arith.matmul(
-            [w[:i]], W_inv)[0])) if i else e)
+    W_inv = _lower_inverse(arith, W)
     if upper:
         W, W_inv, diag = _flip(W), _flip(W_inv), diag[::-1]
     where = {lam: k for k, lam in enumerate(diag)}
@@ -687,6 +733,28 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
 def _flip(rows) -> list:
     """Rows of J X J, J the reversal permutation: X turned by 180 degrees."""
     return [list(r[::-1]) for r in reversed(rows)]
+
+
+def _has_upper(arith, rows) -> bool:
+    """Whether a square matrix given as rows has a nonzero entry above
+    its diagonal."""
+    return not all(map(arith.is_zero, chain.from_iterable(
+        r[i + 1:] for i, r in enumerate(rows))))
+
+
+def _lower_inverse(arith, rows) -> list:
+    """Rows of X^-1, for X lower triangular with no zero on its diagonal,
+    by substitution: row i of X X^-1 = I gives
+    X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i]."""
+    zero, one = arith.zero, arith.one
+    n = len(rows)
+    out = []
+    for i, r in enumerate(rows):
+        e = [one if j == i else zero for j in range(n)]
+        if i:
+            e = list(map(arith.sub, e, arith.matmul([r[:i]], out)[0]))
+        out.append(list(map(arith.mul, e, repeat(arith.inv(r[i])))))
+    return out
 
 
 def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:

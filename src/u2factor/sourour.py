@@ -13,30 +13,36 @@ scalar-residual dead ends.
 
 The search runs on rows of raw reps through the field's arith class,
 with the rep helpers ``linalg`` shares; ``Matrix`` appears only in
-``sourour_factor``.  A level's basis change
+``SourourFactorization`` and ``sourour_factor``.  A level's basis change
 Q = [x, y, e_t, ...] is the identity up to column order, except for the
 dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
-Q^-1 A Q, the correction and the assembly Q Bt Q^-1, Q Ct Q^-1 cost
-O(m^2) each at an m x m level, O(n^3) in all, with no elimination and
-no dense matrix product.
+Q^-1 A Q and the correction cost O(m^2) each at an m x m level, O(n^3)
+in all, with no elimination and no dense matrix product.
 
-The levels also make one triangularizing basis (Sourour, "A
-factorization theorem for matrices", Linear Multilinear Algebra 19,
-1986): Bt is lower and Ct upper block triangular, so unwinding the
-recursion gives B = T L T^-1 and C = T U T^-1 with
-T = Q_1 (1 (+) Q_2) (1 (+) 1 (+) Q_3) ..., L lower triangular with the
-betas on its diagonal and U upper triangular with the gammas.  The
-search keeps the levels of its success path, and
-``SourourFactorization.triangularize`` unwinds them when a caller asks,
-in O(n^3), through the two halves of ``_Basis.conjugate``.
+The search builds neither B nor C.  It keeps the levels of its success
+path (the basis, the heads b1, g1 and the row u / b1), and
+``SourourFactorization`` assembles from them only what a caller reads.
+B and C are Q Bt Q^-1 and Q Ct Q^-1 at every level, unwound on first
+read by ``_Basis.conjugate`` in O(n^3).  The levels also make one
+triangularizing basis (Sourour, "A factorization theorem for matrices",
+Linear Multilinear Algebra 19, 1986): Bt is lower and Ct upper block
+triangular, so unwinding the recursion gives B = T L T^-1 and
+C = T U T^-1 with T = Q_1 (1 (+) Q_2) (1 (+) 1 (+) Q_3) ..., L lower
+triangular with the betas on its diagonal and U upper triangular with
+the gammas.  ``SourourFactorization.triangularize`` unwinds them in
+O(n^3), through the two halves of ``_Basis.conjugate``; the
+two-commutator routes read only that, and the unipotent route reads B
+or C only for a part that is not one Jordan block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, repeat
 
+from .field import FieldSpec
 from .linalg import Matrix, ScalarInput, apply_reps, diagonal_reps, \
     is_scalar_reps, sub_scaled
 
@@ -60,21 +66,46 @@ class _Dead(Exception):
 _BACKTRACK_BUDGET = 20000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourourFactorization:
     """A = B C, with charpoly(B) and charpoly(C) the prescribed ones.
 
-    The levels of the search's success path are kept, not compared and
-    not shown, so that ``triangularize`` can give the basis T in which
-    B is lower and C upper triangular; a caller that does not ask pays
-    only for keeping them.
+    The split is held as the levels of the search's success path, which
+    are not shown; two splits compare by identity.  B and C are unwound
+    from the levels when first read, and ``triangularize`` gives the
+    basis T in which B is lower and C upper triangular; a caller pays
+    only for what it reads.
     """
 
-    b: Matrix
-    c: Matrix
+    field: FieldSpec
     backtracks: int
-    _core: tuple = dataclasses.field(repr=False, compare=False)
-    _levels: tuple = dataclasses.field(repr=False, compare=False)
+    _core: tuple = dataclasses.field(repr=False)
+    _levels: tuple = dataclasses.field(repr=False)
+
+    @cached_property
+    def b(self) -> Matrix:
+        """B = Q_1 Bt_1 Q_1^-1, with Bt = [[b1, 0], [g1^-1 e1, B1]] at
+        each level around the diagonal innermost split."""
+        ar = self.field.arith
+        zero = ar.zero
+        B = diagonal_reps(ar, self._core[0])
+        for basis, b1, g1, _ in self._levels:
+            g1_inv = ar.inv(g1)
+            B = basis.conjugate(
+                [[b1] + [zero] * len(B)]
+                + [[g1_inv if i == 0 else zero] + r for i, r in enumerate(B)])
+        return Matrix.from_reps(self.field, B)
+
+    @cached_property
+    def c(self) -> Matrix:
+        """C = Q_1 Ct_1 Q_1^-1, with Ct = [[g1, u / b1], [0, C1]] at each
+        level around the diagonal innermost split."""
+        ar = self.field.arith
+        zero = ar.zero
+        C = diagonal_reps(ar, self._core[1])
+        for basis, _, g1, top in self._levels:
+            C = basis.conjugate([[g1] + top] + [[zero] + r for r in C])
+        return Matrix.from_reps(self.field, C)
 
     def triangularize(self):
         """(T, T^-1, L, U) with B = T L T^-1 and C = T U T^-1, L lower
@@ -86,7 +117,7 @@ class SourourFactorization:
         Q^-1, the new column g1^-1 T1^-1 e1 of L and the new row
         (u / b1) T1 of U, in O(m^2) at an m x m level.
         """
-        field = self.b.field
+        field = self.field
         ar = field.arith
         zero, one = ar.zero, ar.one
         betas, gammas = self._core
@@ -243,9 +274,10 @@ class _Search:
         self.arith = arith
         self.budget = budget
         self.backtracks = 0
-        # the success path, for SourourFactorization.triangularize: the
-        # diagonals of the innermost split, which is diagonal, and each
-        # level's (basis, b1, g1, u / b1), innermost first
+        # the success path, from which SourourFactorization unwinds B, C
+        # and its triangularization: the diagonals of the innermost
+        # split, which is diagonal, and each level's (basis, b1, g1,
+        # u / b1), innermost first
         self.core = None
         self.levels = []
 
@@ -255,20 +287,21 @@ class _Search:
             raise ConstructionFailed("backtracking budget exhausted")
 
     def factor(self, A, betas, gammas):
-        """(B, C) as rows of reps for A given as rows of reps."""
+        """Split A, given as rows of reps, and record the success path in
+        ``core`` and ``levels``."""
         ar, m = self.arith, len(A)
         if m == 1:
             if A[0][0] != ar.mul(betas[0], gammas[0]):
                 # determinant bookkeeping guarantees this never happens
                 raise _Dead
             self.core = betas, gammas
-            return [[betas[0]]], [[gammas[0]]]
+            return
         if is_scalar_reps(ar, A):
             matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
             if matched is None:
                 raise _Dead
             self.core = betas, matched
-            return diagonal_reps(ar, betas), diagonal_reps(ar, matched)
+            return
         head_orders = [(0, 0)]
         head_orders += [(i, j) for i in range(len(betas))
                         for j in range(len(gammas)) if (i, j) != (0, 0)]
@@ -281,7 +314,8 @@ class _Search:
             rest_b = betas[:hi] + betas[hi + 1:]
             rest_g = gammas[:hj] + gammas[hj + 1:]
             try:
-                return self._step(A, b1, g1, rest_b, rest_g)
+                self._step(A, b1, g1, rest_b, rest_g)
+                return
             except _Dead:
                 self.spend()
                 continue
@@ -289,7 +323,7 @@ class _Search:
 
     def _step(self, A, b1, g1, rest_b, rest_g):
         ar, m = self.arith, len(A)
-        zero, add, sub, mul = ar.zero, ar.add, ar.sub, ar.mul
+        add, sub, mul = ar.add, ar.sub, ar.mul
         mu = mul(b1, g1)
         for support in _candidate_supports(m):
             # y = (A - mu I) x
@@ -309,19 +343,13 @@ class _Search:
                 [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
             A1[0] = sub_scaled(ar, A1[0], ar.inv(mu), u)
             try:
-                B1, C1 = self.factor(A1, rest_b, rest_g)
+                self.factor(A1, rest_b, rest_g)
             except _Dead:
                 self.spend()
                 continue
-            g1_inv = ar.inv(g1)
             top = list(map(mul, u, repeat(ar.inv(b1))))
             self.levels.append((basis, b1, g1, top))
-            Bt = [[b1] + [zero] * (m - 1)]
-            Bt += [[g1_inv if i == 0 else zero] + list(r)
-                   for i, r in enumerate(B1)]
-            Ct = [[g1] + top]
-            Ct += [[zero] + list(r) for r in C1]
-            return basis.conjugate(Bt), basis.conjugate(Ct)
+            return
         raise _Dead
 
 
@@ -356,10 +384,9 @@ def sourour_factor(A: Matrix, betas, gammas,
         raise DeterminantMismatch("prod(betas)*prod(gammas) != det(A)")
     search = _Search(field.arith, budget)
     try:
-        B, C = search.factor(A.reps(), tuple(e.rep for e in betas),
-                             tuple(e.rep for e in gammas))
+        search.factor(A.reps(), tuple(e.rep for e in betas),
+                      tuple(e.rep for e in gammas))
     except _Dead:
         raise ConstructionFailed("search space exhausted")
-    return SourourFactorization(Matrix.from_reps(field, B),
-                                Matrix.from_reps(field, C), search.backtracks,
-                                search.core, tuple(search.levels))
+    return SourourFactorization(field, search.backtracks, search.core,
+                                tuple(search.levels))

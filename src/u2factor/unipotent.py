@@ -292,7 +292,8 @@ def embed_factorization(f: Factorization, before: int, after: int) -> Factorizat
 
 def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorization:
     """Certificate for a product target = part_1 ... part_k by pair
-    concatenation; asserts that the parts' targets multiply to target."""
+    concatenation; raises CertificateError unless the parts' targets
+    multiply to target."""
     pairs = []
     route = []
     product = identity(target.field, target.n)
@@ -300,7 +301,8 @@ def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorizatio
         pairs.extend(part.pairs)
         route.extend(part.route)
         product = product @ part.target
-    assert product == target, "part targets do not multiply to the target"
+    if product != target:
+        raise CertificateError("part targets do not multiply to the target")
     return Factorization(target, tuple(pairs),
                          tuple(route) + tuple(route_extra))
 

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from u2factor import factor_sln
 from u2factor.field import GF, rationals
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
-                             direct_sum_all, unipotent_jordan, charpoly)
+                             direct_sum_all, unipotent_jordan,
+                             single_block_jordan, charpoly)
 from u2factor.poly import Poly
 from u2factor.unipotent import verify, commutator, is_u2, \
     expand_to_u2_product
@@ -12,6 +14,7 @@ from u2factor.factor_sln import (i_plus_j21, jn1_factor, scalar_factor,
                                  nonscalar_factor, factor, promised_max_pairs,
                                  NotSLn, UnsupportedFieldSize, _jn1_xy)
 from u2factor.sampling import random_sl
+from u2factor.sourour import sourour_factor
 
 
 def check(f):
@@ -147,6 +150,46 @@ class TestNonscalars:
             cert = check(nonscalar_factor(A))
             assert cert.pair_count() <= 4
             assert any(r.startswith("prop4.5") for r in cert.route)
+
+    def test_unipotent_split_builds_only_parts_of_several_blocks(
+            self, monkeypatch):
+        # a part that is one Jordan block is read through the split's
+        # triangularizing basis: it is never assembled, and
+        # unipotent_jordan does not run on it; the first call of each
+        # input fills the memos of the J_k(1) blocks, which do run it
+        splits, jordans = [], []
+
+        def split(*args, **kwargs):
+            splits.append(sourour_factor(*args, **kwargs))
+            return splits[-1]
+
+        def jordan(M):
+            jordans.append(M)
+            return unipotent_jordan(M)
+
+        monkeypatch.setattr(factor_sln, "sourour_factor", split)
+        monkeypatch.setattr(factor_sln, "unipotent_jordan", jordan)
+        built_counts = set()
+        for q, n in ((5, 4), (5, 6), (7, 5), (9, 6)):
+            F = GF(q)
+            rng = random.Random(f"prop4.5-parts-{q}-{n}")
+            for _ in range(6):
+                A = random_sl(F, n, rng)
+                if A.is_scalar():
+                    continue
+                first = factor(A)
+                splits.clear()
+                jordans.clear()
+                f = factor(A)
+                assert f == first and f"prop4.5(n={n})" in f.route
+                (sp,) = splits
+                T, T_inv, L, U = sp.triangularize()
+                built = [side for side, R in (("b", L), ("c", U))
+                         if single_block_jordan(T, T_inv, R) is None]
+                assert [side for side in "bc" if side in vars(sp)] == built
+                assert jordans == [getattr(sp, side) for side in built]
+                built_counts.add(len(built))
+        assert built_counts >= {0, 1}
 
     def test_two_pair_route_tag(self, sample_sl):
         F = GF(11)

@@ -134,6 +134,15 @@ class TestArithmetic:
         with pytest.raises(FieldMismatch):
             GF(5).one() + GF(7).one()
 
+    @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)",
+                                      "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
+    def test_matmul_with_empty_inner_dimension(self, spec):
+        # an empty right operand has no columns, so every row is empty
+        arith = parse_field_spec(spec).arith
+        assert arith.matmul([[]], []) == [[]]
+        assert arith.matmul([[], []], []) == [[], []]
+        assert arith.matmul([], []) == []
+
 
 class TestTokens:
     def test_prime_tokens(self):

@@ -509,10 +509,12 @@ class TestNoElementOps:
 
     WATCHED = ("_rref", "Matrix.inverse", "kernel_basis",
                "IndependentSet.reduce", "IndependentSet.add", "Matrix.apply",
-               "unipotent_jordan", "similarity_to_diagonal",
-               "diagonalize_triangular")
+               "unipotent_jordan", "single_block_jordan",
+               "similarity_to_diagonal", "diagonalize_triangular")
 
-    def test_factor(self, monkeypatch):
+    def test_factor(self, monkeypatch, memos):
+        # memos: the J_k(1) blocks are built afresh, which is where the
+        # eliminations run when the Sourour parts are single blocks
         codes = {}
         for name in self.WATCHED:
             obj = linalg
@@ -555,4 +557,5 @@ class TestNoElementOps:
         # the spies are installed, and the watched functions did run
         assert outside["__mul__"] > 0 and outside["_check"] > 0
         assert entered >= {"_rref", "Matrix.inverse", "IndependentSet.add",
-                           "unipotent_jordan", "diagonalize_triangular"}
+                           "unipotent_jordan", "single_block_jordan",
+                           "diagonalize_triangular"}

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor import factor_sln, linalg, sourour
+from u2factor import factor_sln, linalg, sourour, unipotent
 from u2factor.factor_sln import factor
 from u2factor.field import GF, rationals, parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
-                             ScalarInput, SpectrumMismatch, IndependentSet,
-                             matrix_from_columns)
+                             single_block_jordan, unipotent_jordan,
+                             ScalarInput, SpectrumMismatch, NotUnipotent,
+                             IndependentSet, matrix_from_columns)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
@@ -369,6 +370,77 @@ class TestTriangularize:
                 diagonalize_triangular(T, T_inv, L, spectrum)
 
 
+class TestSingleBlockJordan:
+    """Jordan data of a unipotent split's part that is one Jordan block,
+    by substitution in the triangularizing basis, against
+    ``unipotent_jordan`` on the part itself."""
+
+    def test_same_as_unipotent_jordan(self):
+        # B has more than one block in a few percent of the splits, at
+        # small n, so those sizes are drawn more often
+        seen = Counter()
+        for spec in ("GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)"):
+            F = parse_field_spec(spec)
+            rng = random.Random(f"single-block-{spec}")
+            sizes = (2, 5, 6, 9, 12) + (3, 4) * 10
+            for n in sizes:
+                A = nonscalar_sl(F, n, rng)
+                ones = (F.one(),) * n
+                split = sourour_factor(A, ones, ones)
+                T, T_inv, L, U = split.triangularize()
+                for side, R, part in (("L", L, split.b), ("U", U, split.c)):
+                    ref = unipotent_jordan(part)
+                    jd = single_block_jordan(T, T_inv, R)
+                    one_block = len(ref.partition) == 1
+                    seen[side, one_block] += 1
+                    if not one_block:
+                        assert jd is None
+                        continue
+                    assert (jd.partition, jd.transform, jd.transform_inverse,
+                            jd.form) == (ref.partition, ref.transform,
+                                         ref.transform_inverse, ref.form)
+        # both sides, with one block and with more
+        assert len(seen) == 4, seen
+
+    def test_single_block_runs_no_elimination(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
+        monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
+        found = 0
+        for spec, n in (("GF(7)", 12), ("GF(9)", 6), ("GF(4)", 5)):
+            F = parse_field_spec(spec)
+            rng = random.Random(f"no-elimination-{spec}")
+            for _ in range(4):
+                A = nonscalar_sl(F, n, rng)
+                ones = (F.one(),) * n
+                split = sourour_factor(A, ones, ones)
+                T, T_inv, L, U = split.triangularize()
+                for R in (L, U):
+                    jd = single_block_jordan(T, T_inv, R)
+                    found += jd is not None
+                    assert calls == Counter()
+        assert found > 0
+        # the spies do see these calls
+        unipotent_jordan(split.b)
+        assert set(calls) == {"rref", "inverse"}
+
+    def test_needs_a_unipotent_part(self):
+        F = GF(7)
+        A = Matrix.from_ints(F, [[0, 6, 1], [1, 3, 0], [0, 2, 1]])
+        rng = random.Random(7)
+        betas, gammas = distinct_prescription(F, 3, A.det(), rng)
+        T, T_inv, L, U = sourour_factor(A, betas, gammas).triangularize()
+        with pytest.raises(NotUnipotent):
+            single_block_jordan(T, T_inv, L)
+
+
 class TestBasis:
     """``_Basis`` against the dense Q = [x, y, e_t, ...] that the greedy
     canonical extension builds, for every candidate x and for random,
@@ -473,6 +545,37 @@ class TestStructure:
             calls.clear()
         assert not hasattr(sourour, "IndependentSet")
         assert not hasattr(sourour, "matrix_from_columns")
+
+    def test_two_commutator_route_builds_no_part(self, monkeypatch):
+        # the route reads only the split's triangularization, so no level
+        # assembles B or C, and det(A) is taken once, by factor's check
+        conjugations, dets = [], []
+        conjugate, det_reps = _Basis.conjugate, linalg.det_reps
+
+        def spy_conjugate(basis, X):
+            conjugations.append(len(X))
+            return conjugate(basis, X)
+
+        def spy_det(arith, rows):
+            dets.append(tuple(map(tuple, rows)))
+            return det_reps(arith, rows)
+
+        monkeypatch.setattr(_Basis, "conjugate", spy_conjugate)
+        monkeypatch.setattr(linalg, "det_reps", spy_det)
+        monkeypatch.setattr(unipotent, "det_reps", spy_det)
+        for spec, n in (("GF(10007)", 16), ("GF(31)", 8), ("Q", 7)):
+            F = parse_field_spec(spec)
+            A = nonscalar_sl(F, n, random.Random(f"no-parts-{spec}"))
+            f = factor(A)
+            assert f"prop5.2(n={n})" in f.route
+            assert conjugations == []
+            assert dets.count(tuple(map(tuple, A.reps()))) == 1
+            # the spies do see these calls
+            ones = (F.one(),) * n
+            assert sourour_factor(A, ones, ones).b.det() == F.one()
+            assert conjugations and dets[-1] != dets[0]
+            conjugations.clear()
+            dets.clear()
 
     def test_two_commutator_route_runs_no_elimination(self, monkeypatch):
         # once the split is made, the parts are diagonalized by

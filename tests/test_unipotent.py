@@ -6,7 +6,7 @@ from u2factor.field import GF, rationals
 from u2factor.linalg import Matrix, identity, diagonal, jordan_block
 from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
                                 CommutatorPair,
-                                Factorization, verify, NotU2,
+                                Factorization, verify, NotU2, CertificateError,
                                 invert_factorization, conjugate_factorization,
                                 direct_sum_factorization,
                                 identity_factorization, embed_factorization,
@@ -106,7 +106,7 @@ class TestTransports:
         combined = concat_factorizations(target, [cert, cert])
         assert combined.pair_count() == 2
         assert verify(combined).passed
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError):
             concat_factorizations(cert.target, [cert, cert])
 
     def test_expand_to_u2_product(self):
