@@ -6,7 +6,7 @@ from .field import (FieldSpec, FieldElement, GF, rationals, make_field,
                     parse_field_spec, parse_element, sqrt, is_square,
                     sum_of_two_nonzero_squares, square_class_pairing)
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum,
-                     charpoly, minpoly, unipotent_jordan, parse_matrix_text,
+                     charpoly, unipotent_jordan, parse_matrix_text,
                      matrix_to_text)
 from .unipotent import (is_unipotent_index, is_u2, commutator, CommutatorPair,
                         Factorization, verify, expand_to_u2_product,
@@ -23,7 +23,7 @@ __all__ = [
     "parse_field_spec", "parse_element", "sqrt", "is_square",
     "sum_of_two_nonzero_squares", "square_class_pairing",
     "Matrix", "identity", "diagonal", "jordan_block", "direct_sum",
-    "charpoly", "minpoly", "unipotent_jordan", "parse_matrix_text",
+    "charpoly", "unipotent_jordan", "parse_matrix_text",
     "matrix_to_text",
     "is_unipotent_index", "is_u2", "commutator", "CommutatorPair",
     "Factorization", "verify", "expand_to_u2_product",

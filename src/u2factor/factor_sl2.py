@@ -194,15 +194,23 @@ def _factor_nonscalar(A: Matrix) -> Factorization:
     b = square_ne_inverse_witness(field)
     d = b * b
     spectrum = (d, d.inverse())
+    return split_into_diagonal_parts(A, spectrum, diag_commutator(d),
+                                     "prop3.11(generic)")
+
+
+def split_into_diagonal_parts(A: Matrix, spectrum, cert: Factorization,
+                              route: str) -> Factorization:
+    """A = B C by a split with both spectra ``spectrum``, whose entries
+    are distinct, and ``cert`` a certificate for diag(spectrum): each
+    part is diagonalized in the split's triangularizing basis and gets
+    ``cert``, conjugated.  Twice cert's pairs."""
     split = sourour_factor(A, spectrum, spectrum)
-    cert = diag_commutator(d)
-    T, T_inv, L, U = split.triangularize()
     parts = []
-    for R in (L, U):
-        P, Pinv = diagonalize_triangular(T, T_inv, R, spectrum)
+    for R in (split.L, split.U):
+        P, Pinv = diagonalize_triangular(split.T, split.T_inv, R, spectrum)
         parts.append(conjugate_factorization(cert, Pinv, P))
     return concat_factorizations(
-        A, parts, (split.route_tag(spectrum, spectrum), "prop3.11(generic)"))
+        A, parts, (split.route_tag(spectrum, spectrum), route))
 
 
 def _factor_nonscalar_gf5(A: Matrix) -> Factorization:

@@ -16,14 +16,14 @@ from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
                      unipotent_jordan, single_block_jordan,
                      find_diagonal_permutation, similarity_to_diagonal,
-                     diagonalize_triangular, ScalarInput)
+                     ScalarInput)
 from .unipotent import (Factorization, CommutatorPair, VerificationFailed,
                         verify, identity_factorization,
                         conjugate_factorization, invert_factorization,
                         direct_sum_factorization, embed_factorization,
                         concat_factorizations)
 from .factor_sl2 import (factor_sl2, diag_commutator, neg_identity,
-                         FactorError)
+                         split_into_diagonal_parts, FactorError)
 from .sourour import sourour_factor
 
 
@@ -39,6 +39,8 @@ class UnsupportedFieldSize(FactorError):
 
 def promised_max_pairs(F: FieldSpec, n: int) -> int:
     """Maximum commutator-pair count the dispatcher promises for (F, n)."""
+    if n < 1:
+        raise FactorError(f"need n >= 1, got {n}")
     if n == 1:
         return 0
     q = F.size  # None for Q
@@ -385,22 +387,14 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
         spectrum.append(F.one())
     for (a, ainv) in alphas:
         spectrum.extend([a, ainv])
-    spectrum = tuple(spectrum)
-    split = sourour_factor(A, spectrum, spectrum)
     blocks = [_diag_pair_cert(F, a) for (a, _) in alphas]
     cert = blocks[0]
     for c in blocks[1:]:
         cert = direct_sum_factorization(cert, c)
     if n % 2 == 1:
         cert = direct_sum_factorization(identity_factorization(F, 1), cert)
-    T, T_inv, L, U = split.triangularize()
-    parts = []
-    for R in (L, U):
-        P, Pinv = diagonalize_triangular(T, T_inv, R, spectrum)
-        parts.append(conjugate_factorization(cert, Pinv, P))
-    return concat_factorizations(
-        A, parts, (split.route_tag(spectrum, spectrum),
-                   f"prop5.2(n={n})"))
+    return split_into_diagonal_parts(A, tuple(spectrum), cert,
+                                     f"prop5.2(n={n})")
 
 
 def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
@@ -414,10 +408,9 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
     n = A.n
     ones = tuple([F.one()] * n)
     split = sourour_factor(A, ones, ones)
-    T, T_inv, L, U = split.triangularize()
     parts = []
-    for R, side in ((L, "b"), (U, "c")):
-        jd = (single_block_jordan(T, T_inv, R)
+    for R, side in ((split.L, "b"), (split.U, "c")):
+        jd = (single_block_jordan(split.T, split.T_inv, R)
               or unipotent_jordan(getattr(split, side)))
         block_certs = []
         for size in jd.partition:

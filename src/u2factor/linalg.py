@@ -197,9 +197,6 @@ class Matrix:
     def rank(self) -> int:
         return len(_rref(self.field.arith, self.reps())[1])
 
-    def nullity(self) -> int:
-        return self.n - self.rank()
-
     def inverse(self) -> "Matrix":
         arith, n = self.field.arith, self.n
         eye = diagonal_reps(arith, [arith.one] * n)
@@ -300,10 +297,6 @@ def zeros(field: FieldSpec, n: int) -> Matrix:
 def diagonal(field: FieldSpec, entries) -> Matrix:
     return Matrix.from_reps(field, diagonal_reps(field.arith,
                                                  _reps_of(field, entries)))
-
-
-def scalar_matrix(field: FieldSpec, c: FieldElement, n: int) -> Matrix:
-    return diagonal(field, [c] * n)
 
 
 def jordan_block(field: FieldSpec, n: int, lam: FieldElement) -> Matrix:
@@ -452,11 +445,7 @@ class IndependentSet:
         return True
 
 
-def matrix_from_columns(field: FieldSpec, cols) -> Matrix:
-    return Matrix(field, zip(*cols))
-
-
-# -- characteristic / minimal polynomial -----------------------------------
+# -- characteristic polynomial --------------------------------------------
 
 def charpoly(A: Matrix) -> Poly:
     """det(xI - A) in O(n^3) field operations.
@@ -504,31 +493,6 @@ def charpoly(A: Matrix) -> Poly:
             p[:i + 1] = map(sub, p[:i + 1], map(mul, repeat(c), minors[i]))
         minors.append(p)
     return Poly(field, [FieldElement(field, c) for c in minors[n]])
-
-
-def minpoly(A: Matrix) -> Poly:
-    """Monic minimal polynomial via the first Krylov dependency among
-    vectorized powers I, A, ..., A^n.  The powers below the degree d are
-    independent and every later one lies in their span, so the reduced
-    echelon form of the powers as columns has pivots 0..d-1, and its
-    column d holds the c_i with A^d = sum_{i<d} c_i A^i."""
-    field, n = A.field, A.n
-    arith = field.arith
-    powers = [diagonal_reps(arith, [arith.one] * n)]
-    for _ in range(n):
-        powers.append(arith.matmul(powers[-1], A._reps))
-    cols = [list(chain.from_iterable(P)) for P in powers]
-    work, pivots = _rref(arith, [list(r) for r in zip(*cols)])
-    d = len(pivots)
-    mp = Poly(field, [FieldElement(field, arith.neg(r[d])) for r in work[:d]]
-              + [field.one()])
-    assert (charpoly(A) % mp).is_zero(), "minimal polynomial must divide charpoly"
-    return mp
-
-
-def char_min_poly(A: Matrix):
-    """(charpoly, minpoly) as ascending coefficient lists."""
-    return list(charpoly(A).coeffs), list(minpoly(A).coeffs)
 
 
 # -- unipotent Jordan form --------------------------------------------------

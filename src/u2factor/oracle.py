@@ -61,10 +61,12 @@ class GroupTable:
 
 def enumerate_group(F: FieldSpec, n: int,
                     budget: int = DEFAULT_BUDGET) -> GroupTable:
-    """Enumerate all of SL_n(F_q); the count is asserted against the
+    """Enumerate all of SL_n(F_q); the count is checked against the
     order formula."""
     if not F.is_finite:
         raise OracleError("enumeration requires a finite field")
+    if n < 1:
+        raise OracleError(f"need n >= 1, got {n}")
     q = F.size
     expected = sl_order(q, n)
     if expected > budget:
@@ -83,7 +85,9 @@ def enumerate_group(F: FieldSpec, n: int,
         if is_u2(A):
             u2_ids.append(len(mats))
         mats.append(A)
-    assert len(mats) == expected, (len(mats), expected)
+    if len(mats) != expected:
+        raise OracleError(f"enumerated {len(mats)} elements of SL_{n}(F_{q}),"
+                          f" expected {expected}")
     return GroupTable(F, n, tuple(mats), index, tuple(u2_ids))
 
 

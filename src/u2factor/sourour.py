@@ -19,25 +19,23 @@ dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
 Q^-1 A Q and the correction cost O(m^2) each at an m x m level, O(n^3)
 in all, with no elimination and no dense matrix product.
 
-The search builds neither B nor C.  It keeps the levels of its success
-path (the basis, the heads b1, g1 and the row u / b1), and
-``SourourFactorization`` assembles from them only what a caller reads.
-B and C are Q Bt Q^-1 and Q Ct Q^-1 at every level, unwound on first
-read by ``_Basis.conjugate`` in O(n^3).  The levels also make one
-triangularizing basis (Sourour, "A factorization theorem for matrices",
-Linear Multilinear Algebra 19, 1986): Bt is lower and Ct upper block
-triangular, so unwinding the recursion gives B = T L T^-1 and
-C = T U T^-1 with T = Q_1 (1 (+) Q_2) (1 (+) 1 (+) Q_3) ..., L lower
-triangular with the betas on its diagonal and U upper triangular with
-the gammas.  ``SourourFactorization.triangularize`` unwinds them in
-O(n^3), through the two halves of ``_Basis.conjugate``; the
-two-commutator routes read only that, and the unipotent route reads B
-or C only for a part that is not one Jordan block.
+The search builds neither B nor C.  At every level Q^-1 B Q is lower
+and Q^-1 C Q upper block triangular around the next level's parts, so
+as its success path unwinds it returns one triangularizing basis
+(Sourour, "A factorization theorem for matrices", Linear Multilinear
+Algebra 19, 1986): B = T L T^-1 and C = T U T^-1, with T = Q_1 (1 (+)
+Q_2) (1 (+) 1 (+) Q_3) ..., L lower triangular with the betas on its
+diagonal and U upper triangular with the gammas.  A level with basis
+Q extends the inner (T1, T1^-1, L1, U1) to T = Q (1 (+) T1), T^-1 =
+(1 (+) T1^-1) Q^-1, the new column g1^-1 T1^-1 e1 of L and the new row
+(u / b1) T1 of U, in O(m^2) at an m x m level.  The two-commutator
+routes read only these four matrices; the unipotent route reads B or C
+(two products in ``SourourFactorization``) only for a part that is not
+one Jordan block.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -66,72 +64,31 @@ class _Dead(Exception):
 _BACKTRACK_BUDGET = 20000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SourourFactorization:
-    """A = B C, with charpoly(B) and charpoly(C) the prescribed ones.
+    """A = B C, with charpoly(B) and charpoly(C) the prescribed ones,
+    held as its triangularization: B = T L T^-1 and C = T U T^-1, with L
+    lower triangular with the betas on its diagonal and U upper
+    triangular with the gammas, in the order the search placed them.
 
-    The split is held as the levels of the search's success path, which
-    are not shown; two splits compare by identity.  B and C are unwound
-    from the levels when first read, and ``triangularize`` gives the
-    basis T in which B is lower and C upper triangular; a caller pays
-    only for what it reads.
+    B and C are read from these on first use, by two products each; a
+    caller that reads only T, T^-1, L and U never builds them.
     """
 
     field: FieldSpec
     backtracks: int
-    _core: tuple = dataclasses.field(repr=False)
-    _levels: tuple = dataclasses.field(repr=False)
+    T: Matrix
+    T_inv: Matrix
+    L: Matrix
+    U: Matrix
 
     @cached_property
     def b(self) -> Matrix:
-        """B = Q_1 Bt_1 Q_1^-1, with Bt = [[b1, 0], [g1^-1 e1, B1]] at
-        each level around the diagonal innermost split."""
-        ar = self.field.arith
-        zero = ar.zero
-        B = diagonal_reps(ar, self._core[0])
-        for basis, b1, g1, _ in self._levels:
-            g1_inv = ar.inv(g1)
-            B = basis.conjugate(
-                [[b1] + [zero] * len(B)]
-                + [[g1_inv if i == 0 else zero] + r for i, r in enumerate(B)])
-        return Matrix.from_reps(self.field, B)
+        return self.T @ self.L @ self.T_inv
 
     @cached_property
     def c(self) -> Matrix:
-        """C = Q_1 Ct_1 Q_1^-1, with Ct = [[g1, u / b1], [0, C1]] at each
-        level around the diagonal innermost split."""
-        ar = self.field.arith
-        zero = ar.zero
-        C = diagonal_reps(ar, self._core[1])
-        for basis, _, g1, top in self._levels:
-            C = basis.conjugate([[g1] + top] + [[zero] + r for r in C])
-        return Matrix.from_reps(self.field, C)
-
-    def triangularize(self):
-        """(T, T^-1, L, U) with B = T L T^-1 and C = T U T^-1, L lower
-        triangular with the betas on its diagonal and U upper triangular
-        with the gammas, in the order the search placed them.
-
-        The innermost split is diagonal, with T = I.  Each level around
-        it, with basis Q, gives T = Q (1 (+) T1), T^-1 = (1 (+) T1^-1)
-        Q^-1, the new column g1^-1 T1^-1 e1 of L and the new row
-        (u / b1) T1 of U, in O(m^2) at an m x m level.
-        """
-        field = self.field
-        ar = field.arith
-        zero, one = ar.zero, ar.one
-        betas, gammas = self._core
-        T = Tinv = diagonal_reps(ar, [one] * len(betas))
-        L, U = diagonal_reps(ar, betas), diagonal_reps(ar, gammas)
-        for basis, b1, g1, top in self._levels:
-            pad = [zero] * len(T)
-            g1_inv = ar.inv(g1)
-            L = [[b1] + pad] + [[ar.mul(g1_inv, t[0])] + r
-                                for t, r in zip(Tinv, L)]
-            U = [[g1] + ar.matmul([top], T)[0]] + [[zero] + r for r in U]
-            T = basis.left_mul(_bump(ar, T))
-            Tinv = basis.right_div(_bump(ar, Tinv))
-        return tuple(Matrix.from_reps(field, X) for X in (T, Tinv, L, U))
+        return self.T @ self.U @ self.T_inv
 
     def route_tag(self, betas, gammas) -> str:
         bs = ",".join(e.token() for e in betas)
@@ -264,44 +221,30 @@ class _Basis:
             out.append(s)
         return out
 
-    def conjugate(self, X):
-        """Rows of Q X Q^-1, for X given in the basis Q."""
-        return self.right_div(self.left_mul(X))
-
 
 class _Search:
-    def __init__(self, arith, budget):
+    def __init__(self, arith):
         self.arith = arith
-        self.budget = budget
         self.backtracks = 0
-        # the success path, from which SourourFactorization unwinds B, C
-        # and its triangularization: the diagonals of the innermost
-        # split, which is diagonal, and each level's (basis, b1, g1,
-        # u / b1), innermost first
-        self.core = None
-        self.levels = []
 
     def spend(self):
         self.backtracks += 1
-        if self.backtracks > self.budget:
+        if self.backtracks > _BACKTRACK_BUDGET:
             raise ConstructionFailed("backtracking budget exhausted")
 
     def factor(self, A, betas, gammas):
-        """Split A, given as rows of reps, and record the success path in
-        ``core`` and ``levels``."""
+        """Split A, given as rows of reps: the rows of (T, T^-1, L, U)."""
         ar, m = self.arith, len(A)
         if m == 1:
             if A[0][0] != ar.mul(betas[0], gammas[0]):
                 # determinant bookkeeping guarantees this never happens
                 raise _Dead
-            self.core = betas, gammas
-            return
+            return _diagonal_split(ar, betas, gammas)
         if is_scalar_reps(ar, A):
             matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
             if matched is None:
                 raise _Dead
-            self.core = betas, matched
-            return
+            return _diagonal_split(ar, betas, matched)
         head_orders = [(0, 0)]
         head_orders += [(i, j) for i in range(len(betas))
                         for j in range(len(gammas)) if (i, j) != (0, 0)]
@@ -314,8 +257,7 @@ class _Search:
             rest_b = betas[:hi] + betas[hi + 1:]
             rest_g = gammas[:hj] + gammas[hj + 1:]
             try:
-                self._step(A, b1, g1, rest_b, rest_g)
-                return
+                return self._step(A, b1, g1, rest_b, rest_g)
             except _Dead:
                 self.spend()
                 continue
@@ -343,18 +285,29 @@ class _Search:
                 [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
             A1[0] = sub_scaled(ar, A1[0], ar.inv(mu), u)
             try:
-                self.factor(A1, rest_b, rest_g)
+                T1, T1_inv, L1, U1 = self.factor(A1, rest_b, rest_g)
             except _Dead:
                 self.spend()
                 continue
+            # Q^-1 B Q = [[b1, 0], [g1^-1 e1, B1]] and Q^-1 C Q =
+            # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
             top = list(map(mul, u, repeat(ar.inv(b1))))
-            self.levels.append((basis, b1, g1, top))
-            return
+            g1_inv = ar.inv(g1)
+            L = [[b1] + [ar.zero] * (m - 1)] + [
+                [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]
+            U = [[g1] + ar.matmul([top], T1)[0]] + [[ar.zero] + r for r in U1]
+            return (basis.left_mul(_bump(ar, T1)),
+                    basis.right_div(_bump(ar, T1_inv)), L, U)
         raise _Dead
 
 
-def sourour_factor(A: Matrix, betas, gammas,
-                   budget: int = _BACKTRACK_BUDGET) -> SourourFactorization:
+def _diagonal_split(arith, betas, gammas):
+    """(T, T^-1, L, U) of the split diag(betas) diag(gammas), T = I."""
+    T = diagonal_reps(arith, [arith.one] * len(betas))
+    return T, T, diagonal_reps(arith, betas), diagonal_reps(arith, gammas)
+
+
+def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:
     """Split A into B C with the prescribed spectra.
 
     Raises ScalarInput / DeterminantMismatch on bad input and
@@ -382,11 +335,12 @@ def sourour_factor(A: Matrix, betas, gammas,
         prod = prod * e
     if prod != det:
         raise DeterminantMismatch("prod(betas)*prod(gammas) != det(A)")
-    search = _Search(field.arith, budget)
+    search = _Search(field.arith)
     try:
-        search.factor(A.reps(), tuple(e.rep for e in betas),
-                      tuple(e.rep for e in gammas))
+        rows = search.factor(A.reps(), tuple(e.rep for e in betas),
+                             tuple(e.rep for e in gammas))
     except _Dead:
         raise ConstructionFailed("search space exhausted")
-    return SourourFactorization(field, search.backtracks, search.core,
-                                tuple(search.levels))
+    return SourourFactorization(
+        field, search.backtracks,
+        *(Matrix.from_reps(field, X) for X in rows))

@@ -289,6 +289,18 @@ class TestIntegerOptions:
         assert err.startswith(f"error: {argv[-2]}: bad integer token")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle-lengths", "--field", "GF(2)", "--n", "0"),
+        ("oracle-derived", "--field", "GF(3)", "--n", "-1"),
+        ("oracle-check-trace", "--field", "GF(2)", "--n", "0"),
+        ("bounds", "--field", "Q", "--n", "0"),
+        ("bounds", "--field", "GF(7)", "--n", "-2"),
+    ])
+    def test_nonpositive_n_one_line_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: need n >= 1, got {argv[-1]}\n"
+
 
 class TestUsage:
     def test_no_command_exit_2(self, capsys):

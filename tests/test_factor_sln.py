@@ -183,9 +183,8 @@ class TestNonscalars:
                 f = factor(A)
                 assert f == first and f"prop4.5(n={n})" in f.route
                 (sp,) = splits
-                T, T_inv, L, U = sp.triangularize()
-                built = [side for side, R in (("b", L), ("c", U))
-                         if single_block_jordan(T, T_inv, R) is None]
+                built = [side for side, R in (("b", sp.L), ("c", sp.U))
+                         if single_block_jordan(sp.T, sp.T_inv, R) is None]
                 assert [side for side in "bc" if side in vars(sp)] == built
                 assert jordans == [getattr(sp, side) for side in built]
                 built_counts.add(len(built))

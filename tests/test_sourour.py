@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 from collections import Counter
@@ -5,20 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor import factor_sln, linalg, sourour, unipotent
+from u2factor import linalg, sourour, unipotent
 from u2factor.factor_sln import factor
 from u2factor.field import GF, rationals, parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
                              single_block_jordan, unipotent_jordan,
                              ScalarInput, SpectrumMismatch, NotUnipotent,
-                             IndependentSet, matrix_from_columns)
+                             IndependentSet)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
                               DeterminantMismatch, ConstructionFailed,
                               _BACKTRACK_BUDGET, _Basis, _Dead,
                               _candidate_supports, _match_scalar)
+
+# the module, which the package's factor_sl2 function shadows
+sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 
 def random_prescription(F, n, det, rng):
@@ -207,7 +211,7 @@ class _DenseSearch:
                 e = tuple(one if t == i else zero for t in range(m))
                 if span.add(_reps(e)):
                     cols.append(e)
-            Q = matrix_from_columns(field, cols)
+            Q = Matrix(field, zip(*cols))
             Qinv = Q.inverse()
             At = Qinv @ A @ Q
             u = At.rows[0][1:]
@@ -283,13 +287,13 @@ def assert_same_as_dense(A, betas, gammas):
 
 
 def assert_triangularized(split, betas, gammas):
-    """B = T L T^-1 and C = T U T^-1, L lower and U upper triangular with
-    the betas and the gammas on their diagonals."""
-    T, T_inv, L, U = split.triangularize()
+    """T T^-1 = I, and L lower and U upper triangular with the betas and
+    the gammas on their diagonals.  The split's B and C are T L T^-1 and
+    T U T^-1, which ``assert_same_as_dense`` checks against the dense
+    split."""
+    T, T_inv, L, U = split.T, split.T_inv, split.L, split.U
     F, n = T.field, T.n
     assert T @ T_inv == identity(F, n)
-    assert T @ L @ T_inv == split.b
-    assert T @ U @ T_inv == split.c
     for i in range(n):
         for j in range(i + 1, n):
             assert L[i, j].is_zero() and U[j, i].is_zero()
@@ -364,7 +368,7 @@ class TestTriangularize:
         A = Matrix.from_ints(F, [[0, 6], [1, 3]])
         two, four = F.element(2), F.element(4)
         split = sourour_factor(A, (two, four), (two, four))
-        T, T_inv, L, U = split.triangularize()
+        T, T_inv, L, U = split.T, split.T_inv, split.L, split.U
         for spectrum in ((two, two), (two, F.element(3)), (two,)):
             with pytest.raises(SpectrumMismatch):
                 diagonalize_triangular(T, T_inv, L, spectrum)
@@ -387,10 +391,10 @@ class TestSingleBlockJordan:
                 A = nonscalar_sl(F, n, rng)
                 ones = (F.one(),) * n
                 split = sourour_factor(A, ones, ones)
-                T, T_inv, L, U = split.triangularize()
-                for side, R, part in (("L", L, split.b), ("U", U, split.c)):
+                for side, R, part in (("L", split.L, split.b),
+                                      ("U", split.U, split.c)):
                     ref = unipotent_jordan(part)
-                    jd = single_block_jordan(T, T_inv, R)
+                    jd = single_block_jordan(split.T, split.T_inv, R)
                     one_block = len(ref.partition) == 1
                     seen[side, one_block] += 1
                     if not one_block:
@@ -421,9 +425,8 @@ class TestSingleBlockJordan:
                 A = nonscalar_sl(F, n, rng)
                 ones = (F.one(),) * n
                 split = sourour_factor(A, ones, ones)
-                T, T_inv, L, U = split.triangularize()
-                for R in (L, U):
-                    jd = single_block_jordan(T, T_inv, R)
+                for R in (split.L, split.U):
+                    jd = single_block_jordan(split.T, split.T_inv, R)
                     found += jd is not None
                     assert calls == Counter()
         assert found > 0
@@ -436,9 +439,9 @@ class TestSingleBlockJordan:
         A = Matrix.from_ints(F, [[0, 6, 1], [1, 3, 0], [0, 2, 1]])
         rng = random.Random(7)
         betas, gammas = distinct_prescription(F, 3, A.det(), rng)
-        T, T_inv, L, U = sourour_factor(A, betas, gammas).triangularize()
+        split = sourour_factor(A, betas, gammas)
         with pytest.raises(NotUnipotent):
-            single_block_jordan(T, T_inv, L)
+            single_block_jordan(split.T, split.T_inv, split.L)
 
 
 class TestBasis:
@@ -475,13 +478,11 @@ class TestBasis:
                              for i in range(m)]
                     added = [i for i in range(m) if span.add(_reps(units[i]))]
                     assert basis.kept == added
-                    Q = matrix_from_columns(
-                        F, [x, y] + [units[i] for i in added])
+                    Q = Matrix(F, zip(x, y, *(units[i] for i in added)))
                     Qinv = Q.inverse()
                     assert basis.solve_rows(W.reps()) == (Qinv @ W).reps()
                     assert basis.left_mul(X.reps()) == (Q @ X).reps()
                     assert basis.right_div(X.reps()) == (X @ Qinv).reps()
-                    assert basis.conjugate(X.reps()) == (Q @ X @ Qinv).reps()
                     cases.add((len(support), basis.xp, basis.xt is not None))
         assert cases == {(1, False, False), (2, True, False), (2, False, True)}
 
@@ -544,23 +545,22 @@ class TestStructure:
             assert set(calls) == {"rref", "inverse", "matmul"}
             calls.clear()
         assert not hasattr(sourour, "IndependentSet")
-        assert not hasattr(sourour, "matrix_from_columns")
 
     def test_two_commutator_route_builds_no_part(self, monkeypatch):
-        # the route reads only the split's triangularization, so no level
-        # assembles B or C, and det(A) is taken once, by factor's check
-        conjugations, dets = [], []
-        conjugate, det_reps = _Basis.conjugate, linalg.det_reps
+        # the route reads only the split's triangularization, so neither
+        # B nor C is built, and det(A) is taken once, by factor's check
+        splits, dets = [], []
+        det_reps = linalg.det_reps
 
-        def spy_conjugate(basis, X):
-            conjugations.append(len(X))
-            return conjugate(basis, X)
+        def split(*args, **kwargs):
+            splits.append(sourour_factor(*args, **kwargs))
+            return splits[-1]
 
         def spy_det(arith, rows):
             dets.append(tuple(map(tuple, rows)))
             return det_reps(arith, rows)
 
-        monkeypatch.setattr(_Basis, "conjugate", spy_conjugate)
+        monkeypatch.setattr(sl2_routes, "sourour_factor", split)
         monkeypatch.setattr(linalg, "det_reps", spy_det)
         monkeypatch.setattr(unipotent, "det_reps", spy_det)
         for spec, n in (("GF(10007)", 16), ("GF(31)", 8), ("Q", 7)):
@@ -568,13 +568,13 @@ class TestStructure:
             A = nonscalar_sl(F, n, random.Random(f"no-parts-{spec}"))
             f = factor(A)
             assert f"prop5.2(n={n})" in f.route
-            assert conjugations == []
+            (sp,) = splits
+            assert "b" not in vars(sp) and "c" not in vars(sp)
             assert dets.count(tuple(map(tuple, A.reps()))) == 1
-            # the spies do see these calls
-            ones = (F.one(),) * n
-            assert sourour_factor(A, ones, ones).b.det() == F.one()
-            assert conjugations and dets[-1] != dets[0]
-            conjugations.clear()
+            # the checks do see a part that is read
+            assert sp.b.det() == F.one()
+            assert "b" in vars(sp) and dets[-1] != dets[0]
+            splits.clear()
             dets.clear()
 
     def test_two_commutator_route_runs_no_elimination(self, monkeypatch):
@@ -597,7 +597,7 @@ class TestStructure:
             split_made.append(out)
             return out
 
-        monkeypatch.setattr(factor_sln, "sourour_factor", split)
+        monkeypatch.setattr(sl2_routes, "sourour_factor", split)
         monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
         monkeypatch.setattr(linalg, "_kernel_reps",
                             spy("kernel", linalg._kernel_reps))

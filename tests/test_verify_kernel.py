@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from u2factor import GF, factor, rationals
-from u2factor.linalg import Matrix, identity, scalar_matrix
+from u2factor.linalg import Matrix, diagonal, identity
 from u2factor.sampling import random_sl
 from u2factor.unipotent import (CommutatorPair, Factorization, Report,
                                 conjugate_factorization, is_u2,
@@ -187,7 +187,7 @@ def test_rationals_with_500_bit_entries():
 
 def test_two_i_fails_u2_and_det():
     f = _odd_cert()
-    two_i = scalar_matrix(GF(7), GF(7).element(2), 4)
+    two_i = diagonal(GF(7), [GF(7).element(2)] * 4)
     report = _same_report(_with_pair(f, 0, x=two_i))
     failed = _failed_names(report)
     if "pair[0].X is U2" not in failed or "pair[0] value det=1" not in failed:
