@@ -1,6 +1,11 @@
 """Survey commutator word lengths in small SL_2(F_q) and compare them
 with the constructive dispatcher's pair counts.
 
+Every pair count comes from ``factor``, which verifies its certificate.
+The survey exits 1 when the dispatcher refuses an element the oracle
+reaches, or returns fewer pairs than the true minimum; both checks are
+plain ones, so they also run under ``python -O``.
+
 Usage:
     python scripts/length_survey.py --qs 2 3 4 5 7 --out lengths.csv
 """
@@ -13,6 +18,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 
+class SurveyFailed(Exception):
+    pass
+
+
 @dataclass
 class SurveyConfig:
     qs: list = field(default_factory=lambda: [2, 3, 4, 5, 7])
@@ -23,7 +32,8 @@ class SurveyConfig:
 def survey(config: SurveyConfig):
     from u2factor.field import GF
     from u2factor import oracle
-    from u2factor.factor_sl2 import factor_sl2, OutsideDerivedSubgroup
+    from u2factor.factor_sl2 import OutsideDerivedSubgroup
+    from u2factor.factor_sln import factor
 
     rows = []
     for q in config.qs:
@@ -39,12 +49,15 @@ def survey(config: SurveyConfig):
         for eid, A in enumerate(table.elements):
             bfs = lengths[eid]
             try:
-                pairs = factor_sl2(A).pair_count()
+                pairs = factor(A).pair_count()
             except OutsideDerivedSubgroup:
                 pairs = None
-                assert bfs == oracle.UNREACHABLE
-            if pairs is not None:
-                assert bfs <= pairs, "certificate beat the true minimum?"
+                if bfs != oracle.UNREACHABLE:
+                    raise SurveyFailed(f"GF({q}) element {eid}: refused, "
+                                       f"but its length is {bfs}")
+            if pairs is not None and bfs > pairs:
+                raise SurveyFailed(f"GF({q}) element {eid}: {pairs} pairs "
+                                   f"beat the true minimum {bfs}")
             rows.append((q, eid,
                          ";".join(" ".join(r) for r in A.tokens()),
                          bfs, pairs))
@@ -58,7 +71,11 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=int, default=200_000)
     args = parser.parse_args(argv)
     config = SurveyConfig(qs=args.qs, out=args.out, budget=args.budget)
-    rows = survey(config)
+    try:
+        rows = survey(config)
+    except SurveyFailed as exc:
+        print(f"survey failed: {exc}", file=sys.stderr)
+        return 1
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write("q,id,matrix,bfs_length,dispatcher_pairs\n")

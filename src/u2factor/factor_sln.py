@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
     square_class_pairing
-from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum_all,
+from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum,
                      unipotent_jordan, single_block_jordan,
                      find_diagonal_permutation, similarity_to_diagonal,
                      ScalarInput)
@@ -74,7 +74,7 @@ def i_plus_j21(F: FieldSpec) -> Factorization:
     """
     X = Matrix.from_ints(F, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     Y = Matrix.from_ints(F, [[1, 0, 0], [-1, 1, 0], [0, 0, 1]])
-    target = direct_sum_all([identity(F, 1), jordan_block(F, 2, F.one())])
+    target = direct_sum(identity(F, 1), jordan_block(F, 2, F.one()))
     return Factorization(target, (CommutatorPair.unchecked(X, Y),),
                          ("prop4.1",))
 
@@ -85,11 +85,11 @@ def _jn1_xy(F: FieldSpec, n: int):
     one_block = identity(F, 1)
     j2 = jordan_block(F, 2, F.one())
     if n % 2 == 0:
-        X = direct_sum_all([one_block] + [j2] * ((n - 2) // 2) + [one_block])
-        Y = direct_sum_all([j2] * (n // 2))
+        X = direct_sum(one_block, *[j2] * ((n - 2) // 2), one_block)
+        Y = direct_sum(*[j2] * (n // 2))
     else:
-        X = direct_sum_all([one_block] + [j2] * ((n - 1) // 2))
-        Y = direct_sum_all([j2] * ((n - 1) // 2) + [one_block])
+        X = direct_sum(one_block, *[j2] * ((n - 1) // 2))
+        Y = direct_sum(*[j2] * ((n - 1) // 2), one_block)
     return X, Y
 
 
@@ -134,22 +134,6 @@ def j21_factor(F: FieldSpec) -> Factorization:
 
 # -- diagonal-blockwise assembly helpers ----------------------------------------
 
-def _factor_sl2_blocks(blocks, route_tag: str) -> Factorization:
-    """Certificate for a direct sum of 2x2 (or 1x1 identity) SL blocks;
-    each block is dispatched through factor_sl2 and combined by padded
-    direct sums (pair count = max over blocks)."""
-    certs = []
-    for blk in blocks:
-        if blk.n == 1:
-            certs.append(identity_factorization(blk.field, 1))
-        else:
-            certs.append(factor_sl2(blk))
-    out = certs[0]
-    for c in certs[1:]:
-        out = direct_sum_factorization(out, c)
-    return Factorization(out.target, out.pairs, (route_tag,) + out.route)
-
-
 def _diag_pair_cert(F, a: FieldElement) -> Factorization:
     """Certificate for diag(a, a^-1): empty when a = 1, else one pair."""
     if a.is_one():
@@ -157,14 +141,16 @@ def _diag_pair_cert(F, a: FieldElement) -> Factorization:
     return diag_commutator(a)
 
 
-def _square_diag_blocks_cert(F, values, route_tag: str) -> Factorization:
-    """Certificate for (+)_i diag(v_i, v_i^-1) where every v_i is a
-    square (or 1); exactly one pair unless all blocks are trivial."""
-    certs = [_diag_pair_cert(F, v) for v in values]
-    out = certs[0]
-    for c in certs[1:]:
-        out = direct_sum_factorization(out, c)
-    return Factorization(out.target, out.pairs, (route_tag,) + out.route)
+def _tagged(tag: str, cert: Factorization) -> Factorization:
+    """``cert`` with ``tag`` in front of its route."""
+    return Factorization(cert.target, cert.pairs, (tag,) + cert.route)
+
+
+def _permuted_to(cert: Factorization, D: Matrix) -> Factorization:
+    """``cert``, for a diagonal target, conjugated by the permutation
+    that carries its target to the diagonal matrix D."""
+    P = find_diagonal_permutation(cert.target, D)
+    return conjugate_factorization(cert, P, P.transpose())
 
 
 # -- scalar matrices --------------------------------------------------------------
@@ -185,7 +171,7 @@ def scalar_factor(lam: FieldElement, n: int) -> Factorization:
     if n % 2 == 1:
         return _scalar_odd(lam, n, target)
     if F.is_finite and F.size == 5:
-        return _scalar_even_gf5(lam, n, target)
+        return _scalar_even_gf5(lam, n)
     if not F.is_finite or F.size > 2 * n + 1:
         return _scalar_even_bigfield(lam, n, target)
     return _scalar_even_general(lam, n, target)
@@ -196,46 +182,31 @@ def _scalar_odd(lam, n, target):
     a power of b = lambda^((n+1)/2)."""
     F = lam.field
     k = (n - 1) // 2
-    first_entries = []
-    for i in range(1, k + 1):
-        first_entries.extend([lam ** i, lam ** (n - i)])
-    first_entries.append(F.one())
-    first = diagonal(F, first_entries)
     second_entries = []
     for i in range(1, k + 1):
         second_entries.extend([lam ** (n - i + 1), lam ** (i + 1)])
     second_entries.append(lam)
-    second = diagonal(F, second_entries)
-    f1 = _square_diag_blocks_cert(F, [lam ** i for i in range(1, k + 1)],
-                                  f"prop4.8(odd,n={n})")
-    f1 = direct_sum_factorization(f1, identity_factorization(F, 1))
-    f1 = Factorization(first, f1.pairs, f1.route)
+    # diag(lam, lam^(n-1), ..., lam^k, lam^(n-k), 1), one pair
+    f1 = direct_sum_factorization(*(
+        _diag_pair_cert(F, lam ** i) for i in range(1, k + 1)),
+        identity_factorization(F, 1))
+    f1 = _tagged(f"prop4.8(odd,n={n})", f1)
     # second factor is permutation similar to the first
-    P = find_diagonal_permutation(first, second)
-    f2 = conjugate_factorization(f1, P, P.transpose())
+    f2 = _permuted_to(f1, diagonal(F, second_entries))
     return concat_factorizations(target, [f1, f2])
 
 
-def _scalar_even_gf5(lam, n, target):
+def _scalar_even_gf5(lam, n):
     """GF(5), even n: -I_n as blocks of -I_2 (<= 3 pairs); 2I_n and 3I_n
     via the explicit 2I_4 identity (<= 4 pairs, n = 4k forced)."""
     F = lam.field
-    one = F.one()
-    if lam == -one:
-        block = neg_identity(F)
-        out = block
-        for _ in range(n // 2 - 1):
-            out = direct_sum_factorization(out, block)
-        return Factorization(target, out.pairs,
-                             (f"lemma4.6(q=5,lambda=-1,n={n})",) + out.route)
+    if lam == -F.one():
+        return _tagged(f"lemma4.6(q=5,lambda=-1,n={n})",
+                       direct_sum_factorization(*[neg_identity(F)] * (n // 2)))
     # lam is 2 or 3 (so 4 | n); 3I = (2I)^-1
     if lam == F.element(3):
         return invert_factorization(scalar_factor(F.element(2), n))
-    block4 = _two_i4_gf5(F)
-    out = block4
-    for _ in range(n // 4 - 1):
-        out = direct_sum_factorization(out, block4)
-    return out
+    return direct_sum_factorization(*[_two_i4_gf5(F)] * (n // 4))
 
 
 @lru_cache(maxsize=32)
@@ -294,16 +265,13 @@ def _scalar_even_bigfield(lam, n, target):
     Cmat = diagonal(F, c_entries)
     # C ~ blocks diag(y, y^-1) with y = lam^(2-2i) d^-1 = (lam^(1-i)/a)^2
     y_vals = [lam ** (2 - 2 * i) * dinv for i in range(1, k + 1)]
-    fC_sorted = _square_diag_blocks_cert(F, y_vals,
-                                         f"prop5.3(n={n},a={a.token()})")
-    PC = find_diagonal_permutation(fC_sorted.target, Cmat)
-    fC = conjugate_factorization(fC_sorted, PC, PC.transpose())
+    fC = direct_sum_factorization(*(_diag_pair_cert(F, y) for y in y_vals))
+    fC = _permuted_to(_tagged(f"prop5.3(n={n},a={a.token()})", fC), Cmat)
     # B ~ blocks diag(x, x^-1) with x = lam^(2i-1) d, never scalar
     x_vals = [lam ** (2 * i - 1) * d for i in range(1, k + 1)]
-    blocks = [diagonal(F, [x, x.inverse()]) for x in x_vals]
-    fB_sorted = _factor_sl2_blocks(blocks, f"prop5.3(blocks,n={n})")
-    PB = find_diagonal_permutation(fB_sorted.target, Bmat)
-    fB = conjugate_factorization(fB_sorted, PB, PB.transpose())
+    fB = direct_sum_factorization(*(
+        factor_sl2(diagonal(F, [x, x.inverse()])) for x in x_vals))
+    fB = _permuted_to(_tagged(f"prop5.3(blocks,n={n})", fB), Bmat)
     return concat_factorizations(target, [fB, fC])
 
 
@@ -325,16 +293,15 @@ def _scalar_even_general(lam, n, target):
     k = n // 2
     Cmat = diagonal(F, [e for i in range(1, k + 1)
                         for e in (lam ** (2 - 2 * i), lam ** (2 * i))])
-    b_blocks = [diagonal(F, [lam ** (2 * i - 1), lam ** (n - 2 * i + 1)])
-                for i in range(1, k + 1)]
-    fB = _factor_sl2_blocks(b_blocks, f"prop4.8(even,B,n={n})")
+    fB = direct_sum_factorization(*(
+        factor_sl2(diagonal(F, [lam ** (2 * i - 1), lam ** (n - 2 * i + 1)]))
+        for i in range(1, k + 1)))
+    fB = _tagged(f"prop4.8(even,B,n={n})", fB)
     # C is permutation similar to I_2 (+) diag blocks of even powers
-    c_blocks = [lam ** (2 * i) for i in range(1, k)]
-    blocks = [identity(F, 2)] + \
-        [diagonal(F, [c, c.inverse()]) for c in c_blocks]
-    fC_sorted = _factor_sl2_blocks(blocks, f"prop4.8(even,C,n={n})")
-    P = find_diagonal_permutation(fC_sorted.target, Cmat)
-    fC = conjugate_factorization(fC_sorted, P, P.transpose())
+    c_vals = [lam ** (2 * i) for i in range(1, k)]
+    fC = direct_sum_factorization(factor_sl2(identity(F, 2)), *(
+        factor_sl2(diagonal(F, [c, c.inverse()])) for c in c_vals))
+    fC = _permuted_to(_tagged(f"prop4.8(even,C,n={n})", fC), Cmat)
     return concat_factorizations(target, [fB, fC])
 
 
@@ -382,17 +349,12 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
             break
     if len(alphas) < k:
         raise UnsupportedFieldSize("not enough inverse square pairs")
-    spectrum = []
-    if n % 2 == 1:
-        spectrum.append(F.one())
+    spectrum = [F.one()] * (n % 2)
     for (a, ainv) in alphas:
         spectrum.extend([a, ainv])
-    blocks = [_diag_pair_cert(F, a) for (a, _) in alphas]
-    cert = blocks[0]
-    for c in blocks[1:]:
-        cert = direct_sum_factorization(cert, c)
-    if n % 2 == 1:
-        cert = direct_sum_factorization(identity_factorization(F, 1), cert)
+    cert = direct_sum_factorization(
+        *[identity_factorization(F, 1)] * (n % 2),
+        *(_diag_pair_cert(F, a) for (a, _) in alphas))
     return split_into_diagonal_parts(A, tuple(spectrum), cert,
                                      f"prop5.2(n={n})")
 
@@ -412,17 +374,10 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
     for R, side in ((split.L, "b"), (split.U, "c")):
         jd = (single_block_jordan(split.T, split.T_inv, R)
               or unipotent_jordan(getattr(split, side)))
-        block_certs = []
-        for size in jd.partition:
-            if size == 1:
-                block_certs.append(identity_factorization(F, 1))
-            elif size == 2:
-                block_certs.append(j21_factor(F))
-            else:
-                block_certs.append(jn1_factor(size, F))
-        cert = block_certs[0]
-        for c in block_certs[1:]:
-            cert = direct_sum_factorization(cert, c)
+        cert = direct_sum_factorization(*(
+            identity_factorization(F, 1) if size == 1
+            else j21_factor(F) if size == 2 else jn1_factor(size, F)
+            for size in jd.partition))
         parts.append(conjugate_factorization(cert, jd.transform_inverse,
                                              jd.transform))
     return concat_factorizations(

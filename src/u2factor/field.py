@@ -884,7 +884,9 @@ class SquareClassData:
         q = F.size
         expected = (q - 2) // 2 if F.p == 2 else \
             ((q - 3) // 4 if len(self.E) == 1 else (q - 5) // 4)
-        assert len(pairs) == expected, (len(pairs), expected, q)
+        if len(pairs) != expected:
+            raise FieldError(f"GF({q}) gave {len(pairs)} inverse square "
+                             f"pairs, expected {expected}")
         return pairs
 
 

@@ -24,7 +24,9 @@ the same way, so for a distinct spectrum they give the same P and P^-1.
 
 Two functions give the Jordan data of a unipotent matrix.
 ``unipotent_jordan`` takes the kernels of the powers of A - I, one
-elimination per power, which is O(n^4) when A is one Jordan block.
+elimination per power, which is O(n^4) when A is one Jordan block, and
+picks the tops of the Jordan chains against one growing set of chain
+bottoms.
 ``single_block_jordan`` is given A as T R T^-1 with R unit triangular,
 as a unipotent Sourour split provides it; when A is one block it gives
 the same data with no elimination, by a chain in the basis T and
@@ -194,9 +196,6 @@ class Matrix:
             self._det = det_reps(self.field.arith, self._reps)
         return FieldElement(self.field, self._det)
 
-    def rank(self) -> int:
-        return len(_rref(self.field.arith, self.reps())[1])
-
     def inverse(self) -> "Matrix":
         arith, n = self.field.arith, self.n
         eye = diagonal_reps(arith, [arith.one] * n)
@@ -290,10 +289,6 @@ def identity(field: FieldSpec, n: int) -> Matrix:
     return Matrix.from_reps(field, diagonal_reps(arith, [arith.one] * n))
 
 
-def zeros(field: FieldSpec, n: int) -> Matrix:
-    return Matrix.from_reps(field, [[field.arith.zero] * n] * n)
-
-
 def diagonal(field: FieldSpec, entries) -> Matrix:
     return Matrix.from_reps(field, diagonal_reps(field.arith,
                                                  _reps_of(field, entries)))
@@ -306,21 +301,19 @@ def jordan_block(field: FieldSpec, n: int, lam: FieldElement) -> Matrix:
     return Matrix.from_reps(field, rows)
 
 
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field:
+def direct_sum(*mats: Matrix) -> Matrix:
+    """The block-diagonal matrix of the given blocks, in order."""
+    field = mats[0].field
+    if any(m.field != field for m in mats):
         raise FieldMismatch("direct sum over different fields")
-    zero = a.field.arith.zero
-    right, left = (zero,) * b.n, (zero,) * a.n
-    return Matrix.from_reps(a.field, [r + right for r in a._reps]
-                            + [left + r for r in b._reps])
-
-
-def direct_sum_all(mats) -> Matrix:
-    mats = list(mats)
-    out = mats[0]
-    for m in mats[1:]:
-        out = direct_sum(out, m)
-    return out
+    zero = field.arith.zero
+    n = sum(m.n for m in mats)
+    rows, before = [], 0
+    for m in mats:
+        left, right = (zero,) * before, (zero,) * (n - before - m.n)
+        rows.extend(left + r + right for r in m._reps)
+        before += m.n
+    return Matrix.from_reps(field, rows)
 
 
 # -- elimination core ------------------------------------------------------
@@ -504,16 +497,24 @@ class JordanData:
 
     partition: tuple
     transform: Matrix
-    form: Matrix
     transform_inverse: Matrix
+
+    @property
+    def form(self) -> Matrix:
+        """The direct sum of the J_{n_i}(1), P A P^-1."""
+        field = self.transform.field
+        return direct_sum(*(jordan_block(field, h, field.one())
+                            for h in self.partition))
 
 
 def unipotent_jordan(A: Matrix) -> JordanData:
     """Jordan data for a unipotent matrix (all eigenvalues 1).
 
-    Chains are built largest block first; complement vectors are chosen
-    by scanning deterministic kernel bases, so transforms are
-    reproducible.
+    Chains are built largest block first.  A vector v of ker N^j, N = A - I,
+    tops a new chain of height j exactly when its bottom N^(j-1) v is
+    independent of the bottoms of the chains already chosen; candidates
+    are scanned in the deterministic order of each kernel basis, so
+    transforms are reproducible.
     """
     field, n = A.field, A.n
     arith = field.arith
@@ -524,27 +525,20 @@ def unipotent_jordan(A: Matrix) -> JordanData:
             raise NotUnipotent("matrix is not unipotent")
         npowers.append(arith.matmul(npowers[-1], N))
     index = len(npowers) - 1
-    kernels = [[]] + [_kernel_reps(arith, npowers[j])
-                      for j in range(1, index + 1)]
+    bottoms = IndependentSet(field, n)
     tops = []  # (vector, height), heights non-increasing by construction
     for j in range(index, 0, -1):
-        span = IndependentSet(field, n)
-        for v in kernels[j - 1]:
-            span.add(v)
-        for (u, h) in tops:
-            span.add(apply_reps(arith, npowers[h - j], u))
-        for v in kernels[j]:
-            if span.add(v):
+        kernel = _kernel_reps(arith, npowers[j])
+        # the bottom N^(j-1) v of every kernel vector v, in one product
+        images = zip(*arith.matmul(npowers[j - 1], list(zip(*kernel))))
+        for v, bottom in zip(kernel, images):
+            if bottoms.add(bottom):
                 tops.append((v, j))
     cols = []
     for (v, h) in tops:
         cols.extend(apply_reps(arith, npowers[h - 1 - i], v) for i in range(h))
     Q = Matrix.from_reps(field, list(zip(*cols)))
-    P = Q.inverse()
-    form = direct_sum_all([jordan_block(field, h, field.one())
-                           for (_, h) in tops])
-    partition = tuple(h for (_, h) in tops)
-    return JordanData(partition, P, form, Q)
+    return JordanData(tuple(h for (_, h) in tops), Q.inverse(), Q)
 
 
 def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
@@ -582,7 +576,6 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     Q = [r[::-1] for r in arith.matmul(Tr, K_rev)]
     P = arith.matmul(_lower_inverse(arith, K_rev)[::-1], Tinv)
     return JordanData((n,), Matrix.from_reps(field, P),
-                      jordan_block(field, n, field.one()),
                       Matrix.from_reps(field, Q))
 
 

@@ -253,26 +253,29 @@ def conjugate_factorization(f: Factorization, P: Matrix,
                          f.route + ("transport:conjugate",))
 
 
-def direct_sum_factorization(f: Factorization, g: Factorization) -> Factorization:
-    """Certificate for target_f (+) target_g with max(r, s) pairs.
+def direct_sum_factorization(*fs: Factorization) -> Factorization:
+    """Certificate for the direct sum of the targets, in order, with as
+    many pairs as the longest certificate.
 
-    The shorter pair list is padded with identity blocks on its side;
-    a padded pair is still U2 because the other side's members are.
+    Pair i is the direct sum of each block's pair i, with I on the side
+    of a block that has fewer pairs; a padded pair is still U2 because
+    another block's members are.  The route is the blocks' routes in
+    order.  The direct sum of one certificate is that certificate.
     """
-    if f.target.field != g.target.field:
+    field = fs[0].target.field
+    if any(f.target.field != field for f in fs):
         raise CertificateError("direct sum over different fields")
-    field = f.target.field
-    m, n = f.target.n, g.target.n
-    im, in_ = identity(field, m), identity(field, n)
-    r, s = len(f.pairs), len(g.pairs)
+    if len(fs) == 1:
+        return fs[0]
+    pads = [identity(field, f.target.n) for f in fs]
     pairs = []
-    for i in range(max(r, s)):
-        fx, fy = (f.pairs[i].x, f.pairs[i].y) if i < r else (im, im)
-        gx, gy = (g.pairs[i].x, g.pairs[i].y) if i < s else (in_, in_)
-        pairs.append(CommutatorPair.unchecked(direct_sum(fx, gx),
-                                              direct_sum(fy, gy)))
-    return Factorization(direct_sum(f.target, g.target), tuple(pairs),
-                         f.route + g.route)
+    for i in range(max(len(f.pairs) for f in fs)):
+        xs, ys = zip(*((f.pairs[i].x, f.pairs[i].y) if i < len(f.pairs)
+                       else (pad, pad) for f, pad in zip(fs, pads)))
+        pairs.append(CommutatorPair.unchecked(direct_sum(*xs),
+                                              direct_sum(*ys)))
+    return Factorization(direct_sum(*(f.target for f in fs)), tuple(pairs),
+                         tuple(chain.from_iterable(f.route for f in fs)))
 
 
 def identity_factorization(field: FieldSpec, n: int) -> Factorization:
@@ -282,12 +285,8 @@ def identity_factorization(field: FieldSpec, n: int) -> Factorization:
 def embed_factorization(f: Factorization, before: int, after: int) -> Factorization:
     """Certificate for I_before (+) target (+) I_after."""
     field = f.target.field
-    out = f
-    if before:
-        out = direct_sum_factorization(identity_factorization(field, before), out)
-    if after:
-        out = direct_sum_factorization(out, identity_factorization(field, after))
-    return out
+    return direct_sum_factorization(identity_factorization(field, before), f,
+                                    identity_factorization(field, after))
 
 
 def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorization:

@@ -7,7 +7,7 @@ import pytest
 
 from u2factor.field import GF, rationals
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
-                             zeros, unipotent_jordan, charpoly)
+                             unipotent_jordan, charpoly)
 from u2factor.poly import Poly
 from u2factor.unipotent import (verify, commutator, is_u2,
                                 expand_to_u2_product)
@@ -198,7 +198,8 @@ def test_acceptance_08_jn1_and_power_patterns():
             assert (Ae ** k).is_zero()
             top = Ae ** (k - 1)
             Bk = B ** (k - 1)
-            expect = _lemma_pattern_ae(F, zeros(F, 2), zeros(F, 2), k)
+            zero = Matrix.from_ints(F, [[0, 0], [0, 0]])
+            expect = _lemma_pattern_ae(F, zero, zero, k)
             rows = [list(r) for r in expect.rows]
             for r in range(2):
                 for c in range(2):

@@ -5,7 +5,7 @@ import pytest
 from u2factor import factor_sln
 from u2factor.field import GF, rationals
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
-                             direct_sum_all, unipotent_jordan,
+                             direct_sum, unipotent_jordan,
                              single_block_jordan, charpoly)
 from u2factor.poly import Poly
 from u2factor.unipotent import verify, commutator, is_u2, \
@@ -58,8 +58,8 @@ class TestExplicitBlocks:
         F = GF(q)
         cert = check(i_plus_j21(F))
         assert cert.pair_count() == 1
-        assert cert.target == direct_sum_all(
-            [identity(F, 1), jordan_block(F, 2, F.one())])
+        assert cert.target == direct_sum(identity(F, 1),
+                                         jordan_block(F, 2, F.one()))
 
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("q", [4, 5, 7])

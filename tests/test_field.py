@@ -341,6 +341,15 @@ class TestSquareClassPairing:
         assert len(data.pairs) == ((p - 3) // 4 if len(E) == 1
                                    else (p - 5) // 4)
 
+    def test_short_pair_count_raises(self, monkeypatch):
+        """The count check on the full pairs tuple is a plain check, so
+        it also holds under python -O."""
+        data = square_class_pairing(GF(13))
+        first = next(data.iter_pairs())
+        monkeypatch.setattr(data, "iter_pairs", lambda: iter([first]))
+        with pytest.raises(FieldError, match="expected 2"):
+            data.pairs
+
     def test_pairs_built_only_when_read(self):
         f = GF(1000003)
         stream = square_class_pairing(f).iter_pairs()

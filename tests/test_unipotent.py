@@ -1,9 +1,11 @@
 import json
+from itertools import permutations
 
 import pytest
 
 from u2factor.field import GF, rationals
-from u2factor.linalg import Matrix, identity, diagonal, jordan_block
+from u2factor.linalg import Matrix, identity, diagonal, jordan_block, \
+    direct_sum
 from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
                                 CommutatorPair,
                                 Factorization, verify, NotU2, CertificateError,
@@ -60,6 +62,30 @@ def sample_cert(f):
     return factor_sl2(Matrix.from_ints(f, [[0, -1], [1, 3]]))
 
 
+def pairwise_direct_sum(f, g):
+    """The two-block direct sum as it was folded pairwise: max(r, s)
+    pairs, the shorter side padded with identity blocks."""
+    im, ig = identity(f.target.field, f.target.n), \
+        identity(g.target.field, g.target.n)
+    pairs = []
+    for i in range(max(len(f.pairs), len(g.pairs))):
+        fx, fy = (f.pairs[i].x, f.pairs[i].y) if i < len(f.pairs) else (im, im)
+        gx, gy = (g.pairs[i].x, g.pairs[i].y) if i < len(g.pairs) else (ig, ig)
+        pairs.append(CommutatorPair.unchecked(direct_sum(fx, gx),
+                                              direct_sum(fy, gy)))
+    return Factorization(direct_sum(f.target, g.target), pairs,
+                         f.route + g.route)
+
+
+def certs_with_0_1_2_pairs(f):
+    """Certificates of sizes 1, 2 and 2 with 0, 1 and 2 pairs, each with
+    a route of its own."""
+    one = sample_cert(f)
+    two = concat_factorizations(one.target @ one.target, [one, one],
+                                ("twice",))
+    return (Factorization(identity(f, 1), (), ("none",)), one, two)
+
+
 class TestTransports:
     def test_invert(self):
         f = GF(7)
@@ -90,6 +116,41 @@ class TestTransports:
         other = direct_sum_factorization(one_pair, sample_cert(f))
         assert other.pair_count() == 1
         assert verify(other).passed
+
+    @pytest.mark.parametrize("order", list(permutations(range(3))))
+    def test_n_ary_direct_sum_is_the_pairwise_fold(self, order):
+        f = GF(7)
+        certs = [certs_with_0_1_2_pairs(f)[i] for i in order]
+        got = direct_sum_factorization(*certs)
+        want = pairwise_direct_sum(pairwise_direct_sum(certs[0], certs[1]),
+                                   certs[2])
+        assert got.target == want.target
+        assert got.pairs == want.pairs and got.pair_count() == 2
+        assert got.route == want.route
+        assert got.route == sum((c.route for c in certs), ())
+        assert verify(got).passed
+        assert direct_sum_factorization(certs[0]) is certs[0]
+
+    def test_direct_sum_field_mismatch(self):
+        with pytest.raises(CertificateError):
+            direct_sum_factorization(sample_cert(GF(7)), sample_cert(GF(5)),
+                                     sample_cert(GF(7)))
+
+    @pytest.mark.parametrize("before,after", [(0, 2), (2, 0), (0, 0)])
+    def test_embed_at_an_edge(self, before, after):
+        f = GF(5)
+        cert = sample_cert(f)
+        emb = embed_factorization(cert, before, after)
+        assert emb.target == direct_sum(identity(f, before), cert.target,
+                                        identity(f, after))
+        assert emb.route == cert.route
+        want = cert
+        if before:
+            want = pairwise_direct_sum(identity_factorization(f, before), want)
+        if after:
+            want = pairwise_direct_sum(want, identity_factorization(f, after))
+        assert emb.pairs == want.pairs
+        assert verify(emb).passed
 
     def test_embed(self):
         f = GF(5)
