@@ -9,18 +9,38 @@ canonical order so results are reproducible run to run.
 
 Arithmetic on those representations lives in one class per field kind
 (``PrimeArith``, ``ExtensionArith``, ``RationalArith``), which
-``FieldSpec`` chooses when it is made.  Element operators and matrix
-products both call it.  Over GF(p) it works on ints mod p, and a matrix
-entry is one integer dot product reduced once.  Over GF(p^k) products
-go through log/antilog tables of a primitive element, O(q) entries
-built from q - 1 polynomial products.  Over Q element operations use
-``Fraction``, and a matrix product clears each row of its left operand
-and each column of its right one to integers over their own common
-denominator, so an entry costs one integer dot product and one ``gcd``
-instead of one per term.  ``primitive`` is the scale that
+``FieldSpec`` chooses when it is made.  Element operators, matrix
+products, row operations (``scale``, ``sub_scaled``) and determinants
+(``det``) all call it, so no elimination outside this module makes a
+call per entry.
+
+- Over GF(p) it works on ints mod p, and a row operation is one
+  comprehension of int arithmetic.  A matrix product with at least
+  ``_PACK_MIN`` rows on the left and columns on the right packs each row
+  of its right operand into one int with slots wide enough that none
+  carries (Kronecker substitution), so a row of the product is one sum of
+  k int products, cut into entries by a shift, a mask and a reduction mod
+  p each.  A smaller product, a matrix-vector product among them, takes
+  one integer dot product per entry, reduced once.
+- Over GF(p^k) products go through log/antilog tables of a primitive
+  element, O(q) entries built from q - 1 polynomial products; a row
+  operation is one antilog lookup and one coefficient-wise difference
+  per entry.
+- Over Q element operations and row operations use ``Fraction``.  A
+  matrix product clears each row of its left operand and each column of
+  its right one to integers over their own common denominator, so an
+  entry costs one integer dot product and one ``gcd`` instead of one per
+  term.  A determinant clears each row likewise and runs Bareiss's
+  fraction-free elimination, one ``Fraction`` in all.
+
+The finite kinds share their determinant, Gaussian elimination through
+``sub_scaled``.  ``primitive`` is the scale that
 ``similarity_to_diagonal`` and ``diagonalize_triangular`` put on each
 eigenvector: over Q a primitive integer vector with a positive last
 nonzero coordinate, over a finite field the vector as it is.
+``FieldSpec.element`` takes an int, a Fraction (a / b is a * b^-1 in a
+finite field) or, over GF(p^k), a tuple or list of them as
+coefficients; a float or any other type raises FieldError.
 
 Every integer in a token or a field spec is an optional sign and ASCII
 digits, and a Q token is such an integer and optionally ``/digits``.
@@ -235,7 +255,64 @@ def _poly_is_irreducible(modulus, p: int) -> bool:
 # FieldSpec picks one in __init__.  Every Matrix algorithm runs on reps
 # through it; FieldElement's operators hand it reps and wrap the result.
 
-class PrimeArith:
+def _residue(value, p: int) -> int:
+    """The residue of an int mod p, or of a Fraction a/b as a * b^-1;
+    DivisionByZero when p divides b, FieldError for any other type."""
+    if isinstance(value, int):
+        return value % p
+    if isinstance(value, Fraction):
+        den = value.denominator % p
+        if not den:
+            raise DivisionByZero(f"{value} has a denominator divisible by {p}")
+        return value.numerator * pow(den, -1, p) % p
+    raise FieldError(f"cannot coerce {type(value).__name__} {value!r}: "
+                     f"expected an int or a Fraction")
+
+
+# A product whose left operand has fewer rows, or whose right operand
+# has fewer columns, than this takes one dot product per entry; a larger
+# one packs the right operand's rows (``PrimeArith.matmul``).  The packing
+# costs about as much as it saves at 4 x 4 (several p, 2-vCPU VM).
+_PACK_MIN = 5
+
+
+class _FiniteArith:
+    """What GF(p) and GF(p^k) share: eigenvectors keep their scale, and
+    the determinant is Gaussian elimination through ``sub_scaled``."""
+
+    __slots__ = ()
+
+    def primitive(self, vec):
+        """The eigenvector scale over Q; a finite field keeps vec as is."""
+        return vec
+
+    def det(self, rows):
+        """Determinant of square rows of reps.  The first nonzero entry
+        in each column is the pivot, and entries left of the pivot
+        column are never read again, so they are not updated."""
+        work = [list(r) for r in rows]
+        n, is_zero, mul = len(work), self.is_zero, self.mul
+        det = self.one
+        for col in range(n):
+            pivot = next((r for r in range(col, n)
+                          if not is_zero(work[r][col])), None)
+            if pivot is None:
+                return self.zero
+            if pivot != col:
+                work[col], work[pivot] = work[pivot], work[col]
+                det = self.neg(det)
+            head = work[col][col]
+            det = mul(det, head)
+            inv = self.inv(head)
+            tail = work[col][col + 1:]
+            for row in work[col + 1:]:
+                if not is_zero(row[col]):
+                    row[col + 1:] = self.sub_scaled(
+                        row[col + 1:], mul(row[col], inv), tail)
+        return det
+
+
+class PrimeArith(_FiniteArith):
     """GF(p): residues in [0, p)."""
 
     __slots__ = ("p", "zero", "one")
@@ -244,7 +321,7 @@ class PrimeArith:
         self.p, self.zero, self.one = p, 0, 1
 
     def coerce(self, value) -> int:
-        return int(value) % self.p
+        return _residue(value, self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -264,22 +341,45 @@ class PrimeArith:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps: one exact
-        integer dot product and one reduction mod p per entry."""
-        p, mul = self.p, operator.mul
-        cols = list(zip(*b))
-        return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
+    def scale(self, row, c) -> list:
+        """c * row."""
+        p = self.p
+        return [x * c % p for x in row]
 
-    def primitive(self, vec):
-        """The eigenvector scale over Q; a finite field keeps vec as is."""
-        return vec
+    def sub_scaled(self, row, c, other):
+        """row - c * other, or row itself when c is zero."""
+        if not c:
+            return row
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(row, other)]
+
+    def matmul(self, a, b) -> list:
+        """Rows of a @ b, for a and b given as rows of reps.
+
+        Below ``_PACK_MIN`` rows of a or columns of b, an entry is one
+        integer dot product reduced mod p once.  Otherwise each row of b
+        becomes one int with its entry j in bits [j w, (j+1) w), and row
+        i of the product is the integer sum of a[i][t] times packed row
+        t (Kronecker substitution).  Reps lie in [0, p), so a slot sums
+        at most k (p - 1)^2 < 2^w for inner dimension k, and never
+        carries into the next; each entry is one shift, one mask and one
+        reduction mod p.
+        """
+        p, mul = self.p, operator.mul
+        if len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN:
+            cols = list(zip(*b))
+            return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
+        width = (len(b) * (p - 1) ** 2).bit_length()
+        mask, shifts = (1 << width) - 1, range(0, width * len(b[0]), width)
+        packed = [sum(map(operator.lshift, r, shifts)) for r in b]
+        return [[(v >> s & mask) % p for s in shifts]
+                for v in (sum(map(mul, r, packed)) for r in a)]
 
     def token(self, a) -> str:
         return str(a)
 
 
-class ExtensionArith:
+class ExtensionArith(_FiniteArith):
     """GF(p^k): coefficient tuples (ascending degree) modulo the monic
     irreducible modulus.
 
@@ -314,9 +414,11 @@ class ExtensionArith:
         self._packed = {}
 
     def coerce(self, value) -> tuple:
-        if isinstance(value, int):
-            return (value % self.p,) + self.zero[1:]
-        rep = tuple(int(c) % self.p for c in value)
+        """An int or Fraction in the prime subfield, or a tuple or list
+        of them as coefficients, padded with zeros to length k."""
+        if not isinstance(value, (tuple, list)):
+            return (_residue(value, self.p),) + self.zero[1:]
+        rep = tuple(_residue(c, self.p) for c in value)
         if len(rep) < self.k:
             rep = rep + self.zero[len(rep):]
         if len(rep) != self.k:
@@ -343,6 +445,23 @@ class ExtensionArith:
 
     def inv(self, a):
         return self._exp[-self._log[a] % self._order]
+
+    def scale(self, row, c) -> list:
+        """c * row, one antilog lookup per entry."""
+        log, exp = self._log, self._exp
+        lc = log[c]
+        return [exp[lc + log[x]] for x in row]
+
+    def sub_scaled(self, row, c, other):
+        """row - c * other, or row itself when c is zero: one antilog
+        lookup and one coefficient-wise difference per entry."""
+        if c == self.zero:
+            return row
+        log, exp, sub = self._log, self._exp, operator.sub
+        mod_p = self.p.__rmod__  # mod_p(x) is x % p
+        lc = log[c]
+        return [tuple(map(mod_p, map(sub, x, exp[lc + log[y]])))
+                for x, y in zip(row, other)]
 
     def matmul(self, a, b) -> list:
         """Rows of a @ b, for a and b given as rows of reps.
@@ -375,10 +494,6 @@ class ExtensionArith:
                         for v in sums])
         return out
 
-    def primitive(self, vec):
-        """The eigenvector scale over Q; a finite field keeps vec as is."""
-        return vec
-
     def token(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"
 
@@ -395,7 +510,9 @@ class RationalArith:
 
     Element operations are ``Fraction``'s.  ``matmul`` works on integer
     rows and columns, each over its own common denominator, and builds
-    one reduced ``Fraction`` per entry.  ``primitive`` clears a vector's
+    one reduced ``Fraction`` per entry.  ``det`` clears each row to
+    integers and runs Bareiss's fraction-free elimination, so it makes
+    one ``Fraction`` in all.  ``primitive`` clears a vector's
     denominators and divides out the gcd of its coordinates.  Tokens
     convert through ``decimal``, which has no digit limit.
     """
@@ -404,6 +521,9 @@ class RationalArith:
     zero, one = Fraction(0), Fraction(1)
 
     def coerce(self, value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise FieldError(f"cannot coerce {type(value).__name__} "
+                             f"{value!r}: expected an int or a Fraction")
         return Fraction(value)
 
     def is_zero(self, a) -> bool:
@@ -423,6 +543,49 @@ class RationalArith:
 
     def inv(self, a):
         return 1 / a
+
+    def scale(self, row, c) -> list:
+        """c * row."""
+        return [x * c for x in row]
+
+    def sub_scaled(self, row, c, other):
+        """row - c * other, or row itself when c is zero."""
+        if c == 0:
+            return row
+        return [x - c * y for x, y in zip(row, other)]
+
+    def det(self, rows) -> Fraction:
+        """Determinant of square rows of reps.
+
+        Row i is cleared to integers over its own denominator d_i, and
+        Bareiss's fraction-free elimination (Math. Comp. 22, 1968) takes
+        the determinant D of the integer rows: after step k every entry
+        is a (k+1) x (k+1) minor, so dividing by the previous pivot is
+        exact and no ``gcd`` runs.  The pivot is the first nonzero entry
+        in its column, and a row swap flips D's sign.  The result is
+        D / (d_0 ... d_(n-1)), one reduced ``Fraction``.
+        """
+        den, work = 1, []
+        for r in rows:
+            d, ints = _clear_denominators(r)
+            den *= d
+            work.append(ints)
+        n, sign, prev = len(work), 1, 1
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
+            if pivot is None:
+                return self.zero
+            if pivot != col:
+                work[col], work[pivot] = work[pivot], work[col]
+                sign = -sign
+            tail = work[col][col + 1:]
+            head = work[col][col]
+            for row in work[col + 1:]:
+                f = row[col]
+                row[col + 1:] = [(head * x - f * y) // prev
+                                 for x, y in zip(row[col + 1:], tail)]
+            prev = head
+        return Fraction(sign * prev, den)
 
     def matmul(self, a, b) -> list:
         """Rows of a @ b, for a and b given as rows of reps.
@@ -548,7 +711,10 @@ class FieldSpec:
         return FieldElement(self, self.arith.one)
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int, Fraction, or coefficient sequence."""
+        """Coerce an int, a Fraction, or over GF(p^k) a tuple or list of
+        them as coefficients.  Over a finite field a / b is a * b^-1,
+        DivisionByZero when p divides b; any other type, a float among
+        them, raises FieldError."""
         return FieldElement(self, self.arith.coerce(value))
 
     def generator(self) -> "FieldElement":

@@ -8,7 +8,12 @@ outputs.
 
 A ``Matrix`` holds rows of canonical reps, and every algorithm here
 runs on them through the field's arith class, with rep helpers
-(``*_reps``, ``sub_scaled``) that ``unipotent`` and ``sourour`` share.
+(``*_reps``) that ``unipotent`` and ``sourour`` share.  The arith class
+does the per-entry work: products (``matmul``, packed over GF(p) above
+a small size), row operations (``scale``, ``sub_scaled``) and the
+determinant (``det``, Bareiss over Q).  So ``_rref``, ``IndependentSet``
+and ``charpoly`` make one call per row operation, not one per entry,
+and ``det_reps`` is one call.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
     parse_rep, parse_int, is_int_token
@@ -160,8 +165,8 @@ class Matrix:
 
     def scalar_mul(self, c: FieldElement):
         (c,) = _reps_of(self.field, (c,))
-        mul = self.field.arith.mul
-        return Matrix.from_reps(self.field, [list(map(mul, r, repeat(c)))
+        scale = self.field.arith.scale
+        return Matrix.from_reps(self.field, [scale(r, c)
                                              for r in self._reps])
 
     def transpose(self):
@@ -268,13 +273,6 @@ def shift_reps(arith, rows, lam) -> list:
     return out
 
 
-def sub_scaled(arith, row, c, other):
-    """row - c * other, without work when c is zero."""
-    if arith.is_zero(c):
-        return row
-    return list(map(arith.sub, row, map(arith.mul, repeat(c), other)))
-
-
 def apply_reps(arith, rows, vec) -> list:
     """rows @ vec, also when vec is empty."""
     if not vec:
@@ -319,32 +317,10 @@ def direct_sum(*mats: Matrix) -> Matrix:
 # -- elimination core ------------------------------------------------------
 
 def det_reps(arith, rows):
-    """Determinant of a square matrix given as rows of reps, by Gaussian
-    elimination through the field's arith class: the first nonzero
-    entry in each column is the pivot, and entries left of the pivot
-    column are never read again, so they are not updated."""
-    is_zero, mul, sub = arith.is_zero, arith.mul, arith.sub
-    work = [list(r) for r in rows]
-    n = len(work)
-    det = arith.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not is_zero(work[r][col])), None)
-        if pivot is None:
-            return arith.zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = arith.neg(det)
-        head = work[col][col]
-        det = mul(det, head)
-        inv = arith.inv(head)
-        tail = work[col][col + 1:]
-        for row in work[col + 1:]:
-            if not is_zero(row[col]):
-                factor = mul(row[col], inv)
-                row[col + 1:] = map(sub, row[col + 1:],
-                                    map(mul, repeat(factor), tail))
-    return det
+    """Determinant of a square matrix given as rows of reps, by the
+    field's arith class: Gaussian elimination over a finite field,
+    Bareiss's fraction-free elimination over Q."""
+    return arith.det(rows)
 
 
 def _rref(arith, work, limit=None):
@@ -358,7 +334,7 @@ def _rref(arith, work, limit=None):
     """
     if not work:
         return work, []
-    is_zero, mul, sub = arith.is_zero, arith.mul, arith.sub
+    is_zero, sub_scaled = arith.is_zero, arith.sub_scaled
     nrows = len(work)
     ncols = len(work[0]) if limit is None else limit
     pivots = []
@@ -372,13 +348,11 @@ def _rref(arith, work, limit=None):
             continue
         work[row], work[pivot] = work[pivot], work[row]
         head = work[row]
-        head[col:] = map(mul, head[col:], repeat(arith.inv(head[col])))
-        tail = head[col:]
+        head[col:] = tail = arith.scale(head[col:], arith.inv(head[col]))
         for r in range(nrows):
             factor = work[r][col]
             if r != row and not is_zero(factor):
-                work[r][col:] = map(sub, work[r][col:],
-                                    map(mul, repeat(factor), tail))
+                work[r][col:] = sub_scaled(work[r][col:], factor, tail)
         pivots.append(col)
         row += 1
     return work, pivots
@@ -419,9 +393,10 @@ class IndependentSet:
         self.pivots = []
 
     def reduce(self, vec) -> list:
+        sub_scaled = self.arith.sub_scaled
         vec = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            vec = sub_scaled(self.arith, vec, vec[p], row)
+            vec = sub_scaled(vec, vec[p], row)
         return vec
 
     def add(self, vec) -> bool:
@@ -432,8 +407,7 @@ class IndependentSet:
                      None)
         if pivot is None:
             return False
-        self.rows.append(list(map(arith.mul, red,
-                                  repeat(arith.inv(red[pivot])))))
+        self.rows.append(arith.scale(red, arith.inv(red[pivot])))
         self.pivots.append(pivot)
         return True
 
@@ -452,7 +426,7 @@ def charpoly(A: Matrix) -> Poly:
     """
     field, n = A.field, A.n
     arith = field.arith
-    is_zero, add, sub, mul = arith.is_zero, arith.add, arith.sub, arith.mul
+    is_zero, mul, sub_scaled = arith.is_zero, arith.mul, arith.sub_scaled
     H = [list(r) for r in A._reps]
     for m in range(1, n - 1):
         i = next((r for r in range(m, n) if not is_zero(H[r][m - 1])), None)
@@ -468,22 +442,23 @@ def charpoly(A: Matrix) -> Poly:
             if is_zero(u):
                 continue
             # row_r -= u row_m, then col_m += u col_r keeps the similarity
-            H[r] = sub_scaled(arith, H[r], u, H[m])
-            for row in H:
-                row[m] = add(row[m], mul(u, row[r]))
+            H[r] = sub_scaled(H[r], u, H[m])
+            col = sub_scaled([row[m] for row in H], arith.neg(u),
+                             [row[r] for row in H])
+            for row, v in zip(H, col):
+                row[m] = v
     minors = [[arith.one]]
     for k in range(n):
         # p_{k+1} = (x - H[k][k]) p_k - sum_i t_i H[i][k] p_i
         prev = minors[k]
         p = [arith.zero] + prev
-        p[:k + 1] = map(sub, p[:k + 1], map(mul, repeat(H[k][k]), prev))
+        p[:k + 1] = sub_scaled(p[:k + 1], H[k][k], prev)
         t = arith.one
         for i in range(k - 1, -1, -1):
             t = mul(t, H[i + 1][i])
             if is_zero(t):
                 break
-            c = mul(t, H[i][k])
-            p[:i + 1] = map(sub, p[:i + 1], map(mul, repeat(c), minors[i]))
+            p[:i + 1] = sub_scaled(p[:i + 1], mul(t, H[i][k]), minors[i])
         minors.append(p)
     return Poly(field, [FieldElement(field, c) for c in minors[n]])
 
@@ -677,12 +652,11 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
         k = where[lam]
         v = [r[k] for r in TW]
         last = next(j for j in range(n - 1, -1, -1) if not is_zero(v[j]))
-        col = arith.primitive(list(map(mul, v,
-                                       repeat(arith.inv(v[last])))))
+        col = arith.primitive(arith.scale(v, arith.inv(v[last])))
         cols.append(col)
         # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
         back = mul(v[last], arith.inv(col[last]))
-        P_rows.append(list(map(mul, W_inv[k], repeat(back))))
+        P_rows.append(arith.scale(W_inv[k], back))
     return (Matrix.from_reps(field, arith.matmul(P_rows, T_inv._reps)),
             Matrix.from_reps(field, list(zip(*cols))))
 
@@ -710,7 +684,7 @@ def _lower_inverse(arith, rows) -> list:
         e = [one if j == i else zero for j in range(n)]
         if i:
             e = list(map(arith.sub, e, arith.matmul([r[:i]], out)[0]))
-        out.append(list(map(arith.mul, e, repeat(arith.inv(r[i])))))
+        out.append(arith.scale(e, arith.inv(r[i])))
     return out
 
 

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 
 from .field import FieldSpec
 from .linalg import Matrix, ScalarInput, apply_reps, diagonal_reps, \
-    is_scalar_reps, sub_scaled
+    is_scalar_reps
 
 
 class SourourError(Exception):
@@ -175,14 +175,14 @@ class _Basis:
         Wa, Wp = W[self.a], W[self.p]
         if self.xp:
             Wp = list(map(ar.sub, Wp, Wa))
-        cy = list(map(ar.mul, repeat(self.d_inv), Wp))
-        cx = sub_scaled(ar, Wa, self.ya, cy)
+        cy = ar.scale(Wp, self.d_inv)
+        cx = ar.sub_scaled(Wa, self.ya, cy)
         out = [cx, cy]
         for t in self.kept:
             row = W[t]
             if t == self.xt:
                 row = list(map(ar.sub, row, cx))
-            out.append(sub_scaled(ar, row, self.y[t], cy))
+            out.append(ar.sub_scaled(row, self.y[t], cy))
         return out
 
     def left_mul(self, X):
@@ -196,7 +196,7 @@ class _Basis:
         QX[self.p] = X[0] if self.xp else [ar.zero] * m
         if self.xt is not None:
             QX[self.xt] = list(map(ar.add, QX[self.xt], X[0]))
-        return [sub_scaled(ar, row, ar.neg(yr), X[1])
+        return [ar.sub_scaled(row, ar.neg(yr), X[1])
                 for row, yr in zip(QX, self.y)]
 
     def right_div(self, W):
@@ -283,7 +283,7 @@ class _Search:
             Ay = apply_reps(ar, A, y)
             u, *A1 = basis.solve_rows(
                 [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
-            A1[0] = sub_scaled(ar, A1[0], ar.inv(mu), u)
+            A1[0] = ar.sub_scaled(A1[0], ar.inv(mu), u)
             try:
                 T1, T1_inv, L1, U1 = self.factor(A1, rest_b, rest_g)
             except _Dead:
@@ -291,7 +291,7 @@ class _Search:
                 continue
             # Q^-1 B Q = [[b1, 0], [g1^-1 e1, B1]] and Q^-1 C Q =
             # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
-            top = list(map(mul, u, repeat(ar.inv(b1))))
+            top = ar.scale(u, ar.inv(b1))
             g1_inv = ar.inv(g1)
             L = [[b1] + [ar.zero] * (m - 1)] + [
                 [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]

@@ -85,8 +85,12 @@ def _pair_value_reps(arith, x, y) -> list:
 
 
 def _product_reps(arith, n: int, factors) -> list:
-    """The product of n x n factors in order; I_n for none."""
-    acc = diagonal_reps(arith, [arith.one] * n)
+    """The product of n x n factors in order, from the first factor as
+    it is; I_n for none."""
+    factors = iter(factors)
+    acc = next(factors, None)
+    if acc is None:
+        return diagonal_reps(arith, [arith.one] * n)
     for m in factors:
         acc = arith.matmul(acc, m)
     return acc

@@ -143,6 +143,26 @@ class TestArithmetic:
         assert arith.matmul([[], []], []) == [[], []]
         assert arith.matmul([], []) == []
 
+    @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)", "Q"])
+    def test_element_takes_fractions_exactly_and_refuses_floats(self, spec):
+        f = parse_field_spec(spec)
+        assert f.element(Fraction(1, 2)) * f.element(2) == f.one()
+        assert f.element(Fraction(-3, 4)) * f.element(4) == f.element(-3)
+        assert f.element(Fraction(6, 3)) == f.element(2)
+        assert f.element(Fraction(5)) == f.element(5)
+        for bad in (2.7, 0.1, 1.0, "1"):
+            with pytest.raises(FieldError):
+                f.element(bad)
+        if f.is_finite:
+            with pytest.raises(DivisionByZero):
+                f.element(Fraction(1, 2 * f.p))
+        if f.kind == "extension":
+            assert f.element((Fraction(1, 2), 2)) == \
+                f.element((2, 2))  # 1/2 = 2 in GF(3)
+            assert f.element([1]) == f.one()
+            with pytest.raises(FieldError):
+                f.element((1.5, 2))
+
 
 class TestTokens:
     def test_prime_tokens(self):

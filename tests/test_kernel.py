@@ -3,7 +3,9 @@
 ``@`` computes on raw reps through the field's arithmetic class.  Here
 its results must equal a naive triple loop of element operations, and
 extension-field element products must equal plain polynomial products
-reduced by the modulus, computed in this file.
+reduced by the modulus, computed in this file.  Over GF(p) the products
+on both sides of ``_PACK_MIN`` are checked, the packed one with the
+largest slot sums and with operands that are not square.
 """
 
 import itertools
@@ -12,10 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor.field import GF, FieldMismatch, parse_field_spec, rationals
+from u2factor.field import GF, FieldElement, FieldMismatch, _MR_LIMIT, \
+    _PACK_MIN, parse_field_spec, rationals
 from u2factor.linalg import Matrix, identity
 
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
+# the largest prime below 2^80, an 80-bit modulus below _MR_LIMIT
+P80 = 2 ** 80 - 65
+PRIMES = (2, 3, 31, 10007, 2 ** 31 - 1, 2 ** 61 - 1, P80)
 FIELDS = ["GF(2)", "GF(3)", "GF(2147483647)", "GF(4)", "GF(8)", "GF(9)",
           "GF(16)", "GF(25)", "GF(27)", GF256, "Q"]
 SIZES = (1, 2, 3, 5, 8)
@@ -72,16 +78,66 @@ def test_matmul_matches_element_loop(spec):
 
 
 @pytest.mark.parametrize("spec", [s for s in FIELDS if s.startswith("GF(")
-                                  and parse_field_spec(s).kind == "extension"])
+                                  and parse_field_spec(s).kind == "extension"]
+                         + [f"GF({p})" for p in PRIMES])
 def test_matmul_largest_coefficient_sums(spec):
-    # Every term has all coefficients p - 1, so each packed coefficient
-    # of an entry reaches its largest sum, n (p - 1).
+    # Over GF(p^k) every term has all coefficients p - 1, so each packed
+    # coefficient of an entry reaches its largest sum, n (p - 1).  Over
+    # GF(p) every entry of both operands is p - 1, so each packed slot
+    # reaches its largest sum, n (p - 1)^2, below and above _PACK_MIN.
     F = parse_field_spec(spec)
-    top = F.element((F.p - 1,) * F.k)
-    for n in (1, 2, 3, 4, 7, 8, 9, 16, 17):
-        A = Matrix(F, [[F.one()] * n for _ in range(n)])
+    if F.kind == "prime":
+        top = left = F.element(F.p - 1)
+    else:
+        top, left = F.element((F.p - 1,) * F.k), F.one()
+    for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, _PACK_MIN - 1, _PACK_MIN):
+        A = Matrix(F, [[left] * n for _ in range(n)])
         B = Matrix(F, [[top] * n for _ in range(n)])
         assert_same_entries(A @ B, naive_product(A, B))
+
+
+def naive_rep_product(F, a, b):
+    """Rows of reps of a @ b for rectangular a and b given as rows of
+    reps, by element operations; an empty b has no columns."""
+    cols = list(zip(*b))
+    out = []
+    for r in a:
+        row = []
+        for c in cols:
+            acc = F.zero()
+            for x, y in zip(r, c):
+                acc = acc + FieldElement(F, x) * FieldElement(F, y)
+            row.append(acc.rep)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_products_of_every_shape(p):
+    # (rows of a, inner dimension, columns of b) on both sides of
+    # _PACK_MIN, one-row and one-column products among them
+    assert P80 < _MR_LIMIT and P80.bit_length() == 80
+    F, rng = GF(p), random.Random(p)
+    arith = F.arith
+    low, high = _PACK_MIN - 1, _PACK_MIN + 2
+
+    def rows(m, k):
+        return [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k)]
+                for _ in range(m)]
+
+    for k in (1, 3, _PACK_MIN, 9):
+        for m, cols in ((1, high), (high, 1), (low, high), (high, low),
+                        (high, high), (_PACK_MIN, _PACK_MIN), (1, 1)):
+            a, b = rows(m, k), rows(k, cols)
+            got = arith.matmul(a, b)
+            assert got == naive_rep_product(F, a, b)
+            assert all(type(r) is list for r in got)
+        # a right operand with no columns, and an empty right operand
+        for m in (1, high):
+            assert arith.matmul(rows(m, k), [[] for _ in range(k)]) == \
+                [[] for _ in range(m)]
+            assert arith.matmul([[] for _ in range(m)], []) == \
+                [[] for _ in range(m)]
 
 
 def poly_mulmod(a, b, modulus, p):

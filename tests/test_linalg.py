@@ -466,6 +466,28 @@ def _ref_inverse(A):
     return Matrix(field, [r[n:] for r in work])
 
 
+def _ref_det(A):
+    """det A by element-level Gaussian elimination, pivoting on the first
+    nonzero entry of each column."""
+    work = [list(r) for r in A.rows]
+    n = len(work)
+    det = A.field.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not work[r][col].is_zero()), None)
+        if pivot is None:
+            return A.field.zero()
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = work[col][col].inverse()
+        for r in range(col + 1, n):
+            factor = work[r][col] * inv
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
 class _RefIndependentSet:
     def __init__(self, field, dim):
         self.rows = []
@@ -559,6 +581,55 @@ class TestEliminationReference:
             assert span.pivots == ref.pivots
             assert span.rows == _reps(ref.rows)
         assert singular > 0
+
+    @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
+                                      "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
+    def test_det_and_row_operations(self, spec):
+        F = parse_field_spec(spec)
+        arith = F.arith
+        rng = random.Random(f"det:{spec}")
+        entry = _entry_pool(F, rng)
+        singular = 0
+        for A in _elimination_inputs(F, rng):
+            want = _ref_det(A)
+            got = linalg.det_reps(arith, A._reps)
+            assert got == want.rep and type(got) is type(want.rep)
+            assert A.det() == want
+            singular += want.is_zero()
+            rows = A.rows
+            for x, y in zip(rows, rows[1:] + rows[:1]):
+                for c in (entry(), F.zero(), F.one()):
+                    want_row = [a - c * b for a, b in zip(x, y)]
+                    got_row = arith.sub_scaled(_reps([x])[0], c.rep,
+                                               _reps([y])[0])
+                    assert got_row == _reps([want_row])[0]
+                    assert arith.scale(_reps([y])[0], c.rep) == \
+                        _reps([[c * b for b in y]])[0]
+            row = _reps([rows[0]])[0]
+            assert arith.sub_scaled(row, arith.zero, row) is row
+        assert singular > 0
+
+    @pytest.mark.parametrize("spec", ["GF(2)", "GF(9)", "GF(31)", "Q"])
+    def test_det_sign_after_row_swaps(self, spec):
+        F = parse_field_spec(spec)
+        half = F.element(Fraction(1, 2)) if F.p != 2 else F.one()
+        zero, one = F.zero(), F.one()
+        cases = (
+            # one swap at column 0: det -1
+            ([[zero, one], [one, zero]], -one),
+            ([[zero, zero, one], [zero, one, zero], [one, zero, zero]], -one),
+            # a 3-cycle of rows, two swaps: det +1
+            ([[zero, one, zero], [zero, zero, one], [one, zero, zero]], one),
+            # a swap needed at column 1 only, after column 0 is cleared
+            ([[one, one, one], [one, one, half], [one, half, one]], None),
+        )
+        for rows, expected in cases:
+            A = Matrix(F, rows)
+            want = _ref_det(A)
+            if expected is not None:
+                assert want == expected
+            assert A.det() == want
+            assert linalg.det_reps(F.arith, A._reps) == want.rep
 
 
 class TestNoElementOps:
