@@ -22,10 +22,17 @@ call per entry.
   k int products, cut into entries by a shift, a mask and a reduction mod
   p each.  A smaller product, a matrix-vector product among them, takes
   one integer dot product per entry, reduced once.
-- Over GF(p^k) products go through log/antilog tables of a primitive
-  element, O(q) entries built from q - 1 polynomial products; a row
-  operation is one antilog lookup and one coefficient-wise difference
-  per entry.
+- Over GF(p^k) element products, inverses and negation go through
+  log/antilog tables of a primitive element, O(q) entries built from
+  q - 1 polynomial products; a row operation is one antilog lookup and
+  one coefficient-wise difference per entry.  A matrix product packs
+  each rep into one int, a coefficient per slot, and each row of its
+  right operand into one int with room for a product polynomial per
+  entry, so a row of the product is one sum of int products, as over
+  GF(p).  The row is reduced mod the modulus f all at once, by a fixed
+  number of folds of its high coefficients through x^k mod f (one for
+  every built-in modulus), and each coefficient is then one shift, one
+  mask and one reduction mod p.
 - Over Q element operations and row operations use ``Fraction``.  A
   matrix product clears each row of its left operand and each column of
   its right one to integers over their own common denominator, so an
@@ -381,18 +388,25 @@ class PrimeArith(_FiniteArith):
 
 class ExtensionArith(_FiniteArith):
     """GF(p^k): coefficient tuples (ascending degree) modulo the monic
-    irreducible modulus.
+    irreducible modulus f.
 
-    Products go through log/antilog tables of the first primitive
-    element g in canonical order (Lidl & Niederreiter, Finite Fields,
-    ch. 2), built once with q - 1 polynomial products.  Zero's log is
-    the sentinel 2(q - 1) - 1 and the antilog table holds zero from that
-    index on, so log a + log b indexes the product of any a and b
-    without a branch on zero.  Sums stay coefficient-wise mod p.
+    Element products, inverses, negation and row operations go through
+    log/antilog tables of the first primitive element g in canonical
+    order (Lidl & Niederreiter, Finite Fields, ch. 2), built once with
+    q - 1 polynomial products.  Zero's log is the sentinel 2(q - 1) - 1
+    and the antilog table holds zero from that index on, so log a +
+    log b indexes the product of any a and b without a branch on zero.
+    -a is a * (-1), and log(-1) is 0 for p = 2 and (q - 1) / 2 otherwise.
+    Sums stay coefficient-wise mod p.
+
+    Matrix products pack polynomials into ints (Kronecker substitution,
+    as over GF(p)) and reduce mod f a whole row of the product at a time
+    by folding its high coefficients onto the low ones through x^k mod f;
+    see ``matmul``.
     """
 
     __slots__ = ("p", "k", "zero", "one", "_order", "_log", "_exp",
-                 "_packed")
+                 "_neg_log", "_xk", "_folds", "_packed", "_shapes")
 
     def __init__(self, p: int, k: int, modulus):
         order = p ** k - 1
@@ -411,7 +425,17 @@ class ExtensionArith(_FiniteArith):
         self._log = {x: i for i, x in enumerate(powers)}
         self._log[zero] = 2 * order - 1
         self._exp = powers + powers[:-1] + [zero] * (2 * order)
-        self._packed = {}
+        self._neg_log = 0 if p == 2 else order // 2
+        # x^k mod f, and the folds that bring a product of two reps,
+        # degree <= 2k - 2, down to degree <= k - 1: a fold maps degree
+        # d >= k to at most max(k - 1, d - k + deg(x^k mod f)).
+        self._xk = tuple(-c % p for c in modulus[:k])
+        top = max(i for i, c in enumerate(self._xk) if c)
+        degree, self._folds = 2 * k - 2, 0
+        while degree >= k:
+            degree = max(k - 1, degree - k + top)
+            self._folds += 1
+        self._packed, self._shapes = {}, {}
 
     def coerce(self, value) -> tuple:
         """An int or Fraction in the prime subfield, or a tuple or list
@@ -437,8 +461,7 @@ class ExtensionArith(_FiniteArith):
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        return self._exp[self._log[a] + self._neg_log]
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]]
@@ -466,33 +489,66 @@ class ExtensionArith(_FiniteArith):
     def matmul(self, a, b) -> list:
         """Rows of a @ b, for a and b given as rows of reps.
 
-        Each term is one lookup at log x + log y in a copy of the
-        antilog table that packs coefficient i into bits [i w, (i+1) w).
-        With 2^w > n (p - 1) no field overflows, so an entry is the
-        integer sum of its n terms, unpacked and reduced mod p once.
-        An empty b has no columns, so each row of the product is empty,
-        as for the other kinds.
+        A rep becomes one int with coefficient i in bits [i w, (i+1) w),
+        and row t of b one int with entry j in the superslot of 2k - 1
+        slots from bit j (2k - 1) w (Kronecker substitution).  Row i of
+        the product is then the integer sum of packed a[i][t] times
+        packed row t: superslot j holds entry (i, j) as a polynomial of
+        degree <= 2k - 2 with unreduced integer coefficients.
+
+        The whole row is reduced mod f by folds
+        v = (v & LOW) + (v >> k w & HIGH) * G, with G the packed x^k mod f,
+        LOW the low k slots and HIGH the low k - 1 slots of every
+        superslot.  ``_folds`` of them bring every entry to degree
+        <= k - 1.  A coefficient of the sum is at most n k (p - 1)^2 for
+        inner dimension n, and a fold multiplies that bound by at most
+        1 + k (p - 1); w is the bit length of the final bound, so no slot
+        ever carries into the next.  Each coefficient is then one shift,
+        one mask and one reduction mod p.  An empty b has no columns, so
+        each row of the product is empty, as for the other kinds.
         """
         if not b:
             return [[] for _ in a]
-        p, k = self.p, self.k
-        width = (len(b) * (p - 1)).bit_length()
-        packed = self._packed.get(width)
-        if packed is None:
-            packed = self._packed[width] = [
-                sum(c << (width * i) for i, c in enumerate(x))
-                for x in self._exp]
-        log = self._log
-        rows = [[log[x] for x in r] for r in a]
-        cols = [[log[x] for x in c] for c in zip(*b)]
-        at, add = packed.__getitem__, operator.add
-        mask, shifts = (1 << width) - 1, range(0, width * k, width)
+        table, xk, supers, low, high, kw, mask, shifts = \
+            self._shape(len(b), len(b[0]))
+        at, mul, lshift = table.__getitem__, operator.mul, operator.lshift
+        packed = [sum(map(lshift, map(at, r), supers)) for r in b]
+        p, k, folds = self.p, self.k, range(self._folds)
         out = []
-        for r in rows:
-            sums = [sum(map(at, map(add, r, c))) for c in cols]
-            out.append([tuple((v >> s & mask) % p for s in shifts)
-                        for v in sums])
+        for r in a:
+            v = sum(map(mul, map(at, r), packed))
+            for _ in folds:
+                v = (v & low) + (v >> kw & high) * xk
+            # the coefficients in row order, cut into consecutive k-tuples
+            coeffs = iter([(v >> s & mask) % p for s in shifts])
+            out.append(list(zip(*[coeffs] * k)))
         return out
+
+    def _shape(self, inner: int, cols: int) -> tuple:
+        """What ``matmul`` needs for a product with this inner dimension
+        and number of columns, kept per shape: the rep -> packed int
+        table for its slot width w (kept per width), packed x^k mod f,
+        the superslot offsets, the LOW and HIGH masks, the fold shift
+        k w, the slot mask and the bit offset of every coefficient."""
+        shape = self._shapes.get((inner, cols))
+        if shape is None:
+            p, k = self.p, self.k
+            w = (inner * k * (p - 1) ** 2
+                 * (1 + k * (p - 1)) ** self._folds).bit_length()
+            table = self._packed.get(w)
+            if table is None:
+                table = self._packed[w] = {
+                    x: sum(c << (w * i) for i, c in enumerate(x))
+                    for x in self._log}
+            span = (2 * k - 1) * w
+            supers = range(0, span * cols, span)
+            low = sum(((1 << k * w) - 1) << s for s in supers)
+            high = sum(((1 << (k - 1) * w) - 1) << s for s in supers)
+            shifts = [s + i * w for s in supers for i in range(k)]
+            shape = self._shapes[inner, cols] = (
+                table, table[self._xk], supers, low, high, k * w,
+                (1 << w) - 1, shifts)
+        return shape
 
     def token(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"

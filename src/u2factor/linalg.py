@@ -636,10 +636,12 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     if len(set(spectrum)) != n or set(spectrum) != set(diag):
         raise SpectrumMismatch("spectrum must be distinct and equal the "
                                "diagonal of R")
-    # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k]
+    # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k],
+    # and W[:i] is zero right of column i - 1, so the product reads only
+    # W's leading i x i block
     W = []
     for i, r in enumerate(rows):
-        s = arith.matmul([r[:i]], W)[0]
+        s = arith.matmul([r[:i]], [w[:i] for w in W])[0]
         W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
                   for k in range(i)] + [one] + [zero] * (n - 1 - i))
     W_inv = _lower_inverse(arith, W)
@@ -676,14 +678,15 @@ def _has_upper(arith, rows) -> bool:
 def _lower_inverse(arith, rows) -> list:
     """Rows of X^-1, for X lower triangular with no zero on its diagonal,
     by substitution: row i of X X^-1 = I gives
-    X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i]."""
-    zero, one = arith.zero, arith.one
+    X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i].  X^-1 is lower
+    triangular too, so the product reads only its leading i x i block
+    and is zero from column i on."""
+    zero, one, neg = arith.zero, arith.one, arith.neg
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
-        e = [one if j == i else zero for j in range(n)]
-        if i:
-            e = list(map(arith.sub, e, arith.matmul([r[:i]], out)[0]))
+        head = arith.matmul([r[:i]], [x[:i] for x in out])[0]
+        e = list(map(neg, head)) + [one] + [zero] * (n - 1 - i)
         out.append(arith.scale(e, arith.inv(r[i])))
     return out
 

@@ -5,7 +5,9 @@ its results must equal a naive triple loop of element operations, and
 extension-field element products must equal plain polynomial products
 reduced by the modulus, computed in this file.  Over GF(p) the products
 on both sides of ``_PACK_MIN`` are checked, the packed one with the
-largest slot sums and with operands that are not square.
+largest slot sums and with operands that are not square.  Over GF(p^k)
+the packed product is checked in every shape, with every coefficient
+p - 1 in both operands, on moduli that need the most folds.
 """
 
 import itertools
@@ -19,6 +21,11 @@ from u2factor.field import GF, FieldElement, FieldMismatch, _MR_LIMIT, \
 from u2factor.linalg import Matrix, identity
 
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
+# x^k mod f has degree k - 1 for these user moduli, so ``matmul`` folds
+# k - 1 times: the most for their degree
+GF8_TOP, GF243_TOP = "GF(8;1,0,1,1)", "GF(243;1,0,0,0,2,1)"
+EXTENSIONS = ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)", "GF(27)",
+              GF256, GF8_TOP, GF243_TOP]
 # the largest prime below 2^80, an 80-bit modulus below _MR_LIMIT
 P80 = 2 ** 80 - 65
 PRIMES = (2, 3, 31, 10007, 2 ** 31 - 1, 2 ** 61 - 1, P80)
@@ -81,17 +88,13 @@ def test_matmul_matches_element_loop(spec):
                                   and parse_field_spec(s).kind == "extension"]
                          + [f"GF({p})" for p in PRIMES])
 def test_matmul_largest_coefficient_sums(spec):
-    # Over GF(p^k) every term has all coefficients p - 1, so each packed
-    # coefficient of an entry reaches its largest sum, n (p - 1).  Over
-    # GF(p) every entry of both operands is p - 1, so each packed slot
-    # reaches its largest sum, n (p - 1)^2, below and above _PACK_MIN.
+    # Every coefficient of every entry of both operands is p - 1, so each
+    # packed slot reaches its largest sum: n (p - 1)^2 over GF(p), below
+    # and above _PACK_MIN, and n k (p - 1)^2 before the folds over GF(p^k).
     F = parse_field_spec(spec)
-    if F.kind == "prime":
-        top = left = F.element(F.p - 1)
-    else:
-        top, left = F.element((F.p - 1,) * F.k), F.one()
+    top = F.element(F.p - 1 if F.kind == "prime" else (F.p - 1,) * F.k)
     for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, _PACK_MIN - 1, _PACK_MIN):
-        A = Matrix(F, [[left] * n for _ in range(n)])
+        A = Matrix(F, [[top] * n for _ in range(n)])
         B = Matrix(F, [[top] * n for _ in range(n)])
         assert_same_entries(A @ B, naive_product(A, B))
 
@@ -140,6 +143,52 @@ def test_prime_products_of_every_shape(p):
                 [[] for _ in range(m)]
 
 
+def test_extension_fold_counts():
+    folds = {spec: parse_field_spec(spec).arith._folds
+             for spec in EXTENSIONS}
+    assert folds == {"GF(4)": 1, "GF(8)": 1, "GF(9)": 1, "GF(16)": 1,
+                     "GF(25)": 1, "GF(27)": 1, GF256: 2, GF8_TOP: 2,
+                     GF243_TOP: 4}
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS)
+def test_extension_products_of_every_shape(spec):
+    # (rows of a, inner dimension, columns of b), one-row and one-column
+    # products among them, with random operands and with every
+    # coefficient of both operands p - 1, which gives the largest slot
+    # sums and the largest growth under folding
+    F = parse_field_spec(spec)
+    arith, rng = F.arith, random.Random(spec)
+    elems = [e.rep for e in F.elements()]
+    top = (F.p - 1,) * F.k
+
+    def rows(m, k, entry):
+        return [[entry() for _ in range(k)] for _ in range(m)]
+
+    for k in (1, 3, 5, 9, 17):
+        for m, cols in ((1, k), (k, 1), (2, 7), (7, 2), (k, k), (1, 1)):
+            for entry in (lambda: top, lambda: rng.choice(elems)):
+                a, b = rows(m, k, entry), rows(k, cols, entry)
+                got = arith.matmul(a, b)
+                assert got == naive_rep_product(F, a, b)
+                assert all(type(r) is list for r in got)
+                assert all(type(x) is tuple for r in got for x in r)
+        # a right operand with no columns, and an empty right operand
+        for m in (1, 4):
+            assert arith.matmul(rows(m, k, lambda: top),
+                                [[] for _ in range(k)]) == \
+                [[] for _ in range(m)]
+            assert arith.matmul([[] for _ in range(m)], []) == \
+                [[] for _ in range(m)]
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS)
+def test_extension_neg_is_coefficientwise(spec):
+    F = parse_field_spec(spec)
+    for a in F.elements():
+        assert F.arith.neg(a.rep) == tuple(-c % F.p for c in a.rep)
+
+
 def poly_mulmod(a, b, modulus, p):
     k = len(modulus) - 1
     prod = [0] * (2 * k - 1)
@@ -153,8 +202,7 @@ def poly_mulmod(a, b, modulus, p):
     return tuple(c % p for c in prod[:k])
 
 
-@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(9)", "GF(16)",
-                                  "GF(25)", "GF(27)", GF256])
+@pytest.mark.parametrize("spec", EXTENSIONS)
 def test_extension_products_match_polynomials(spec):
     F = parse_field_spec(spec)
     elems = F.elements()
