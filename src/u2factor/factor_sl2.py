@@ -2,9 +2,10 @@
 
 Route map: identity (0 pairs), the trace construction (1 pair when
 tr(A) - 2 is a nonzero square), diagonal squares (1 pair), -I_2
-specializations (2 or 3 pairs depending on the field), a generic
+specializations (2 or 3 pairs depending on the field), and a generic
 two-commutator split through prescribed-spectrum factorization for
-|F| >= 4, and a derived-subgroup lookup for |F| <= 3.
+|F| >= 4.  For |F| <= 3 the trace test alone decides membership: the
+nonscalar elements of SL_2(F)' are exactly the single commutators.
 
 The routes build certificates without checking them.  A direct call
 returns an unchecked result; ``factor_sln.factor`` is the checked
@@ -14,7 +15,6 @@ entry point.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 from .field import (FieldSpec, FieldElement, NotASquare, sqrt,
                     sum_of_two_nonzero_squares, square_ne_inverse_witness)
@@ -44,10 +44,6 @@ class PreconditionViolated(FactorError):
 
 
 class DegenerateValue(FactorError):
-    pass
-
-
-class UnsupportedField(FactorError):
     pass
 
 
@@ -126,11 +122,9 @@ def neg_identity(F: FieldSpec) -> Factorization:
     minus_one = -one
     if F.p == 2:
         return identity_factorization(F, 2)  # -I = I
-    if F.is_finite and F.size == 2:
-        raise UnsupportedField("-I_2 is I_2 over GF(2)")
     target = diagonal(F, [minus_one, minus_one])
     a = sqrt(minus_one)
-    if a is not None and (not F.is_finite or F.size not in (2, 3, 5)):
+    if a is not None and F.size != 5:
         # -I = diag(b^2, b^-2) diag((a/b)^2, (a/b)^-2), both single pairs
         b = square_ne_inverse_witness(F)
         c = a * b.inverse()
@@ -166,16 +160,6 @@ def neg_identity(F: FieldSpec) -> Factorization:
     rest = diagonal(F, [-d.inverse(), -d])  # = (-(diag))^{-1}
     f2 = _factor_nonscalar(rest)
     return concat_factorizations(target, [f1, f2], ("prop3.12(generic)",))
-
-
-@lru_cache(maxsize=2)
-def _derived_membership(F: FieldSpec):
-    """Canonical keys of SL_2(F)' for |F| <= 3, from the brute-force oracle;
-    memoised for the only two such fields, GF(2) and GF(3)."""
-    from . import oracle
-    table = oracle.enumerate_group(F, 2)
-    ids = oracle.derived_subgroup(table)
-    return frozenset(oracle._matrix_key(table.elements[i]) for i in ids)
 
 
 def _factor_nonscalar(A: Matrix) -> Factorization:
@@ -248,7 +232,9 @@ def _factor_nonscalar_gf5(A: Matrix) -> Factorization:
 def factor_sl2(A: Matrix) -> Factorization:
     """Dispatcher for SL_2: certificate with at most three pairs when
     |F| >= 4, and at most |F| - 1 pairs on the derived subgroup when
-    |F| <= 3 (error outside it).
+    |F| <= 3 (error outside it).  There a nonscalar A is in the derived
+    subgroup exactly when tr(A) - 2 is a nonzero square, and is then one
+    commutator.
 
     The result is not checked here; ``factor_sln.factor`` verifies it.
     """
@@ -263,12 +249,10 @@ def factor_sl2(A: Matrix) -> Factorization:
         # det 1 forces the scalar to be -1 (or 1, handled above)
         return neg_identity(field)
     if field.is_finite and field.size <= 3:
-        key = tuple(chain.from_iterable(A.reps()))
-        if key not in _derived_membership(field):
+        alpha = single_commutator_test(A)
+        if alpha is None:
             raise OutsideDerivedSubgroup(
                 "not a product of commutators of U2-matrices")
-        # derived nonscalars are single commutators
-        alpha = single_commutator_test(A)
         f = trace_construction(A, alpha)
         return Factorization(A, f.pairs,
                              (f"thm3.8(q={field.size})",) + f.route)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .field import FieldSpec, FieldElement, sqrt, sum_of_two_nonzero_squares, \
-    square_class_pairing
+    square_class_pairing, square_ne_inverse_witness
 from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum,
                      unipotent_jordan, single_block_jordan,
                      find_diagonal_permutation, similarity_to_diagonal,
@@ -251,7 +251,7 @@ def _scalar_even_bigfield(lam, n, target):
     """
     F = lam.field
     k = n // 2
-    a = _power_free_witness(F, 2 * n)
+    a = square_ne_inverse_witness(F, 2 * n)
     d = a * a
     dinv = d.inverse()
     b_entries = []
@@ -273,17 +273,6 @@ def _scalar_even_bigfield(lam, n, target):
         factor_sl2(diagonal(F, [x, x.inverse()])) for x in x_vals))
     fB = _permuted_to(_tagged(f"prop5.3(blocks,n={n})", fB), Bmat)
     return concat_factorizations(target, [fB, fC])
-
-
-def _power_free_witness(F: FieldSpec, order: int) -> FieldElement:
-    """First nonzero a (canonical order) with a^order != 1."""
-    one = F.one()
-    if not F.is_finite:
-        return F.element(2)
-    for a in F.iter_nonzero():
-        if a ** order != one:
-            return a
-    raise UnsupportedFieldSize(f"every element satisfies x^{order} = 1")
 
 
 def _scalar_even_general(lam, n, target):

@@ -1049,15 +1049,17 @@ def sum_of_two_nonzero_squares(target: FieldElement):
     return None
 
 
-def square_ne_inverse_witness(F: FieldSpec) -> FieldElement:
-    """First nonzero b (canonical order) with b^2 != b^-2, i.e. b^4 != 1."""
+def square_ne_inverse_witness(F: FieldSpec, order: int = 4) -> FieldElement:
+    """First nonzero b (canonical order) with b^order != 1, and 2 over Q.
+
+    At the default order 4 that is b^2 != b^-2.  FieldTooSmall when
+    x^order = 1 on all of GF(q)^x, that is when q - 1 divides order.
+    """
     if F.kind == "rational":
         return F.element(2)
-    if F.size in (2, 3, 5):
-        raise FieldTooSmall(f"no such witness in GF({F.size})")
     one = F.one()
     for b in F.iter_nonzero():
-        if b ** 4 != one:
+        if b ** order != one:
             return b
     raise FieldTooSmall(f"no such witness in GF({F.size})")
 

@@ -29,9 +29,9 @@ the same way, so for a distinct spectrum they give the same P and P^-1.
 
 Two functions give the Jordan data of a unipotent matrix.
 ``unipotent_jordan`` takes the kernels of the powers of A - I, one
-elimination per power, which is O(n^4) when A is one Jordan block, and
-picks the tops of the Jordan chains against one growing set of chain
-bottoms.
+elimination per level that can still start a chain, which is O(n^4) when
+A is one Jordan block, and picks the tops of the Jordan chains against
+one growing set of chain bottoms.
 ``single_block_jordan`` is given A as T R T^-1 with R unit triangular,
 as a unipotent Sourour split provides it; when A is one block it gives
 the same data with no elimination, by a chain in the basis T and
@@ -489,7 +489,8 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     tops a new chain of height j exactly when its bottom N^(j-1) v is
     independent of the bottoms of the chains already chosen; candidates
     are scanned in the deterministic order of each kernel basis, so
-    transforms are reproducible.
+    transforms are reproducible.  A level j larger than the blocks left
+    uncovered can start no chain, so its kernel is not computed.
     """
     field, n = A.field, A.n
     arith = field.arith
@@ -502,13 +503,17 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     index = len(npowers) - 1
     bottoms = IndependentSet(field, n)
     tops = []  # (vector, height), heights non-increasing by construction
+    rest = n  # total size of the blocks no chosen chain covers
     for j in range(index, 0, -1):
+        if j > rest:
+            continue  # no block of size j is left; none at all once rest = 0
         kernel = _kernel_reps(arith, npowers[j])
         # the bottom N^(j-1) v of every kernel vector v, in one product
         images = zip(*arith.matmul(npowers[j - 1], list(zip(*kernel))))
         for v, bottom in zip(kernel, images):
             if bottoms.add(bottom):
                 tops.append((v, j))
+                rest -= j
     cols = []
     for (v, h) in tops:
         cols.extend(apply_reps(arith, npowers[h - 1 - i], v) for i in range(h))

@@ -72,16 +72,11 @@ def _u2_inverse_reps(arith, rows) -> list:
     return out
 
 
-def _commutator_reps(arith, x, y, x_inv, y_inv) -> list:
-    """[X, Y] = X Y X^-1 Y^-1, given both inverses."""
-    matmul = arith.matmul
-    return matmul(matmul(matmul(x, y), x_inv), y_inv)
-
-
 def _pair_value_reps(arith, x, y) -> list:
     """[X, Y] of a pair, with the U2 inverses 2I - X and 2I - Y."""
-    return _commutator_reps(arith, x, y, _u2_inverse_reps(arith, x),
-                            _u2_inverse_reps(arith, y))
+    matmul = arith.matmul
+    return matmul(matmul(matmul(x, y), _u2_inverse_reps(arith, x)),
+                  _u2_inverse_reps(arith, y))
 
 
 def _product_reps(arith, n: int, factors) -> list:
@@ -117,10 +112,7 @@ def is_u2(A: Matrix) -> bool:
 
 def commutator(X: Matrix, Y: Matrix) -> Matrix:
     """[X, Y] = X Y X^-1 Y^-1, for any invertible X and Y."""
-    X.check_operand(Y)
-    return Matrix.from_reps(X.field, _commutator_reps(
-        X.field.arith, X.reps(), Y.reps(), X.inverse().reps(),
-        Y.inverse().reps()))
+    return X @ Y @ X.inverse() @ Y.inverse()
 
 
 def u2_inverse(X: Matrix) -> Matrix:

@@ -141,6 +141,23 @@ class TestDispatcher:
         minus = check(factor_sl2(diagonal(F, [-F.one(), -F.one()])))
         assert minus.pair_count() == 2
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_derived_subgroup_by_trace_test(self, q):
+        """Over GF(2) and GF(3) factor_sl2 refuses exactly the elements
+        the oracle puts outside SL_2(F)', and certifies every member with
+        at most q - 1 pairs."""
+        F = GF(q)
+        table = oracle.enumerate_group(F, 2)
+        derived = oracle.derived_subgroup(table)
+        for i, A in enumerate(table.elements):
+            if i in derived:
+                cert = check(factor_sl2(A))
+                assert cert.target == A
+                assert cert.pair_count() <= q - 1, A.tokens()
+            else:
+                with pytest.raises(OutsideDerivedSubgroup):
+                    factor_sl2(A)
+
     @pytest.mark.parametrize("q", [4, 5, 7])
     def test_exhaustive_small_fields(self, q):
         F = GF(q)

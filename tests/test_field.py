@@ -329,6 +329,24 @@ class TestWitnesses:
             with pytest.raises(FieldTooSmall):
                 square_ne_inverse_witness(GF(q))
         assert square_ne_inverse_witness(rationals()).rep == Fraction(2)
+        # the orders 2n, n = 2..6, of the even scalar route: the first
+        # nonzero a whose 2n-th power is not 1, FieldTooSmall when q - 1
+        # divides 2n (GF(7) at orders 6 and 12, GF(9) at order 8)
+        for q in (7, 9, 31):
+            f = GF(q)
+            for order in range(4, 13, 2):
+                if order % (q - 1) == 0:
+                    with pytest.raises(FieldTooSmall):
+                        square_ne_inverse_witness(f, order)
+                    continue
+                a = square_ne_inverse_witness(f, order)
+                assert a ** order != f.one()
+                for b in f.iter_nonzero():
+                    if b == a:
+                        break
+                    assert b ** order == f.one()
+        for order in range(4, 13, 2):
+            assert square_ne_inverse_witness(rationals(), order).rep == 2
 
 
 class TestSquareClassPairing:

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,45 @@ class TestJordan:
             assert jd.partition == partition and jd.form == form
             assert (jd.transform, jd.transform_inverse) == \
                 _level_by_level_jordan(A)
+
+    @pytest.mark.parametrize("partition", [(4, 4), (5, 2, 1), (3, 3, 1, 1),
+                                           (2, 2, 2), (6, 1), (7,)])
+    @pytest.mark.parametrize("spec", ["GF(4)", "GF(7)", "Q"])
+    def test_skipped_levels_start_no_chain(self, spec, partition, rng):
+        """Levels above the blocks left uncovered are skipped; the tops,
+        and so the partition and both transforms, are those of the scan
+        over every level."""
+        f = parse_field_spec(spec)
+        form = direct_sum(*(jordan_block(f, h, f.one()) for h in partition))
+        P0 = random_sl(f, form.n, rng)
+        A = P0 @ form @ P0.inverse()
+        jd = unipotent_jordan(A)
+        assert jd.partition == partition
+        assert jd == _every_level_jordan(A)
+
+
+def _every_level_jordan(A):
+    """unipotent_jordan without the skip rule: one kernel of N^j at
+    every level j from the index down."""
+    field, n = A.field, A.n
+    arith = field.arith
+    N = linalg.shift_reps(arith, A.reps(), arith.one)
+    npowers = [linalg.diagonal_reps(arith, [arith.one] * n), N]
+    while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
+        npowers.append(arith.matmul(npowers[-1], N))
+    index = len(npowers) - 1
+    bottoms = IndependentSet(field, n)
+    tops = []
+    for j in range(index, 0, -1):
+        kernel = linalg._kernel_reps(arith, npowers[j])
+        images = zip(*arith.matmul(npowers[j - 1], list(zip(*kernel))))
+        for v, bottom in zip(kernel, images):
+            if bottoms.add(bottom):
+                tops.append((v, j))
+    cols = [linalg.apply_reps(arith, npowers[h - 1 - i], v)
+            for v, h in tops for i in range(h)]
+    Q = Matrix.from_reps(field, list(zip(*cols)))
+    return linalg.JordanData(tuple(h for _, h in tops), Q.inverse(), Q)
 
 
 def _level_by_level_jordan(A):
