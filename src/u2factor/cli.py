@@ -15,8 +15,8 @@ from . import oracle
 from .field import FieldError, parse_field_spec, parse_int, GF, rationals
 from .linalg import LinalgError, Matrix, diagonal, jordan_block, \
     parse_matrix_text
-from .unipotent import (CertificateError, VerificationFailed, verify,
-                        factorization_to_json,
+from .unipotent import (CertificateError, CommutatorPair, Factorization,
+                        VerificationFailed, verify, factorization_to_json,
                         unchecked_factorization_from_json)
 from .sourour import SourourError
 from .factor_sl2 import FactorError
@@ -141,6 +141,16 @@ def _cmd_selftest(args) -> int:
                              or f.pair_count() == expect_pairs)
         check(f"factor/verify {name}", ok,
               f"pairs={f.pair_count()}" if ok else rep.text())
+    # X = 2I is not U2, so verify takes the det of this pair's value,
+    # which is 0: both checks must fail.
+    f5 = GF(5)
+    two_i = diagonal(f5, [f5.element(2)] * 2)
+    j2 = jordan_block(f5, 2, f5.one())
+    tampered = Factorization(j2, (CommutatorPair.unchecked(two_i, j2),), ())
+    failed = [name for name, _ in verify(tampered).failures()]
+    check("GF(5) certificate with X = 2I fails 'is U2' and 'det=1'",
+          "pair[0].X is U2" in failed and "pair[0] value det=1" in failed,
+          f"failed: {failed}")
     for q, want in ((2, 3), (3, 8)):
         table = oracle.enumerate_group(GF(q), 2)
         got = len(oracle.derived_subgroup(table))

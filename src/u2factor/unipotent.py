@@ -12,13 +12,15 @@ the running product exist once, as helpers on those rows that run
 through the field's arith class, beside ``linalg``'s rep helpers
 (``det_reps``, ``diagonal_reps`` for I, ``shift_reps`` for A - I).
 ``verify`` reads the target and each pair's X and Y once and builds no
-FieldElement or Matrix in between; ``is_u2``, ``CommutatorPair.value``,
-``u2_inverse``, ``Factorization.product`` and ``Matrix.det`` wrap the
-same helpers.  ``factorization_from_json`` raises NotU2 for a pair that
-is not U2, while ``unchecked_factorization_from_json`` checks the shape
-only and leaves that finding to ``verify``'s report.  Certificates are
-written as compact JSON; the loaders read any layout of the same
-object.
+FieldElement or Matrix in between.  It computes the det of [X, Y] only
+for a pair with a member that fails the U2 test: when both pass, 2I - X
+and 2I - Y are the true inverses, so the det is exactly 1.
+``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
+``Factorization.product`` and ``Matrix.det`` wrap the same helpers.
+``factorization_from_json`` raises NotU2 for a pair that is not U2,
+while ``unchecked_factorization_from_json`` checks the shape only and
+leaves that finding to ``verify``'s report.  Certificates are written
+as compact JSON; the loaders read any layout of the same object.
 """
 
 from __future__ import annotations
@@ -201,21 +203,28 @@ class Report:
 
 def verify(f: Factorization) -> Report:
     """Check a certificate on raw reps: read the target and each pair's
-    X and Y once, then test both for U2, compute [X, Y] once for its det
-    check and the running product, and compare the product with the
-    target.  A pair over another field or of another size raises."""
+    X and Y once, then test both for U2, compute [X, Y] once for the
+    running product, and compare the product with the target.  A pair
+    over another field or of another size raises.
+
+    The det of [X, Y] is computed only for a pair with a member that
+    fails the U2 test: when both pass, X (2I - X) = I - N^2 = I with
+    N = X - I, and likewise for Y, so the value is X Y X^-1 Y^-1 and its
+    det is exactly 1 in every field."""
     report = Report()
     target = f.target
     arith = target.field.arith
     values = []
     for i, pair in enumerate(f.pairs):
         x, y = _pair_reps(target, pair)
+        both_u2 = True
         for name, m in ((f"pair[{i}].X", x), (f"pair[{i}].Y", y)):
             ok = _index_reps(arith, m, 2)
+            both_u2 = both_u2 and ok
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
         value = _pair_value_reps(arith, x, y)
-        det = det_reps(arith, value)
+        det = arith.one if both_u2 else det_reps(arith, value)
         ok = det == arith.one
         report.record(f"pair[{i}] value det=1", ok,
                       "" if ok else f"det={arith.token(det)}")

@@ -9,7 +9,10 @@ with the target.  Every golden certificate, seeded certificates over
 GF(2^k) (where 2I - X = X), GF(p) and Q with entries of 500 bits and
 more, and tampered certificates must give the same report entries, in
 the same order and with the same details.  A pair over another field or
-of another size must raise the same exception in both.  The checks are
+of another size must raise the same exception in both.  ``verify``
+skips the det of a pair whose members both pass the U2 test, so random
+U2 pairs built without ``factor`` check the argument itself: their
+commutator has det 1 by element-level elimination.  The checks are
 plain ``if`` statements, so they still run under ``python -O``.
 """
 
@@ -18,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u2factor import GF, factor, rationals
 from u2factor.linalg import Matrix, diagonal, identity
@@ -183,6 +187,54 @@ def test_rationals_with_500_bit_entries():
         pytest.fail("the conjugated Q certificate failed verify")
 
 
+# -- the det argument: U2 members make det [X, Y] = 1 ----------------------------
+
+PROPERTY_FIELDS = (GF(2), GF(4), GF(9), GF(31), rationals())
+
+
+def _entries(F, nonzero=False):
+    if F.is_finite:
+        return st.sampled_from(F.nonzero_elements() if nonzero
+                               else F.elements())
+    values = st.fractions(-5, 5, max_denominator=6)
+    if nonzero:
+        values = values.filter(bool)
+    return values.map(F.element)
+
+
+@st.composite
+def _u2_matrix(draw, F, n):
+    """I + u v^T with v^T u = 0 and u, v != 0, so that N = u v^T is
+    nonzero and N^2 = u (v^T u) v^T = 0.  u_j and v_k are nonzero for
+    some j != k, and v_j is solved for from v^T u = 0."""
+    j = draw(st.integers(0, n - 1))
+    k = (j + draw(st.integers(1, n - 1))) % n
+    u = [draw(_entries(F, nonzero=i == j)) for i in range(n)]
+    v = [draw(_entries(F, nonzero=i == k)) for i in range(n)]
+    v[j] = -sum((v[i] * u[i] for i in range(n) if i != j), F.zero()) / u[j]
+    return identity(F, n) + Matrix(F, [[a * b for b in v] for a in u])
+
+
+@pytest.mark.parametrize("F", PROPERTY_FIELDS, ids=lambda F: F.spec_string())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_u2_pairs_have_det_one(F, data):
+    n = data.draw(st.integers(2, 4), label="n")
+    pairs = [CommutatorPair.unchecked(data.draw(_u2_matrix(F, n)),
+                                      data.draw(_u2_matrix(F, n)))
+             for _ in range(data.draw(st.integers(1, 3), label="pairs"))]
+    target = identity(F, n)
+    for p in pairs:
+        if not (_ref_is_u2(p.x) and _ref_is_u2(p.y)):
+            pytest.fail(f"I + u v^T with v^T u = 0 should be U2: {p}")
+        value = _ref_value(p.x, p.y)
+        if _ref_det(value) != F.one():
+            pytest.fail(f"det [X, Y] should be 1 for U2 X and Y: {p}")
+        target = target @ value
+    if not _same_report(Factorization(target, pairs, ())).passed:
+        pytest.fail("a certificate of U2 pairs and their product failed")
+
+
 # -- tampered certificates -------------------------------------------------------
 
 def test_two_i_fails_u2_and_det():
@@ -192,6 +244,20 @@ def test_two_i_fails_u2_and_det():
     failed = _failed_names(report)
     if "pair[0].X is U2" not in failed or "pair[0] value det=1" not in failed:
         pytest.fail(f"X = 2I should fail 'is U2' and 'det=1', got {failed}")
+
+
+def test_non_u2_y_fails_u2_and_det():
+    """X stays U2 and Y = 3I is not, so ``verify`` takes the det of
+    X 3I (2I - X)(-I) = -3I, which is (-3)^4 = 4 over GF(7)."""
+    f = _odd_cert()
+    three_i = diagonal(GF(7), [GF(7).element(3)] * 4)
+    report = _same_report(_with_pair(f, 0, y=three_i))
+    failed = _failed_names(report)
+    if ("pair[0].X is U2" in failed or "pair[0].Y is U2" not in failed
+            or "pair[0] value det=1" not in failed):
+        pytest.fail(f"Y = 3I should fail 'is U2' and 'det=1', got {failed}")
+    if ("pair[0] value det=1", False, "det=4") not in report.entries:
+        pytest.fail(f"Y = 3I should give det=4, got {report.entries}")
 
 
 def test_identity_member_fails_u2_only():
