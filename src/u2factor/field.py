@@ -14,31 +14,38 @@ products, row operations (``scale``, ``sub_scaled``) and determinants
 (``det``) all call it, so no elimination outside this module makes a
 call per entry.
 
+Each class has one ``chain``, the product of several matrices evaluated
+right to left in one pass, and ``matmul`` is a product of two.
+
 - Over GF(p) it works on ints mod p, and a row operation is one
-  comprehension of int arithmetic.  A matrix product with at least
-  ``_PACK_MIN`` rows on the left and columns on the right packs each row
-  of its right operand into one int with slots wide enough that none
-  carries (Kronecker substitution), so a row of the product is one sum of
-  k int products, cut into entries by a shift, a mask and a reduction mod
-  p each.  A smaller product, a matrix-vector product among them, takes
-  one integer dot product per entry, reduced once.
+  comprehension of int arithmetic.  A chain packs each row of its last
+  factor into one int with slots wide enough that none carries
+  (Kronecker substitution), so each earlier factor maps packed rows to
+  packed rows, one sum of int products per row, and only the result is
+  cut into entries by a shift, a mask and a reduction mod p each.  A
+  product of two with at least ``_PACK_MIN`` rows on the left and
+  columns on the right is such a chain; a smaller one, a matrix-vector
+  product among them, takes one integer dot product per entry, reduced
+  once.
 - Over GF(p^k) element products, inverses and negation go through
   log/antilog tables of a primitive element, O(q) entries built from
   q - 1 polynomial products; a row operation is one antilog lookup and
-  one coefficient-wise difference per entry.  A matrix product packs
-  each rep into one int, a coefficient per slot, and each row of its
-  right operand into one int with room for a product polynomial per
-  entry, so a row of the product is one sum of int products, as over
-  GF(p).  The row is reduced mod the modulus f all at once, by a fixed
-  number of folds of its high coefficients through x^k mod f (one for
-  every built-in modulus), and each coefficient is then one shift, one
-  mask and one reduction mod p.
+  one coefficient-wise difference per entry.  A chain packs each rep
+  into one int, a coefficient per slot, and each row of its last factor
+  into one int with room for a product polynomial per entry, so each
+  step is one sum of int products per row, as over GF(p).  After each
+  step a row is reduced mod the modulus f all at once, by a fixed number
+  of folds of its high coefficients through x^k mod f (one for every
+  built-in modulus), and each coefficient of the result is one shift,
+  one mask and one reduction mod p.
 - Over Q element operations and row operations use ``Fraction``.  A
-  matrix product clears each row of its left operand and each column of
-  its right one to integers over their own common denominator, so an
-  entry costs one integer dot product and one ``gcd`` instead of one per
-  term.  A determinant clears each row likewise and runs Bareiss's
-  fraction-free elimination, one ``Fraction`` in all.
+  chain clears each column of its last factor, and each earlier factor,
+  to integers over a common denominator and divides each column by its
+  gcd after every step; a product of two clears each row of its left
+  operand and each column of its right one over their own common
+  denominator.  Either way an entry costs one ``gcd`` at the end instead
+  of one per term.  A determinant clears each row likewise and runs
+  Bareiss's fraction-free elimination, one ``Fraction`` in all.
 
 The finite kinds share their determinant, Gaussian elimination through
 ``sub_scaled``.  ``primitive`` is the scale that
@@ -278,7 +285,7 @@ def _residue(value, p: int) -> int:
 
 # A product whose left operand has fewer rows, or whose right operand
 # has fewer columns, than this takes one dot product per entry; a larger
-# one packs the right operand's rows (``PrimeArith.matmul``).  The packing
+# one is a packed chain of two (``PrimeArith.matmul``).  The packing
 # costs about as much as it saves at 4 x 4 (several p, 2-vCPU VM).
 _PACK_MIN = 5
 
@@ -360,27 +367,50 @@ class PrimeArith(_FiniteArith):
         p = self.p
         return [(x - c * y) % p for x, y in zip(row, other)]
 
+    def negate(self, row) -> list:
+        """-row."""
+        p = self.p
+        return [-x % p for x in row]
+
     def matmul(self, a, b) -> list:
         """Rows of a @ b, for a and b given as rows of reps.
 
         Below ``_PACK_MIN`` rows of a or columns of b, an entry is one
-        integer dot product reduced mod p once.  Otherwise each row of b
-        becomes one int with its entry j in bits [j w, (j+1) w), and row
-        i of the product is the integer sum of a[i][t] times packed row
-        t (Kronecker substitution).  Reps lie in [0, p), so a slot sums
-        at most k (p - 1)^2 < 2^w for inner dimension k, and never
-        carries into the next; each entry is one shift, one mask and one
-        reduction mod p.
+        integer dot product reduced mod p once; otherwise the product is
+        ``chain([a, b])``.
         """
-        p, mul = self.p, operator.mul
         if len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN:
+            p, mul = self.p, operator.mul
             cols = list(zip(*b))
             return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
-        width = (len(b) * (p - 1) ** 2).bit_length()
-        mask, shifts = (1 << width) - 1, range(0, width * len(b[0]), width)
-        packed = [sum(map(operator.lshift, r, shifts)) for r in b]
-        return [[(v >> s & mask) % p for s in shifts]
-                for v in (sum(map(mul, r, packed)) for r in a)]
+        return self.chain([a, b])
+
+    def chain(self, mats) -> list:
+        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
+        reps, evaluated right to left with no reduction between steps.
+
+        Each row of the last factor becomes one int with its entry j in
+        bits [j w, (j+1) w) (Kronecker substitution), and each earlier
+        factor maps the packed rows to new packed rows: its row i becomes
+        the integer sum of a[i][t] times packed row t.  Reps lie in
+        [0, p), so a slot of the result sums at most R products of L
+        entries, for L factors and R the product of the row counts of
+        all factors but the first; w is the bit length of
+        (p - 1)^L R, so no slot of a partial or final product ever
+        carries into the next.  Only the result is cut: one shift, one
+        mask and one reduction mod p per entry.
+        """
+        p, mul, last = self.p, operator.mul, mats[-1]
+        bound = (p - 1) ** len(mats)
+        for m in mats[1:]:
+            bound *= len(m)
+        width = max(bound.bit_length(), 1)
+        cols = len(last[0]) if last else 0
+        mask, shifts = (1 << width) - 1, range(0, width * cols, width)
+        acc = [sum(map(operator.lshift, r, shifts)) for r in last]
+        for m in mats[-2::-1]:
+            acc = [sum(map(mul, r, acc)) for r in m]
+        return [[(v >> s & mask) % p for s in shifts] for v in acc]
 
     def token(self, a) -> str:
         return str(a)
@@ -402,11 +432,12 @@ class ExtensionArith(_FiniteArith):
     Matrix products pack polynomials into ints (Kronecker substitution,
     as over GF(p)) and reduce mod f a whole row of the product at a time
     by folding its high coefficients onto the low ones through x^k mod f;
-    see ``matmul``.
+    see ``chain``.
     """
 
     __slots__ = ("p", "k", "zero", "one", "_order", "_log", "_exp",
-                 "_neg_log", "_xk", "_folds", "_packed", "_shapes")
+                 "_neg_log", "_xk", "_folds", "_growth", "_packed",
+                 "_shapes")
 
     def __init__(self, p: int, k: int, modulus):
         order = p ** k - 1
@@ -435,6 +466,9 @@ class ExtensionArith(_FiniteArith):
         while degree >= k:
             degree = max(k - 1, degree - k + top)
             self._folds += 1
+        # one chain step's growth of the coefficient bound, per unit of
+        # inner dimension: k (p - 1) from a product, 1 + k (p - 1) a fold
+        self._growth = k * (p - 1) * (1 + k * (p - 1)) ** self._folds
         self._packed, self._shapes = {}, {}
 
     def coerce(self, value) -> tuple:
@@ -486,55 +520,76 @@ class ExtensionArith(_FiniteArith):
         return [tuple(map(mod_p, map(sub, x, exp[lc + log[y]])))
                 for x, y in zip(row, other)]
 
+    def negate(self, row) -> list:
+        """-row, one antilog lookup per entry."""
+        log, exp, shift = self._log, self._exp, self._neg_log
+        return [exp[log[x] + shift] for x in row]
+
     def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps.
+        """Rows of a @ b, for a and b given as rows of reps:
+        ``chain([a, b])``."""
+        return self.chain([a, b])
+
+    def chain(self, mats) -> list:
+        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
+        reps, evaluated right to left with one reduction mod f per step.
 
         A rep becomes one int with coefficient i in bits [i w, (i+1) w),
-        and row t of b one int with entry j in the superslot of 2k - 1
-        slots from bit j (2k - 1) w (Kronecker substitution).  Row i of
-        the product is then the integer sum of packed a[i][t] times
-        packed row t: superslot j holds entry (i, j) as a polynomial of
-        degree <= 2k - 2 with unreduced integer coefficients.
+        and row t of the last factor one int with entry j in the
+        superslot of 2k - 1 slots from bit j (2k - 1) w (Kronecker
+        substitution).  Each earlier factor maps the packed rows to new
+        packed rows: its row i becomes the integer sum of packed a[i][t]
+        times packed row t, so superslot j holds entry (i, j) as a
+        polynomial of degree <= 2k - 2 with unreduced integer
+        coefficients.
 
-        The whole row is reduced mod f by folds
+        Each new row is reduced mod f by folds
         v = (v & LOW) + (v >> k w & HIGH) * G, with G the packed x^k mod f,
         LOW the low k slots and HIGH the low k - 1 slots of every
         superslot.  ``_folds`` of them bring every entry to degree
-        <= k - 1.  A coefficient of the sum is at most n k (p - 1)^2 for
-        inner dimension n, and a fold multiplies that bound by at most
-        1 + k (p - 1); w is the bit length of the final bound, so no slot
-        ever carries into the next.  Each coefficient is then one shift,
-        one mask and one reduction mod p.  An empty b has no columns, so
-        each row of the product is empty, as for the other kinds.
+        <= k - 1, so the row is packed as the next step needs it.  A step
+        with inner dimension n multiplies the coefficient bound by at
+        most n k (p - 1), and a fold by at most 1 + k (p - 1); w is the
+        bit length of the final bound, (p - 1) times ``_growth`` and the
+        row count of every factor but the first, so no slot ever carries
+        into the next.  Only the result is cut: each coefficient is one
+        shift, one mask and one reduction mod p.  An empty last factor
+        has no columns, so each row of the product is empty, as for the
+        other kinds.
         """
-        if not b:
-            return [[] for _ in a]
-        table, xk, supers, low, high, kw, mask, shifts = \
-            self._shape(len(b), len(b[0]))
+        last = mats[-1]
+        bound = self.p - 1
+        for m in mats[1:]:
+            bound *= len(m) * self._growth
+        table, xk, supers, low, high, kw, mask, shifts = self._shape(
+            max(bound.bit_length(), 1), len(last[0]) if last else 0)
         at, mul, lshift = table.__getitem__, operator.mul, operator.lshift
-        packed = [sum(map(lshift, map(at, r), supers)) for r in b]
-        p, k, folds = self.p, self.k, range(self._folds)
-        out = []
-        for r in a:
-            v = sum(map(mul, map(at, r), packed))
-            for _ in folds:
-                v = (v & low) + (v >> kw & high) * xk
+        folds = range(self._folds)
+        acc = [sum(map(lshift, map(at, r), supers)) for r in last]
+        for m in mats[-2::-1]:
+            out = []
+            for r in m:
+                v = sum(map(mul, map(at, r), acc))
+                for _ in folds:
+                    v = (v & low) + (v >> kw & high) * xk
+                out.append(v)
+            acc = out
+        p, k, rows = self.p, self.k, []
+        for v in acc:
             # the coefficients in row order, cut into consecutive k-tuples
             coeffs = iter([(v >> s & mask) % p for s in shifts])
-            out.append(list(zip(*[coeffs] * k)))
-        return out
+            rows.append(list(zip(*[coeffs] * k)))
+        return rows
 
-    def _shape(self, inner: int, cols: int) -> tuple:
-        """What ``matmul`` needs for a product with this inner dimension
-        and number of columns, kept per shape: the rep -> packed int
-        table for its slot width w (kept per width), packed x^k mod f,
-        the superslot offsets, the LOW and HIGH masks, the fold shift
-        k w, the slot mask and the bit offset of every coefficient."""
-        shape = self._shapes.get((inner, cols))
+    def _shape(self, width: int, cols: int) -> tuple:
+        """What ``chain`` needs for slot width w and this number of
+        columns, kept per (w, columns): the rep -> packed int table for
+        w (kept per width), packed x^k mod f, the superslot offsets, the
+        LOW and HIGH masks, the fold shift k w, the slot mask and the bit
+        offset of every coefficient."""
+        shape = self._shapes.get((width, cols))
         if shape is None:
-            p, k = self.p, self.k
-            w = (inner * k * (p - 1) ** 2
-                 * (1 + k * (p - 1)) ** self._folds).bit_length()
+            k, w = self.k, width
             table = self._packed.get(w)
             if table is None:
                 table = self._packed[w] = {
@@ -545,7 +600,7 @@ class ExtensionArith(_FiniteArith):
             low = sum(((1 << k * w) - 1) << s for s in supers)
             high = sum(((1 << (k - 1) * w) - 1) << s for s in supers)
             shifts = [s + i * w for s in supers for i in range(k)]
-            shape = self._shapes[inner, cols] = (
+            shape = self._shapes[w, cols] = (
                 table, table[self._xk], supers, low, high, k * w,
                 (1 << w) - 1, shifts)
         return shape
@@ -565,8 +620,9 @@ class RationalArith:
     """Q: reduced Fractions.
 
     Element operations are ``Fraction``'s.  ``matmul`` works on integer
-    rows and columns, each over its own common denominator, and builds
-    one reduced ``Fraction`` per entry.  ``det`` clears each row to
+    rows and columns, each over its own common denominator, and
+    ``chain`` on integer columns, so both build one reduced ``Fraction``
+    per entry.  ``det`` clears each row to
     integers and runs Bareiss's fraction-free elimination, so it makes
     one ``Fraction`` in all.  ``primitive`` clears a vector's
     denominators and divides out the gcd of its coordinates.  Tokens
@@ -609,6 +665,10 @@ class RationalArith:
         if c == 0:
             return row
         return [x - c * y for x, y in zip(row, other)]
+
+    def negate(self, row) -> list:
+        """-row."""
+        return [-x for x in row]
 
     def det(self, rows) -> Fraction:
         """Determinant of square rows of reps.
@@ -657,6 +717,35 @@ class RationalArith:
         mul = operator.mul
         return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
                 for dr, r in rows]
+
+    def chain(self, mats) -> list:
+        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
+        reps, evaluated right to left on integers.
+
+        Each column of the last factor is cleared to integers over the
+        lcm of its own denominators, and each earlier factor to integers
+        over one common denominator D, so a step maps the column
+        ints / d to (M ints) / (D d) by integer dot products.  After
+        each step every column is divided by the gcd of its integers and
+        its denominator, which keeps the integers as small as the
+        column's value allows.  The result makes one reduced
+        ``Fraction`` per entry.
+        """
+        mul, gcd = operator.mul, math.gcd
+        cols = [_clear_denominators(c) for c in zip(*mats[-1])]
+        for m in mats[-2::-1]:
+            d = math.lcm(*(x.denominator for r in m for x in r))
+            rows = [[x.numerator * (d // x.denominator) for x in r]
+                    for r in m]
+            step = []
+            for dc, c in cols:
+                dc, c = d * dc, [sum(map(mul, r, c)) for r in rows]
+                g = gcd(dc, *c)
+                step.append((dc // g, [x // g for x in c]) if g > 1
+                            else (dc, c))
+            cols = step
+        return [[Fraction(c[i], dc) for dc, c in cols]
+                for i in range(len(mats[0]))]
 
     def primitive(self, vec) -> list:
         """vec scaled to a primitive integer vector (coprime integer

@@ -10,8 +10,10 @@ A ``Matrix`` holds rows of canonical reps, and every algorithm here
 runs on them through the field's arith class, with rep helpers
 (``*_reps``) that ``unipotent`` and ``sourour`` share.  The arith class
 does the per-entry work: products (``matmul``, packed over GF(p) above
-a small size), row operations (``scale``, ``sub_scaled``) and the
-determinant (``det``, Bareiss over Q).  So ``_rref``, ``IndependentSet``
+a small size, and ``chain`` for a product of several factors in one
+pass, which ``chain_product`` wraps), row operations (``scale``,
+``sub_scaled``, ``negate``) and the determinant (``det``, Bareiss over
+Q).  So ``_rref``, ``IndependentSet``
 and ``charpoly`` make one call per row operation, not one per entry,
 and ``det_reps`` is one call.
 FieldElements are checked where a matrix is built from them, and made
@@ -153,9 +155,8 @@ class Matrix:
         return self._entrywise(self.field.arith.sub, other)
 
     def __neg__(self):
-        neg = self.field.arith.neg
-        return Matrix.from_reps(self.field,
-                                [list(map(neg, r)) for r in self._reps])
+        negate = self.field.arith.negate
+        return Matrix.from_reps(self.field, [negate(r) for r in self._reps])
 
     def __matmul__(self, other):
         """The product, computed on raw reps by the field's arith class."""
@@ -297,6 +298,17 @@ def jordan_block(field: FieldSpec, n: int, lam: FieldElement) -> Matrix:
     for i in range(n - 1):
         rows[i][i + 1] = field.arith.one
     return Matrix.from_reps(field, rows)
+
+
+def chain_product(*mats: Matrix) -> Matrix:
+    """mats[0] @ ... @ mats[-1] in one right-to-left pass of the field's
+    arith class (``chain``); raises as ``@`` would for an operand over
+    another field or of another size."""
+    first = mats[0]
+    for m in mats[1:]:
+        first.check_operand(m)
+    return Matrix.from_reps(first.field, first.field.arith.chain(
+        [m._reps for m in mats]))
 
 
 def direct_sum(*mats: Matrix) -> Matrix:
@@ -686,12 +698,12 @@ def _lower_inverse(arith, rows) -> list:
     X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i].  X^-1 is lower
     triangular too, so the product reads only its leading i x i block
     and is zero from column i on."""
-    zero, one, neg = arith.zero, arith.one, arith.neg
+    zero, one = arith.zero, arith.one
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
         head = arith.matmul([r[:i]], [x[:i] for x in out])[0]
-        e = list(map(neg, head)) + [one] + [zero] * (n - 1 - i)
+        e = arith.negate(head) + [one] + [zero] * (n - 1 - i)
         out.append(arith.scale(e, arith.inv(r[i])))
     return out
 

@@ -11,6 +11,8 @@ A ``Matrix`` holds rows of raw reps.  The U2 test, the commutator and
 the running product exist once, as helpers on those rows that run
 through the field's arith class, beside ``linalg``'s rep helpers
 (``det_reps``, ``diagonal_reps`` for I, ``shift_reps`` for A - I).
+Products of several factors (a commutator, the running product folded
+in one pair at a time, a conjugation P X P^-1) are one ``chain`` each.
 ``verify`` reads the target and each pair's X and Y once and builds no
 FieldElement or Matrix in between.  It computes the det of [X, Y] only
 for a pair with a member that fails the U2 test: when both pass, 2I - X
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_rep
-from .linalg import Matrix, identity, direct_sum, det_reps, diagonal_reps, \
-    shift_reps
+from .linalg import Matrix, identity, chain_product, direct_sum, det_reps, \
+    diagonal_reps, shift_reps
 
 
 class CertificateError(Exception):
@@ -67,29 +69,30 @@ def _index_reps(arith, rows, k: int) -> bool:
 
 def _u2_inverse_reps(arith, rows) -> list:
     """2I - X, which is X^-1 exactly when X is U2."""
-    two, neg, sub = arith.add(arith.one, arith.one), arith.neg, arith.sub
-    out = [list(map(neg, r)) for r in rows]
+    two, sub = arith.add(arith.one, arith.one), arith.sub
+    out = [arith.negate(r) for r in rows]
     for i, r in enumerate(out):
         r[i] = sub(two, rows[i][i])
     return out
 
 
-def _pair_value_reps(arith, x, y) -> list:
-    """[X, Y] of a pair, with the U2 inverses 2I - X and 2I - Y."""
-    matmul = arith.matmul
-    return matmul(matmul(matmul(x, y), _u2_inverse_reps(arith, x)),
-                  _u2_inverse_reps(arith, y))
+def _pair_factors(arith, x, y) -> list:
+    """X, Y, 2I - X, 2I - Y: the factors of [X, Y] with the U2
+    inverses."""
+    return [x, y, _u2_inverse_reps(arith, x), _u2_inverse_reps(arith, y)]
 
 
-def _product_reps(arith, n: int, factors) -> list:
-    """The product of n x n factors in order, from the first factor as
-    it is; I_n for none."""
-    factors = iter(factors)
-    acc = next(factors, None)
-    if acc is None:
+def _product_reps(arith, n: int, pairs: list) -> list:
+    """The product of the values [X, Y] of the pairs (X, Y), given as
+    rows of reps, in order; I_n for none.  It is folded right to left,
+    one ``chain`` per pair with the running product as its last factor,
+    so the four factors of a pair are multiplied with no reduction
+    between them."""
+    if not pairs:
         return diagonal_reps(arith, [arith.one] * n)
-    for m in factors:
-        acc = arith.matmul(acc, m)
+    acc = arith.chain(_pair_factors(arith, *pairs[-1]))
+    for x, y in reversed(pairs[:-1]):
+        acc = arith.chain(_pair_factors(arith, x, y) + [acc])
     return acc
 
 
@@ -148,8 +151,9 @@ class CommutatorPair:
     def value(self) -> Matrix:
         """[X, Y], with the U2 inverses 2I - X and 2I - Y."""
         self.x.check_operand(self.y)
-        return Matrix.from_reps(self.x.field, _pair_value_reps(
-            self.x.field.arith, self.x.reps(), self.y.reps()))
+        arith = self.x.field.arith
+        return Matrix.from_reps(self.x.field, arith.chain(_pair_factors(
+            arith, self.x.reps(), self.y.reps())))
 
 
 @dataclass(frozen=True)
@@ -166,11 +170,9 @@ class Factorization:
 
     def product(self) -> Matrix:
         target = self.target
-        arith = target.field.arith
-        values = (_pair_value_reps(arith, *_pair_reps(target, pair))
-                  for pair in self.pairs)
-        return Matrix.from_reps(target.field,
-                                _product_reps(arith, target.n, values))
+        return Matrix.from_reps(target.field, _product_reps(
+            target.field.arith, target.n,
+            [_pair_reps(target, pair) for pair in self.pairs]))
 
     def pair_count(self) -> int:
         return len(self.pairs)
@@ -203,18 +205,19 @@ class Report:
 
 def verify(f: Factorization) -> Report:
     """Check a certificate on raw reps: read the target and each pair's
-    X and Y once, then test both for U2, compute [X, Y] once for the
-    running product, and compare the product with the target.  A pair
-    over another field or of another size raises.
+    X and Y once, test both for U2, then fold the product of the values
+    [X, Y] right to left, one chain X Y (2I - X) (2I - Y) acc per pair,
+    and compare it with the target.  A pair over another field or of
+    another size raises.
 
-    The det of [X, Y] is computed only for a pair with a member that
-    fails the U2 test: when both pass, X (2I - X) = I - N^2 = I with
-    N = X - I, and likewise for Y, so the value is X Y X^-1 Y^-1 and its
-    det is exactly 1 in every field."""
+    The det of [X, Y] is computed, from its own chain, only for a pair
+    with a member that fails the U2 test: when both pass,
+    X (2I - X) = I - N^2 = I with N = X - I, and likewise for Y, so the
+    value is X Y X^-1 Y^-1 and its det is exactly 1 in every field."""
     report = Report()
     target = f.target
     arith = target.field.arith
-    values = []
+    pairs = []
     for i, pair in enumerate(f.pairs):
         x, y = _pair_reps(target, pair)
         both_u2 = True
@@ -223,13 +226,13 @@ def verify(f: Factorization) -> Report:
             both_u2 = both_u2 and ok
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
-        value = _pair_value_reps(arith, x, y)
-        det = arith.one if both_u2 else det_reps(arith, value)
+        det = arith.one if both_u2 else det_reps(
+            arith, arith.chain(_pair_factors(arith, x, y)))
         ok = det == arith.one
         report.record(f"pair[{i}] value det=1", ok,
                       "" if ok else f"det={arith.token(det)}")
-        values.append(value)
-    prod_ok = _product_reps(arith, target.n, values) == target.reps()
+        pairs.append((x, y))
+    prod_ok = _product_reps(arith, target.n, pairs) == target.reps()
     report.record("product equals target", prod_ok,
                   "" if prod_ok else "recomposition mismatch")
     return report
@@ -252,9 +255,10 @@ def conjugate_factorization(f: Factorization, P: Matrix,
     ``Pinv`` is not checked against P (the similarity helpers return
     the inverse they built); ``verify`` catches a wrong one.
     """
-    pairs = tuple(CommutatorPair.unchecked(P @ p.x @ Pinv, P @ p.y @ Pinv)
+    pairs = tuple(CommutatorPair.unchecked(chain_product(P, p.x, Pinv),
+                                           chain_product(P, p.y, Pinv))
                   for p in f.pairs)
-    return Factorization(P @ f.target @ Pinv, pairs,
+    return Factorization(chain_product(P, f.target, Pinv), pairs,
                          f.route + ("transport:conjugate",))
 
 
@@ -297,18 +301,19 @@ def embed_factorization(f: Factorization, before: int, after: int) -> Factorizat
 def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorization:
     """Certificate for a product target = part_1 ... part_k by pair
     concatenation; raises CertificateError unless the parts' targets
-    multiply to target."""
-    pairs = []
-    route = []
-    product = identity(target.field, target.n)
+    multiply to target, and as ``@`` would for a part over another field
+    or of another size."""
+    parts = list(parts)
     for part in parts:
-        pairs.extend(part.pairs)
-        route.extend(part.route)
-        product = product @ part.target
+        target.check_operand(part.target)
+    product = (chain_product(*(part.target for part in parts)) if parts
+               else identity(target.field, target.n))
     if product != target:
         raise CertificateError("part targets do not multiply to the target")
-    return Factorization(target, tuple(pairs),
-                         tuple(route) + tuple(route_extra))
+    return Factorization(
+        target, tuple(chain.from_iterable(part.pairs for part in parts)),
+        tuple(chain.from_iterable(part.route for part in parts))
+        + tuple(route_extra))
 
 
 def expand_to_u2_product(f: Factorization):
@@ -316,7 +321,7 @@ def expand_to_u2_product(f: Factorization):
     target: [X, Y] = X * (Y X^-1 Y^-1)."""
     out = []
     for pair in f.pairs:
-        second = pair.y @ u2_inverse(pair.x) @ u2_inverse(pair.y)
+        second = chain_product(pair.y, u2_inverse(pair.x), u2_inverse(pair.y))
         if not is_u2(second):
             raise CertificateError("conjugated inverse lost the U2 property")
         out.append(pair.x)

@@ -1,4 +1,5 @@
-"""Cross-checks of ``Matrix.__matmul__`` and the extension-field tables.
+"""Cross-checks of ``Matrix.__matmul__``, the arith classes' ``chain``
+and the extension-field tables.
 
 ``@`` computes on raw reps through the field's arithmetic class.  Here
 its results must equal a naive triple loop of element operations, and
@@ -8,6 +9,13 @@ on both sides of ``_PACK_MIN`` are checked, the packed one with the
 largest slot sums and with operands that are not square.  Over GF(p^k)
 the packed product is checked in every shape, with every coefficient
 p - 1 in both operands, on moduli that need the most folds.
+
+``chain``, a product of several factors evaluated right to left with no
+reduction between steps, must equal a left-to-right fold of the naive
+product on every kind: chains of 1 to 16 factors, rectangular and empty
+factors, every coefficient p - 1 in every factor (the largest slot sums
+the chain's width allows), and Q chains whose reduced result has far
+fewer bits than their factors.
 """
 
 import itertools
@@ -113,6 +121,139 @@ def naive_rep_product(F, a, b):
             row.append(acc.rep)
         out.append(row)
     return out
+
+
+def naive_chain(F, mats):
+    """Rows of reps of mats[0] @ ... @ mats[-1], folded left to right
+    with ``naive_rep_product``."""
+    acc = [list(r) for r in mats[0]]
+    for m in mats[1:]:
+        acc = naive_rep_product(F, acc, m)
+    return acc
+
+
+CHAIN_FIELDS = ["GF(2)", "GF(3)", "GF(31)", "GF(2147483647)", "GF(4)",
+                "GF(8)", "GF(9)", "GF(27)", GF256, GF8_TOP, GF243_TOP, "Q"]
+CHAIN_LENGTHS = (1, 2, 3, 5, 8, 16)
+CHAIN_SIZES = (1, 3, 9, 17)
+
+
+def top_rep(F):
+    """The rep with every coefficient p - 1 over a finite field, and a
+    40-bit fraction over Q."""
+    if F.kind == "prime":
+        return F.p - 1
+    if F.kind == "extension":
+        return (F.p - 1,) * F.k
+    return Fraction(-(2 ** 40 - 1), 2 ** 39 + 1)
+
+
+def chain_operands(F, rng, shape, top):
+    """Factors of the given (rows, columns) shapes, every entry top_rep
+    or every entry random.  A random Q entry has a numerator of up to 40
+    bits over a denominator of at most 9, so the fold's Fractions grow
+    linearly in the number of factors and 16 factors of size 17 stay
+    cheap."""
+    def entry():
+        if top:
+            return top_rep(F)
+        if F.kind != "rational":
+            return random_entry(F, rng).rep
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 9))
+    return [[[entry() for _ in range(c)] for _ in range(r)]
+            for r, c in shape]
+
+
+def assert_chain(F, mats):
+    got = F.arith.chain(mats)
+    assert got == naive_chain(F, mats)
+    assert all(type(r) is list for r in got)
+    rep_type = type(F.zero().rep)
+    assert all(type(x) is rep_type for r in got for x in r)
+
+
+@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+def test_chain_matches_fold(spec):
+    # Every length and size with every coefficient p - 1, where the slot
+    # sums are largest; random entries too, but at the largest size only
+    # for short chains, as the naive fold is the cost of this test.
+    F = parse_field_spec(spec)
+    rng = random.Random(f"chain-{spec}")
+    for length in CHAIN_LENGTHS:
+        for n in CHAIN_SIZES:
+            for top in (True, False) if n < 17 or length <= 3 else (True,):
+                assert_chain(F, chain_operands(F, rng, [(n, n)] * length,
+                                               top))
+
+
+@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+def test_chain_rectangular_factors(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(f"chain-rect-{spec}")
+    for n in CHAIN_SIZES:
+        for shape in ([(2, n), (n, 3), (3, 4)], [(1, n), (n, 1)],
+                      [(n, 1), (1, n)], [(n, 2), (2, 7), (7, 1), (1, 5)]):
+            for top in (True, False):
+                assert_chain(F, chain_operands(F, rng, shape, top))
+
+
+@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+def test_chain_empty_factors(spec):
+    # An empty factor has no rows; an empty last factor has no columns,
+    # so each row of the product is empty, as for ``matmul``.
+    F = parse_field_spec(spec)
+    chain, top = F.arith.chain, top_rep(F)
+    for m in (1, 4):
+        a = [[top] * 3 for _ in range(m)]
+        b = [[top] * 2 for _ in range(3)]
+        assert chain([[[] for _ in range(m)]]) == [[] for _ in range(m)]
+        assert chain([[[] for _ in range(m)], []]) == [[] for _ in range(m)]
+        assert chain([a, [[] for _ in range(3)]]) == [[] for _ in range(m)]
+        assert chain([a, b, [[], []]]) == [[] for _ in range(m)]
+        assert chain([a, b, [[], []], []]) == [[] for _ in range(m)]
+    assert chain([[]]) == []
+    assert chain([[], [[top]]]) == []
+    assert chain([[], [[top] * 3], [[top]] * 3]) == []
+
+
+def q_bits(rows):
+    return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+               for r in rows for x in r)
+
+
+def test_q_chains_that_cancel():
+    # P X P^-1 with X = P^-1 S P, and X Y X^-1 Y^-1 with commuting X and Y
+    # (both polynomials in one matrix): the factors have entries of
+    # hundreds of bits, the reduced results a few bits.
+    Q = rationals()
+    rng = random.Random("q-cancel")
+    for n in (2, 3, 5):
+        P = q_matrix([[Fraction(rng.getrandbits(120) + 1,
+                                rng.getrandbits(120) + 1)
+                       for _ in range(n)] for _ in range(n)])
+        Pinv = P.inverse()
+        S = q_matrix([[rng.randint(-3, 3) if j else 1 for j in range(n)]
+                      for _ in range(n)])  # a column of ones: not scalar
+        X = Pinv @ S @ P
+        mats = [P._reps, X._reps, Pinv._reps]
+        got = Q.arith.chain(mats)
+        assert got == naive_chain(Q, mats) == [list(r) for r in S._reps]
+        assert all(type(x) is Fraction for r in got for x in r)
+        assert q_bits(mats[1]) > 200 and q_bits(got) <= 2
+
+        A = q_matrix([[Fraction(rng.getrandbits(80), rng.getrandbits(80) + 1)
+                       for _ in range(n)] for _ in range(n)])
+        X, Y = A @ A + identity(Q, n), A @ A @ A - A
+        if X.det() == 0 or Y.det() == 0:
+            continue
+        mats = [X._reps, Y._reps, X.inverse()._reps, Y.inverse()._reps]
+        got = Q.arith.chain(mats)
+        assert got == naive_chain(Q, mats) == [list(r) for r in
+                                               identity(Q, n)._reps]
+        assert all(type(x) is Fraction for r in got for x in r)
+        assert q_bits(mats[0]) > 100 and q_bits(got) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -268,6 +268,60 @@ def test_identity_member_fails_u2_only():
         pytest.fail(f"X = I should fail 'is U2' but not 'det=1', got {failed}")
 
 
+def _three_pairs(F, n):
+    """A certificate of three pairs taken from seeded certificates, with
+    the reference's product of their values as its target."""
+    pairs = []
+    for seed in range(6, 12):
+        pairs.extend(_seeded(F, n, 1, seed)[0].pairs)
+        if len(pairs) >= 3:
+            break
+    pairs = pairs[:3]
+    target = identity(F, n)
+    for p in pairs:
+        target = target @ _ref_value(p.x, p.y)
+    return Factorization(target, pairs, ())
+
+
+@pytest.mark.parametrize("F,n", [(GF(7), 4), (GF(9), 3), (rationals(), 3)])
+def test_middle_pair_not_u2(F, n):
+    """Y = 3I in the middle of three pairs: the middle value is
+    X 3I (2I - X)(-I) = -3I, so that pair fails "is U2" and "det=1",
+    and the product no longer equals the target."""
+    f = _three_pairs(F, n)
+    if not _same_report(f).passed:
+        pytest.fail("the three-pair certificate should pass")
+    three_i = diagonal(F, [F.element(3)] * n)
+    report = _same_report(_with_pair(f, 1, y=three_i))
+    want = ["pair[1].Y is U2", "pair[1] value det=1", "product equals target"]
+    if _failed_names(report) != want:
+        pytest.fail(f"expected {want} to fail, got {_failed_names(report)}")
+
+
+@pytest.mark.parametrize("F,n", [(GF(7), 4), (GF(9), 3), (rationals(), 3)])
+def test_last_pair_tampered(F, n):
+    f = _three_pairs(F, n)
+    last = f.pairs[-1]
+    report = _same_report(_with_pair(f, len(f.pairs) - 1, x=last.y, y=last.x))
+    if report.failures() != [("product equals target",
+                              "recomposition mismatch")]:
+        pytest.fail(f"swapping the last pair should fail only the product "
+                    f"check, got {report.failures()}")
+
+
+def test_four_pairs_gf4_n24():
+    for f in _seeded(GF(4), 24, 2):
+        if len(f.pairs) != 4:
+            pytest.fail(f"expected 4 pairs, got {len(f.pairs)}")
+        if not _same_report(f).passed:
+            pytest.fail("a GF(4), n = 24 certificate failed verify")
+        report = _same_report(_with_pair(f, 2, x=identity(GF(4), 24)))
+        if _failed_names(report) != ["pair[2].X is U2",
+                                     "product equals target"]:
+            pytest.fail(f"X = I in pair 2 should fail 'is U2' and the "
+                        f"product, got {_failed_names(report)}")
+
+
 @pytest.mark.parametrize("F,n", [(GF(7), 4), (GF(9), 3), (rationals(), 3)])
 def test_swapped_pair(F, n):
     for f in _seeded(F, n, 2):
