@@ -151,6 +151,18 @@ def _cmd_selftest(args) -> int:
     check("GF(5) certificate with X = 2I fails 'is U2' and 'det=1'",
           "pair[0].X is U2" in failed and "pair[0] value det=1" in failed,
           f"failed: {failed}")
+    # A valid certificate with one target entry off by one: only the
+    # final product check fails, on its packed (GF) or cleared-integer (Q)
+    # zero test.
+    for field in (GF(7), GF(9), rationals()):
+        f = factor(jordan_block(field, 3, field.one()))
+        arith, rows = field.arith, f.target.reps()
+        rows[0][2] = arith.add(rows[0][2], arith.one)
+        wrong = Factorization(Matrix.from_reps(field, rows), f.pairs, f.route)
+        failed = [name for name, _ in verify(wrong).failures()]
+        check(f"{field.spec_string()} certificate with a wrong target "
+              f"fails only 'product equals target'",
+              failed == ["product equals target"], f"failed: {failed}")
     for q, want in ((2, 3), (3, 8)):
         table = oracle.enumerate_group(GF(q), 2)
         got = len(oracle.derived_subgroup(table))

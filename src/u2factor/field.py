@@ -16,6 +16,8 @@ call per entry.
 
 Each class has one ``chain``, the product of several matrices evaluated
 right to left in one pass, and ``matmul`` is a product of two.
+``is_product`` runs the same chain and decides whether it equals a given
+matrix without cutting the product into reps, by an exact zero test.
 
 - Over GF(p) it works on ints mod p, and a row operation is one
   comprehension of int arithmetic.  A chain packs each row of its last
@@ -26,7 +28,13 @@ right to left in one pass, and ``matmul`` is a product of two.
   product of two with at least ``_PACK_MIN`` rows on the left and
   columns on the right is such a chain; a smaller one, a matrix-vector
   product among them, takes one integer dot product per entry, reduced
-  once.
+  once.  ``is_product`` adds p to every slot of a packed row and
+  subtracts the packed target row, so the row is right iff every slot
+  is a multiple of p; with one spare bit per slot that holds iff p
+  divides the row and the quotient has the top bit_length(p) bits of
+  every slot clear, one ``divmod`` and one ``&`` per row.  A product of
+  two that ``matmul`` takes by dot products is compared as computed,
+  by the same ``_PACK_MIN`` rule.
 - Over GF(p^k) element products, inverses and negation go through
   log/antilog tables of a primitive element, O(q) entries built from
   q - 1 polynomial products; a row operation is one antilog lookup and
@@ -37,14 +45,17 @@ right to left in one pass, and ``matmul`` is a product of two.
   step a row is reduced mod the modulus f all at once, by a fixed number
   of folds of its high coefficients through x^k mod f (one for every
   built-in modulus), and each coefficient of the result is one shift,
-  one mask and one reduction mod p.
+  one mask and one reduction mod p.  ``is_product`` tests the folded
+  coefficient slots as over GF(p).
 - Over Q element operations and row operations use ``Fraction``.  A
   chain clears each column of its last factor, and each earlier factor,
   to integers over a common denominator and divides each column by its
   gcd after every step; a product of two clears each row of its left
   operand and each column of its right one over their own common
   denominator.  Either way an entry costs one ``gcd`` at the end instead
-  of one per term.  A determinant clears each row likewise and runs
+  of one per term.  ``is_product`` compares the chain's columns, in
+  lowest terms, with the target's cleared columns, and builds no
+  ``Fraction``.  A determinant clears each row likewise and runs
   Bareiss's fraction-free elimination, one ``Fraction`` in all.
 
 The finite kinds share their determinant, Gaussian elimination through
@@ -79,7 +90,7 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 
@@ -290,9 +301,31 @@ def _residue(value, p: int) -> int:
 _PACK_MIN = 5
 
 
+def _has_product_shape(mats, target) -> bool:
+    """Whether ``target`` has as many rows as mats[0] and, in each, as
+    many entries as mats[-1] has columns (none when it has no rows), as
+    the rows ``chain`` returns do."""
+    last = mats[-1]
+    cols = len(last[0]) if last else 0
+    return len(target) == len(mats[0]) and all(
+        map(cols.__eq__, map(len, target)))
+
+
+@lru_cache(maxsize=256)
+def _zero_test_masks(p: int, width: int, slots: int) -> tuple:
+    """For ``is_product``'s zero test on ``slots`` slots of ``width``
+    bits: HIGH, the top bit_length(p) bits of every slot set, and p in
+    every slot."""
+    ones = sum(1 << s for s in range(0, width * slots, width))
+    bits = p.bit_length()
+    return (((1 << bits) - 1) << (width - bits)) * ones, p * ones
+
+
 class _FiniteArith:
-    """What GF(p) and GF(p^k) share: eigenvectors keep their scale, and
-    the determinant is Gaussian elimination through ``sub_scaled``."""
+    """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
+    determinant is Gaussian elimination through ``sub_scaled``, and
+    ``is_product`` is one zero test per packed row of the chain that
+    each kind's ``_packed_rows`` runs."""
 
     __slots__ = ()
 
@@ -325,9 +358,47 @@ class _FiniteArith:
                         row[col + 1:], mul(row[col], inv), tail)
         return det
 
+    def is_product(self, mats, target) -> bool:
+        """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given
+        as rows of reps, the target's rows lists as ``chain`` returns
+        them, decided on the packed rows of the product without cutting
+        them into reps.
+
+        The chain runs as in ``chain``, with w the bit length of its slot
+        bound B plus p, and one spare bit.  Each packed row v of the
+        product gets p in every slot added and the packed target row
+        subtracted, so its slot j holds u_j = s_j + p - t_j, with
+        0 < u_j < 2^(w-1), and p divides u_j exactly when s_j = t_j
+        mod p.  The row passes iff p divides v and v / p has the top
+        b = bit_length(p) bits of every slot clear (HIGH).  If every
+        u_j is p t_j, then t_j < 2^(w-1) / p <= 2^(w-b), so v / p has
+        the slots t_j and passes.  Conversely, if v / p passes, each of
+        its slots is below 2^(w-b), so p (v / p) does not carry and each
+        slot of v is p times a slot of v / p.  A target of another shape
+        is not the product.
+        """
+        if not _has_product_shape(mats, target):
+            return False
+        p = self.p
+        width = (self._bound(mats) + p).bit_length() + 1
+        acc, pack, slots = self._packed_rows(mats, width)
+        high, ps = _zero_test_masks(p, width, slots)
+        for v, t in zip(acc, pack(target)):
+            q, r = divmod(v + ps - t, p)
+            if r or q & high:
+                return False
+        return True
+
 
 class PrimeArith(_FiniteArith):
-    """GF(p): residues in [0, p)."""
+    """GF(p): residues in [0, p).
+
+    ``chain`` packs rows into ints (Kronecker substitution) and cuts only
+    the result; ``is_product`` keeps the result packed and decides each
+    row by one exact zero test mod p (``_FiniteArith.is_product``), but
+    compares a product of two below ``_PACK_MIN`` as ``matmul`` makes
+    it, by dot products.
+    """
 
     __slots__ = ("p", "zero", "one")
 
@@ -385,6 +456,17 @@ class PrimeArith(_FiniteArith):
             return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
         return self.chain([a, b])
 
+    def is_product(self, mats, target) -> bool:
+        """As ``_FiniteArith.is_product``, except that a product of two
+        that ``matmul`` takes by dot products, below ``_PACK_MIN``, is
+        those dot products compared with the target's rows: there
+        packing costs more than the zero test saves."""
+        a, b = mats[0], mats[-1]
+        if len(mats) == 2 and (len(a) < _PACK_MIN or not b
+                               or len(b[0]) < _PACK_MIN):
+            return self.matmul(a, b) == target
+        return super().is_product(mats, target)
+
     def chain(self, mats) -> list:
         """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
         reps, evaluated right to left with no reduction between steps.
@@ -400,17 +482,33 @@ class PrimeArith(_FiniteArith):
         carries into the next.  Only the result is cut: one shift, one
         mask and one reduction mod p per entry.
         """
-        p, mul, last = self.p, operator.mul, mats[-1]
-        bound = (p - 1) ** len(mats)
+        width = max(self._bound(mats).bit_length(), 1)
+        acc, _, slots = self._packed_rows(mats, width)
+        p, mask, shifts = self.p, (1 << width) - 1, range(0, width * slots,
+                                                           width)
+        return [[(v >> s & mask) % p for s in shifts] for v in acc]
+
+    def _bound(self, mats) -> int:
+        """The largest slot of the packed product: (p - 1)^L R."""
+        bound = (self.p - 1) ** len(mats)
         for m in mats[1:]:
             bound *= len(m)
-        width = max(bound.bit_length(), 1)
-        cols = len(last[0]) if last else 0
-        mask, shifts = (1 << width) - 1, range(0, width * cols, width)
-        acc = [sum(map(operator.lshift, r, shifts)) for r in last]
+        return bound
+
+    def _packed_rows(self, mats, width: int) -> tuple:
+        """The rows of the product packed in slots of ``width`` bits, the
+        function that packs rows of reps likewise, and the number of
+        slots in a row."""
+        last, mul, lshift = mats[-1], operator.mul, operator.lshift
+        shifts = range(0, width * (len(last[0]) if last else 0), width)
+
+        def pack(rows):
+            return [sum(map(lshift, r, shifts)) for r in rows]
+
+        acc = pack(last)
         for m in mats[-2::-1]:
             acc = [sum(map(mul, r, acc)) for r in m]
-        return [[(v >> s & mask) % p for s in shifts] for v in acc]
+        return acc, pack, len(shifts)
 
     def token(self, a) -> str:
         return str(a)
@@ -432,7 +530,9 @@ class ExtensionArith(_FiniteArith):
     Matrix products pack polynomials into ints (Kronecker substitution,
     as over GF(p)) and reduce mod f a whole row of the product at a time
     by folding its high coefficients onto the low ones through x^k mod f;
-    see ``chain``.
+    see ``chain``.  ``is_product`` runs the same folds and applies the
+    zero test of ``_FiniteArith.is_product`` to the coefficient slots, so
+    it decides equality with a target without cutting a coefficient.
     """
 
     __slots__ = ("p", "k", "zero", "one", "_order", "_log", "_exp",
@@ -487,12 +587,10 @@ class ExtensionArith(_FiniteArith):
         return a == self.zero
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple(map(self.p.__rmod__, map(operator.add, a, b)))
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple(map(self.p.__rmod__, map(operator.sub, a, b)))
 
     def neg(self, a):
         return self._exp[self._log[a] + self._neg_log]
@@ -558,14 +656,39 @@ class ExtensionArith(_FiniteArith):
         other kinds.
         """
         last = mats[-1]
+        width = max(self._bound(mats).bit_length(), 1)
+        acc, _, _ = self._packed_rows(mats, width)
+        mask, shifts = self._shape(width, len(last[0]) if last else 0)[-2:]
+        p, k, rows = self.p, self.k, []
+        for v in acc:
+            # the coefficients in row order, cut into consecutive k-tuples
+            coeffs = iter([(v >> s & mask) % p for s in shifts])
+            rows.append(list(zip(*[coeffs] * k)))
+        return rows
+
+    def _bound(self, mats) -> int:
+        """The largest coefficient slot of the packed product:
+        (p - 1) times ``_growth`` and the row count of every factor but
+        the first."""
         bound = self.p - 1
         for m in mats[1:]:
             bound *= len(m) * self._growth
-        table, xk, supers, low, high, kw, mask, shifts = self._shape(
-            max(bound.bit_length(), 1), len(last[0]) if last else 0)
+        return bound
+
+    def _packed_rows(self, mats, width: int) -> tuple:
+        """The rows of the product packed in slots of ``width`` bits and
+        reduced mod f, the function that packs rows of reps likewise,
+        and the number of slots in a row, 2k - 1 per entry."""
+        last = mats[-1]
+        cols = len(last[0]) if last else 0
+        table, xk, supers, low, high, kw = self._shape(width, cols)[:6]
         at, mul, lshift = table.__getitem__, operator.mul, operator.lshift
         folds = range(self._folds)
-        acc = [sum(map(lshift, map(at, r), supers)) for r in last]
+
+        def pack(rows):
+            return [sum(map(lshift, map(at, r), supers)) for r in rows]
+
+        acc = pack(last)
         for m in mats[-2::-1]:
             out = []
             for r in m:
@@ -574,19 +697,15 @@ class ExtensionArith(_FiniteArith):
                     v = (v & low) + (v >> kw & high) * xk
                 out.append(v)
             acc = out
-        p, k, rows = self.p, self.k, []
-        for v in acc:
-            # the coefficients in row order, cut into consecutive k-tuples
-            coeffs = iter([(v >> s & mask) % p for s in shifts])
-            rows.append(list(zip(*[coeffs] * k)))
-        return rows
+        return acc, pack, (2 * self.k - 1) * cols
 
     def _shape(self, width: int, cols: int) -> tuple:
-        """What ``chain`` needs for slot width w and this number of
-        columns, kept per (w, columns): the rep -> packed int table for
-        w (kept per width), packed x^k mod f, the superslot offsets, the
-        LOW and HIGH masks, the fold shift k w, the slot mask and the bit
-        offset of every coefficient."""
+        """What ``chain`` and ``is_product`` need for slot width w and
+        this number of columns, kept per (w, columns): the rep -> packed
+        int table for w (kept per width), packed x^k mod f, the
+        superslot offsets, the LOW and HIGH masks of the folds, the fold
+        shift k w, the slot mask and the bit offset of every
+        coefficient."""
         shape = self._shapes.get((width, cols))
         if shape is None:
             k, w = self.k, width
@@ -611,9 +730,12 @@ class ExtensionArith(_FiniteArith):
 
 def _clear_denominators(vec):
     """(d, integers) with vec == integers / d, where d is the lcm of the
-    entries' denominators."""
-    d = math.lcm(*(x.denominator for x in vec))
-    return d, [x.numerator * (d // x.denominator) for x in vec]
+    entries' denominators: in lowest terms, as for each prime power
+    dividing d some entry's denominator has it whole, and that entry's
+    integer is prime to it."""
+    ratios = [x.as_integer_ratio() for x in vec]
+    d = math.lcm(*[e for _, e in ratios])
+    return d, [a * (d // e) for a, e in ratios]
 
 
 class RationalArith:
@@ -622,11 +744,13 @@ class RationalArith:
     Element operations are ``Fraction``'s.  ``matmul`` works on integer
     rows and columns, each over its own common denominator, and
     ``chain`` on integer columns, so both build one reduced ``Fraction``
-    per entry.  ``det`` clears each row to
-    integers and runs Bareiss's fraction-free elimination, so it makes
-    one ``Fraction`` in all.  ``primitive`` clears a vector's
-    denominators and divides out the gcd of its coordinates.  Tokens
-    convert through ``decimal``, which has no digit limit.
+    per entry.  ``is_product`` compares the chain's integer columns, in
+    lowest terms, with the target's, and builds no ``Fraction``.  ``det``
+    clears each row to integers and runs Bareiss's fraction-free
+    elimination, so it makes one ``Fraction`` in all.  ``primitive``
+    clears a vector's denominators and divides out the gcd of its
+    coordinates.  Tokens convert through ``decimal``, which has no digit
+    limit.
     """
 
     __slots__ = ()
@@ -720,7 +844,32 @@ class RationalArith:
 
     def chain(self, mats) -> list:
         """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
-        reps, evaluated right to left on integers.
+        reps, evaluated right to left on integers (``_columns``).  The
+        result makes one reduced ``Fraction`` per entry."""
+        cols = self._columns(mats)
+        return [[Fraction(c[i], dc) for dc, c in cols]
+                for i in range(len(mats[0]))]
+
+    def is_product(self, mats, target) -> bool:
+        """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given
+        as rows of reps, the target's rows lists as ``chain`` returns
+        them, with no ``Fraction`` built.
+
+        Each column of the product from ``_columns`` and each column of
+        the target from ``_clear_denominators`` is (d, integers) in
+        lowest terms with d > 0.  A column has one such form: d must be
+        the lcm of its entries' denominators, since any other d with
+        integer multiples is a multiple m > 1 of it, and m then divides
+        d and all the integers.  So the columns are equal iff the tuples
+        are.  A target of another shape is not the product.
+        """
+        return _has_product_shape(mats, target) and all(
+            col == _clear_denominators(t)
+            for col, t in zip(self._columns(mats), zip(*target)))
+
+    def _columns(self, mats) -> list:
+        """The columns of mats[0] @ ... @ mats[-1] as (d, integers) in
+        lowest terms, d > 0.
 
         Each column of the last factor is cleared to integers over the
         lcm of its own denominators, and each earlier factor to integers
@@ -728,15 +877,14 @@ class RationalArith:
         ints / d to (M ints) / (D d) by integer dot products.  After
         each step every column is divided by the gcd of its integers and
         its denominator, which keeps the integers as small as the
-        column's value allows.  The result makes one reduced
-        ``Fraction`` per entry.
+        column's value allows.
         """
         mul, gcd = operator.mul, math.gcd
         cols = [_clear_denominators(c) for c in zip(*mats[-1])]
         for m in mats[-2::-1]:
-            d = math.lcm(*(x.denominator for r in m for x in r))
-            rows = [[x.numerator * (d // x.denominator) for x in r]
-                    for r in m]
+            d, ints = _clear_denominators([x for r in m for x in r])
+            w = len(m[0]) if m else 0
+            rows = [ints[i * w:i * w + w] for i in range(len(m))]
             step = []
             for dc, c in cols:
                 dc, c = d * dc, [sum(map(mul, r, c)) for r in rows]
@@ -744,8 +892,7 @@ class RationalArith:
                 step.append((dc // g, [x // g for x in c]) if g > 1
                             else (dc, c))
             cols = step
-        return [[Fraction(c[i], dc) for dc, c in cols]
-                for i in range(len(mats[0]))]
+        return cols
 
     def primitive(self, vec) -> list:
         """vec scaled to a primitive integer vector (coprime integer

@@ -13,6 +13,16 @@ through the field's arith class, beside ``linalg``'s rep helpers
 (``det_reps``, ``diagonal_reps`` for I, ``shift_reps`` for A - I).
 Products of several factors (a commutator, the running product folded
 in one pair at a time, a conjugation P X P^-1) are one ``chain`` each.
+The equalities a certificate rests on, (X - I)^2 = 0 for every member
+and the product of the values [X, Y] = target, and the part-target check
+of ``concat_factorizations``, are decided by the arith class's
+``is_product`` without cutting the product into reps.  Over GF(p) and
+GF(p^k) a packed row of the product, plus p in every slot, minus the
+packed target row, is a multiple of p in every slot iff the rows are
+equal; with a spare bit per slot that is exactly "p divides the row and
+the quotient has the top bit_length(p) bits of every slot clear".  Over
+Q each column of the product and of the target, cleared to integers in
+lowest terms, has one such form, so the columns are compared as tuples.
 ``verify`` reads the target and each pair's X and Y once and builds no
 FieldElement or Matrix in between.  It computes the det of [X, Y] only
 for a pair with a member that fails the U2 test: when both pass, 2I - X
@@ -56,15 +66,16 @@ class VerificationFailed(CertificateError):
 # -- the certificate kernel, on rows of raw reps ----------------------------
 
 def _index_reps(arith, rows, k: int) -> bool:
-    """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps."""
-    one, is_zero = arith.one, arith.is_zero
+    """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps: the
+    first by ``is_product`` on (A - I)^(k-1) and A - I, with no product
+    cut into reps."""
+    one, zero = arith.one, arith.zero
     N = shift_reps(arith, rows, one)
     power = N if k > 1 else diagonal_reps(arith, [one] * len(N))
     for _ in range(k - 2):
         power = arith.matmul(power, N)
-    return (not all(map(is_zero, chain.from_iterable(power)))
-            and all(map(is_zero, chain.from_iterable(
-                arith.matmul(power, N)))))
+    return (not all(map(arith.is_zero, chain.from_iterable(power)))
+            and arith.is_product([power, N], [[zero] * len(N)] * len(N)))
 
 
 def _u2_inverse_reps(arith, rows) -> list:
@@ -102,6 +113,20 @@ def _pair_reps(target: Matrix, pair) -> tuple:
     target.check_operand(pair.x)
     target.check_operand(pair.y)
     return pair.x.reps(), pair.y.reps()
+
+
+def _is_product_of_values(arith, target, pairs: list) -> bool:
+    """Whether the product of the values [X, Y] of the pairs equals the
+    target, all given as rows of reps: every pair but the first folded
+    as in ``_product_reps``, then one ``is_product`` of the first pair's
+    factors and that fold, so the full product is never cut into reps."""
+    if not pairs:
+        return arith.is_product([diagonal_reps(arith, [arith.one] * len(
+            target))], target)
+    mats = _pair_factors(arith, *pairs[0])
+    if len(pairs) > 1:
+        mats.append(_product_reps(arith, len(target), pairs[1:]))
+    return arith.is_product(mats, target)
 
 
 def is_unipotent_index(A: Matrix, k: int) -> bool:
@@ -207,8 +232,9 @@ def verify(f: Factorization) -> Report:
     """Check a certificate on raw reps: read the target and each pair's
     X and Y once, test both for U2, then fold the product of the values
     [X, Y] right to left, one chain X Y (2I - X) (2I - Y) acc per pair,
-    and compare it with the target.  A pair over another field or of
-    another size raises.
+    the last of them an ``is_product`` against the target, so neither
+    the U2 tests nor the final comparison cut a product into reps.  A
+    pair over another field or of another size raises.
 
     The det of [X, Y] is computed, from its own chain, only for a pair
     with a member that fails the U2 test: when both pass,
@@ -232,7 +258,7 @@ def verify(f: Factorization) -> Report:
         report.record(f"pair[{i}] value det=1", ok,
                       "" if ok else f"det={arith.token(det)}")
         pairs.append((x, y))
-    prod_ok = _product_reps(arith, target.n, pairs) == target.reps()
+    prod_ok = _is_product_of_values(arith, target.reps(), pairs)
     report.record("product equals target", prod_ok,
                   "" if prod_ok else "recomposition mismatch")
     return report
@@ -306,9 +332,10 @@ def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorizatio
     parts = list(parts)
     for part in parts:
         target.check_operand(part.target)
-    product = (chain_product(*(part.target for part in parts)) if parts
-               else identity(target.field, target.n))
-    if product != target:
+    arith = target.field.arith
+    factors = ([part.target.reps() for part in parts] if parts
+               else [diagonal_reps(arith, [arith.one] * target.n)])
+    if not arith.is_product(factors, target.reps()):
         raise CertificateError("part targets do not multiply to the target")
     return Factorization(
         target, tuple(chain.from_iterable(part.pairs for part in parts)),

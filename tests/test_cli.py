@@ -264,6 +264,14 @@ class TestSelftest:
         assert code == 0
         assert out.strip().endswith("PASS")
 
+    def test_selftest_checks_wrong_targets(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--seed", "1")
+        lines = [line for line in out.splitlines() if "wrong target" in line]
+        assert code == 0 and len(lines) == 3
+        assert all(line.startswith("ok ") for line in lines)
+        assert [line.split()[1] for line in lines] == \
+            ["GF(7)", "GF(9;1,0,1)", "Q"]
+
 
 class TestIntegerOptions:
     """--n, --budget and --seed are integer tokens, as a matrix file's

@@ -16,6 +16,16 @@ product on every kind: chains of 1 to 16 factors, rectangular and empty
 factors, every coefficient p - 1 in every factor (the largest slot sums
 the chain's width allows), and Q chains whose reduced result has far
 fewer bits than their factors.
+
+``is_product``, the chain's equality test that never cuts the product
+into reps, must agree with ``chain(mats) == target``: on chains of 1 to
+5 factors with every coefficient p - 1 and with random entries, on the
+product itself, the zero matrix, random targets and targets off in one
+entry (every position at n = 3, every nonzero residue for p <= 31, every
+nonzero multiple of each coefficient over GF(p^k)), on rectangular and
+empty chains and targets of the wrong shape, and over Q on negative
+entries, products that cancel to zero and targets whose entries have
+unrelated reduced denominators.
 """
 
 import itertools
@@ -254,6 +264,137 @@ def test_q_chains_that_cancel():
                                                identity(Q, n)._reps]
         assert all(type(x) is Fraction for r in got for x in r)
         assert q_bits(mats[0]) > 100 and q_bits(got) == 1
+
+
+# -- is_product: the chain compared with a target, never cut into reps ------
+
+IS_PRODUCT_LENGTHS = (1, 2, 3, 5)
+
+
+def deltas(F):
+    """Nonzero reps to add to one target entry: every nonzero residue for
+    p <= 31, every nonzero multiple of each coefficient over GF(p^k), a
+    few values otherwise."""
+    if F.kind == "prime":
+        return range(1, F.p) if F.p <= 31 else (1, 2, F.p // 2, F.p - 1)
+    if F.kind == "extension":
+        return [tuple(c if j == i else 0 for j in range(F.k))
+                for i in range(F.k) for c in range(1, F.p)]
+    return (Fraction(1), Fraction(-1), Fraction(1, 3),
+            Fraction(-7, 2 ** 70 + 1))
+
+
+def off_by(F, target, i, j, delta):
+    """A copy of target with delta added to entry (i, j)."""
+    out = [list(r) for r in target]
+    out[i][j] = F.arith.add(out[i][j], delta)
+    return out
+
+
+def assert_is_product(F, mats, target):
+    got = F.arith.is_product(mats, target)
+    assert got is (F.arith.chain(mats) == target)
+    return got
+
+
+def assert_decides_product(F, mats, positions):
+    """is_product agrees with chain(mats) == target on the product, the
+    zero matrix, and the product off by every delta at each position."""
+    product = F.arith.chain(mats)
+    assert assert_is_product(F, mats, product)
+    assert_is_product(F, mats, [[F.arith.zero] * len(r) for r in product])
+    for i, j in positions:
+        for delta in deltas(F):
+            assert not assert_is_product(F, mats,
+                                         off_by(F, product, i, j, delta))
+
+
+@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+def test_is_product_matches_chain(spec):
+    # Every length and size, with every coefficient p - 1 (the largest
+    # slots) and with random entries: every position at n = 3, and the
+    # corners otherwise.
+    F = parse_field_spec(spec)
+    rng = random.Random(f"is-product-{spec}")
+    for length in IS_PRODUCT_LENGTHS:
+        for n in CHAIN_SIZES:
+            positions = (list(itertools.product(range(n), repeat=2))
+                         if n == 3 else
+                         sorted({(0, 0), (0, n - 1), (n - 1, 0),
+                                 (n - 1, n - 1)}))
+            for top in (True, False):
+                mats = chain_operands(F, rng, [(n, n)] * length, top)
+                assert_decides_product(F, mats, positions)
+                target = chain_operands(F, rng, [(n, n)], False)[0]
+                assert_is_product(F, mats, target)
+
+
+@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+def test_is_product_rectangular_and_empty(spec):
+    F = parse_field_spec(spec)
+    arith, top = F.arith, top_rep(F)
+    rng = random.Random(f"is-product-rect-{spec}")
+    for n in CHAIN_SIZES:
+        for shape in ([(2, n), (n, 3), (3, 4)], [(1, n), (n, 1)],
+                      [(n, 1), (1, n)], [(n, 2), (2, 7), (7, 1), (1, 5)]):
+            for flag in (True, False):
+                mats = chain_operands(F, rng, shape, flag)
+                rows, cols = shape[0][0], shape[-1][1]
+                assert_decides_product(F, mats, [(0, 0),
+                                                 (rows - 1, cols - 1)])
+                product = arith.chain(mats)
+                # a row too many or too few, a column too many or too few
+                for wrong in (product + [product[0]], product[:-1],
+                              [r + [arith.zero] for r in product],
+                              [r[:-1] for r in product],
+                              product[:-1] + [product[-1][:-1]]):
+                    assert not assert_is_product(F, mats, wrong)
+    for m in (1, 4):
+        a = [[top] * 3 for _ in range(m)]
+        b = [[top] * 2 for _ in range(3)]
+        empty_rows = [[] for _ in range(m)]
+        for mats in ([empty_rows], [empty_rows, []],
+                     [a, [[] for _ in range(3)]], [a, b, [[], []]],
+                     [a, b, [[], []], []]):
+            assert assert_is_product(F, mats, empty_rows)
+            assert not assert_is_product(F, mats, [])
+            assert not assert_is_product(F, mats, [[top]] * m)
+    for mats in ([[]], [[], [[top]]], [[], [[top] * 3], [[top]] * 3]):
+        assert assert_is_product(F, mats, [])
+        assert not assert_is_product(F, mats, [[]])
+
+
+def test_is_product_q_signs_cancellation_and_denominators():
+    Q = rationals()
+    arith, rng = Q.arith, random.Random("is-product-q")
+    for n in (1, 2, 3, 6):
+        # negative entries only
+        mats = [[[-Fraction(rng.getrandbits(90) + 1, rng.getrandbits(60) + 1)
+                  for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        assert_decides_product(Q, mats, [(0, 0), (n - 1, n - 1)])
+        # N = u v^T with v^T u = 0 and 200-bit entries: N N cancels to 0
+        u = [Fraction(rng.getrandbits(200) + 1, rng.getrandbits(200) + 1)
+             for _ in range(n + 1)]
+        v = [Fraction(rng.getrandbits(200) + 1, rng.getrandbits(200) + 1)
+             for _ in range(n + 1)]
+        v[0] = -sum(a * b for a, b in zip(u[1:], v[1:])) / u[0]
+        N = [[a * b for b in v] for a in u]
+        zeros = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        assert q_bits(N) > 200
+        assert assert_is_product(Q, [N, N], zeros)
+        assert assert_is_product(Q, [N, N, N], zeros)
+        assert_decides_product(Q, [N, N], [(0, 0), (n, 0), (n, n)])
+        # entries over unrelated reduced denominators, within each column
+        # and across columns; the identity factor leaves them as they are
+        T = [[Fraction(rng.choice((-1, 1)) * (rng.getrandbits(64) | 1),
+                       rng.getrandbits(64) | 1) for _ in range(n)]
+             for _ in range(n)]
+        one = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for mats in ([T], [one, T], [T, one], [one, T, one]):
+            assert assert_is_product(Q, mats, T)
+            assert_decides_product(Q, mats, [(0, 0), (n - 1, 0)])
+        # the target's denominators unrelated to the product's
+        assert not assert_is_product(Q, [one], T)
 
 
 @pytest.mark.parametrize("p", PRIMES)

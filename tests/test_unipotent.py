@@ -1,9 +1,9 @@
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from u2factor.field import GF, rationals
+from u2factor.field import GF, parse_field_spec, rationals
 from u2factor.linalg import Matrix, identity, diagonal, jordan_block, \
     direct_sum
 from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
@@ -49,6 +49,45 @@ class TestPredicates:
         assert is_u2(jordan_block(f, 2, f.one()))
         J3 = jordan_block(f, 3, f.one())
         assert not is_u2(J3) and is_unipotent_index(J3, 3)
+
+    @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(31)", "Q"])
+    def test_index_matches_element_powers(self, spec):
+        """is_unipotent_index(A, k) for k = 1..n against (A - I)^k by
+        element operations, on J_m(1) (+) I and on each near miss with
+        one extra entry above the diagonal."""
+        f = parse_field_spec(spec)
+        n, one, zero = 5, f.one(), f.zero()
+
+        def element_product(A, B):
+            return [[sum((A[i][t] * B[t][j] for t in range(n)), zero)
+                     for j in range(n)] for i in range(n)]
+
+        def element_index_holds(A, k):
+            N = [[A[i, j] - (one if i == j else zero) for j in range(n)]
+                 for i in range(n)]
+            power = [[one if i == j else zero for j in range(n)]
+                     for i in range(n)]
+            powers = [power]
+            for _ in range(k):
+                power = element_product(power, N)
+                powers.append(power)
+            is_zero = [all(e.is_zero() for r in m for e in r)
+                       for m in powers[-2:]]
+            return is_zero[1] and not is_zero[0]
+
+        for m in range(1, n + 1):
+            J = direct_sum(jordan_block(f, m, one), identity(f, n - m))
+            cases = [J]
+            for i, j in combinations(range(n), 2):
+                rows = [list(r) for r in J.rows]
+                rows[i][j] = rows[i][j] + one
+                cases.append(Matrix(f, rows))
+            for A in cases:
+                for k in range(1, n + 1):
+                    assert is_unipotent_index(A, k) == \
+                        element_index_holds(A, k), (A, k)
+            assert [k for k in range(1, n + 1)
+                    if is_unipotent_index(J, k)] == [m]
 
     def test_pair_validation(self):
         f = GF(5)

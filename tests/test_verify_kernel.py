@@ -7,9 +7,11 @@ X Y (2I - X)(2I - Y) for the commutator, Gaussian elimination on
 elements for its determinant, and a running ``Matrix`` product compared
 with the target.  Every golden certificate, seeded certificates over
 GF(2^k) (where 2I - X = X), GF(p) and Q with entries of 500 bits and
-more, and tampered certificates must give the same report entries, in
-the same order and with the same details.  A pair over another field or
-of another size must raise the same exception in both.  ``verify``
+more, and tampered certificates (every golden certificate among them,
+once with a target entry and once with an entry of pair[0].X off by
+one) must give the same report entries, in the same order and with the
+same details.  A pair over another field or of another size must raise
+the same exception in both.  ``verify``
 skips the det of a pair whose members both pass the U2 test, so random
 U2 pairs built without ``factor`` check the argument itself: their
 commutator has det 1 by element-level elimination.  The checks are
@@ -158,6 +160,30 @@ def test_golden_corpus_present():
 def test_golden_certificates(case):
     if not _same_report(_golden(case)).passed:
         pytest.fail(f"{case}: a golden certificate failed verify")
+
+
+def _plus_one(m, i, j):
+    """m with one added to entry (i, j)."""
+    arith, rows = m.field.arith, m.reps()
+    rows[i][j] = arith.add(rows[i][j], arith.one)
+    return Matrix.from_reps(m.field, rows)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_certificates_tampered(case):
+    """One target entry off by one fails only the product check, and one
+    entry of pair[0].X off by one fails; both as the reference reports."""
+    f = _golden(case)
+    n = f.target.n
+    report = _same_report(Factorization(_plus_one(f.target, n - 1, 0),
+                                        f.pairs, f.route))
+    if _failed_names(report) != ["product equals target"]:
+        pytest.fail(f"{case}: a target off by one should fail only the "
+                    f"product check, got {_failed_names(report)}")
+    if f.pairs:
+        tampered = _with_pair(f, 0, x=_plus_one(f.pairs[0].x, 0, n - 1))
+        if _same_report(tampered).passed:
+            pytest.fail(f"{case}: pair[0].X off by one passed")
 
 
 @pytest.mark.parametrize("q,n", [(4, 4), (8, 3), (16, 3)])
