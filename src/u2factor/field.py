@@ -14,44 +14,29 @@ products, row operations (``scale``, ``sub_scaled``) and determinants
 (``det``) all call it, so no elimination outside this module makes a
 call per entry.
 
-Each class has one ``chain``, the product of several matrices evaluated
-right to left in one pass, and ``matmul`` is a product of two.
-``is_product`` runs the same chain and decides whether it equals a given
-matrix without cutting the product into reps, by an exact zero test.
+Each class has one product, ``chain``: mats[0] @ ... @ mats[-1]
+evaluated right to left in one pass, a product of two being a chain of
+two.  ``is_product`` runs the same chain and decides whether it equals
+a given matrix without cutting the product into reps.  GF(p) and
+GF(p^k) share one packed chain and its exact zero test, GF(p) as the
+k = 1 case; ``_FiniteArith`` describes both.  What is each kind's own:
 
-- Over GF(p) it works on ints mod p, and a row operation is one
-  comprehension of int arithmetic.  A chain packs each row of its last
-  factor into one int with slots wide enough that none carries
-  (Kronecker substitution), so each earlier factor maps packed rows to
-  packed rows, one sum of int products per row, and only the result is
-  cut into entries by a shift, a mask and a reduction mod p each.  A
-  product of two with at least ``_PACK_MIN`` rows on the left and
-  columns on the right is such a chain; a smaller one, a matrix-vector
-  product among them, takes one integer dot product per entry, reduced
-  once.  ``is_product`` adds p to every slot of a packed row and
-  subtracts the packed target row, so the row is right iff every slot
-  is a multiple of p; with one spare bit per slot that holds iff p
-  divides the row and the quotient has the top bit_length(p) bits of
-  every slot clear, one ``divmod`` and one ``&`` per row.  A product of
-  two that ``matmul`` takes by dot products is compared as computed,
-  by the same ``_PACK_MIN`` rule.
+- Over GF(p) a rep is an int mod p, and a row operation is one
+  comprehension of int arithmetic.  A chain of two with fewer than
+  ``_PACK_MIN`` rows on the left or columns on the right, a
+  matrix-vector product among them, takes one integer dot product per
+  entry, reduced once, and ``is_product`` compares those with the
+  target.
 - Over GF(p^k) element products, inverses and negation go through
   log/antilog tables of a primitive element, O(q) entries built from
   q - 1 polynomial products; a row operation is one antilog lookup and
-  one coefficient-wise difference per entry.  A chain packs each rep
-  into one int, a coefficient per slot, and each row of its last factor
-  into one int with room for a product polynomial per entry, so each
-  step is one sum of int products per row, as over GF(p).  After each
-  step a row is reduced mod the modulus f all at once, by a fixed number
-  of folds of its high coefficients through x^k mod f (one for every
-  built-in modulus), and each coefficient of the result is one shift,
-  one mask and one reduction mod p.  ``is_product`` tests the folded
-  coefficient slots as over GF(p).
+  one coefficient-wise difference per entry.  The packed chain reduces
+  each step mod the modulus by folds.
 - Over Q element operations and row operations use ``Fraction``.  A
   chain clears each column of its last factor, and each earlier factor,
   to integers over a common denominator and divides each column by its
-  gcd after every step; a product of two clears each row of its left
-  operand and each column of its right one over their own common
+  gcd after every step; a chain of two clears each row of its left
+  factor and each column of its right one over their own common
   denominator.  Either way an entry costs one ``gcd`` at the end instead
   of one per term.  ``is_product`` compares the chain's columns, in
   lowest terms, with the target's cleared columns, and builds no
@@ -90,7 +75,7 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -294,10 +279,10 @@ def _residue(value, p: int) -> int:
                      f"expected an int or a Fraction")
 
 
-# A product whose left operand has fewer rows, or whose right operand
-# has fewer columns, than this takes one dot product per entry; a larger
-# one is a packed chain of two (``PrimeArith.matmul``).  The packing
-# costs about as much as it saves at 4 x 4 (several p, 2-vCPU VM).
+# A chain of two whose left factor has fewer rows, or whose right factor
+# has fewer columns, than this takes one dot product per entry over GF(p)
+# (``PrimeArith.chain``); a larger one is packed.  The packing costs
+# about as much as it saves at 4 x 4 (several p, 2-vCPU VM).
 _PACK_MIN = 5
 
 
@@ -311,23 +296,66 @@ def _has_product_shape(mats, target) -> bool:
         map(cols.__eq__, map(len, target)))
 
 
-@lru_cache(maxsize=256)
-def _zero_test_masks(p: int, width: int, slots: int) -> tuple:
-    """For ``is_product``'s zero test on ``slots`` slots of ``width``
-    bits: HIGH, the top bit_length(p) bits of every slot set, and p in
-    every slot."""
-    ones = sum(1 << s for s in range(0, width * slots, width))
-    bits = p.bit_length()
-    return (((1 << bits) - 1) << (width - bits)) * ones, p * ones
+def _dot_sized(a, b) -> bool:
+    """Whether GF(p) takes a chain of the two factors a and b by dot
+    products: fewer than ``_PACK_MIN`` rows in a or columns in b."""
+    return len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN
 
 
 class _FiniteArith:
     """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
-    determinant is Gaussian elimination through ``sub_scaled``, and
-    ``is_product`` is one zero test per packed row of the chain that
-    each kind's ``_packed_rows`` runs."""
+    determinant is Gaussian elimination through ``sub_scaled``, and the
+    product is one packed chain with one exact zero test, GF(p) being
+    its k = 1 case.
 
-    __slots__ = ()
+    ``chain`` evaluates mats[0] @ ... @ mats[-1] right to left with no
+    cut between steps (Kronecker substitution).  A rep becomes one int
+    with coefficient i in bits [i w, (i+1) w), and row t of the last
+    factor one int with entry j in the superslot of 2k - 1 slots from
+    bit j (2k - 1) w; over GF(p) a rep is its own int and a superslot
+    one slot.  Each earlier factor maps the packed rows to new packed
+    rows: its row i becomes the integer sum of packed a[i][t] times
+    packed row t, so superslot j holds entry (i, j) as a polynomial of
+    degree <= 2k - 2 with unreduced integer coefficients.  Over GF(p^k)
+    each new row is then reduced mod the modulus f by ``_folds`` folds
+    v = (v & LOW) + (v >> k w & HIGH) * G, with G the packed x^k mod f,
+    LOW the low k slots and HIGH the low k - 1 slots of every
+    superslot, which bring every entry to degree <= k - 1, packed as the
+    next step needs it.  GF(p) has no folds.
+
+    The width: a step with inner dimension n multiplies the coefficient
+    bound by at most n k (p - 1), and a fold by at most 1 + k (p - 1),
+    so ``_growth`` is k (p - 1) (1 + k (p - 1))^folds, p - 1 over GF(p).
+    ``_bound`` is (p - 1) times ``_growth`` and the row count of every
+    factor but the first, which over GF(p) is (p - 1)^L R for L factors
+    and R the product of those row counts.  w is its bit length, so no
+    slot of a partial or final product ever carries into the next.
+    Only the result is cut: each coefficient is one shift, one mask and
+    one reduction mod p.  An empty last factor has no columns, so each
+    row of the product is empty, as over Q.
+
+    ``is_product`` runs the same chain with w the bit length of the
+    bound B plus p, and one spare bit.  Each packed row v of the product
+    gets p in every slot added and the packed target row subtracted, so
+    its slot j holds u_j = s_j + p - t_j, with 0 < u_j < 2^(w-1), and p
+    divides u_j exactly when s_j = t_j mod p.  The row passes iff p
+    divides v and v / p has the top b = bit_length(p) bits of every
+    slot clear (HIGH).  If every u_j is p t_j, then t_j < 2^(w-1) / p
+    <= 2^(w-b), so v / p has the slots t_j and passes.  Conversely, if
+    v / p passes, each of its slots is below 2^(w-b), so p (v / p) does
+    not carry and each slot of v is p times a slot of v / p.  Over
+    GF(p^k) the test reads the coefficient slots after the folds.  A
+    target of another shape is not the product.
+    """
+
+    __slots__ = ("p", "k", "zero", "one", "_xk", "_folds", "_growth",
+                 "_shapes")
+
+    def __init__(self, p: int, k: int, zero, one, xk, folds: int):
+        self.p, self.k, self.zero, self.one = p, k, zero, one
+        self._xk, self._folds = xk, folds
+        self._growth = k * (p - 1) * (1 + k * (p - 1)) ** folds
+        self._shapes = {}
 
     def primitive(self, vec):
         """The eigenvector scale over Q; a finite field keeps vec as is."""
@@ -358,52 +386,107 @@ class _FiniteArith:
                         row[col + 1:], mul(row[col], inv), tail)
         return det
 
+    def chain(self, mats) -> list:
+        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
+        reps: the packed chain, cut once."""
+        width = max(self._bound(mats).bit_length(), 1)
+        acc, _, shape = self._packed_rows(mats, width)
+        p, k, mask, shifts = self.p, self.k, (1 << width) - 1, shape[6]
+        if k == 1:
+            return [[(v >> s & mask) % p for s in shifts] for v in acc]
+        # each row's coefficients in order, cut into consecutive k-tuples
+        return [list(zip(*[iter([(v >> s & mask) % p for s in shifts])] * k))
+                for v in acc]
+
     def is_product(self, mats, target) -> bool:
         """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given
         as rows of reps, the target's rows lists as ``chain`` returns
-        them, decided on the packed rows of the product without cutting
-        them into reps.
-
-        The chain runs as in ``chain``, with w the bit length of its slot
-        bound B plus p, and one spare bit.  Each packed row v of the
-        product gets p in every slot added and the packed target row
-        subtracted, so its slot j holds u_j = s_j + p - t_j, with
-        0 < u_j < 2^(w-1), and p divides u_j exactly when s_j = t_j
-        mod p.  The row passes iff p divides v and v / p has the top
-        b = bit_length(p) bits of every slot clear (HIGH).  If every
-        u_j is p t_j, then t_j < 2^(w-1) / p <= 2^(w-b), so v / p has
-        the slots t_j and passes.  Conversely, if v / p passes, each of
-        its slots is below 2^(w-b), so p (v / p) does not carry and each
-        slot of v is p times a slot of v / p.  A target of another shape
-        is not the product.
-        """
+        them, by the zero test on the packed rows of the product."""
         if not _has_product_shape(mats, target):
             return False
         p = self.p
         width = (self._bound(mats) + p).bit_length() + 1
-        acc, pack, slots = self._packed_rows(mats, width)
-        high, ps = _zero_test_masks(p, width, slots)
+        acc, pack, shape = self._packed_rows(mats, width)
+        high, ps = shape[7:]
         for v, t in zip(acc, pack(target)):
             q, r = divmod(v + ps - t, p)
             if r or q & high:
                 return False
         return True
 
+    def _bound(self, mats) -> int:
+        """The largest coefficient slot of the packed product."""
+        bound = self.p - 1
+        for m in mats[1:]:
+            bound *= len(m) * self._growth
+        return bound
+
+    def _packed_rows(self, mats, width: int) -> tuple:
+        """The rows of the product packed in slots of ``width`` bits and
+        folded, the function that packs rows of reps likewise, and the
+        ``_shape`` of the product."""
+        last = mats[-1]
+        key = width, len(last[0]) if last else 0
+        shape = self._shapes.get(key) or self._shape(*key)
+        at, xk, supers, low, high, kw, _, _, _ = shape
+        mul, lshift, folds = operator.mul, operator.lshift, range(self._folds)
+
+        def pack(rows):
+            return [sum(map(lshift, r if at is None else map(at, r), supers))
+                    for r in rows]
+
+        acc = pack(last)
+        for m in mats[-2::-1]:
+            acc = [sum(map(mul, r if at is None else map(at, r), acc))
+                   for r in m]
+            for _ in folds:
+                acc = [(v & low) + (v >> kw & high) * xk for v in acc]
+        return acc, pack, shape
+
+    def _shape(self, width: int, cols: int) -> tuple:
+        """What ``chain`` and ``is_product`` need for slot width w and
+        this number of columns, built once per (w, columns) and kept in
+        ``_shapes``: the rep -> packed int lookup (None over GF(p), where
+        a rep packs as itself), packed x^k mod f, the superslot offsets,
+        the LOW and HIGH masks of the folds, the fold shift k w, the bit
+        offset of every coefficient, and the zero test's HIGH mask and p
+        in every slot (None when w is below bit_length(p), as only a
+        chain's width can be)."""
+        p, k, w = self.p, self.k, width
+        span = (2 * k - 1) * w
+        supers = range(0, span * cols, span)
+        # over GF(p) a superslot is one slot, holding the rep itself
+        at = xk = None
+        shifts = supers
+        if k > 1:
+            offsets = range(0, k * w, w)
+            table = {x: sum(map(operator.lshift, x, offsets))
+                     for x in self._log}
+            at, xk = table.__getitem__, table[self._xk]
+            shifts = [s + i for s in supers for i in offsets]
+        # 1 in the lowest slot of every superslot, and in every slot
+        full = (1 << span * cols) - 1
+        unit, ones = full // ((1 << span) - 1), full // ((1 << w) - 1)
+        b = p.bit_length()
+        zero_test = ((((1 << b) - 1) << (w - b)) * ones, p * ones) \
+            if w >= b else (None, None)
+        shape = self._shapes[w, cols] = (
+            at, xk, supers, ((1 << k * w) - 1) * unit,
+            ((1 << (k - 1) * w) - 1) * unit, k * w, shifts, *zero_test)
+        return shape
+
 
 class PrimeArith(_FiniteArith):
-    """GF(p): residues in [0, p).
+    """GF(p): residues in [0, p), the k = 1 case of ``_FiniteArith``'s
+    packed chain.  A chain of two with fewer than ``_PACK_MIN`` rows on
+    the left or columns on the right is one integer dot product per
+    entry, reduced mod p once, in ``chain`` and ``is_product`` alike:
+    there packing costs more than it saves."""
 
-    ``chain`` packs rows into ints (Kronecker substitution) and cuts only
-    the result; ``is_product`` keeps the result packed and decides each
-    row by one exact zero test mod p (``_FiniteArith.is_product``), but
-    compares a product of two below ``_PACK_MIN`` as ``matmul`` makes
-    it, by dot products.
-    """
-
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ()
 
     def __init__(self, p: int):
-        self.p, self.zero, self.one = p, 0, 1
+        super().__init__(p, 1, 0, 1, None, 0)
 
     def coerce(self, value) -> int:
         return _residue(value, self.p)
@@ -443,72 +526,23 @@ class PrimeArith(_FiniteArith):
         p = self.p
         return [-x % p for x in row]
 
-    def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps.
-
-        Below ``_PACK_MIN`` rows of a or columns of b, an entry is one
-        integer dot product reduced mod p once; otherwise the product is
-        ``chain([a, b])``.
-        """
-        if len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN:
-            p, mul = self.p, operator.mul
-            cols = list(zip(*b))
-            return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
-        return self.chain([a, b])
+    def chain(self, mats) -> list:
+        """``_FiniteArith.chain``, or dot products for a small chain of
+        two."""
+        if len(mats) == 2:
+            a, b = mats
+            if _dot_sized(a, b):
+                p, mul = self.p, operator.mul
+                cols = list(zip(*b))
+                return [[sum(map(mul, r, c)) % p for c in cols] for r in a]
+        return _FiniteArith.chain(self, mats)
 
     def is_product(self, mats, target) -> bool:
-        """As ``_FiniteArith.is_product``, except that a product of two
-        that ``matmul`` takes by dot products, below ``_PACK_MIN``, is
-        those dot products compared with the target's rows: there
-        packing costs more than the zero test saves."""
-        a, b = mats[0], mats[-1]
-        if len(mats) == 2 and (len(a) < _PACK_MIN or not b
-                               or len(b[0]) < _PACK_MIN):
-            return self.matmul(a, b) == target
-        return super().is_product(mats, target)
-
-    def chain(self, mats) -> list:
-        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
-        reps, evaluated right to left with no reduction between steps.
-
-        Each row of the last factor becomes one int with its entry j in
-        bits [j w, (j+1) w) (Kronecker substitution), and each earlier
-        factor maps the packed rows to new packed rows: its row i becomes
-        the integer sum of a[i][t] times packed row t.  Reps lie in
-        [0, p), so a slot of the result sums at most R products of L
-        entries, for L factors and R the product of the row counts of
-        all factors but the first; w is the bit length of
-        (p - 1)^L R, so no slot of a partial or final product ever
-        carries into the next.  Only the result is cut: one shift, one
-        mask and one reduction mod p per entry.
-        """
-        width = max(self._bound(mats).bit_length(), 1)
-        acc, _, slots = self._packed_rows(mats, width)
-        p, mask, shifts = self.p, (1 << width) - 1, range(0, width * slots,
-                                                           width)
-        return [[(v >> s & mask) % p for s in shifts] for v in acc]
-
-    def _bound(self, mats) -> int:
-        """The largest slot of the packed product: (p - 1)^L R."""
-        bound = (self.p - 1) ** len(mats)
-        for m in mats[1:]:
-            bound *= len(m)
-        return bound
-
-    def _packed_rows(self, mats, width: int) -> tuple:
-        """The rows of the product packed in slots of ``width`` bits, the
-        function that packs rows of reps likewise, and the number of
-        slots in a row."""
-        last, mul, lshift = mats[-1], operator.mul, operator.lshift
-        shifts = range(0, width * (len(last[0]) if last else 0), width)
-
-        def pack(rows):
-            return [sum(map(lshift, r, shifts)) for r in rows]
-
-        acc = pack(last)
-        for m in mats[-2::-1]:
-            acc = [sum(map(mul, r, acc)) for r in m]
-        return acc, pack, len(shifts)
+        """``_FiniteArith.is_product``, or the dot products compared with
+        the target for a small chain of two."""
+        if len(mats) == 2 and _dot_sized(*mats):
+            return self.chain(mats) == target
+        return _FiniteArith.is_product(self, mats, target)
 
     def token(self, a) -> str:
         return str(a)
@@ -525,19 +559,11 @@ class ExtensionArith(_FiniteArith):
     and the antilog table holds zero from that index on, so log a +
     log b indexes the product of any a and b without a branch on zero.
     -a is a * (-1), and log(-1) is 0 for p = 2 and (q - 1) / 2 otherwise.
-    Sums stay coefficient-wise mod p.
-
-    Matrix products pack polynomials into ints (Kronecker substitution,
-    as over GF(p)) and reduce mod f a whole row of the product at a time
-    by folding its high coefficients onto the low ones through x^k mod f;
-    see ``chain``.  ``is_product`` runs the same folds and applies the
-    zero test of ``_FiniteArith.is_product`` to the coefficient slots, so
-    it decides equality with a target without cutting a coefficient.
+    Sums stay coefficient-wise mod p.  Products are ``_FiniteArith``'s
+    packed chain, whose folds run through x^k mod f.
     """
 
-    __slots__ = ("p", "k", "zero", "one", "_order", "_log", "_exp",
-                 "_neg_log", "_xk", "_folds", "_growth", "_packed",
-                 "_shapes")
+    __slots__ = ("_order", "_log", "_exp", "_neg_log")
 
     def __init__(self, p: int, k: int, modulus):
         order = p ** k - 1
@@ -551,7 +577,6 @@ class ExtensionArith(_FiniteArith):
                 x = _pmulmod(x, g, modulus, p)
             if len(powers) == order:
                 break
-        self.p, self.k, self.zero, self.one = p, k, zero, one
         self._order = order
         self._log = {x: i for i, x in enumerate(powers)}
         self._log[zero] = 2 * order - 1
@@ -560,16 +585,13 @@ class ExtensionArith(_FiniteArith):
         # x^k mod f, and the folds that bring a product of two reps,
         # degree <= 2k - 2, down to degree <= k - 1: a fold maps degree
         # d >= k to at most max(k - 1, d - k + deg(x^k mod f)).
-        self._xk = tuple(-c % p for c in modulus[:k])
-        top = max(i for i, c in enumerate(self._xk) if c)
-        degree, self._folds = 2 * k - 2, 0
+        xk = tuple(-c % p for c in modulus[:k])
+        top = max(i for i, c in enumerate(xk) if c)
+        degree, folds = 2 * k - 2, 0
         while degree >= k:
             degree = max(k - 1, degree - k + top)
-            self._folds += 1
-        # one chain step's growth of the coefficient bound, per unit of
-        # inner dimension: k (p - 1) from a product, 1 + k (p - 1) a fold
-        self._growth = k * (p - 1) * (1 + k * (p - 1)) ** self._folds
-        self._packed, self._shapes = {}, {}
+            folds += 1
+        super().__init__(p, k, zero, one, xk, folds)
 
     def coerce(self, value) -> tuple:
         """An int or Fraction in the prime subfield, or a tuple or list
@@ -623,107 +645,6 @@ class ExtensionArith(_FiniteArith):
         log, exp, shift = self._log, self._exp, self._neg_log
         return [exp[log[x] + shift] for x in row]
 
-    def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps:
-        ``chain([a, b])``."""
-        return self.chain([a, b])
-
-    def chain(self, mats) -> list:
-        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
-        reps, evaluated right to left with one reduction mod f per step.
-
-        A rep becomes one int with coefficient i in bits [i w, (i+1) w),
-        and row t of the last factor one int with entry j in the
-        superslot of 2k - 1 slots from bit j (2k - 1) w (Kronecker
-        substitution).  Each earlier factor maps the packed rows to new
-        packed rows: its row i becomes the integer sum of packed a[i][t]
-        times packed row t, so superslot j holds entry (i, j) as a
-        polynomial of degree <= 2k - 2 with unreduced integer
-        coefficients.
-
-        Each new row is reduced mod f by folds
-        v = (v & LOW) + (v >> k w & HIGH) * G, with G the packed x^k mod f,
-        LOW the low k slots and HIGH the low k - 1 slots of every
-        superslot.  ``_folds`` of them bring every entry to degree
-        <= k - 1, so the row is packed as the next step needs it.  A step
-        with inner dimension n multiplies the coefficient bound by at
-        most n k (p - 1), and a fold by at most 1 + k (p - 1); w is the
-        bit length of the final bound, (p - 1) times ``_growth`` and the
-        row count of every factor but the first, so no slot ever carries
-        into the next.  Only the result is cut: each coefficient is one
-        shift, one mask and one reduction mod p.  An empty last factor
-        has no columns, so each row of the product is empty, as for the
-        other kinds.
-        """
-        last = mats[-1]
-        width = max(self._bound(mats).bit_length(), 1)
-        acc, _, _ = self._packed_rows(mats, width)
-        mask, shifts = self._shape(width, len(last[0]) if last else 0)[-2:]
-        p, k, rows = self.p, self.k, []
-        for v in acc:
-            # the coefficients in row order, cut into consecutive k-tuples
-            coeffs = iter([(v >> s & mask) % p for s in shifts])
-            rows.append(list(zip(*[coeffs] * k)))
-        return rows
-
-    def _bound(self, mats) -> int:
-        """The largest coefficient slot of the packed product:
-        (p - 1) times ``_growth`` and the row count of every factor but
-        the first."""
-        bound = self.p - 1
-        for m in mats[1:]:
-            bound *= len(m) * self._growth
-        return bound
-
-    def _packed_rows(self, mats, width: int) -> tuple:
-        """The rows of the product packed in slots of ``width`` bits and
-        reduced mod f, the function that packs rows of reps likewise,
-        and the number of slots in a row, 2k - 1 per entry."""
-        last = mats[-1]
-        cols = len(last[0]) if last else 0
-        table, xk, supers, low, high, kw = self._shape(width, cols)[:6]
-        at, mul, lshift = table.__getitem__, operator.mul, operator.lshift
-        folds = range(self._folds)
-
-        def pack(rows):
-            return [sum(map(lshift, map(at, r), supers)) for r in rows]
-
-        acc = pack(last)
-        for m in mats[-2::-1]:
-            out = []
-            for r in m:
-                v = sum(map(mul, map(at, r), acc))
-                for _ in folds:
-                    v = (v & low) + (v >> kw & high) * xk
-                out.append(v)
-            acc = out
-        return acc, pack, (2 * self.k - 1) * cols
-
-    def _shape(self, width: int, cols: int) -> tuple:
-        """What ``chain`` and ``is_product`` need for slot width w and
-        this number of columns, kept per (w, columns): the rep -> packed
-        int table for w (kept per width), packed x^k mod f, the
-        superslot offsets, the LOW and HIGH masks of the folds, the fold
-        shift k w, the slot mask and the bit offset of every
-        coefficient."""
-        shape = self._shapes.get((width, cols))
-        if shape is None:
-            k, w = self.k, width
-            table = self._packed.get(w)
-            if table is None:
-                table = self._packed[w] = {
-                    x: sum(c << (w * i) for i, c in enumerate(x))
-                    for x in self._log}
-            span = (2 * k - 1) * w
-            supers = range(0, span * cols, span)
-            low = sum(((1 << k * w) - 1) << s for s in supers)
-            high = sum(((1 << (k - 1) * w) - 1) << s for s in supers)
-            shifts = [s + i * w for s in supers for i in range(k)]
-            shape = self._shapes[w, cols] = (
-                table, table[self._xk], supers, low, high, k * w,
-                (1 << w) - 1, shifts)
-        return shape
-
     def token(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"
 
@@ -741,16 +662,16 @@ def _clear_denominators(vec):
 class RationalArith:
     """Q: reduced Fractions.
 
-    Element operations are ``Fraction``'s.  ``matmul`` works on integer
-    rows and columns, each over its own common denominator, and
-    ``chain`` on integer columns, so both build one reduced ``Fraction``
-    per entry.  ``is_product`` compares the chain's integer columns, in
-    lowest terms, with the target's, and builds no ``Fraction``.  ``det``
-    clears each row to integers and runs Bareiss's fraction-free
-    elimination, so it makes one ``Fraction`` in all.  ``primitive``
-    clears a vector's denominators and divides out the gcd of its
-    coordinates.  Tokens convert through ``decimal``, which has no digit
-    limit.
+    Element operations are ``Fraction``'s.  ``chain`` works on integer
+    rows and columns, each over its own common denominator, for two
+    factors, and on integer columns for more, so it builds one reduced
+    ``Fraction`` per entry.  ``is_product`` compares the chain's integer
+    columns, in lowest terms, with the target's, and builds no
+    ``Fraction``.  ``det`` clears each row to integers and runs
+    Bareiss's fraction-free elimination, so it makes one ``Fraction`` in
+    all.  ``primitive`` clears a vector's denominators and divides out
+    the gcd of its coordinates.  Tokens convert through ``decimal``,
+    which has no digit limit.
     """
 
     __slots__ = ()
@@ -827,25 +748,24 @@ class RationalArith:
             prev = head
         return Fraction(sign * prev, den)
 
-    def matmul(self, a, b) -> list:
-        """Rows of a @ b, for a and b given as rows of reps.
-
-        Each row of a and each column of b is cleared to integers over
-        the lcm of its own denominators, so entry (i, j) is one integer
-        dot product over d_i * d_j, reduced once.  Clearing per row and
-        per column keeps the integers as wide as one row's or one
-        column's denominators, however unrelated the rows' are.
-        """
-        rows = [_clear_denominators(r) for r in a]
-        cols = [_clear_denominators(c) for c in zip(*b)]
-        mul = operator.mul
-        return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
-                for dr, r in rows]
-
     def chain(self, mats) -> list:
         """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
-        reps, evaluated right to left on integers (``_columns``).  The
-        result makes one reduced ``Fraction`` per entry."""
+        reps, one reduced ``Fraction`` per entry.
+
+        A chain of two clears each row of its left factor and each
+        column of its right one to integers over the lcm of its own
+        denominators, so entry (i, j) is one integer dot product over
+        d_i * d_j, reduced once.  Clearing per row and per column keeps
+        the integers as wide as one row's or one column's denominators,
+        however unrelated the rows' are.  A longer chain runs right to
+        left on integer columns (``_columns``).
+        """
+        if len(mats) == 2:
+            rows = [_clear_denominators(r) for r in mats[0]]
+            cols = [_clear_denominators(c) for c in zip(*mats[1])]
+            mul = operator.mul
+            return [[Fraction(sum(map(mul, r, c)), dr * dc)
+                     for dc, c in cols] for dr, r in rows]
         cols = self._columns(mats)
         return [[Fraction(c[i], dc) for dc, c in cols]
                 for i in range(len(mats[0]))]
@@ -1136,8 +1056,11 @@ def make_field(kind: str, p: int = 0, k: int = 1, modulus=None) -> FieldSpec:
 
 
 def GF(q: int, modulus=None) -> FieldSpec:
-    """Convenience: GF(q) for prime or built-in prime-power q."""
+    """Convenience: GF(q) for prime or built-in prime-power q.  A modulus
+    names an extension, so a prime q with one raises FieldError."""
     if _is_prime(q):
+        if modulus is not None:
+            raise FieldError(f"GF({q}) is a prime field and takes no modulus")
         return FieldSpec("prime", q)
     for k in range(2, max(q, 1).bit_length()):
         p = _iroot(q, k)

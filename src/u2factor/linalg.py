@@ -9,13 +9,12 @@ outputs.
 A ``Matrix`` holds rows of canonical reps, and every algorithm here
 runs on them through the field's arith class, with rep helpers
 (``*_reps``) that ``unipotent`` and ``sourour`` share.  The arith class
-does the per-entry work: products (``matmul``, packed over GF(p) above
-a small size, and ``chain`` for a product of several factors in one
-pass, which ``chain_product`` wraps), row operations (``scale``,
-``sub_scaled``, ``negate``) and the determinant (``det``, Bareiss over
-Q).  So ``_rref``, ``IndependentSet``
-and ``charpoly`` make one call per row operation, not one per entry,
-and ``det_reps`` is one call.
+does the per-entry work: products (``chain``, one pass over any number
+of factors, which ``@`` and ``chain_product`` wrap; ``field`` describes
+it per kind), row operations (``scale``, ``sub_scaled``, ``negate``) and
+the determinant (``det``, Bareiss over Q).  So ``_rref``,
+``IndependentSet`` and ``charpoly`` make one call per row operation, not
+one per entry, and ``det_reps`` is one call.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -161,8 +160,8 @@ class Matrix:
     def __matmul__(self, other):
         """The product, computed on raw reps by the field's arith class."""
         self.check_operand(other)
-        return Matrix.from_reps(self.field, self.field.arith.matmul(
-            self._reps, other._reps))
+        return Matrix.from_reps(self.field, self.field.arith.chain(
+            [self._reps, other._reps]))
 
     def scalar_mul(self, c: FieldElement):
         (c,) = _reps_of(self.field, (c,))
@@ -278,7 +277,7 @@ def apply_reps(arith, rows, vec) -> list:
     """rows @ vec, also when vec is empty."""
     if not vec:
         return [arith.zero] * len(rows)
-    return [r[0] for r in arith.matmul(rows, [[v] for v in vec])]
+    return [r[0] for r in arith.chain([rows, [[v] for v in vec]])]
 
 
 # -- constructors ---------------------------------------------------------
@@ -511,7 +510,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
         if len(npowers) > n:
             raise NotUnipotent("matrix is not unipotent")
-        npowers.append(arith.matmul(npowers[-1], N))
+        npowers.append(arith.chain([npowers[-1], N]))
     index = len(npowers) - 1
     bottoms = IndependentSet(field, n)
     tops = []  # (vector, height), heights non-increasing by construction
@@ -521,7 +520,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
             continue  # no block of size j is left; none at all once rest = 0
         kernel = _kernel_reps(arith, npowers[j])
         # the bottom N^(j-1) v of every kernel vector v, in one product
-        images = zip(*arith.matmul(npowers[j - 1], list(zip(*kernel))))
+        images = zip(*arith.chain([npowers[j - 1], list(zip(*kernel))]))
         for v, bottom in zip(kernel, images):
             if bottoms.add(bottom):
                 tops.append((v, j))
@@ -565,8 +564,8 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     for _ in range(n - 1):
         powers.append(apply_reps(arith, N, powers[-1]))
     K_rev = [list(r) for r in zip(*powers)]  # K J, lower triangular
-    Q = [r[::-1] for r in arith.matmul(Tr, K_rev)]
-    P = arith.matmul(_lower_inverse(arith, K_rev)[::-1], Tinv)
+    Q = [r[::-1] for r in arith.chain([Tr, K_rev])]
+    P = arith.chain([_lower_inverse(arith, K_rev)[::-1], Tinv])
     return JordanData((n,), Matrix.from_reps(field, P),
                       Matrix.from_reps(field, Q))
 
@@ -658,14 +657,14 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     # W's leading i x i block
     W = []
     for i, r in enumerate(rows):
-        s = arith.matmul([r[:i]], [w[:i] for w in W])[0]
+        s = arith.chain([[r[:i]], [w[:i] for w in W]])[0]
         W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
                   for k in range(i)] + [one] + [zero] * (n - 1 - i))
     W_inv = _lower_inverse(arith, W)
     if upper:
         W, W_inv, diag = _flip(W), _flip(W_inv), diag[::-1]
     where = {lam: k for k, lam in enumerate(diag)}
-    TW = arith.matmul(T._reps, W)
+    TW = arith.chain([T._reps, W])
     cols, P_rows = [], []
     for lam in spectrum:
         k = where[lam]
@@ -676,7 +675,7 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
         # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
         back = mul(v[last], arith.inv(col[last]))
         P_rows.append(arith.scale(W_inv[k], back))
-    return (Matrix.from_reps(field, arith.matmul(P_rows, T_inv._reps)),
+    return (Matrix.from_reps(field, arith.chain([P_rows, T_inv._reps])),
             Matrix.from_reps(field, list(zip(*cols))))
 
 
@@ -702,7 +701,7 @@ def _lower_inverse(arith, rows) -> list:
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
-        head = arith.matmul([r[:i]], [x[:i] for x in out])[0]
+        head = arith.chain([[r[:i]], [x[:i] for x in out]])[0]
         e = arith.negate(head) + [one] + [zero] * (n - 1 - i)
         out.append(arith.scale(e, arith.inv(r[i])))
     return out

@@ -16,15 +16,12 @@ in one pair at a time, a conjugation P X P^-1) are one ``chain`` each.
 The equalities a certificate rests on, (X - I)^2 = 0 for every member
 and the product of the values [X, Y] = target, and the part-target check
 of ``concat_factorizations``, are decided by the arith class's
-``is_product`` without cutting the product into reps.  Over GF(p) and
-GF(p^k) a packed row of the product, plus p in every slot, minus the
-packed target row, is a multiple of p in every slot iff the rows are
-equal; with a spare bit per slot that is exactly "p divides the row and
-the quotient has the top bit_length(p) bits of every slot clear".  Over
-Q each column of the product and of the target, cleared to integers in
-lowest terms, has one such form, so the columns are compared as tuples.
-``verify`` reads the target and each pair's X and Y once and builds no
-FieldElement or Matrix in between.  It computes the det of [X, Y] only
+``is_product`` without cutting the product into reps: an exact zero
+test on packed rows over a finite field, described once in
+``field._FiniteArith``, and a comparison of integer columns in lowest
+terms over Q (``RationalArith.is_product``).  ``verify`` reads the
+target and each pair's X and Y once and builds no FieldElement or
+Matrix in between.  It computes the det of [X, Y] only
 for a pair with a member that fails the U2 test: when both pass, 2I - X
 and 2I - Y are the true inverses, so the det is exactly 1.
 ``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
@@ -73,7 +70,7 @@ def _index_reps(arith, rows, k: int) -> bool:
     N = shift_reps(arith, rows, one)
     power = N if k > 1 else diagonal_reps(arith, [one] * len(N))
     for _ in range(k - 2):
-        power = arith.matmul(power, N)
+        power = arith.chain([power, N])
     return (not all(map(arith.is_zero, chain.from_iterable(power)))
             and arith.is_product([power, N], [[zero] * len(N)] * len(N)))
 

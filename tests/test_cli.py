@@ -207,6 +207,12 @@ class TestFieldSizeBound:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["GF(7;1,2)", "GF(7;5)"])
+    def test_prime_field_with_modulus_refused(self, capsys, spec):
+        code, out, err = run(capsys, "bounds", "--field", spec, "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: GF(7) is a prime field and takes no modulus\n"
+
     def test_degree_8_modulus_factors(self, tmp_path, capsys):
         src = tmp_path / "a.txt"
         src.write_text("GF(256;1,1,0,1,1,0,0,0,1)\n2\n1 1\n0 1\n")

@@ -62,6 +62,14 @@ class TestConstruction:
         with pytest.raises(FieldError):
             parse_field_spec("GF(x)")
 
+    def test_prime_field_with_modulus_rejected(self):
+        # a modulus names an extension, so a prime q takes none
+        for text in ("GF(7;1,2)", "GF(7;5)"):
+            with pytest.raises(FieldError, match="takes no modulus"):
+                parse_field_spec(text)
+        with pytest.raises(FieldError, match="takes no modulus"):
+            GF(7, (1, 2))
+
     def test_field_equality(self):
         assert GF(7) == GF(7)
         assert GF(7) != GF(5)
@@ -139,9 +147,9 @@ class TestArithmetic:
     def test_matmul_with_empty_inner_dimension(self, spec):
         # an empty right operand has no columns, so every row is empty
         arith = parse_field_spec(spec).arith
-        assert arith.matmul([[]], []) == [[]]
-        assert arith.matmul([[], []], []) == [[], []]
-        assert arith.matmul([], []) == []
+        assert arith.chain([[[]], []]) == [[]]
+        assert arith.chain([[[], []], []]) == [[], []]
+        assert arith.chain([[], []]) == []
 
     @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)", "Q"])
     def test_element_takes_fractions_exactly_and_refuses_floats(self, spec):

@@ -1,8 +1,9 @@
 """Cross-checks of ``Matrix.__matmul__``, the arith classes' ``chain``
 and the extension-field tables.
 
-``@`` computes on raw reps through the field's arithmetic class.  Here
-its results must equal a naive triple loop of element operations, and
+``@`` computes on raw reps through the field's arithmetic class, as a
+``chain`` of two, the only product each class has.  Here its results
+must equal a naive triple loop of element operations, and
 extension-field element products must equal plain polynomial products
 reduced by the modulus, computed in this file.  Over GF(p) the products
 on both sides of ``_PACK_MIN`` are checked, the packed one with the
@@ -39,7 +40,7 @@ from u2factor.field import GF, FieldElement, FieldMismatch, _MR_LIMIT, \
 from u2factor.linalg import Matrix, identity
 
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
-# x^k mod f has degree k - 1 for these user moduli, so ``matmul`` folds
+# x^k mod f has degree k - 1 for these user moduli, so ``chain`` folds
 # k - 1 times: the most for their degree
 GF8_TOP, GF243_TOP = "GF(8;1,0,1,1)", "GF(243;1,0,0,0,2,1)"
 EXTENSIONS = ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)", "GF(27)",
@@ -212,7 +213,7 @@ def test_chain_rectangular_factors(spec):
 @pytest.mark.parametrize("spec", CHAIN_FIELDS)
 def test_chain_empty_factors(spec):
     # An empty factor has no rows; an empty last factor has no columns,
-    # so each row of the product is empty, as for ``matmul``.
+    # so each row of the product is empty, as for a chain of two.
     F = parse_field_spec(spec)
     chain, top = F.arith.chain, top_rep(F)
     for m in (1, 4):
@@ -414,14 +415,14 @@ def test_prime_products_of_every_shape(p):
         for m, cols in ((1, high), (high, 1), (low, high), (high, low),
                         (high, high), (_PACK_MIN, _PACK_MIN), (1, 1)):
             a, b = rows(m, k), rows(k, cols)
-            got = arith.matmul(a, b)
+            got = arith.chain([a, b])
             assert got == naive_rep_product(F, a, b)
             assert all(type(r) is list for r in got)
         # a right operand with no columns, and an empty right operand
         for m in (1, high):
-            assert arith.matmul(rows(m, k), [[] for _ in range(k)]) == \
+            assert arith.chain([rows(m, k), [[] for _ in range(k)]]) == \
                 [[] for _ in range(m)]
-            assert arith.matmul([[] for _ in range(m)], []) == \
+            assert arith.chain([[[] for _ in range(m)], []]) == \
                 [[] for _ in range(m)]
 
 
@@ -451,16 +452,16 @@ def test_extension_products_of_every_shape(spec):
         for m, cols in ((1, k), (k, 1), (2, 7), (7, 2), (k, k), (1, 1)):
             for entry in (lambda: top, lambda: rng.choice(elems)):
                 a, b = rows(m, k, entry), rows(k, cols, entry)
-                got = arith.matmul(a, b)
+                got = arith.chain([a, b])
                 assert got == naive_rep_product(F, a, b)
                 assert all(type(r) is list for r in got)
                 assert all(type(x) is tuple for r in got for x in r)
         # a right operand with no columns, and an empty right operand
         for m in (1, 4):
-            assert arith.matmul(rows(m, k, lambda: top),
-                                [[] for _ in range(k)]) == \
+            assert arith.chain([rows(m, k, lambda: top),
+                                [[] for _ in range(k)]]) == \
                 [[] for _ in range(m)]
-            assert arith.matmul([[] for _ in range(m)], []) == \
+            assert arith.chain([[[] for _ in range(m)], []]) == \
                 [[] for _ in range(m)]
 
 
