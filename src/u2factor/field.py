@@ -14,12 +14,17 @@ products, row operations (``scale``, ``sub_scaled``) and determinants
 (``det``) all call it, so no elimination outside this module makes a
 call per entry.
 
-Each class has one product, ``chain``: mats[0] @ ... @ mats[-1]
+Each class has one matrix product, ``chain``: mats[0] @ ... @ mats[-1]
 evaluated right to left in one pass, a product of two being a chain of
-two.  ``is_product`` runs the same chain and decides whether it equals
-a given matrix without cutting the product into reps.  GF(p) and
-GF(p^k) share one packed chain and its exact zero test, GF(p) as the
-k = 1 case; ``_FiniteArith`` describes both.  What is each kind's own:
+two, on the kind's matrix form.  Over a finite field the form is the
+rows of reps; over Q it is canonical integer rows, which ``form`` makes
+from rows of Fractions and ``reps`` reads back.  ``is_product`` runs the
+same chain and decides whether it equals a given matrix without cutting
+the product into reps.  ``shift`` makes X - lam I and lam I - X on the
+form, and ``product_reps`` multiplies two matrices given as rows of
+reps, as the entry-level algorithms hold them.  GF(p) and GF(p^k) share
+one packed chain and its exact zero test, GF(p) as the k = 1 case;
+``_FiniteArith`` describes both.  What is each kind's own:
 
 - Over GF(p) a rep is an int mod p, and a row operation is one
   comprehension of int arithmetic.  A chain of two with fewer than
@@ -33,15 +38,20 @@ k = 1 case; ``_FiniteArith`` describes both.  What is each kind's own:
   one coefficient-wise difference per entry.  The packed chain reduces
   each step mod the modulus by folds.
 - Over Q element operations and row operations use ``Fraction``.  A
-  chain clears each column of its last factor, and each earlier factor,
-  to integers over a common denominator and divides each column by its
-  gcd after every step; a chain of two clears each row of its left
-  factor and each column of its right one over their own common
-  denominator.  Either way an entry costs one ``gcd`` at the end instead
-  of one per term.  ``is_product`` compares the chain's columns, in
-  lowest terms, with the target's cleared columns, and builds no
-  ``Fraction``.  A determinant clears each row likewise and runs
-  Bareiss's fraction-free elimination, one ``Fraction`` in all.
+  matrix form holds each row once as integers over one positive
+  denominator, in lowest terms, so equal matrices have equal forms
+  (``RationalArith``).  A chain takes the factors' integer rows as they
+  are: the last factor's rows over their lcm cut into columns, each
+  earlier factor read by row, and each column divided by its gcd
+  between steps, so no chain clears an operand and the result's rows,
+  over the first factor's row denominators, cost one ``gcd`` each, with
+  no ``Fraction``.  ``is_product`` compares
+  the chain's columns with the target's rows by cross-multiplication.
+  X - I and 2I - X are one integer operation per row.
+  ``product_reps`` clears each row of its left factor and each column
+  of its right one over their own common denominator, one ``Fraction``
+  per entry.  A determinant clears each row of reps and runs Bareiss's
+  fraction-free elimination, one ``Fraction`` in all.
 
 The finite kinds share their determinant, Gaussian elimination through
 ``sub_scaled``.  ``primitive`` is the scale that
@@ -304,9 +314,10 @@ def _dot_sized(a, b) -> bool:
 
 class _FiniteArith:
     """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
-    determinant is Gaussian elimination through ``sub_scaled``, and the
-    product is one packed chain with one exact zero test, GF(p) being
-    its k = 1 case.
+    determinant is Gaussian elimination through ``sub_scaled``, the
+    matrix form is the rows of reps (``reps_are_form``, so ``form`` and
+    ``reps`` return what they are given), and the product is one packed
+    chain with one exact zero test, GF(p) being its k = 1 case.
 
     ``chain`` evaluates mats[0] @ ... @ mats[-1] right to left with no
     cut between steps (Kronecker substitution).  A rep becomes one int
@@ -350,6 +361,7 @@ class _FiniteArith:
 
     __slots__ = ("p", "k", "zero", "one", "_xk", "_folds", "_growth",
                  "_shapes")
+    reps_are_form = True
 
     def __init__(self, p: int, k: int, zero, one, xk, folds: int):
         self.p, self.k, self.zero, self.one = p, k, zero, one
@@ -360,6 +372,37 @@ class _FiniteArith:
     def primitive(self, vec):
         """The eigenvector scale over Q; a finite field keeps vec as is."""
         return vec
+
+    def form(self, rows):
+        """The matrix form ``chain`` takes: over a finite field the rows of
+        reps as they are."""
+        return rows
+
+    def reps(self, form):
+        """Rows of reps of a matrix form: the form itself."""
+        return form
+
+    def product_reps(self, a, b) -> list:
+        """Rows of reps of a @ b, for a and b given as rows of reps: the
+        chain of two."""
+        return self.chain([a, b])
+
+    def zeros(self, n: int) -> list:
+        """Rows of the n x n zero matrix, one list shared by every row."""
+        return [[self.zero] * n] * n
+
+    def shift(self, rows, lam, negate=False) -> list:
+        """Rows of X - lam I, or of lam I - X when ``negate``."""
+        sub = self.sub
+        if negate:
+            out = [self.negate(r) for r in rows]
+            for i, r in enumerate(out):
+                r[i] = sub(lam, rows[i][i])
+        else:
+            out = [list(r) for r in rows]
+            for i, r in enumerate(out):
+                r[i] = sub(r[i], lam)
+        return out
 
     def det(self, rows):
         """Determinant of square rows of reps.  The first nonzero entry
@@ -541,7 +584,7 @@ class PrimeArith(_FiniteArith):
         """``_FiniteArith.is_product``, or the dot products compared with
         the target for a small chain of two."""
         if len(mats) == 2 and _dot_sized(*mats):
-            return self.chain(mats) == target
+            return self.chain(mats) == list(map(list, target))
         return _FiniteArith.is_product(self, mats, target)
 
     def token(self, a) -> str:
@@ -659,23 +702,61 @@ def _clear_denominators(vec):
     return d, [a * (d // e) for a, e in ratios]
 
 
-class RationalArith:
-    """Q: reduced Fractions.
+def _lowest(d: int, ints) -> tuple:
+    """(d, ints) for the vector ints / d, d > 0, in lowest terms: both
+    divided by their gcd, ints as a tuple."""
+    g = math.gcd(d, *ints)
+    if g > 1:
+        return d // g, tuple([x // g for x in ints])
+    return d, tuple(ints)
 
-    Element operations are ``Fraction``'s.  ``chain`` works on integer
-    rows and columns, each over its own common denominator, for two
-    factors, and on integer columns for more, so it builds one reduced
-    ``Fraction`` per entry.  ``is_product`` compares the chain's integer
-    columns, in lowest terms, with the target's, and builds no
-    ``Fraction``.  ``det`` clears each row to integers and runs
-    Bareiss's fraction-free elimination, so it makes one ``Fraction`` in
-    all.  ``primitive`` clears a vector's denominators and divides out
-    the gcd of its coordinates.  Tokens convert through ``decimal``,
-    which has no digit limit.
+
+def _common(vecs) -> tuple:
+    """(L, ints) for vectors given as (d, ints): L the lcm of their
+    denominators, and each vector's integers over L."""
+    big = math.lcm(*[d for d, _ in vecs])
+    return big, [v if d == big else [x * (big // d) for x in v]
+                 for d, v in vecs]
+
+
+class RationalArith:
+    """Q: reduced Fractions for elements and rows, canonical integer rows
+    for matrices.
+
+    Element operations and row operations (``scale``, ``sub_scaled``,
+    ``negate``) are ``Fraction``'s.  A matrix form holds each row once as
+    integers over one positive denominator, (d, ints) with ints a tuple
+    and gcd(d, *ints) = 1, so a zero row is (1, zeros).  A row has one
+    such form: d must be the lcm of its entries' reduced denominators,
+    since any other d with integer multiples is a multiple m > 1 of it,
+    and m then divides d and all the integers.  So two matrices are
+    equal iff their forms are equal tuples.  ``form`` clears rows of
+    Fractions to it (``_clear_denominators``) and ``reps`` reads the
+    Fractions back, one per entry.
+
+    ``chain`` and ``is_product`` take each factor's form as it is, so no
+    product clears an operand.  ``_columns`` runs right to left on
+    integer columns, each over its own denominator, with the last
+    factor's rows over their lcm cut into columns and every earlier
+    factor read by row; the first factor's row denominators stay with
+    the rows of the result.  ``chain`` turns the columns into the
+    product's form with one gcd per row and no ``Fraction``, and
+    ``is_product`` compares them with the target's rows by
+    cross-multiplication.
+    ``shift`` makes X - lam I and lam I - X by one integer operation per
+    row.  ``product_reps`` multiplies rows of Fractions as the
+    entry-level algorithms hold them, without forms: going through
+    ``form`` and ``reps`` costs 1.6 to 2.1 times as much on their small
+    vector products.  ``det`` clears each row of reps to integers and
+    runs Bareiss's fraction-free elimination, so it makes one
+    ``Fraction`` in all.  ``primitive`` clears a vector's denominators
+    and divides out the gcd of its coordinates.  Tokens convert through
+    ``decimal``, which has no digit limit.
     """
 
     __slots__ = ()
     zero, one = Fraction(0), Fraction(1)
+    reps_are_form = False
 
     def coerce(self, value) -> Fraction:
         if not isinstance(value, (int, Fraction)):
@@ -715,6 +796,51 @@ class RationalArith:
         """-row."""
         return [-x for x in row]
 
+    def form(self, rows) -> tuple:
+        """The form of rows of Fractions or ints: each row cleared to
+        integers over the lcm of its entries' denominators."""
+        return tuple([(d, tuple(ints))
+                      for d, ints in map(_clear_denominators, rows)])
+
+    def reps(self, form) -> list:
+        """Rows of reduced Fractions of a matrix given as its form."""
+        return [[Fraction(x) for x in r] if d == 1
+                else [Fraction(x, d) for x in r] for d, r in form]
+
+    def product_reps(self, a, b) -> list:
+        """Rows of reps of a @ b, for a and b given as rows of reps, as the
+        entry-level algorithms hold them: each row of a and each column
+        of b is cleared to integers over the lcm of its own
+        denominators, so entry (i, j) is one integer dot product over
+        d_i d_j, one reduced ``Fraction``.  A form would clear b by rows
+        and then cut it into columns, which costs 1.6 to 2.1 times as
+        much on the vector products these algorithms make."""
+        rows = [_clear_denominators(r) for r in a]
+        cols = [_clear_denominators(c) for c in zip(*b)]
+        mul = operator.mul
+        return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
+                for dr, r in rows]
+
+    def zeros(self, n: int) -> tuple:
+        """The form of the n x n zero matrix."""
+        return ((1, (0,) * n),) * n
+
+    def shift(self, form, lam, negate=False) -> tuple:
+        """The form of X - lam I, or of lam I - X when ``negate``, for X
+        given as its form, with lam = a / b: row i becomes
+        (b d, +-(b ints - a d e_i)).  For b = 1 that is canonical as it
+        stands, as a common divisor of d and the new row divides the old
+        row too, and a row that becomes zero was e_i over d = 1;
+        otherwise each row is divided by its gcd."""
+        num, den = lam.as_integer_ratio()
+        sign = -1 if negate else 1
+        lift, out = sign * den, []
+        for i, (d, r) in enumerate(form):
+            ints = [lift * x for x in r]
+            ints[i] -= sign * num * d
+            out.append(_lowest(den * d, ints) if den > 1 else (d, tuple(ints)))
+        return tuple(out)
+
     def det(self, rows) -> Fraction:
         """Determinant of square rows of reps.
 
@@ -748,71 +874,76 @@ class RationalArith:
             prev = head
         return Fraction(sign * prev, den)
 
-    def chain(self, mats) -> list:
-        """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
-        reps, one reduced ``Fraction`` per entry.
-
-        A chain of two clears each row of its left factor and each
-        column of its right one to integers over the lcm of its own
-        denominators, so entry (i, j) is one integer dot product over
-        d_i * d_j, reduced once.  Clearing per row and per column keeps
-        the integers as wide as one row's or one column's denominators,
-        however unrelated the rows' are.  A longer chain runs right to
-        left on integer columns (``_columns``).
-        """
-        if len(mats) == 2:
-            rows = [_clear_denominators(r) for r in mats[0]]
-            cols = [_clear_denominators(c) for c in zip(*mats[1])]
-            mul = operator.mul
-            return [[Fraction(sum(map(mul, r, c)), dr * dc)
-                     for dc, c in cols] for dr, r in rows]
-        cols = self._columns(mats)
-        return [[Fraction(c[i], dc) for dc, c in cols]
-                for i in range(len(mats[0]))]
+    def chain(self, mats) -> tuple:
+        """The form of mats[0] @ ... @ mats[-1], for factors given as
+        forms; one factor is its own product.  With the columns of
+        ``_columns`` put over the lcm L of their denominators, row i of
+        the result is their integers at i over d_i L, divided by its gcd
+        with d_i L: one gcd per row, no ``Fraction``.  An empty last
+        factor has no columns, so each row of the product is empty."""
+        if len(mats) == 1:
+            return mats[0]
+        dens, cols = self._columns(mats)
+        if not cols:
+            return ((1, ()),) * len(dens)
+        big, cols = _common(cols)
+        return tuple([_lowest(d * big, r) for d, r in zip(dens, zip(*cols))])
 
     def is_product(self, mats, target) -> bool:
-        """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given
-        as rows of reps, the target's rows lists as ``chain`` returns
-        them, with no ``Fraction`` built.
+        """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given as
+        forms, with no ``Fraction`` built: entry c / (d_i e) of the
+        product from ``_columns`` equals entry t / d of the target, all
+        denominators positive, iff c d = t d_i e.  A target of another
+        shape is not the product."""
+        last = mats[-1]
+        width = len(last[0][1]) if last else 0
+        if len(target) != len(mats[0]) or any(
+                len(t) != width for _, t in target):
+            return False
+        dens, cols = self._columns(mats)
+        for j, (e, c) in enumerate(cols):
+            for (d, t), di, x in zip(target, dens, c):
+                if x * d != t[j] * di * e:
+                    return False
+        return True
 
-        Each column of the product from ``_columns`` and each column of
-        the target from ``_clear_denominators`` is (d, integers) in
-        lowest terms with d > 0.  A column has one such form: d must be
-        the lcm of its entries' denominators, since any other d with
-        integer multiples is a multiple m > 1 of it, and m then divides
-        d and all the integers.  So the columns are equal iff the tuples
-        are.  A target of another shape is not the product.
+    def _columns(self, mats) -> tuple:
+        """(dens, cols) with entry (i, j) of mats[0] @ ... @ mats[-1] equal
+        to c[i] / (dens[i] e) for cols[j] = (e, c), e > 0, for factors
+        given as forms.
+
+        The last factor's rows are put over the lcm of their
+        denominators and cut into columns.  An earlier factor with rows
+        r_i / d_i maps a column c / e to the column with entries
+        (r_i . c) / (d_i e): integer dot products on the rows as the
+        form holds them.  Between steps the entries are lifted to D / d_i
+        over D e, D the lcm of the d_i (not at all when every d_i is D),
+        and every column is divided by the gcd of its integers and its
+        denominator, which keeps the integers as small as the column's
+        value allows.  The first factor's row denominators are returned
+        as ``dens`` instead, which the caller divides by once per row;
+        with one factor they are all 1.
         """
-        return _has_product_shape(mats, target) and all(
-            col == _clear_denominators(t)
-            for col, t in zip(self._columns(mats), zip(*target)))
-
-    def _columns(self, mats) -> list:
-        """The columns of mats[0] @ ... @ mats[-1] as (d, integers) in
-        lowest terms, d > 0.
-
-        Each column of the last factor is cleared to integers over the
-        lcm of its own denominators, and each earlier factor to integers
-        over one common denominator D, so a step maps the column
-        ints / d to (M ints) / (D d) by integer dot products.  After
-        each step every column is divided by the gcd of its integers and
-        its denominator, which keeps the integers as small as the
-        column's value allows.
-        """
-        mul, gcd = operator.mul, math.gcd
-        cols = [_clear_denominators(c) for c in zip(*mats[-1])]
-        for m in mats[-2::-1]:
-            d, ints = _clear_denominators([x for r in m for x in r])
-            w = len(m[0]) if m else 0
-            rows = [ints[i * w:i * w + w] for i in range(len(m))]
+        big, rows = _common(mats[-1])
+        cols = [(big, c) for c in zip(*rows)]
+        mul = operator.mul
+        for m in mats[-2:0:-1]:
+            big = math.lcm(*[d for d, _ in m])
+            lifts = [big // d for d, _ in m]
+            even = lifts.count(1) == len(lifts)
+            rows = [r for _, r in m]
             step = []
-            for dc, c in cols:
-                dc, c = d * dc, [sum(map(mul, r, c)) for r in rows]
-                g = gcd(dc, *c)
-                step.append((dc // g, [x // g for x in c]) if g > 1
-                            else (dc, c))
+            for e, c in cols:
+                v = [sum(map(mul, r, c)) for r in rows]
+                if not even:
+                    v = list(map(mul, v, lifts))
+                step.append(_lowest(big * e, v))
             cols = step
-        return cols
+        if len(mats) == 1:
+            return [1] * len(rows), cols
+        rows = [r for _, r in mats[0]]
+        return [d for d, _ in mats[0]], [
+            (e, [sum(map(mul, r, c)) for r in rows]) for e, c in cols]
 
     def primitive(self, vec) -> list:
         """vec scaled to a primitive integer vector (coprime integer

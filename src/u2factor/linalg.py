@@ -10,11 +10,18 @@ A ``Matrix`` holds rows of canonical reps, and every algorithm here
 runs on them through the field's arith class, with rep helpers
 (``*_reps``) that ``unipotent`` and ``sourour`` share.  The arith class
 does the per-entry work: products (``chain``, one pass over any number
-of factors, which ``@`` and ``chain_product`` wrap; ``field`` describes
-it per kind), row operations (``scale``, ``sub_scaled``, ``negate``) and
-the determinant (``det``, Bareiss over Q).  So ``_rref``,
-``IndependentSet`` and ``charpoly`` make one call per row operation, not
-one per entry, and ``det_reps`` is one call.
+of factors on the field's matrix form, which ``@`` and
+``chain_product`` wrap, and ``product_reps`` on rows of reps; ``field``
+describes them per kind), row operations (``scale``, ``sub_scaled``,
+``negate``) and the determinant (``det``, Bareiss over Q).  So
+``_rref``, ``IndependentSet`` and ``charpoly`` make one call per row
+operation, not one per entry, and ``det_reps`` is one call.
+Over Q a ``Matrix`` also holds the form, canonical integer rows.  A
+product's result has only the form, and a matrix made from rows of
+reps only those, until the other view is first read: products and the
+certificate checks run on the form, and the ``Fraction`` rows are made
+only for the entry-level algorithms (the eliminations, the
+substitutions, Jordan data) and for tokens.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -83,11 +90,20 @@ def _reps_of(field: FieldSpec, entries) -> tuple:
 
 
 class Matrix:
-    """Immutable square matrix over a field, held as rows of canonical
-    reps; entries read through the API are FieldElements.  The
-    determinant is kept once computed."""
+    """Immutable square matrix over a field; entries read through the API
+    are FieldElements.  The determinant is kept once computed.
 
-    __slots__ = ("field", "n", "_reps", "_det")
+    A matrix has two views: ``_reps``, rows of canonical reps, which the
+    entry-level algorithms read, and ``_form``, the field's matrix form,
+    which its arith class's ``chain`` and ``is_product`` take and return.
+    Over a finite field they are one tuple.  Over Q the form is the
+    canonical integer rows (``field.RationalArith``): the constructor
+    makes both views, and ``from_reps`` and ``from_form`` make a
+    ``_RationalMatrix``, which has one of them and makes the other when
+    it is first read.  Equality and the hash are the form's.
+    """
+
+    __slots__ = ("field", "n", "_reps", "_form", "_det")
 
     def __init__(self, field: FieldSpec, rows):
         reps = tuple(_reps_of(field, r) for r in rows)
@@ -97,6 +113,8 @@ class Matrix:
         self.field = field
         self.n = n
         self._reps = reps
+        self._form = reps if field.arith.reps_are_form else \
+            field.arith.form(reps)
         self._det = None
 
     # -- construction helpers --
@@ -107,17 +125,37 @@ class Matrix:
 
     @classmethod
     def from_reps(cls, field: FieldSpec, rows) -> "Matrix":
-        """Square rows of canonical reps, as the field's arith class
-        returns them, taken without checking them."""
-        out = object.__new__(cls)
-        out.field, out.n = field, len(rows)
-        out._reps = tuple(map(tuple, rows))
-        out._det = None
+        """Square rows of canonical reps, taken without checking them."""
+        reps = tuple(map(tuple, rows))
+        if field.arith.reps_are_form:
+            out = object.__new__(cls)
+            out._form = reps
+        else:
+            out = object.__new__(_RationalMatrix)
+        out.field, out.n, out._reps, out._det = field, len(reps), reps, None
+        return out
+
+    @classmethod
+    def from_form(cls, field: FieldSpec, form) -> "Matrix":
+        """A square matrix given as the field's matrix form, as its arith
+        class's ``chain`` returns it, taken without checking it."""
+        if field.arith.reps_are_form:
+            out = object.__new__(cls)
+            out._reps = out._form = tuple(map(tuple, form))
+        else:
+            out = object.__new__(_RationalMatrix)
+            out._form = form
+        out.field, out.n, out._det = field, len(form), None
         return out
 
     def reps(self) -> list:
         """Rows of raw reps, for the field's arith class."""
         return [list(r) for r in self._reps]
+
+    def form(self):
+        """The field's matrix form, for its arith class's ``chain`` and
+        ``is_product``; immutable, so it is not copied."""
+        return self._form
 
     @property
     def rows(self) -> tuple:
@@ -158,10 +196,10 @@ class Matrix:
         return Matrix.from_reps(self.field, [negate(r) for r in self._reps])
 
     def __matmul__(self, other):
-        """The product, computed on raw reps by the field's arith class."""
+        """The product, a ``chain`` of two forms."""
         self.check_operand(other)
-        return Matrix.from_reps(self.field, self.field.arith.chain(
-            [self._reps, other._reps]))
+        return Matrix.from_form(self.field, self.field.arith.chain(
+            [self._form, other._form]))
 
     def scalar_mul(self, c: FieldElement):
         (c,) = _reps_of(self.field, (c,))
@@ -235,11 +273,12 @@ class Matrix:
     # -- identity / io --
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self._reps == other._reps)
+        return self is other or (
+            isinstance(other, Matrix) and self.field == other.field
+            and self._form == other._form)
 
     def __hash__(self):
-        return hash((self.field, self._reps))
+        return hash((self.field, self._form))
 
     def __repr__(self):
         body = "; ".join(" ".join(r) for r in self.tokens())
@@ -248,6 +287,27 @@ class Matrix:
     def tokens(self):
         token = self.field.arith.token
         return [[token(x) for x in r] for r in self._reps]
+
+
+class _RationalMatrix(Matrix):
+    """A Matrix over Q made by ``from_reps`` or ``from_form``, with one of
+    its two views, ``_reps`` or ``_form``; ``__getattr__`` makes the
+    other from it when it is first read and keeps it, so a product that
+    is only multiplied again, compared or verified never builds a
+    ``Fraction``.  A class of its own, as a ``__getattr__`` on ``Matrix``
+    would slow every attribute read of every matrix over a finite field
+    (CPython then gives up its fast path for slot reads)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name == "_reps":
+            self._reps = tuple(map(tuple, self.field.arith.reps(self._form)))
+            return self._reps
+        if name == "_form":
+            self._form = self.field.arith.form(self._reps)
+            return self._form
+        raise AttributeError(name)
 
 
 # -- helpers on rows of reps ----------------------------------------------
@@ -266,18 +326,16 @@ def is_scalar_reps(arith, rows) -> bool:
 
 
 def shift_reps(arith, rows, lam) -> list:
-    """Rows of A - lam I, for A given as rows of reps."""
-    out = [list(r) for r in rows]
-    for i, r in enumerate(out):
-        r[i] = arith.sub(r[i], lam)
-    return out
+    """Rows of A - lam I, for A given as rows of reps: the arith class's
+    ``shift`` on their form."""
+    return arith.reps(arith.shift(arith.form(rows), lam))
 
 
 def apply_reps(arith, rows, vec) -> list:
     """rows @ vec, also when vec is empty."""
     if not vec:
         return [arith.zero] * len(rows)
-    return [r[0] for r in arith.chain([rows, [[v] for v in vec]])]
+    return [r[0] for r in arith.product_reps(rows, [[v] for v in vec])]
 
 
 # -- constructors ---------------------------------------------------------
@@ -306,8 +364,8 @@ def chain_product(*mats: Matrix) -> Matrix:
     first = mats[0]
     for m in mats[1:]:
         first.check_operand(m)
-    return Matrix.from_reps(first.field, first.field.arith.chain(
-        [m._reps for m in mats]))
+    return Matrix.from_form(first.field, first.field.arith.chain(
+        [m._form for m in mats]))
 
 
 def direct_sum(*mats: Matrix) -> Matrix:
@@ -510,7 +568,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
         if len(npowers) > n:
             raise NotUnipotent("matrix is not unipotent")
-        npowers.append(arith.chain([npowers[-1], N]))
+        npowers.append(arith.product_reps(npowers[-1], N))
     index = len(npowers) - 1
     bottoms = IndependentSet(field, n)
     tops = []  # (vector, height), heights non-increasing by construction
@@ -520,7 +578,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
             continue  # no block of size j is left; none at all once rest = 0
         kernel = _kernel_reps(arith, npowers[j])
         # the bottom N^(j-1) v of every kernel vector v, in one product
-        images = zip(*arith.chain([npowers[j - 1], list(zip(*kernel))]))
+        images = zip(*arith.product_reps(npowers[j - 1], list(zip(*kernel))))
         for v, bottom in zip(kernel, images):
             if bottoms.add(bottom):
                 tops.append((v, j))
@@ -564,8 +622,8 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     for _ in range(n - 1):
         powers.append(apply_reps(arith, N, powers[-1]))
     K_rev = [list(r) for r in zip(*powers)]  # K J, lower triangular
-    Q = [r[::-1] for r in arith.chain([Tr, K_rev])]
-    P = arith.chain([_lower_inverse(arith, K_rev)[::-1], Tinv])
+    Q = [r[::-1] for r in arith.product_reps(Tr, K_rev)]
+    P = arith.product_reps(_lower_inverse(arith, K_rev)[::-1], Tinv)
     return JordanData((n,), Matrix.from_reps(field, P),
                       Matrix.from_reps(field, Q))
 
@@ -657,14 +715,14 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     # W's leading i x i block
     W = []
     for i, r in enumerate(rows):
-        s = arith.chain([[r[:i]], [w[:i] for w in W]])[0]
+        s = arith.product_reps([r[:i]], [w[:i] for w in W])[0]
         W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
                   for k in range(i)] + [one] + [zero] * (n - 1 - i))
     W_inv = _lower_inverse(arith, W)
     if upper:
         W, W_inv, diag = _flip(W), _flip(W_inv), diag[::-1]
     where = {lam: k for k, lam in enumerate(diag)}
-    TW = arith.chain([T._reps, W])
+    TW = arith.product_reps(T._reps, W)
     cols, P_rows = [], []
     for lam in spectrum:
         k = where[lam]
@@ -675,7 +733,8 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
         # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
         back = mul(v[last], arith.inv(col[last]))
         P_rows.append(arith.scale(W_inv[k], back))
-    return (Matrix.from_reps(field, arith.chain([P_rows, T_inv._reps])),
+    return (Matrix.from_form(field, arith.chain([arith.form(P_rows),
+                                                 T_inv._form])),
             Matrix.from_reps(field, list(zip(*cols))))
 
 
@@ -701,7 +760,7 @@ def _lower_inverse(arith, rows) -> list:
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
-        head = arith.chain([[r[:i]], [x[:i] for x in out]])[0]
+        head = arith.product_reps([r[:i]], [x[:i] for x in out])[0]
         e = arith.negate(head) + [one] + [zero] * (n - 1 - i)
         out.append(arith.scale(e, arith.inv(r[i])))
     return out

@@ -295,7 +295,8 @@ class _Search:
             g1_inv = ar.inv(g1)
             L = [[b1] + [ar.zero] * (m - 1)] + [
                 [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]
-            U = [[g1] + ar.chain([[top], T1])[0]] + [[ar.zero] + r for r in U1]
+            U = ([[g1] + ar.product_reps([top], T1)[0]]
+                 + [[ar.zero] + r for r in U1])
             return (basis.left_mul(_bump(ar, T1)),
                     basis.right_div(_bump(ar, T1_inv)), L, U)
         raise _Dead

@@ -7,21 +7,26 @@ Every factor is U2, (X - I)^2 = 0, so it inverts as X^-1 = 2I - X.
 The transports build pairs without re-checking them; ``verify`` checks
 a finished certificate once.
 
-A ``Matrix`` holds rows of raw reps.  The U2 test, the commutator and
-the running product exist once, as helpers on those rows that run
-through the field's arith class, beside ``linalg``'s rep helpers
-(``det_reps``, ``diagonal_reps`` for I, ``shift_reps`` for A - I).
-Products of several factors (a commutator, the running product folded
-in one pair at a time, a conjugation P X P^-1) are one ``chain`` each.
-The equalities a certificate rests on, (X - I)^2 = 0 for every member
-and the product of the values [X, Y] = target, and the part-target check
-of ``concat_factorizations``, are decided by the arith class's
+The U2 test, the commutator and the running product exist once, as
+helpers on the field's matrix form (``Matrix.form``: the rows of reps
+over a finite field, canonical integer rows over Q) that run through
+the field's arith class: X - I and 2I - X are its ``shift``, one integer
+operation per row over Q.  Products of several factors (a commutator,
+the running product folded in one pair at a time, a conjugation
+P X P^-1) are one ``chain`` each.  The equalities a certificate rests
+on, (X - I)^2 = 0 for every member and the product of the values
+[X, Y] = target, and the part-target check of
+``concat_factorizations``, are decided by the arith class's
 ``is_product`` without cutting the product into reps: an exact zero
 test on packed rows over a finite field, described once in
-``field._FiniteArith``, and a comparison of integer columns in lowest
-terms over Q (``RationalArith.is_product``).  ``verify`` reads the
-target and each pair's X and Y once and builds no FieldElement or
-Matrix in between.  It computes the det of [X, Y] only
+``field._FiniteArith``, and a cross-multiplied comparison of integer
+columns with integer rows over Q (``RationalArith.is_product``).  Over
+Q the zero test of N N on N's integer rows M, N = D^-1 M with D the
+diagonal of row denominators, is exact: N N = D^-1 (M D^-1 M), and
+scaling rows by nonzero denominators keeps a matrix zero or nonzero.
+``verify`` reads the target and each pair's X and Y once and builds no
+FieldElement or Matrix in between, and over Q no Fraction unless a
+pair fails the U2 test.  It computes the det of [X, Y] only
 for a pair with a member that fails the U2 test: when both pass, 2I - X
 and 2I - Y are the true inverses, so the det is exactly 1.
 ``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
@@ -40,7 +45,7 @@ from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_rep
 from .linalg import Matrix, identity, chain_product, direct_sum, det_reps, \
-    diagonal_reps, shift_reps
+    diagonal_reps
 
 
 class CertificateError(Exception):
@@ -60,69 +65,66 @@ class VerificationFailed(CertificateError):
         self.report = report
 
 
-# -- the certificate kernel, on rows of raw reps ----------------------------
+# -- the certificate kernel, on matrix forms -------------------------------
 
-def _index_reps(arith, rows, k: int) -> bool:
-    """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A as rows of reps: the
-    first by ``is_product`` on (A - I)^(k-1) and A - I, with no product
-    cut into reps."""
-    one, zero = arith.one, arith.zero
-    N = shift_reps(arith, rows, one)
-    power = N if k > 1 else diagonal_reps(arith, [one] * len(N))
+def _identity_form(arith, n: int):
+    """The form of I_n."""
+    return arith.form(diagonal_reps(arith, [arith.one] * n))
+
+
+def _index_form(arith, form, k: int) -> bool:
+    """(A - I)^k == 0 and (A - I)^(k-1) != 0, for A given as its form:
+    the first by ``is_product`` on (A - I)^(k-1) and A - I against the
+    zero matrix, with no product cut into reps."""
+    N = arith.shift(form, arith.one)
+    n = len(N)
+    power = N if k > 1 else _identity_form(arith, n)
     for _ in range(k - 2):
         power = arith.chain([power, N])
-    return (not all(map(arith.is_zero, chain.from_iterable(power)))
-            and arith.is_product([power, N], [[zero] * len(N)] * len(N)))
-
-
-def _u2_inverse_reps(arith, rows) -> list:
-    """2I - X, which is X^-1 exactly when X is U2."""
-    two, sub = arith.add(arith.one, arith.one), arith.sub
-    out = [arith.negate(r) for r in rows]
-    for i, r in enumerate(out):
-        r[i] = sub(two, rows[i][i])
-    return out
+    zeros = arith.zeros(n)
+    return power != zeros and arith.is_product([power, N], zeros)
 
 
 def _pair_factors(arith, x, y) -> list:
     """X, Y, 2I - X, 2I - Y: the factors of [X, Y] with the U2
-    inverses."""
-    return [x, y, _u2_inverse_reps(arith, x), _u2_inverse_reps(arith, y)]
+    inverses, as forms."""
+    two = arith.add(arith.one, arith.one)
+    return [x, y, arith.shift(x, two, negate=True),
+            arith.shift(y, two, negate=True)]
 
 
-def _product_reps(arith, n: int, pairs: list) -> list:
+def _product_form(arith, n: int, pairs: list):
     """The product of the values [X, Y] of the pairs (X, Y), given as
-    rows of reps, in order; I_n for none.  It is folded right to left,
-    one ``chain`` per pair with the running product as its last factor,
-    so the four factors of a pair are multiplied with no reduction
-    between them."""
+    forms, in order; I_n for none.  It is folded right to left, one
+    ``chain`` per pair with the running product as its last factor, so
+    the four factors of a pair are multiplied with no reduction between
+    them."""
     if not pairs:
-        return diagonal_reps(arith, [arith.one] * n)
+        return _identity_form(arith, n)
     acc = arith.chain(_pair_factors(arith, *pairs[-1]))
     for x, y in reversed(pairs[:-1]):
         acc = arith.chain(_pair_factors(arith, x, y) + [acc])
     return acc
 
 
-def _pair_reps(target: Matrix, pair) -> tuple:
-    """X and Y of a pair as rows of reps; raises as ``target @ X`` would
-    when a member is over another field or of another size."""
+def _pair_forms(target: Matrix, pair) -> tuple:
+    """X and Y of a pair as forms; raises as ``target @ X`` would when a
+    member is over another field or of another size."""
     target.check_operand(pair.x)
     target.check_operand(pair.y)
-    return pair.x.reps(), pair.y.reps()
+    return pair.x.form(), pair.y.form()
 
 
 def _is_product_of_values(arith, target, pairs: list) -> bool:
     """Whether the product of the values [X, Y] of the pairs equals the
-    target, all given as rows of reps: every pair but the first folded
-    as in ``_product_reps``, then one ``is_product`` of the first pair's
+    target, all given as forms: every pair but the first folded as in
+    ``_product_form``, then one ``is_product`` of the first pair's
     factors and that fold, so the full product is never cut into reps."""
     if not pairs:
-        return arith.is_product([diagonal_reps(arith, [arith.one] * len(
-            target))], target)
+        return arith.is_product([_identity_form(arith, len(target))], target)
     mats = _pair_factors(arith, *pairs[0])
     if len(pairs) > 1:
-        mats.append(_product_reps(arith, len(target), pairs[1:]))
+        mats.append(_product_form(arith, len(target), pairs[1:]))
     return arith.is_product(mats, target)
 
 
@@ -130,11 +132,11 @@ def is_unipotent_index(A: Matrix, k: int) -> bool:
     """(A - I)^k == 0 and (A - I)^(k-1) != 0, both checked exactly."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    return _index_reps(A.field.arith, A.reps(), k)
+    return _index_form(A.field.arith, A.form(), k)
 
 
 def is_u2(A: Matrix) -> bool:
-    return _index_reps(A.field.arith, A.reps(), 2)
+    return _index_form(A.field.arith, A.form(), 2)
 
 
 def commutator(X: Matrix, Y: Matrix) -> Matrix:
@@ -144,7 +146,9 @@ def commutator(X: Matrix, Y: Matrix) -> Matrix:
 
 def u2_inverse(X: Matrix) -> Matrix:
     """2I - X, which is X^-1 exactly when X is U2."""
-    return Matrix.from_reps(X.field, _u2_inverse_reps(X.field.arith, X.reps()))
+    arith = X.field.arith
+    return Matrix.from_form(X.field, arith.shift(
+        X.form(), arith.add(arith.one, arith.one), negate=True))
 
 
 @dataclass(frozen=True)
@@ -174,8 +178,8 @@ class CommutatorPair:
         """[X, Y], with the U2 inverses 2I - X and 2I - Y."""
         self.x.check_operand(self.y)
         arith = self.x.field.arith
-        return Matrix.from_reps(self.x.field, arith.chain(_pair_factors(
-            arith, self.x.reps(), self.y.reps())))
+        return Matrix.from_form(self.x.field, arith.chain(_pair_factors(
+            arith, self.x.form(), self.y.form())))
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,9 @@ class Factorization:
 
     def product(self) -> Matrix:
         target = self.target
-        return Matrix.from_reps(target.field, _product_reps(
+        return Matrix.from_form(target.field, _product_form(
             target.field.arith, target.n,
-            [_pair_reps(target, pair) for pair in self.pairs]))
+            [_pair_forms(target, pair) for pair in self.pairs]))
 
     def pair_count(self) -> int:
         return len(self.pairs)
@@ -242,20 +246,20 @@ def verify(f: Factorization) -> Report:
     arith = target.field.arith
     pairs = []
     for i, pair in enumerate(f.pairs):
-        x, y = _pair_reps(target, pair)
+        x, y = _pair_forms(target, pair)
         both_u2 = True
         for name, m in ((f"pair[{i}].X", x), (f"pair[{i}].Y", y)):
-            ok = _index_reps(arith, m, 2)
+            ok = _index_form(arith, m, 2)
             both_u2 = both_u2 and ok
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
         det = arith.one if both_u2 else det_reps(
-            arith, arith.chain(_pair_factors(arith, x, y)))
+            arith, arith.reps(arith.chain(_pair_factors(arith, x, y))))
         ok = det == arith.one
         report.record(f"pair[{i}] value det=1", ok,
                       "" if ok else f"det={arith.token(det)}")
         pairs.append((x, y))
-    prod_ok = _is_product_of_values(arith, target.reps(), pairs)
+    prod_ok = _is_product_of_values(arith, target.form(), pairs)
     report.record("product equals target", prod_ok,
                   "" if prod_ok else "recomposition mismatch")
     return report
@@ -330,9 +334,9 @@ def concat_factorizations(target: Matrix, parts, route_extra=()) -> Factorizatio
     for part in parts:
         target.check_operand(part.target)
     arith = target.field.arith
-    factors = ([part.target.reps() for part in parts] if parts
-               else [diagonal_reps(arith, [arith.one] * target.n)])
-    if not arith.is_product(factors, target.reps()):
+    factors = ([part.target.form() for part in parts] if parts
+               else [_identity_form(arith, target.n)])
+    if not arith.is_product(factors, target.form()):
         raise CertificateError("part targets do not multiply to the target")
     return Factorization(
         target, tuple(chain.from_iterable(part.pairs for part in parts)),

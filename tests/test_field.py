@@ -145,11 +145,19 @@ class TestArithmetic:
     @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)",
                                       "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
     def test_matmul_with_empty_inner_dimension(self, spec):
-        # an empty right operand has no columns, so every row is empty
+        # an empty right operand has no columns, so every row is empty,
+        # whether the chain takes the factors' forms or product_reps
+        # their rows
         arith = parse_field_spec(spec).arith
-        assert arith.chain([[[]], []]) == [[]]
-        assert arith.chain([[[], []], []]) == [[], []]
-        assert arith.chain([[], []]) == []
+
+        def chain(a, b):
+            got = arith.reps(arith.chain([arith.form(a), arith.form(b)]))
+            assert got == arith.product_reps(a, b)
+            return got
+
+        assert chain([[]], []) == [[]]
+        assert chain([[], []], []) == [[], []]
+        assert chain([], []) == []
 
     @pytest.mark.parametrize("spec", ["GF(7)", "GF(9)", "Q"])
     def test_element_takes_fractions_exactly_and_refuses_floats(self, spec):

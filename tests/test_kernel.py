@@ -16,7 +16,16 @@ reduction between steps, must equal a left-to-right fold of the naive
 product on every kind: chains of 1 to 16 factors, rectangular and empty
 factors, every coefficient p - 1 in every factor (the largest slot sums
 the chain's width allows), and Q chains whose reduced result has far
-fewer bits than their factors.
+fewer bits than their factors.  ``chain`` takes and returns each kind's
+matrix form, rows of reps over a finite field and canonical integer
+rows over Q, so the checks go through ``form`` and ``reps``.  Over Q
+the chain's form must be canonical (positive denominators, each row in
+lowest terms, a zero row over 1) and equal the form of the fold, and a
+square product must be ``==`` and hash equal to the matrix built from
+the fold's Fractions.  Two further Q operand families run through the
+chain and is_product cases: rows over unrelated 64-bit and 500-bit
+denominators, and negative entries with zero rows, both also in 1 x k
+and k x 1 shapes.
 
 ``is_product``, the chain's equality test that never cuts the product
 into reps, must agree with ``chain(mats) == target``: on chains of 1 to
@@ -30,6 +39,7 @@ unrelated reduced denominators.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -37,7 +47,7 @@ import pytest
 
 from u2factor.field import GF, FieldElement, FieldMismatch, _MR_LIMIT, \
     _PACK_MIN, parse_field_spec, rationals
-from u2factor.linalg import Matrix, identity
+from u2factor.linalg import Matrix, chain_product, identity
 
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
 # x^k mod f has degree k - 1 for these user moduli, so ``chain`` folds
@@ -147,6 +157,30 @@ CHAIN_FIELDS = ["GF(2)", "GF(3)", "GF(31)", "GF(2147483647)", "GF(4)",
                 "GF(8)", "GF(9)", "GF(27)", GF256, GF8_TOP, GF243_TOP, "Q"]
 CHAIN_LENGTHS = (1, 2, 3, 5, 8, 16)
 CHAIN_SIZES = (1, 3, 9, 17)
+# Q operand families beyond "Q"'s small fractions (``chain_operands``):
+# every row over its own denominator, 64 or 500 bits and unrelated to
+# the others', and negative entries with whole zero rows.  The naive
+# fold of the unrelated denominators grows fast, so these families run
+# chains of at most Q_FAMILY_MAX factors of size at most Q_FAMILY_MAX**2.
+Q_FAMILIES = ["Q-unrelated", "Q-negative"]
+Q_FAMILY_MAX = 3
+
+
+def field_of(spec):
+    """The field of a CHAIN_FIELDS or Q_FAMILIES parameter."""
+    return rationals() if spec in Q_FAMILIES else parse_field_spec(spec)
+
+
+def in_budget(spec, length, n) -> bool:
+    """Whether a chain of ``length`` factors of size n runs for spec."""
+    return spec not in Q_FAMILIES or (length <= Q_FAMILY_MAX
+                                      and n <= Q_FAMILY_MAX ** 2)
+
+
+def chain_reps(F, mats):
+    """Rows of reps of ``chain`` of the forms of mats."""
+    arith = F.arith
+    return arith.reps(arith.chain([arith.form(m) for m in mats]))
 
 
 def top_rep(F):
@@ -159,12 +193,27 @@ def top_rep(F):
     return Fraction(-(2 ** 40 - 1), 2 ** 39 + 1)
 
 
-def chain_operands(F, rng, shape, top):
+def chain_operands(F, rng, shape, top, family=None):
     """Factors of the given (rows, columns) shapes, every entry top_rep
     or every entry random.  A random Q entry has a numerator of up to 40
     bits over a denominator of at most 9, so the fold's Fractions grow
     linearly in the number of factors and 16 factors of size 17 stay
-    cheap."""
+    cheap.  A Q family (Q_FAMILIES) makes random rows of its own."""
+    if family == "Q-unrelated":
+        def row(c):
+            den = rng.getrandbits(rng.choice((64, 500))) | 1
+            return [Fraction(rng.randint(-2 ** 64, 2 ** 64), den)
+                    if rng.random() < 0.8 else Fraction(0)
+                    for _ in range(c)]
+    elif family == "Q-negative":
+        def row(c):
+            if rng.random() < 0.3:
+                return [Fraction(0)] * c
+            return [-Fraction(rng.getrandbits(40) + 1, rng.randint(1, 9))
+                    for _ in range(c)]
+    if family:
+        return [[row(c) for _ in range(r)] for r, c in shape]
+
     def entry():
         if top:
             return top_rep(F)
@@ -178,36 +227,53 @@ def chain_operands(F, rng, shape, top):
 
 
 def assert_chain(F, mats):
-    got = F.arith.chain(mats)
-    assert got == naive_chain(F, mats)
+    arith = F.arith
+    form = arith.chain([arith.form(m) for m in mats])
+    got, want = arith.reps(form), naive_chain(F, mats)
+    assert got == want
     assert all(type(r) is list for r in got)
     rep_type = type(F.zero().rep)
     assert all(type(x) is rep_type for r in got for x in r)
+    if F.kind != "rational":
+        return
+    assert form == arith.form(want)
+    assert type(form) is tuple
+    for d, r in form:
+        assert type(r) is tuple and d > 0 and math.gcd(d, *r) == 1
+        assert any(r) or d == 1
+    if len(want) == (len(mats[-1][0]) if mats[-1] else 0):  # square
+        built = Matrix.from_reps(F, want)
+        chained = Matrix.from_form(F, form)
+        assert chained == built and hash(chained) == hash(built)
 
 
-@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+@pytest.mark.parametrize("spec", CHAIN_FIELDS + Q_FAMILIES)
 def test_chain_matches_fold(spec):
     # Every length and size with every coefficient p - 1, where the slot
     # sums are largest; random entries too, but at the largest size only
     # for short chains, as the naive fold is the cost of this test.
-    F = parse_field_spec(spec)
+    F = field_of(spec)
+    family = spec if spec in Q_FAMILIES else None
     rng = random.Random(f"chain-{spec}")
     for length in CHAIN_LENGTHS:
         for n in CHAIN_SIZES:
+            if not in_budget(spec, length, n):
+                continue
             for top in (True, False) if n < 17 or length <= 3 else (True,):
                 assert_chain(F, chain_operands(F, rng, [(n, n)] * length,
-                                               top))
+                                               top, family))
 
 
-@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+@pytest.mark.parametrize("spec", CHAIN_FIELDS + Q_FAMILIES)
 def test_chain_rectangular_factors(spec):
-    F = parse_field_spec(spec)
+    F = field_of(spec)
+    family = spec if spec in Q_FAMILIES else None
     rng = random.Random(f"chain-rect-{spec}")
     for n in CHAIN_SIZES:
         for shape in ([(2, n), (n, 3), (3, 4)], [(1, n), (n, 1)],
                       [(n, 1), (1, n)], [(n, 2), (2, 7), (7, 1), (1, 5)]):
             for top in (True, False):
-                assert_chain(F, chain_operands(F, rng, shape, top))
+                assert_chain(F, chain_operands(F, rng, shape, top, family))
 
 
 @pytest.mark.parametrize("spec", CHAIN_FIELDS)
@@ -215,7 +281,11 @@ def test_chain_empty_factors(spec):
     # An empty factor has no rows; an empty last factor has no columns,
     # so each row of the product is empty, as for a chain of two.
     F = parse_field_spec(spec)
-    chain, top = F.arith.chain, top_rep(F)
+    top = top_rep(F)
+
+    def chain(mats):
+        return chain_reps(F, mats)
+
     for m in (1, 4):
         a = [[top] * 3 for _ in range(m)]
         b = [[top] * 2 for _ in range(3)]
@@ -249,10 +319,14 @@ def test_q_chains_that_cancel():
                       for _ in range(n)])  # a column of ones: not scalar
         X = Pinv @ S @ P
         mats = [P._reps, X._reps, Pinv._reps]
-        got = Q.arith.chain(mats)
+        got = chain_reps(Q, mats)
         assert got == naive_chain(Q, mats) == [list(r) for r in S._reps]
         assert all(type(x) is Fraction for r in got for x in r)
         assert q_bits(mats[1]) > 200 and q_bits(got) <= 2
+        # the chain of the matrices' forms is S's form, built from ints
+        product = chain_product(P, X, Pinv)
+        assert product == S and hash(product) == hash(S)
+        assert product.form() == S.form() == Q.arith.form(S._reps)
 
         A = q_matrix([[Fraction(rng.getrandbits(80), rng.getrandbits(80) + 1)
                        for _ in range(n)] for _ in range(n)])
@@ -260,7 +334,7 @@ def test_q_chains_that_cancel():
         if X.det() == 0 or Y.det() == 0:
             continue
         mats = [X._reps, Y._reps, X.inverse()._reps, Y.inverse()._reps]
-        got = Q.arith.chain(mats)
+        got = chain_reps(Q, mats)
         assert got == naive_chain(Q, mats) == [list(r) for r in
                                                identity(Q, n)._reps]
         assert all(type(x) is Fraction for r in got for x in r)
@@ -293,15 +367,19 @@ def off_by(F, target, i, j, delta):
 
 
 def assert_is_product(F, mats, target):
-    got = F.arith.is_product(mats, target)
-    assert got is (F.arith.chain(mats) == target)
+    """is_product on the forms of mats and target, checked against the
+    comparison of the chain's form with the target's."""
+    arith = F.arith
+    forms, target = [arith.form(m) for m in mats], arith.form(target)
+    got = arith.is_product(forms, target)
+    assert got is (arith.chain(forms) == target)
     return got
 
 
 def assert_decides_product(F, mats, positions):
     """is_product agrees with chain(mats) == target on the product, the
     zero matrix, and the product off by every delta at each position."""
-    product = F.arith.chain(mats)
+    product = chain_reps(F, mats)
     assert assert_is_product(F, mats, product)
     assert_is_product(F, mats, [[F.arith.zero] * len(r) for r in product])
     for i, j in positions:
@@ -310,40 +388,45 @@ def assert_decides_product(F, mats, positions):
                                          off_by(F, product, i, j, delta))
 
 
-@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+@pytest.mark.parametrize("spec", CHAIN_FIELDS + Q_FAMILIES)
 def test_is_product_matches_chain(spec):
     # Every length and size, with every coefficient p - 1 (the largest
     # slots) and with random entries: every position at n = 3, and the
     # corners otherwise.
-    F = parse_field_spec(spec)
+    F = field_of(spec)
+    family = spec if spec in Q_FAMILIES else None
     rng = random.Random(f"is-product-{spec}")
     for length in IS_PRODUCT_LENGTHS:
         for n in CHAIN_SIZES:
+            if not in_budget(spec, length, n):
+                continue
             positions = (list(itertools.product(range(n), repeat=2))
                          if n == 3 else
                          sorted({(0, 0), (0, n - 1), (n - 1, 0),
                                  (n - 1, n - 1)}))
             for top in (True, False):
-                mats = chain_operands(F, rng, [(n, n)] * length, top)
+                mats = chain_operands(F, rng, [(n, n)] * length, top,
+                                      family)
                 assert_decides_product(F, mats, positions)
-                target = chain_operands(F, rng, [(n, n)], False)[0]
+                target = chain_operands(F, rng, [(n, n)], False, family)[0]
                 assert_is_product(F, mats, target)
 
 
-@pytest.mark.parametrize("spec", CHAIN_FIELDS)
+@pytest.mark.parametrize("spec", CHAIN_FIELDS + Q_FAMILIES)
 def test_is_product_rectangular_and_empty(spec):
-    F = parse_field_spec(spec)
+    F = field_of(spec)
+    family = spec if spec in Q_FAMILIES else None
     arith, top = F.arith, top_rep(F)
     rng = random.Random(f"is-product-rect-{spec}")
     for n in CHAIN_SIZES:
         for shape in ([(2, n), (n, 3), (3, 4)], [(1, n), (n, 1)],
                       [(n, 1), (1, n)], [(n, 2), (2, 7), (7, 1), (1, 5)]):
             for flag in (True, False):
-                mats = chain_operands(F, rng, shape, flag)
+                mats = chain_operands(F, rng, shape, flag, family)
                 rows, cols = shape[0][0], shape[-1][1]
                 assert_decides_product(F, mats, [(0, 0),
                                                  (rows - 1, cols - 1)])
-                product = arith.chain(mats)
+                product = chain_reps(F, mats)
                 # a row too many or too few, a column too many or too few
                 for wrong in (product + [product[0]], product[:-1],
                               [r + [arith.zero] for r in product],

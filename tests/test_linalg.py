@@ -247,13 +247,14 @@ def _every_level_jordan(A):
     N = linalg.shift_reps(arith, A.reps(), arith.one)
     npowers = [linalg.diagonal_reps(arith, [arith.one] * n), N]
     while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
-        npowers.append(arith.chain([npowers[-1], N]))
+        npowers.append(arith.product_reps(npowers[-1], N))
     index = len(npowers) - 1
     bottoms = IndependentSet(field, n)
     tops = []
     for j in range(index, 0, -1):
         kernel = linalg._kernel_reps(arith, npowers[j])
-        images = zip(*arith.chain([npowers[j - 1], list(zip(*kernel))]))
+        images = zip(*arith.product_reps(npowers[j - 1],
+                                         list(zip(*kernel))))
         for v, bottom in zip(kernel, images):
             if bottoms.add(bottom):
                 tops.append((v, j))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor import linalg, sourour, unipotent
+from u2factor import linalg, sourour, unipotent, verify
 from u2factor.factor_sln import factor
 from u2factor.field import GF, rationals, parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
@@ -114,6 +114,52 @@ class TestValidation:
         split = sourour_factor(A, spec, spec)
         tag = split.route_tag(spec, spec)
         assert tag.startswith("sourour(betas=2,4;gammas=2,4;backtracks=")
+
+
+def _diagonal_plus_corner(F, entries):
+    """diag(entries) + E_1n."""
+    rows = [[e if i == j else 0 for j in range(len(entries))]
+            for i, e in enumerate(entries)]
+    rows[0][-1] = 1
+    return Matrix.from_ints(F, rows)
+
+
+def _gf4_diag_www1():
+    F = GF(4)
+    w = F.generator()
+    return diagonal(F, [w, w, w, F.one()])
+
+
+def _gf31_minus_ones(n=16):
+    F = GF(31)
+    return Matrix.from_ints(F, [[(-1 if i < 2 else 1) if i == j else 0
+                                 for j in range(n)] for i in range(n)])
+
+
+# Valid inputs in SL_n(F), |F| >= 4, on the unipotent split route, for
+# which the Sourour search exhausts its candidates and factor raises
+# ConstructionFailed, though Sourour's theorem splits each of them.
+# Strict: a search that stops failing on one of them turns its case into
+# a failure, to be unpinned.
+SOUROUR_FAILURES = {
+    "GF5-diag-1-4-4": lambda: Matrix.from_ints(
+        GF(5), [[1, 0, 0], [0, 4, 0], [0, 0, 4]]),
+    "GF5-4-and-a-swap": lambda: Matrix.from_ints(
+        GF(5), [[4, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    "GF4-diag-w-w-w-1": _gf4_diag_www1,
+    "GF5-diag-4-4-1-1-1-plus-E15": lambda: _diagonal_plus_corner(
+        GF(5), [4, 4, 1, 1, 1]),
+    "GF31-n16-diag-minus-1-minus-1": _gf31_minus_ones,
+}
+
+
+@pytest.mark.xfail(raises=ConstructionFailed, strict=True)
+@pytest.mark.parametrize("name", sorted(SOUROUR_FAILURES))
+def test_valid_inputs_the_search_fails_on(name):
+    A = SOUROUR_FAILURES[name]()
+    assert A.det() == A.field.one() and not A.is_scalar()
+    f = factor(A)
+    assert verify(f).passed and f.target == A
 
 
 # -- the dense split this module replaced, kept as a reference -------------

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -7,7 +9,7 @@ from u2factor.field import GF, parse_field_spec, rationals
 from u2factor.linalg import Matrix, identity, diagonal, jordan_block, \
     direct_sum
 from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
-                                CommutatorPair,
+                                CommutatorPair, u2_inverse,
                                 Factorization, verify, NotU2, CertificateError,
                                 invert_factorization, conjugate_factorization,
                                 direct_sum_factorization,
@@ -16,6 +18,8 @@ from u2factor.unipotent import (is_unipotent_index, is_u2, commutator,
                                 factorization_to_json, factorization_from_json,
                                 factorization_to_dict)
 from u2factor.factor_sl2 import factor_sl2
+from u2factor.factor_sln import factor
+from u2factor.sampling import random_sl
 
 
 def u2_census(f):
@@ -54,7 +58,10 @@ class TestPredicates:
     def test_index_matches_element_powers(self, spec):
         """is_unipotent_index(A, k) for k = 1..n against (A - I)^k by
         element operations, on J_m(1) (+) I and on each near miss with
-        one extra entry above the diagonal."""
+        one extra entry above the diagonal.  Over Q also on
+        P (J_m(1) (+) I) P^-1, with the rows of P over unrelated 64-bit
+        and 500-bit denominators, and on its near misses with one entry
+        off by 1/p."""
         f = parse_field_spec(spec)
         n, one, zero = 5, f.one(), f.zero()
 
@@ -62,18 +69,23 @@ class TestPredicates:
             return [[sum((A[i][t] * B[t][j] for t in range(n)), zero)
                      for j in range(n)] for i in range(n)]
 
-        def element_index_holds(A, k):
+        def element_indices(A):
+            """The k in 1..n with (A - I)^k = 0 and (A - I)^(k-1) != 0."""
             N = [[A[i, j] - (one if i == j else zero) for j in range(n)]
                  for i in range(n)]
             power = [[one if i == j else zero for j in range(n)]
                      for i in range(n)]
-            powers = [power]
-            for _ in range(k):
+            is_zero = [False]
+            for _ in range(n):
                 power = element_product(power, N)
-                powers.append(power)
-            is_zero = [all(e.is_zero() for r in m for e in r)
-                       for m in powers[-2:]]
-            return is_zero[1] and not is_zero[0]
+                is_zero.append(all(e.is_zero() for r in power for e in r))
+            return [k for k in range(1, n + 1)
+                    if is_zero[k] and not is_zero[k - 1]]
+
+        def assert_indices(A):
+            got = [k for k in range(1, n + 1) if is_unipotent_index(A, k)]
+            assert got == element_indices(A), A
+            return got
 
         for m in range(1, n + 1):
             J = direct_sum(jordan_block(f, m, one), identity(f, n - m))
@@ -83,11 +95,57 @@ class TestPredicates:
                 rows[i][j] = rows[i][j] + one
                 cases.append(Matrix(f, rows))
             for A in cases:
-                for k in range(1, n + 1):
-                    assert is_unipotent_index(A, k) == \
-                        element_index_holds(A, k), (A, k)
-            assert [k for k in range(1, n + 1)
-                    if is_unipotent_index(J, k)] == [m]
+                assert_indices(A)
+            assert assert_indices(J) == [m]
+        if f.kind != "rational":
+            return
+        rng = random.Random("index-q")
+        while True:
+            dens = [rng.getrandbits(rng.choice((64, 500))) | 1
+                    for _ in range(n)]
+            P = Matrix(f, [[f.element(Fraction(rng.randint(-2 ** 64, 2 ** 64),
+                                               d)) for _ in range(n)]
+                           for d in dens])
+            if not P.det().is_zero():
+                break
+        Pinv = P.inverse()
+        for m in range(1, n + 1):
+            J = direct_sum(jordan_block(f, m, one), identity(f, n - m))
+            A = P @ J @ Pinv
+            assert assert_indices(A) == [m]
+            for (i, j), p in zip(((0, 0), (n - 1, 0), (1, 3)),
+                                 (2, 3, 2 ** 61 - 1)):
+                rows = [list(r) for r in A.rows]
+                rows[i][j] = rows[i][j] + f.element(Fraction(1, p))
+                assert_indices(Matrix(f, rows))
+
+    def test_u2_inverse_over_q(self):
+        """u2_inverse(X) = 2I - X is X^-1 for U2 inputs over Q: conjugates
+        of J_2(1) (+) ... (+) I by a P whose rows have unrelated
+        denominators, and the pair members of Q certificates."""
+        f = rationals()
+        rng = random.Random("u2-inverse-q")
+        inputs = []
+        for n in (2, 3, 5):
+            dens = [rng.getrandbits(rng.choice((64, 500))) | 1
+                    for _ in range(n)]
+            P = Matrix(f, [[f.element(Fraction(rng.randint(-2 ** 64, 2 ** 64),
+                                               d)) for _ in range(n)]
+                           for d in dens])
+            if P.det().is_zero():
+                continue
+            blocks = [jordan_block(f, 2, f.one())] * (n // 2)
+            J = direct_sum(*blocks, *[identity(f, 1)] * (n % 2))
+            inputs.append(P @ J @ P.inverse())
+            cert = factor(random_sl(f, n, rng))
+            inputs += [m for pair in cert.pairs for m in (pair.x, pair.y)]
+        assert len(inputs) > 6
+        for X in inputs:
+            assert is_u2(X)
+            inv = u2_inverse(X)
+            assert inv == X.inverse() and hash(inv) == hash(X.inverse())
+            assert inv.tokens() == X.inverse().tokens()
+            assert X @ inv == identity(f, X.n) == inv @ X
 
     def test_pair_validation(self):
         f = GF(5)
