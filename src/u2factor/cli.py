@@ -122,6 +122,9 @@ def _selftest_cases():
     yield ("Q diag(4, 1/4)",
            diagonal(q, [q.element(4), q.element(4).inverse()]), 1)
     yield ("GF(7) 3x3 Jordan block", jordan_block(f7, 3, f7.one()), None)
+    # its unipotent split meets a scalar residual and fixes its basis
+    yield ("GF(5) diag(1, 4, 4)",
+           Matrix.from_ints(f5, [[1, 0, 0], [0, 4, 0], [0, 0, 4]]), 4)
 
 
 def _cmd_selftest(args) -> int:

@@ -7,11 +7,18 @@ A = B C, charpoly(B) = prod (x - beta_i), charpoly(C) = prod (x - gamma_i).
 The construction is inductive: pick a vector x that is not an
 eigenvector of A, change basis to (x, (A - b1*g1*I)x, ...), peel off a
 triangular first row/column, and recurse on the Schur-type correction
-A' = A_1 - v u / (b1 g1).  Bounded backtracking over the non-eigenvector
-choice and over which (beta_i, gamma_j) heads lead handles the rare
-scalar-residual dead ends.
+A' = A_1 - v u / (b1 g1).  Nothing is searched, and every level
+succeeds.  A level takes the first betas and gammas as its head
+(b1, g1) and the first x among e_i and e_i + e_j that is not an
+eigenvector; a nonscalar A has one.  The correction keeps the
+determinant, det A' = det A / (b1 g1), so a 1 x 1 residual is the last
+beta times the last gamma.  The one dead end is a scalar residual
+lam I that no pairing of the betas and gammas left splits.  Then the
+level replaces its third basis vector e_t by e_t + b1 g1 x, the
+similarity E = I + b1 g1 e_0 e_2^T: column 0 stays (b1 g1, 1, 0, ...),
+and A' becomes lam I + lam e_0 e_1^T, which is not scalar.
 
-The search runs on rows of raw reps through the field's arith class,
+The split runs on rows of raw reps through the field's arith class,
 with the rep helpers ``linalg`` shares; ``Matrix`` appears only in
 ``SourourFactorization`` and ``sourour_factor``.  A level's basis change
 Q = [x, y, e_t, ...] is the identity up to column order, except for the
@@ -19,9 +26,9 @@ dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
 Q^-1 A Q and the correction cost O(m^2) each at an m x m level, O(n^3)
 in all, with no elimination and no dense matrix product.
 
-The search builds neither B nor C.  At every level Q^-1 B Q is lower
+The split builds neither B nor C.  At every level Q^-1 B Q is lower
 and Q^-1 C Q upper block triangular around the next level's parts, so
-as its success path unwinds it returns one triangularizing basis
+as its recursion unwinds it returns one triangularizing basis
 (Sourour, "A factorization theorem for matrices", Linear Multilinear
 Algebra 19, 1986): B = T L T^-1 and C = T U T^-1, with T = Q_1 (1 (+)
 Q_2) (1 (+) 1 (+) Q_3) ..., L lower triangular with the betas on its
@@ -53,26 +60,18 @@ class DeterminantMismatch(SourourError):
     pass
 
 
-class ConstructionFailed(SourourError):
-    pass
-
-
-class _Dead(Exception):
-    """Internal: this branch of the search cannot be completed."""
-
-
-_BACKTRACK_BUDGET = 20000
-
-
 @dataclass(frozen=True)
 class SourourFactorization:
     """A = B C, with charpoly(B) and charpoly(C) the prescribed ones,
     held as its triangularization: B = T L T^-1 and C = T U T^-1, with L
     lower triangular with the betas on its diagonal and U upper
-    triangular with the gammas, in the order the search placed them.
+    triangular with the gammas, in the order the split placed them.
 
     B and C are read from these on first use, by two products each; a
     caller that reads only T, T^-1, L and U never builds them.
+    ``backtracks`` counts the levels that fixed their basis because
+    their residual was a scalar no pairing splits: at most one per
+    level of size 3 or more, so at most n - 2.
     """
 
     field: FieldSpec
@@ -222,84 +221,60 @@ class _Basis:
         return out
 
 
-class _Search:
-    def __init__(self, arith):
-        self.arith = arith
-        self.backtracks = 0
-
-    def spend(self):
-        self.backtracks += 1
-        if self.backtracks > _BACKTRACK_BUDGET:
-            raise ConstructionFailed("backtracking budget exhausted")
-
-    def factor(self, A, betas, gammas):
-        """Split A, given as rows of reps: the rows of (T, T^-1, L, U)."""
-        ar, m = self.arith, len(A)
-        if m == 1:
-            if A[0][0] != ar.mul(betas[0], gammas[0]):
-                # determinant bookkeeping guarantees this never happens
-                raise _Dead
-            return _diagonal_split(ar, betas, gammas)
-        if is_scalar_reps(ar, A):
-            matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
-            if matched is None:
-                raise _Dead
-            return _diagonal_split(ar, betas, matched)
-        head_orders = [(0, 0)]
-        head_orders += [(i, j) for i in range(len(betas))
-                        for j in range(len(gammas)) if (i, j) != (0, 0)]
-        tried_heads = set()
-        for (hi, hj) in head_orders:
-            b1, g1 = betas[hi], gammas[hj]
-            if (b1, g1) in tried_heads:
-                continue
-            tried_heads.add((b1, g1))
-            rest_b = betas[:hi] + betas[hi + 1:]
-            rest_g = gammas[:hj] + gammas[hj + 1:]
-            try:
-                return self._step(A, b1, g1, rest_b, rest_g)
-            except _Dead:
-                self.spend()
-                continue
-        raise _Dead
-
-    def _step(self, A, b1, g1, rest_b, rest_g):
-        ar, m = self.arith, len(A)
-        add, sub, mul = ar.add, ar.sub, ar.mul
-        mu = mul(b1, g1)
-        for support in _candidate_supports(m):
-            # y = (A - mu I) x
-            if len(support) == 1:
-                y = [row[support[0]] for row in A]
-            else:
-                i, j = support
-                y = [add(row[i], row[j]) for row in A]
-            for s in support:
-                y[s] = sub(y[s], mu)
-            basis = _Basis.extend(ar, support, y)
-            if basis is None:
-                continue  # x is an eigenvector of A
-            # columns 1.. of Q^-1 A Q; column 0 is (mu, 1, 0, ..., 0)^T
-            Ay = apply_reps(ar, A, y)
-            u, *A1 = basis.solve_rows(
-                [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
-            A1[0] = ar.sub_scaled(A1[0], ar.inv(mu), u)
-            try:
-                T1, T1_inv, L1, U1 = self.factor(A1, rest_b, rest_g)
-            except _Dead:
-                self.spend()
-                continue
-            # Q^-1 B Q = [[b1, 0], [g1^-1 e1, B1]] and Q^-1 C Q =
-            # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
-            top = ar.scale(u, ar.inv(b1))
-            g1_inv = ar.inv(g1)
-            L = [[b1] + [ar.zero] * (m - 1)] + [
-                [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]
-            U = ([[g1] + ar.product_reps([top], T1)[0]]
-                 + [[ar.zero] + r for r in U1])
-            return (basis.left_mul(_bump(ar, T1)),
-                    basis.right_div(_bump(ar, T1_inv)), L, U)
-        raise _Dead
+def _split(ar, A, betas, gammas, fixes):
+    """Split A, given as rows of reps: the rows of (T, T^-1, L, U), or
+    None when A is a scalar that no pairing of betas with gammas splits.
+    Each level that fixes its basis appends its size to ``fixes``."""
+    m = len(A)
+    if is_scalar_reps(ar, A):
+        matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
+        return None if matched is None else \
+            _diagonal_split(ar, betas, matched)
+    add, sub, mul = ar.add, ar.sub, ar.mul
+    b1, g1 = betas[0], gammas[0]
+    mu = mul(b1, g1)
+    for support in _candidate_supports(m):
+        # y = (A - mu I) x
+        if len(support) == 1:
+            y = [row[support[0]] for row in A]
+        else:
+            i, j = support
+            y = [add(row[i], row[j]) for row in A]
+        for s in support:
+            y[s] = sub(y[s], mu)
+        basis = _Basis.extend(ar, support, y)
+        if basis is not None:
+            break  # x is not an eigenvector of A
+    # columns 1.. of Q^-1 A Q; column 0 is (mu, 1, 0, ..., 0)^T
+    Ay = apply_reps(ar, A, y)
+    u, *A1 = basis.solve_rows(
+        [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
+    A1[0] = ar.sub_scaled(A1[0], ar.inv(mu), u)
+    inner = _split(ar, A1, betas[1:], gammas[1:], fixes)
+    fixed = inner is None
+    if fixed:
+        # A1 = lam I, at least 2 x 2: basis vector 2 becomes e_t + mu x,
+        # which adds mu (mu e_1 - row 1 of A1) to u and lam to A1[0][1]
+        fixes.append(m)
+        lam = A1[0][0]
+        u[1] = add(u[1], mul(mu, sub(mu, lam)))
+        A1[0][1] = lam
+        inner = _split(ar, A1, betas[1:], gammas[1:], fixes)
+    T1, T1_inv, L1, U1 = inner
+    # Q^-1 B Q = [[b1, 0], [g1^-1 e1, B1]] and Q^-1 C Q =
+    # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
+    top = ar.scale(u, ar.inv(b1))
+    g1_inv = ar.inv(g1)
+    L = [[b1] + [ar.zero] * (m - 1)] + [
+        [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]
+    U = ([[g1] + ar.product_reps([top], T1)[0]]
+         + [[ar.zero] + r for r in U1])
+    T, T_inv = _bump(ar, T1), _bump(ar, T1_inv)
+    if fixed:
+        # E (1 (+) T1) and (1 (+) T1^-1) E^-1, E = I + mu e_0 e_2^T
+        T[0] = [ar.one] + ar.scale(T1[1], mu)
+        T_inv[0][2] = ar.neg(mu)
+    return basis.left_mul(T), basis.right_div(T_inv), L, U
 
 
 def _diagonal_split(arith, betas, gammas):
@@ -311,11 +286,13 @@ def _diagonal_split(arith, betas, gammas):
 def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:
     """Split A into B C with the prescribed spectra.
 
-    Raises ScalarInput / DeterminantMismatch on bad input and
-    ConstructionFailed if the bounded search dies (treated as a bug for
-    |F| >= 4 at desk scale).  The split is not re-checked here: a direct
-    call returns an unchecked result, and ``factor_sln.factor`` verifies
-    the certificates built from it.
+    Raises ScalarInput / DeterminantMismatch on bad input; every other
+    input splits, as the module docstring argues: each level peels one
+    beta and one gamma off a nonscalar A, its residual keeps the
+    determinant, and a scalar residual that no pairing splits is made
+    nonscalar by one change of the level's basis.  The split is not
+    re-checked here: a direct call returns an unchecked result, and
+    ``factor_sln.factor`` verifies the certificates built from it.
     """
     field, n = A.field, A.n
     betas = tuple(betas)
@@ -336,12 +313,8 @@ def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:
         prod = prod * e
     if prod != det:
         raise DeterminantMismatch("prod(betas)*prod(gammas) != det(A)")
-    search = _Search(field.arith)
-    try:
-        rows = search.factor(A.reps(), tuple(e.rep for e in betas),
-                             tuple(e.rep for e in gammas))
-    except _Dead:
-        raise ConstructionFailed("search space exhausted")
+    fixes = []
+    rows = _split(field.arith, A.reps(), tuple(e.rep for e in betas),
+                  tuple(e.rep for e in gammas), fixes)
     return SourourFactorization(
-        field, search.backtracks,
-        *(Matrix.from_reps(field, X) for X in rows))
+        field, len(fixes), *(Matrix.from_reps(field, X) for X in rows))

@@ -48,6 +48,23 @@ class TestFactor:
         assert code == 0
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("text", [
+        "GF(5)\n3\n1 0 0\n0 4 0\n0 0 4\n",
+        "GF(5)\n3\n4 0 0\n0 0 1\n0 1 0\n",
+    ], ids=["diag-1-4-4", "4-and-a-swap"])
+    def test_scalar_residual_round_trip(self, tmp_path, capsys, text):
+        # the unipotent split of these meets a scalar residual that no
+        # pairing splits, and fixes its basis
+        src = tmp_path / "a.txt"
+        src.write_text(text)
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "factor", "--input", str(src),
+                           "--json", str(cert))
+        assert code == 0 and "pairs: 4" in out
+        assert "backtracks=1" in out
+        code, out, _ = run(capsys, "verify", "--cert", str(cert))
+        assert code == 0 and out.strip().endswith("PASS")
+
     def test_field_flag_overrides(self, tmp_path, capsys):
         src = tmp_path / "a.txt"
         src.write_text("2\n1 1\n0 1\n")  # no field line

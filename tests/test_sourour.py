@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import time
 from collections import Counter
@@ -7,18 +8,17 @@ from fractions import Fraction
 import pytest
 
 from u2factor import linalg, sourour, unipotent, verify
-from u2factor.factor_sln import factor
+from u2factor.factor_sln import factor, promised_max_pairs
 from u2factor.field import GF, rationals, parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
                              single_block_jordan, unipotent_jordan,
                              ScalarInput, SpectrumMismatch, NotUnipotent,
-                             IndependentSet)
+                             IndependentSet, jordan_block)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
-                              DeterminantMismatch, ConstructionFailed,
-                              _BACKTRACK_BUDGET, _Basis, _Dead,
+                              DeterminantMismatch, _Basis,
                               _candidate_supports, _match_scalar)
 
 # the module, which the package's factor_sl2 function shadows
@@ -136,12 +136,22 @@ def _gf31_minus_ones(n=16):
                                  for j in range(n)] for i in range(n)])
 
 
-# Valid inputs in SL_n(F), |F| >= 4, on the unipotent split route, for
-# which the Sourour search exhausts its candidates and factor raises
-# ConstructionFailed, though Sourour's theorem splits each of them.
-# Strict: a search that stops failing on one of them turns its case into
-# a failure, to be unpinned.
-SOUROUR_FAILURES = {
+def assert_factors(A):
+    """factor(A) verifies, has target A, keeps the pair-count promise,
+    and each Sourour split in its route fixed at most one basis per
+    level of size 3 or more."""
+    f = factor(A)
+    assert verify(f).passed and f.target == A
+    assert f.pair_count() <= promised_max_pairs(A.field, A.n)
+    fixes = [int(tag.rsplit("backtracks=", 1)[1][:-1])
+             for tag in f.route if tag.startswith("sourour(")]
+    assert all(k <= A.n - 2 for k in fixes), f.route
+
+
+# Valid inputs in SL_n(F), |F| >= 4, on the unipotent split route, whose
+# all-ones split meets a scalar residual that no pairing splits, so the
+# level fixes its basis.
+SCALAR_RESIDUAL_INPUTS = {
     "GF5-diag-1-4-4": lambda: Matrix.from_ints(
         GF(5), [[1, 0, 0], [0, 4, 0], [0, 0, 4]]),
     "GF5-4-and-a-swap": lambda: Matrix.from_ints(
@@ -153,19 +163,85 @@ SOUROUR_FAILURES = {
 }
 
 
-@pytest.mark.xfail(raises=ConstructionFailed, strict=True)
-@pytest.mark.parametrize("name", sorted(SOUROUR_FAILURES))
-def test_valid_inputs_the_search_fails_on(name):
-    A = SOUROUR_FAILURES[name]()
+@pytest.mark.parametrize("name", sorted(SCALAR_RESIDUAL_INPUTS))
+def test_scalar_residual_inputs_factor(name):
+    A = SCALAR_RESIDUAL_INPUTS[name]()
     assert A.det() == A.field.one() and not A.is_scalar()
-    f = factor(A)
-    assert verify(f).passed and f.target == A
+    assert_factors(A)
+    ones = (A.field.one(),) * A.n
+    assert assert_same_as_dense(A, ones, ones).backtracks == 1
+
+
+def _spread(items, k):
+    """At most k of items, evenly spaced, first included."""
+    items = list(items)
+    step = max(1, -(-len(items) // k))
+    return items[::step]
+
+
+def _permutation_matrix(F, perm):
+    n = len(perm)
+    return Matrix(F, [[F.one() if perm[i] == j else F.zero()
+                       for j in range(n)] for i in range(n)])
+
+
+def structured_corpus(F, n):
+    """A fixed subset of structured inputs in SL_n(F): diag(a I_k,
+    b I_{n-k}) with a != b, with and without E_1n; signed permutation
+    matrices; direct sums of three scalar blocks; J_n(1) conjugated by
+    permutations."""
+    pool = (F.nonzero_elements() if F.is_finite else
+            tuple(F.element(Fraction(s * v)) for s in (1, -1)
+                  for v in (1, 2, 4, Fraction(1, 2), Fraction(1, 4))))
+    one = F.one()
+    diag = []
+    for k in range(1, n):
+        for a in pool:
+            for b in pool:
+                if a != b and a ** k * b ** (n - k) == one:
+                    diag.append([a] * k + [b] * (n - k))
+    for entries in _spread(diag, 6):
+        A = diagonal(F, entries)
+        yield A
+        rows = [list(r) for r in A.rows]
+        rows[0][-1] = one
+        yield Matrix(F, rows)
+    perms = list(itertools.islice(itertools.permutations(range(n)), 40))
+    for perm in _spread(perms, 5):
+        A = _permutation_matrix(F, perm)
+        if A.det() != one:
+            rows = [list(r) for r in A.rows]
+            rows[0] = [-v for v in rows[0]]
+            A = Matrix(F, rows)
+        if not A.is_scalar():
+            yield A
+    for k1 in _spread(range(1, n - 1), 2):
+        for a1, a2 in _spread(itertools.permutations(pool[:4], 2), 3):
+            last = (a1 ** k1 * a2 ** (n - 1 - k1)).inverse()
+            yield diagonal(F, [a1] * k1 + [a2] * (n - 1 - k1) + [last])
+    J = jordan_block(F, n, one)
+    for perm in _spread(perms[1:], 3):
+        P = _permutation_matrix(F, perm)
+        yield P @ J @ P.inverse()
+
+
+@pytest.mark.parametrize("spec,n", [
+    (spec, n) for spec in ("GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)",
+                           "GF(13)", "Q")
+    for n in (3, 4, 5, 6, 7)])
+def test_structured_corpus_factors(spec, n):
+    F = parse_field_spec(spec)
+    for A in structured_corpus(F, n):
+        assert A.det() == F.one() and not A.is_scalar()
+        assert_factors(A)
 
 
 # -- the dense split this module replaced, kept as a reference -------------
 # Each level builds Q = [x, y, e_i, ...] as a dense matrix, inverts it by
 # RREF and forms Q^-1 A Q, Q Bt Q^-1 and Q Ct Q^-1 with dense products.
-# The structured split must give exactly the same B, C and backtracks.
+# A scalar residual that no pairing splits adds b1 g1 x to column 2 of Q,
+# and the level starts again from the new Q.  The structured split must
+# give exactly the same B, C and number of fixes.
 
 def _old_candidate_vectors(field, m):
     one, zero = field.one(), field.zero()
@@ -200,83 +276,58 @@ def _old_match_scalar(lam, betas, gammas):
     return None
 
 
-class _DenseSearch:
-    def __init__(self, budget=_BACKTRACK_BUDGET):
-        self.budget = budget
-        self.backtracks = 0
+def _dense_split(A, betas, gammas, fixes):
+    """(B, C), or None when A is a scalar no pairing splits; appends the
+    size of each level that fixes its basis to ``fixes``."""
+    field, m = A.field, A.n
+    if A.is_scalar():
+        matched = _old_match_scalar(A[0, 0], list(betas), list(gammas))
+        if matched is None:
+            return None
+        return diagonal(field, betas), diagonal(field, matched)
+    b1, g1 = betas[0], gammas[0]
+    mu = b1 * g1
+    shifted = A - identity(field, m).scalar_mul(mu)
+    one, zero = field.one(), field.zero()
+    for x in _old_candidate_vectors(field, m):
+        y = shifted.apply(x)
+        span = IndependentSet(field, m)
+        span.add(_reps(x))
+        if span.add(_reps(y)):
+            break
+    cols = [x, y]
+    for i in range(m):
+        if len(cols) == m:
+            break
+        e = tuple(one if t == i else zero for t in range(m))
+        if span.add(_reps(e)):
+            cols.append(e)
 
-    def spend(self):
-        self.backtracks += 1
-        if self.backtracks > self.budget:
-            raise ConstructionFailed("backtracking budget exhausted")
+    def peel():
+        Q = Matrix(field, zip(*cols))
+        Qinv = Q.inverse()
+        At = Qinv @ A @ Q
+        u = At.rows[0][1:]
+        corrected = [list(r[1:]) for r in At.rows[1:]]
+        corrected[0] = [a - ui * mu.inverse()
+                        for a, ui in zip(corrected[0], u)]
+        inner = _dense_split(Matrix(field, corrected), betas[1:],
+                             gammas[1:], fixes)
+        return Q, Qinv, u, inner
 
-    def factor(self, A, betas, gammas):
-        field, m = A.field, A.n
-        if m == 1:
-            if A[0, 0] != betas[0] * gammas[0]:
-                raise _Dead
-            return (Matrix(field, [[betas[0]]]),
-                    Matrix(field, [[gammas[0]]]))
-        if A.is_scalar():
-            matched = _old_match_scalar(A[0, 0], list(betas), list(gammas))
-            if matched is None:
-                raise _Dead
-            return (diagonal(field, betas), diagonal(field, matched))
-        head_orders = [(0, 0)]
-        head_orders += [(i, j) for i in range(len(betas))
-                        for j in range(len(gammas)) if (i, j) != (0, 0)]
-        tried_heads = set()
-        for (hi, hj) in head_orders:
-            b1, g1 = betas[hi], gammas[hj]
-            if (b1, g1) in tried_heads:
-                continue
-            tried_heads.add((b1, g1))
-            rest_b = betas[:hi] + betas[hi + 1:]
-            rest_g = gammas[:hj] + gammas[hj + 1:]
-            try:
-                return self._step(A, b1, g1, rest_b, rest_g)
-            except _Dead:
-                self.spend()
-        raise _Dead
-
-    def _step(self, A, b1, g1, rest_b, rest_g):
-        field, m = A.field, A.n
-        mu = b1 * g1
-        shifted = A - identity(field, m).scalar_mul(mu)
-        one, zero = field.one(), field.zero()
-        for x in _old_candidate_vectors(field, m):
-            y = shifted.apply(x)
-            span = IndependentSet(field, m)
-            span.add(_reps(x))
-            if not span.add(_reps(y)):
-                continue
-            cols = [x, y]
-            for i in range(m):
-                if len(cols) == m:
-                    break
-                e = tuple(one if t == i else zero for t in range(m))
-                if span.add(_reps(e)):
-                    cols.append(e)
-            Q = Matrix(field, zip(*cols))
-            Qinv = Q.inverse()
-            At = Qinv @ A @ Q
-            u = At.rows[0][1:]
-            corrected = [list(r[1:]) for r in At.rows[1:]]
-            corrected[0] = [a - ui * mu.inverse()
-                            for a, ui in zip(corrected[0], u)]
-            try:
-                B1, C1 = self.factor(Matrix(field, corrected), rest_b, rest_g)
-            except _Dead:
-                self.spend()
-                continue
-            Bt = [[b1] + [zero] * (m - 1)]
-            Bt += [[g1.inverse() if i == 0 else zero] + list(B1.rows[i])
-                   for i in range(m - 1)]
-            Ct = [[g1] + [ui * b1.inverse() for ui in u]]
-            Ct += [[zero] + list(C1.rows[i]) for i in range(m - 1)]
-            return (Q @ Matrix(field, Bt) @ Qinv,
-                    Q @ Matrix(field, Ct) @ Qinv)
-        raise _Dead
+    Q, Qinv, u, inner = peel()
+    if inner is None:
+        fixes.append(m)
+        cols[2] = tuple(e + mu * xi for e, xi in zip(cols[2], x))
+        Q, Qinv, u, inner = peel()
+    B1, C1 = inner
+    Bt = [[b1] + [zero] * (m - 1)]
+    Bt += [[g1.inverse() if i == 0 else zero] + list(B1.rows[i])
+           for i in range(m - 1)]
+    Ct = [[g1] + [ui * b1.inverse() for ui in u]]
+    Ct += [[zero] + list(C1.rows[i]) for i in range(m - 1)]
+    return (Q @ Matrix(field, Bt) @ Qinv,
+            Q @ Matrix(field, Ct) @ Qinv)
 
 
 def distinct_prescription(F, n, det, rng):
@@ -324,10 +375,10 @@ def nonscalar_sl(F, n, rng):
 
 
 def assert_same_as_dense(A, betas, gammas):
-    ref = _DenseSearch()
-    B, C = ref.factor(A, tuple(betas), tuple(gammas))
+    fixes = []
+    B, C = _dense_split(A, tuple(betas), tuple(gammas), fixes)
     split = sourour_factor(A, betas, gammas)
-    assert (split.b, split.c, split.backtracks) == (B, C, ref.backtracks)
+    assert (split.b, split.c, split.backtracks) == (B, C, len(fixes))
     assert_triangularized(split, betas, gammas)
     return split
 
@@ -366,8 +417,9 @@ class TestAgainstDenseSplit:
                 assert_same_as_dense(A, betas, gammas)
 
     def test_backtracking_splits(self):
-        # about one repeated prescription in a hundred backtracks at
-        # these sizes; these seeds include several
+        # about one repeated prescription in a hundred meets a scalar
+        # residual no pairing splits at these sizes, and fixes its
+        # basis; these seeds include several
         backtracked = 0
         for spec, n in (("GF(4)", 3), ("GF(4)", 4), ("GF(4)", 5),
                         ("GF(7)", 4)):
