@@ -50,8 +50,9 @@ one packed chain and its exact zero test, GF(p) as the k = 1 case;
   X - I and 2I - X are one integer operation per row.
   ``product_reps`` clears each row of its left factor and each column
   of its right one over their own common denominator, one ``Fraction``
-  per entry.  A determinant clears each row of reps and runs Bareiss's
-  fraction-free elimination, one ``Fraction`` in all.
+  per entry.  A determinant runs Bareiss's fraction-free elimination on
+  the form's integer rows, one ``Fraction`` in all, and tokens are cut
+  from the form too, so neither builds the ``Fraction`` rows.
 
 The finite kinds share their determinant, Gaussian elimination through
 ``sub_scaled``.  ``primitive`` is the scale that
@@ -67,14 +68,15 @@ digits, and a Q token is such an integer and optionally ``/digits``.
 Tokens convert by ``int``, and through ``decimal`` past Python's
 int <-> str digit limit, so they may have any length.
 
-Over GF(p) the square root of a is min(r, p - r) for the two roots
-+-r, which is the first root in canonical order.  Prime-field
-predicates (primality, squareness, square roots) cost polylog(p) per
-call, and the witness scans make elements one at a time and stop at
-the first hit, so no GF(p) element table is built on the
-factorization path.  Extension fields (q <= 27 built in, q up to
-``_MAX_EXTENSION_SIZE`` with a user modulus) keep their element and
-square tables.
+Each arith class answers ``sqrt`` and ``is_square`` with the first
+root in canonical order.  Over GF(p) that is min(r, p - r) for the two
+roots +-r, by Euler's criterion and Tonelli-Shanks, polylog(p) per
+call.  Over GF(p^k) it is read from the log table: a = g^e is a square
+iff e is even (p odd), with roots +-g^(e/2), and for p = 2 its one
+root is g^(e q/2).  Over Q it is the nonnegative root.  ``FieldSpec``
+keeps no element or square table, and the witness scans make elements
+one at a time and stop at the first hit, so no O(q) table is built on
+the factorization path beyond the log tables of GF(p^k).
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ BUILTIN_MODULI = {
 
 # Extension fields build O(q) log/antilog tables when they are made, from
 # q - 1 polynomial products (about 5 ms at q = 256 and 2.7 s at q = 2^16 on
-# a 2-vCPU VM), and their square roots and witness scans walk all q
-# elements.  Larger q is refused up front, before the modulus is tested.
+# a 2-vCPU VM), and their witness scans may walk all q elements.  Larger q
+# is refused up front, before the modulus is tested.
 _MAX_EXTENSION_SIZE = 256
 
 
@@ -312,6 +314,22 @@ def _dot_sized(a, b) -> bool:
     return len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN
 
 
+def shift_reps(arith, rows, lam, negate=False) -> list:
+    """Rows of X - lam I, or of lam I - X when ``negate``, for X given as
+    rows of reps: the finite kinds' ``shift``, and over Q the shift of
+    rows of Fractions as the entry-level algorithms hold them."""
+    sub = arith.sub
+    if negate:
+        out = [arith.negate(r) for r in rows]
+        for i, r in enumerate(out):
+            r[i] = sub(lam, rows[i][i])
+    else:
+        out = [list(r) for r in rows]
+        for i, r in enumerate(out):
+            r[i] = sub(r[i], lam)
+    return out
+
+
 class _FiniteArith:
     """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
     determinant is Gaussian elimination through ``sub_scaled``, the
@@ -387,22 +405,16 @@ class _FiniteArith:
         chain of two."""
         return self.chain([a, b])
 
+    def tokens(self, form) -> list:
+        """Rows of the tokens of a matrix given as its form."""
+        token = self.token
+        return [[token(x) for x in r] for r in form]
+
     def zeros(self, n: int) -> list:
         """Rows of the n x n zero matrix, one list shared by every row."""
         return [[self.zero] * n] * n
 
-    def shift(self, rows, lam, negate=False) -> list:
-        """Rows of X - lam I, or of lam I - X when ``negate``."""
-        sub = self.sub
-        if negate:
-            out = [self.negate(r) for r in rows]
-            for i, r in enumerate(out):
-                r[i] = sub(lam, rows[i][i])
-        else:
-            out = [list(r) for r in rows]
-            for i, r in enumerate(out):
-                r[i] = sub(r[i], lam)
-        return out
+    shift = shift_reps
 
     def det(self, rows):
         """Determinant of square rows of reps.  The first nonzero entry
@@ -587,6 +599,15 @@ class PrimeArith(_FiniteArith):
             return self.chain(mats) == list(map(list, target))
         return _FiniteArith.is_product(self, mats, target)
 
+    def sqrt(self, a):
+        """The root min(r, p - r) of a by Tonelli-Shanks, or None."""
+        return _prime_sqrt(a, self.p)
+
+    def is_square(self, a) -> bool:
+        """Euler's criterion; zero is a square."""
+        p = self.p
+        return p == 2 or not a or pow(a, (p - 1) // 2, p) == 1
+
     def token(self, a) -> str:
         return str(a)
 
@@ -595,8 +616,8 @@ class ExtensionArith(_FiniteArith):
     """GF(p^k): coefficient tuples (ascending degree) modulo the monic
     irreducible modulus f.
 
-    Element products, inverses, negation and row operations go through
-    log/antilog tables of the first primitive element g in canonical
+    Element products, inverses, negation, square roots and row
+    operations go through log/antilog tables of the first primitive element g in canonical
     order (Lidl & Niederreiter, Finite Fields, ch. 2), built once with
     q - 1 polynomial products.  Zero's log is the sentinel 2(q - 1) - 1
     and the antilog table holds zero from that index on, so log a +
@@ -688,6 +709,25 @@ class ExtensionArith(_FiniteArith):
         log, exp, shift = self._log, self._exp, self._neg_log
         return [exp[log[x] + shift] for x in row]
 
+    def sqrt(self, a):
+        """The first root of a = g^e in canonical order, or None.  For odd
+        p, a is a square iff e is even, and its roots are g^(e/2) and
+        -g^(e/2), the smaller tuple first.  For p = 2 every element is a
+        square with one root, g^(e q/2 mod (q - 1)), as g^(e q) = g^e."""
+        if a == self.zero:
+            return a
+        e, exp, order = self._log[a], self._exp, self._order
+        if self.p == 2:
+            return exp[e * (order + 1) // 2 % order]
+        if e % 2:
+            return None
+        return min(exp[e // 2], exp[e // 2 + self._neg_log])
+
+    def is_square(self, a) -> bool:
+        """Whether log a is even; zero, whose log is odd, is a square, and
+        for p = 2 every element is."""
+        return self.p == 2 or a == self.zero or not self._log[a] % 2
+
     def token(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"
 
@@ -719,6 +759,15 @@ def _common(vecs) -> tuple:
                  for d, v in vecs]
 
 
+def _ratio_token(num: int, den: int) -> str:
+    """The token of num / den, den > 0, in lowest terms, through
+    ``decimal``, which has no digit limit."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(Decimal(num // g))
+    return f"{Decimal(num // g)}/{Decimal(den // g)}"
+
+
 class RationalArith:
     """Q: reduced Fractions for elements and rows, canonical integer rows
     for matrices.
@@ -747,11 +796,11 @@ class RationalArith:
     row.  ``product_reps`` multiplies rows of Fractions as the
     entry-level algorithms hold them, without forms: going through
     ``form`` and ``reps`` costs 1.6 to 2.1 times as much on their small
-    vector products.  ``det`` clears each row of reps to integers and
-    runs Bareiss's fraction-free elimination, so it makes one
-    ``Fraction`` in all.  ``primitive`` clears a vector's denominators
-    and divides out the gcd of its coordinates.  Tokens convert through
-    ``decimal``, which has no digit limit.
+    vector products.  ``det`` runs Bareiss's fraction-free elimination
+    on the form's integer rows, so it makes one ``Fraction`` in all, and
+    ``tokens`` prints the form's entries.  ``primitive`` clears a
+    vector's denominators and divides out the gcd of its coordinates.
+    Tokens convert through ``decimal``, which has no digit limit.
     """
 
     __slots__ = ()
@@ -841,22 +890,21 @@ class RationalArith:
             out.append(_lowest(den * d, ints) if den > 1 else (d, tuple(ints)))
         return tuple(out)
 
-    def det(self, rows) -> Fraction:
-        """Determinant of square rows of reps.
+    def det(self, form) -> Fraction:
+        """Determinant of a square matrix given as its form.
 
-        Row i is cleared to integers over its own denominator d_i, and
         Bareiss's fraction-free elimination (Math. Comp. 22, 1968) takes
-        the determinant D of the integer rows: after step k every entry
-        is a (k+1) x (k+1) minor, so dividing by the previous pivot is
-        exact and no ``gcd`` runs.  The pivot is the first nonzero entry
-        in its column, and a row swap flips D's sign.  The result is
-        D / (d_0 ... d_(n-1)), one reduced ``Fraction``.
+        the determinant D of the form's integer rows, each over its own
+        denominator d_i: after step k every entry is a (k+1) x (k+1)
+        minor, so dividing by the previous pivot is exact and no ``gcd``
+        runs.  The pivot is the first nonzero entry in its column, and a
+        row swap flips D's sign.  The result is D / (d_0 ... d_(n-1)), one
+        reduced ``Fraction``.
         """
         den, work = 1, []
-        for r in rows:
-            d, ints = _clear_denominators(r)
+        for d, ints in form:
             den *= d
-            work.append(ints)
+            work.append(list(ints))
         n, sign, prev = len(work), 1, 1
         for col in range(n):
             pivot = next((r for r in range(col, n) if work[r][col]), None)
@@ -957,22 +1005,36 @@ class RationalArith:
             g = -g
         return [Fraction(x // g) for x in ints]
 
+    def sqrt(self, a):
+        """The nonnegative root of a, or None."""
+        if a < 0:
+            return None
+        num, den = a.numerator, a.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        return Fraction(rn, rd) if rn * rn == num and rd * rd == den else None
+
+    def is_square(self, a) -> bool:
+        return self.sqrt(a) is not None
+
     def token(self, a) -> str:
-        if a.denominator == 1:
-            return str(Decimal(a.numerator))
-        return f"{Decimal(a.numerator)}/{Decimal(a.denominator)}"
+        return _ratio_token(a.numerator, a.denominator)
+
+    def tokens(self, form) -> list:
+        """Rows of the tokens of a matrix given as its form, entry x / d
+        printed in lowest terms as ``token`` prints it."""
+        return [[_ratio_token(x, d) for x in r] for d, r in form]
 
 
 class FieldSpec:
-    """Descriptor for GF(p), GF(p^k), or Q.
-
-    Immutable after construction.  ``arith`` is the field kind's
-    arithmetic class, chosen here; element and square tables are built
-    lazily.
+    """Descriptor for GF(p), GF(p^k), or Q: a plain value, immutable
+    after construction.  ``arith`` is the field kind's arithmetic class,
+    chosen here; it answers square roots too.  No element or square
+    table is kept: ``elements``, ``nonzero_elements`` and ``squares``
+    build theirs when asked, and ``iter_nonzero`` makes the elements one
+    at a time.
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "size", "arith", "_elements",
-                 "_squares", "_sqrt_of", "_hash")
+    __slots__ = ("kind", "p", "k", "modulus", "size", "arith", "_hash")
 
     def __init__(self, kind: str, p: int = 0, k: int = 1, modulus=None):
         if kind == "rational":
@@ -1011,9 +1073,6 @@ class FieldSpec:
             self.arith = ExtensionArith(p, k, modulus)
         else:
             raise FieldError(f"unknown field kind {kind!r}")
-        self._elements = None
-        self._squares = None
-        self._sqrt_of = None
         self._hash = hash((self.kind, self.p, self.k, self.modulus))
 
     # identity -------------------------------------------------------
@@ -1067,39 +1126,26 @@ class FieldSpec:
         return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
     # enumeration in canonical order ----------------------------------
-    def elements(self):
-        if not self.is_finite:
-            raise FieldError("cannot enumerate an infinite field")
-        if self._elements is None:
-            if self.kind == "prime":
-                elems = [FieldElement(self, r) for r in range(self.p)]
-            else:
-                elems = [FieldElement(self, rep) for rep in
-                         sorted(itertools.product(range(self.p),
-                                                  repeat=self.k))]
-            self._elements = tuple(elems)
-        return self._elements
+    def elements(self) -> tuple:
+        """Every element in canonical order, zero first."""
+        return (self.zero(), *self.iter_nonzero())
 
-    def nonzero_elements(self):
-        return tuple(e for e in self.elements() if not e.is_zero())
+    def nonzero_elements(self) -> tuple:
+        return tuple(self.iter_nonzero())
 
     def iter_nonzero(self) -> Iterator["FieldElement"]:
-        """Nonzero elements in canonical order; over GF(p) they are made
-        one at a time, without the element table."""
-        if self.kind == "prime":
-            return (FieldElement(self, r) for r in range(1, self.p))
-        return iter(self.nonzero_elements())
+        """Nonzero elements in canonical order, made one at a time: the
+        residues 1, ..., p - 1, or the coefficient tuples after zero in
+        ``itertools.product`` order, which is sorted order."""
+        if not self.is_finite:
+            raise FieldError("cannot enumerate an infinite field")
+        reps = range(1, self.p) if self.k == 1 else itertools.islice(
+            itertools.product(range(self.p), repeat=self.k), 1, None)
+        return (FieldElement(self, r) for r in reps)
 
     def squares(self) -> frozenset:
-        """S = {a^2 : a nonzero}, with a canonical root recorded per entry."""
-        if self._squares is None:
-            sqrt_of = {}
-            for a in self.nonzero_elements():
-                s = a * a
-                sqrt_of.setdefault(s, a)
-            self._squares = frozenset(sqrt_of)
-            self._sqrt_of = sqrt_of
-        return self._squares
+        """S = {a^2 : a nonzero}, computed when asked."""
+        return frozenset(a * a for a in self.iter_nonzero())
 
 
 class FieldElement:
@@ -1288,35 +1334,18 @@ def parse_element(field: FieldSpec, token: str) -> FieldElement:
 # -- number-theoretic predicates the factorization routes branch on -------
 
 def sqrt(a: FieldElement) -> Optional[FieldElement]:
-    """Some b with b*b == a, or None.  Deterministic: the first root in
-    canonical order for finite fields, which over GF(p) is min(r, p - r)
-    (Tonelli-Shanks, polylog(p) per call); the positive root over Q."""
-    f = a.field
-    if a.is_zero():
-        return f.zero()
-    if f.kind == "rational":
-        fr = a.rep
-        if fr < 0:
-            return None
-        rn, rd = math.isqrt(fr.numerator), math.isqrt(fr.denominator)
-        if rn * rn == fr.numerator and rd * rd == fr.denominator:
-            return f.element(Fraction(rn, rd))
-        return None
-    if f.kind == "prime":
-        r = _prime_sqrt(a.rep, f.p)
-        return None if r is None else FieldElement(f, r)
-    f.squares()
-    return f._sqrt_of.get(a)
+    """Some b with b*b == a, or None, from the field's arith class:
+    deterministically the first root in canonical order for finite
+    fields, which over GF(p) is min(r, p - r), and the nonnegative root
+    over Q."""
+    root = a.field.arith.sqrt(a.rep)
+    return None if root is None else FieldElement(a.field, root)
 
 
 def is_square(a: FieldElement) -> bool:
-    """Zero counts as a square; over GF(p) this is Euler's criterion."""
-    if a.is_zero():
-        return True
-    f = a.field
-    if f.kind == "prime":
-        return f.p == 2 or pow(a.rep, (f.p - 1) // 2, f.p) == 1
-    return sqrt(a) is not None
+    """Whether a is a square, zero included, from the field's arith
+    class."""
+    return a.field.arith.is_square(a.rep)
 
 
 def sum_of_two_nonzero_squares(target: FieldElement):

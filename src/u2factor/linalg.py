@@ -13,15 +13,15 @@ does the per-entry work: products (``chain``, one pass over any number
 of factors on the field's matrix form, which ``@`` and
 ``chain_product`` wrap, and ``product_reps`` on rows of reps; ``field``
 describes them per kind), row operations (``scale``, ``sub_scaled``,
-``negate``) and the determinant (``det``, Bareiss over Q).  So
-``_rref``, ``IndependentSet`` and ``charpoly`` make one call per row
-operation, not one per entry, and ``det_reps`` is one call.
+``negate``) and the determinant (``det``, Bareiss over Q, on the form).
+So ``_rref``, ``IndependentSet`` and ``charpoly`` make one call per row
+operation, not one per entry.
 Over Q a ``Matrix`` also holds the form, canonical integer rows.  A
 product's result has only the form, and a matrix made from rows of
 reps only those, until the other view is first read: products and the
-certificate checks run on the form, and the ``Fraction`` rows are made
-only for the entry-level algorithms (the eliminations, the
-substitutions, Jordan data) and for tokens.
+certificate checks, determinants and tokens run on the form, and the
+``Fraction`` rows are made only for the entry-level algorithms (the
+eliminations, the substitutions, Jordan data).
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -53,7 +53,7 @@ from functools import reduce
 from itertools import chain
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
-    parse_rep, parse_int, is_int_token
+    parse_rep, parse_int, is_int_token, shift_reps
 from .poly import Poly
 
 
@@ -236,7 +236,7 @@ class Matrix:
 
     def det(self) -> FieldElement:
         if self._det is None:
-            self._det = det_reps(self.field.arith, self._reps)
+            self._det = self.field.arith.det(self._form)
         return FieldElement(self.field, self._det)
 
     def inverse(self) -> "Matrix":
@@ -285,8 +285,7 @@ class Matrix:
         return f"Matrix({self.field.spec_string()}, [{body}])"
 
     def tokens(self):
-        token = self.field.arith.token
-        return [[token(x) for x in r] for r in self._reps]
+        return self.field.arith.tokens(self._form)
 
 
 class _RationalMatrix(Matrix):
@@ -323,12 +322,6 @@ def is_scalar_reps(arith, rows) -> bool:
     d = rows[0][0]
     return all(v == d if i == j else arith.is_zero(v)
                for i, row in enumerate(rows) for j, v in enumerate(row))
-
-
-def shift_reps(arith, rows, lam) -> list:
-    """Rows of A - lam I, for A given as rows of reps: the arith class's
-    ``shift`` on their form."""
-    return arith.reps(arith.shift(arith.form(rows), lam))
 
 
 def apply_reps(arith, rows, vec) -> list:
@@ -384,13 +377,6 @@ def direct_sum(*mats: Matrix) -> Matrix:
 
 
 # -- elimination core ------------------------------------------------------
-
-def det_reps(arith, rows):
-    """Determinant of a square matrix given as rows of reps, by the
-    field's arith class: Gaussian elimination over a finite field,
-    Bareiss's fraction-free elimination over Q."""
-    return arith.det(rows)
-
 
 def _rref(arith, work, limit=None):
     """In-place reduced row echelon form of rows of reps; returns (rows,
@@ -689,10 +675,13 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     upper triangular with the distinct spectrum on its diagonal, in any
     order, and T_inv the inverse of T.
 
-    No elimination runs.  The eigenvectors of R are the columns of a
-    unit triangular W, by substitution, and W^-1, whose rows are the
-    left eigenvectors, follows by substitution too.  Column i of P^-1 is T w for the column w of
-    spectrum[i], scaled as ``similarity_to_diagonal`` scales its kernel
+    No elimination runs.  An upper R is turned by 180 degrees (J R J,
+    with T J and J T^-1 in place of T and T^-1), as in
+    ``single_block_jordan``, so let R be lower.  The eigenvectors of R
+    are the columns of a unit lower triangular W, by substitution, and
+    W^-1, whose rows are the left eigenvectors, follows by substitution
+    too.  Column i of P^-1 is T w for the column w of spectrum[i],
+    scaled as ``similarity_to_diagonal`` scales its kernel
     vectors: last nonzero coordinate 1, then ``primitive``.  An
     eigenspace of a distinct spectrum is a line, so both give the same
     column, and the same P: the matching row of W^-1, divided by that
@@ -702,10 +691,10 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     arith = field.arith
     zero, one, mul, is_zero = arith.zero, arith.one, arith.mul, arith.is_zero
     spectrum = _reps_of(field, spectrum)
-    rows = R._reps
-    upper = _has_upper(arith, rows)
-    if upper:
-        rows = _flip(rows)  # J R J, with J the reversal, is lower
+    rows, Tr, Tinv = R._reps, T._reps, T_inv._form
+    if _has_upper(arith, rows):
+        # J R J, with J the reversal, is lower, in the basis T J
+        rows, Tr, Tinv = _flip(rows), [r[::-1] for r in Tr], Tinv[::-1]
     diag = [r[i] for i, r in enumerate(rows)]
     if len(set(spectrum)) != n or set(spectrum) != set(diag):
         raise SpectrumMismatch("spectrum must be distinct and equal the "
@@ -719,10 +708,8 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
         W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
                   for k in range(i)] + [one] + [zero] * (n - 1 - i))
     W_inv = _lower_inverse(arith, W)
-    if upper:
-        W, W_inv, diag = _flip(W), _flip(W_inv), diag[::-1]
     where = {lam: k for k, lam in enumerate(diag)}
-    TW = arith.product_reps(T._reps, W)
+    TW = arith.product_reps(Tr, W)
     cols, P_rows = [], []
     for lam in spectrum:
         k = where[lam]
@@ -733,8 +720,7 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
         # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
         back = mul(v[last], arith.inv(col[last]))
         P_rows.append(arith.scale(W_inv[k], back))
-    return (Matrix.from_form(field, arith.chain([arith.form(P_rows),
-                                                 T_inv._form])),
+    return (Matrix.from_form(field, arith.chain([arith.form(P_rows), Tinv])),
             Matrix.from_reps(field, list(zip(*cols))))
 
 

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_rep
-from .linalg import Matrix, identity, chain_product, direct_sum, det_reps, \
-    diagonal_reps
+from .linalg import Matrix, identity, chain_product, direct_sum, diagonal_reps
 
 
 class CertificateError(Exception):
@@ -253,8 +252,8 @@ def verify(f: Factorization) -> Report:
             both_u2 = both_u2 and ok
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
-        det = arith.one if both_u2 else det_reps(
-            arith, arith.reps(arith.chain(_pair_factors(arith, x, y))))
+        det = arith.one if both_u2 else arith.det(
+            arith.chain(_pair_factors(arith, x, y)))
         ok = det == arith.one
         report.record(f"pair[{i}] value det=1", ok,
                       "" if ok else f"det={arith.token(det)}")

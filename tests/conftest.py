@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import u2factor  # loads every library module, so `memos` sees them all
-from u2factor.field import GF, rationals
+from u2factor.field import GF, FieldSpec, rationals
 from u2factor.sampling import random_sl
 
 
@@ -30,6 +30,20 @@ def small_fields():
 @pytest.fixture(scope="session")
 def Q():
     return rationals()
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Every call of ``FieldSpec.elements``, ``nonzero_elements`` and
+    ``squares`` made during the test, as (name, field), in order: the
+    methods that build a table of the field's elements."""
+    calls = []
+    for name in ("elements", "nonzero_elements", "squares"):
+        def spy(self, _name=name, _orig=getattr(FieldSpec, name)):
+            calls.append((_name, self))
+            return _orig(self)
+        monkeypatch.setattr(FieldSpec, name, spy)
+    return calls
 
 
 @pytest.fixture

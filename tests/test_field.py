@@ -20,6 +20,11 @@ def _trial_division_prime(p):
 # and the pairing stream runs far
 CROSS_CHECK_PRIMES = [p for p in range(600) if _trial_division_prime(p)] \
     + [10007]
+# the extension fields of tests/test_kernel.py, built-in and user moduli
+CROSS_CHECK_EXTENSIONS = ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)",
+                          "GF(27)", "GF(8;1,0,1,1)", "GF(9;2,1,1)",
+                          "GF(243;1,0,0,0,2,1)",
+                          "GF(256;1,1,0,1,1,0,0,0,1)"]
 
 
 class TestConstruction:
@@ -303,19 +308,24 @@ class TestSquareRoots:
         assert sqrt(f.element(2)) is None
         assert sqrt(f.element(-4)) is None
 
-    @pytest.mark.parametrize("p", CROSS_CHECK_PRIMES)
-    def test_fast_sqrt_matches_table(self, p):
-        f = GF(p)
-        f.squares()
+    @pytest.mark.parametrize("q", CROSS_CHECK_PRIMES + CROSS_CHECK_EXTENSIONS)
+    def test_fast_sqrt_matches_table(self, q):
+        f = GF(q) if isinstance(q, int) else parse_field_spec(q)
+        # the reference: the first root of each square in canonical order
+        first_root = {}
+        for b in f.nonzero_elements():
+            first_root.setdefault(b * b, b)
         for a in f.elements():
             root = sqrt(a)
             if a.is_zero():
                 assert root == a
                 continue
-            assert root == f._sqrt_of.get(a)
+            assert root == first_root.get(a)
             assert is_square(a) == (root is not None)
             if root is not None:
-                assert root.rep == min(root.rep, p - root.rep)
+                assert root.rep == min(root.rep, (-root).rep)
+                if f.k == 1:
+                    assert root.rep == min(root.rep, f.p - root.rep)
 
     def test_sqrt_deterministic(self):
         f = GF(13)
@@ -404,13 +414,14 @@ class TestSquareClassPairing:
         with pytest.raises(FieldError, match="expected 2"):
             data.pairs
 
-    def test_pairs_built_only_when_read(self):
-        f = GF(1000003)
-        stream = square_class_pairing(f).iter_pairs()
-        (a, ainv), (b, _) = next(stream), next(stream)
-        assert 1 < a.rep < b.rep and a * ainv == f.one()
-        assert is_square(a) and is_square(b)
-        assert f._elements is None and f._squares is None
+    def test_pairs_built_only_when_read(self, table_calls):
+        for p in (1000003, 2 ** 31 - 1):
+            f = GF(p)
+            stream = square_class_pairing(f).iter_pairs()
+            (a, ainv), (b, _) = next(stream), next(stream)
+            assert 1 < a.rep < b.rep and a * ainv == f.one()
+            assert is_square(a) and is_square(b)
+        assert table_calls == []
 
     def test_exceptional_set(self):
         f7 = GF(7)  # -1 not a square mod 7

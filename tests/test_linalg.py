@@ -633,7 +633,7 @@ class TestEliminationReference:
         singular = 0
         for A in _elimination_inputs(F, rng):
             want = _ref_det(A)
-            got = linalg.det_reps(arith, A._reps)
+            got = arith.det(A.form())
             assert got == want.rep and type(got) is type(want.rep)
             assert A.det() == want
             singular += want.is_zero()
@@ -670,7 +670,7 @@ class TestEliminationReference:
             if expected is not None:
                 assert want == expected
             assert A.det() == want
-            assert linalg.det_reps(F.arith, A._reps) == want.rep
+            assert F.arith.det(A.form()) == want.rep
 
 
 class TestNoElementOps:

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from u2factor import linalg, sourour, unipotent, verify
+from u2factor import linalg, sourour, verify
 from u2factor.factor_sln import factor, promised_max_pairs
-from u2factor.field import GF, rationals, parse_field_spec
+from u2factor.field import GF, RationalArith, rationals, parse_field_spec, \
+    _FiniteArith
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
                              single_block_jordan, unipotent_jordan,
@@ -648,19 +649,20 @@ class TestStructure:
         # the route reads only the split's triangularization, so neither
         # B nor C is built, and det(A) is taken once, by factor's check
         splits, dets = [], []
-        det_reps = linalg.det_reps
 
         def split(*args, **kwargs):
             splits.append(sourour_factor(*args, **kwargs))
             return splits[-1]
 
-        def spy_det(arith, rows):
-            dets.append(tuple(map(tuple, rows)))
-            return det_reps(arith, rows)
+        def spy_det(det):
+            def wrapped(arith, form):
+                dets.append(tuple(map(tuple, form)))
+                return det(arith, form)
+            return wrapped
 
         monkeypatch.setattr(sl2_routes, "sourour_factor", split)
-        monkeypatch.setattr(linalg, "det_reps", spy_det)
-        monkeypatch.setattr(unipotent, "det_reps", spy_det)
+        for kind in (_FiniteArith, RationalArith):
+            monkeypatch.setattr(kind, "det", spy_det(kind.det))
         for spec, n in (("GF(10007)", 16), ("GF(31)", 8), ("Q", 7)):
             F = parse_field_spec(spec)
             A = nonscalar_sl(F, n, random.Random(f"no-parts-{spec}"))
@@ -668,7 +670,7 @@ class TestStructure:
             assert f"prop5.2(n={n})" in f.route
             (sp,) = splits
             assert "b" not in vars(sp) and "c" not in vars(sp)
-            assert dets.count(tuple(map(tuple, A.reps()))) == 1
+            assert dets.count(tuple(map(tuple, A.form()))) == 1
             # the checks do see a part that is read
             assert sp.b.det() == F.one()
             assert "b" in vars(sp) and dets[-1] != dets[0]
