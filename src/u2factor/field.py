@@ -405,6 +405,63 @@ class _FiniteArith:
         chain of two."""
         return self.chain([a, b])
 
+    # The row API of the split and the substitutions: a row is a list
+    # (or tuple) of reps, so a row of a form is one, and ``row_scale``,
+    # ``row_sub_scaled`` and ``row_negate`` are the row operations above.
+
+    row_entry = staticmethod(operator.getitem)
+
+    def row(self, reps):
+        """The row of a list of reps: the list itself."""
+        return reps
+
+    def row_cat(self, a, b) -> list:
+        """The row a followed by the row b."""
+        return [*a, *b]
+
+    def bump(self, rows) -> list:
+        """Rows of 1 (+) X, for X given as rows."""
+        zero = self.zero
+        return ([[self.one] + [zero] * len(rows)]
+                + [[zero, *r] for r in rows])
+
+    def augment(self, rows, cols, rest, order=None) -> list:
+        """Rows of [rows @ C | rest], for C given by its columns as rows,
+        each with its entries taken in ``order`` when it is given."""
+        out = [[*c, *r] for c, r in
+               zip(self.chain([rows, list(zip(*cols))]), rest)]
+        return out if order is None else [[r[j] for j in order] for r in out]
+
+    def row_pick(self, row, cols):
+        """The row of row's entries at ``cols``, a slice or a list of
+        indices."""
+        return row[cols] if isinstance(cols, slice) else [row[j] for j in cols]
+
+    def row_is_zero(self, row) -> bool:
+        return all(map(self.is_zero, row))
+
+    def row_divide(self, row, by) -> list:
+        """The row of row[k] / by[k], for a row ``by`` with no zero."""
+        mul, inv = self.mul, self.inv
+        return [mul(x, inv(y)) for x, y in zip(row, by)]
+
+    def is_scalar(self, rows) -> bool:
+        """Whether the square matrix given as rows of reps is scalar."""
+        d, is_zero = rows[0][0], self.is_zero
+        return all(v == d if i == j else is_zero(v)
+                   for i, row in enumerate(rows) for j, v in enumerate(row))
+
+    def primitive_columns(self, rows) -> tuple:
+        """(rows, scales): the matrix given as rows with column k
+        multiplied by scales[k], the inverse of its last nonzero entry,
+        so that it ends in 1, as ``primitive`` leaves it; no column may be
+        zero."""
+        is_zero, inv, scale = self.is_zero, self.inv, self.scale
+        scales = [inv(next(x for x in reversed(c) if not is_zero(x)))
+                  for c in zip(*rows)]
+        cols = map(scale, zip(*rows), scales)
+        return [list(r) for r in zip(*cols)], scales
+
     def tokens(self, form) -> list:
         """Rows of the tokens of a matrix given as its form."""
         token = self.token
@@ -581,6 +638,8 @@ class PrimeArith(_FiniteArith):
         p = self.p
         return [-x % p for x in row]
 
+    row_scale, row_sub_scaled, row_negate = scale, sub_scaled, negate
+
     def chain(self, mats) -> list:
         """``_FiniteArith.chain``, or dot products for a small chain of
         two."""
@@ -708,6 +767,8 @@ class ExtensionArith(_FiniteArith):
         """-row, one antilog lookup per entry."""
         log, exp, shift = self._log, self._exp, self._neg_log
         return [exp[log[x] + shift] for x in row]
+
+    row_scale, row_sub_scaled, row_negate = scale, sub_scaled, negate
 
     def sqrt(self, a):
         """The first root of a = g^e in canonical order, or None.  For odd
@@ -870,6 +931,129 @@ class RationalArith:
         return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
                 for dr, r in rows]
 
+    # The row API of the split and the substitutions: a row is a row of a
+    # form, (d, ints) in lowest terms, and every operation returns one,
+    # so the rows an algorithm ends with are a form as they stand.
+
+    def row(self, reps) -> tuple:
+        """The row of a list of Fractions or ints."""
+        d, ints = _clear_denominators(reps)
+        return d, tuple(ints)
+
+    def row_entry(self, row, i) -> Fraction:
+        d, ints = row
+        return Fraction(ints[i], d)
+
+    def row_cat(self, a, b) -> tuple:
+        """The row a followed by the row b, over the lcm L of their
+        denominators.  It is in lowest terms as it stands: for a prime
+        power p^k exactly dividing L, the row whose denominator it
+        divides has an integer prime to p, lifted by a factor prime to
+        p."""
+        (d, r), (e, s) = a, b
+        if d == e:
+            return d, r + s
+        big = math.lcm(d, e)
+        if big != d:
+            r = tuple([x * (big // d) for x in r])
+        if big != e:
+            s = tuple([x * (big // e) for x in s])
+        return big, r + s
+
+    def bump(self, rows) -> list:
+        """Rows of 1 (+) X, for X given as rows: a zero in front of each
+        row keeps it in lowest terms."""
+        return ([(1, (1,) + (0,) * len(rows))]
+                + [(d, (0,) + r) for d, r in rows])
+
+    def augment(self, rows, cols, rest, order=None) -> list:
+        """Rows of [rows @ C | rest], for C given by its columns as rows,
+        each with its entries taken in ``order`` when it is given: one
+        pass and one gcd per row.  The columns are put over the lcm L of
+        their denominators, so row r / d of ``rows`` gives the entries
+        (r . c) / (d L), and the row s / e of ``rest`` joins them over
+        the lcm of d L and e."""
+        big, cols = _common(cols)
+        mul, out = operator.mul, []
+        for (d, r), (e, s) in zip(rows, rest):
+            den = d * big
+            lcm = den // math.gcd(den, e) * e
+            lift, lift_rest = lcm // den, lcm // e
+            ext = [sum(map(mul, r, c)) * lift for c in cols]
+            ext += [x * lift_rest for x in s] if lift_rest > 1 else s
+            out.append(_lowest(lcm, ext if order is None
+                               else [ext[j] for j in order]))
+        return out
+
+    def row_pick(self, row, cols) -> tuple:
+        """The row of row's entries at ``cols``, a slice or a list of
+        indices, divided by its gcd."""
+        d, r = row
+        return _lowest(d, r[cols] if isinstance(cols, slice)
+                       else [r[j] for j in cols])
+
+    def row_is_zero(self, row) -> bool:
+        return not any(row[1])
+
+    def row_divide(self, row, by) -> tuple:
+        """The row of row[k] / by[k], for a row ``by`` with no zero: with
+        row = s / d and by = g / e, entry k is s_k e / (d g_k), over d
+        times the lcm G of the |g_k|."""
+        (d, s), (e, g) = row, by
+        big = math.lcm(*g)
+        return _lowest(d * big, [x * e * (big // y) for x, y in zip(s, g)])
+
+    def row_scale(self, row, c) -> tuple:
+        """c * row, with one gcd."""
+        num, den = c.as_integer_ratio()
+        d, r = row
+        return _lowest(d * den, [x * num for x in r])
+
+    def row_sub_scaled(self, row, c, other) -> tuple:
+        """row - c * other, or row itself when c is zero.  With c = a / b,
+        row = r / d and other = o / e, both terms are put over
+        lcm(d, b e), and the result is divided by its gcd: one ``gcd``
+        besides the lcm's, and no ``Fraction``."""
+        if not c:
+            return row
+        num, den = c.as_integer_ratio()
+        (d, r), (e, o) = row, other
+        be = den * e
+        g = math.gcd(d, be)
+        lift, lift_other = be // g, num * (d // g)
+        return _lowest(d * lift, [x * lift - y * lift_other
+                                  for x, y in zip(r, o)])
+
+    def row_negate(self, row) -> tuple:
+        d, r = row
+        return d, tuple([-x for x in r])
+
+    def is_scalar(self, form) -> bool:
+        """Whether the square matrix given as its form is scalar: lam =
+        a / b in lowest terms has the rows (b, a e_i), and zero the rows
+        (1, 0)."""
+        d0, (lam, *_) = form[0]
+        return all(d == d0 and all(x == lam if i == j else not x
+                                   for j, x in enumerate(r))
+                   for i, (d, r) in enumerate(form))
+
+    def primitive_columns(self, form) -> tuple:
+        """(rows, scales): the matrix given as its form with column k
+        multiplied by scales[k], so that it is a primitive integer vector
+        whose last nonzero entry is positive, as ``primitive`` leaves it;
+        no column may be zero.  The rows over the lcm L of their
+        denominators are an integer matrix; each of its columns is
+        divided by its gcd, signed, and the rows are integers over 1."""
+        big, rows = _common(form)
+        scales, cols = [], []
+        for c in zip(*rows):
+            g = math.gcd(*c)
+            if next(x for x in reversed(c) if x) < 0:
+                g = -g
+            scales.append(Fraction(big, g))
+            cols.append([x // g for x in c])
+        return [(1, r) for r in zip(*cols)], scales
+
     def zeros(self, n: int) -> tuple:
         """The form of the n x n zero matrix."""
         return ((1, (0,) * n),) * n
@@ -928,9 +1112,20 @@ class RationalArith:
         ``_columns`` put over the lcm L of their denominators, row i of
         the result is their integers at i over d_i L, divided by its gcd
         with d_i L: one gcd per row, no ``Fraction``.  An empty last
-        factor has no columns, so each row of the product is empty."""
+        factor has no columns, so each row of the product is empty.
+
+        A row r / d times a matrix with rows s_j / e_j lifts r's entries
+        instead, r_j L / e_j, and takes each column's dot product with
+        them over d L: k lifts for a k-row matrix, not one per entry."""
         if len(mats) == 1:
             return mats[0]
+        if len(mats) == 2 and len(mats[0]) == 1:
+            ((d, r),), last = mats
+            big = math.lcm(*[e for e, _ in last])
+            lifted = [x * (big // e) for x, (e, _) in zip(r, last)]
+            mul = operator.mul
+            return (_lowest(d * big, [sum(map(mul, lifted, c)) for c in
+                                      zip(*[s for _, s in last])]),)
         dens, cols = self._columns(mats)
         if not cols:
             return ((1, ()),) * len(dens)

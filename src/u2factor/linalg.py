@@ -144,7 +144,7 @@ class Matrix:
             out._reps = out._form = tuple(map(tuple, form))
         else:
             out = object.__new__(_RationalMatrix)
-            out._form = form
+            out._form = tuple(form)
         out.field, out.n, out._det = field, len(form), None
         return out
 
@@ -259,7 +259,7 @@ class Matrix:
         return self == identity(self.field, self.n)
 
     def is_scalar(self) -> bool:
-        return is_scalar_reps(self.field.arith, self._reps)
+        return self.field.arith.is_scalar(self._form)
 
     def is_diagonal(self) -> bool:
         is_zero = self.field.arith.is_zero
@@ -318,17 +318,21 @@ def diagonal_reps(arith, entries) -> list:
             for i, e in enumerate(entries)]
 
 
-def is_scalar_reps(arith, rows) -> bool:
-    d = rows[0][0]
-    return all(v == d if i == j else arith.is_zero(v)
-               for i, row in enumerate(rows) for j, v in enumerate(row))
-
-
 def apply_reps(arith, rows, vec) -> list:
     """rows @ vec, also when vec is empty."""
     if not vec:
         return [arith.zero] * len(rows)
     return [r[0] for r in arith.product_reps(rows, [[v] for v in vec])]
+
+
+def apply_rows(arith, rows, vec) -> list:
+    """rows @ vec as reps, for rows of the arith class's row type and
+    vec given as reps, by a chain with vec as one column."""
+    if not vec:
+        return [arith.zero] * len(rows)
+    entry = arith.row_entry
+    return [entry(r, 0) for r in
+            arith.chain([rows, arith.form([[v] for v in vec])])]
 
 
 # -- constructors ---------------------------------------------------------
@@ -595,23 +599,24 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     """
     field, n = R.field, R.n
     arith = field.arith
-    rows, Tr, Tinv = R._reps, T._reps, T_inv._reps
-    if any(r[i] != arith.one for i, r in enumerate(rows)):
+    one, is_zero, entry = arith.one, arith.is_zero, arith.row_entry
+    rows, Tr, Tinv = R.form(), T.form(), T_inv.form()
+    if any(entry(r, i) != one for i, r in enumerate(rows)):
         raise NotUnipotent("matrix is not unit triangular")
     if _has_upper(arith, rows):
-        rows, Tr, Tinv = _flip(rows), [r[::-1] for r in Tr], Tinv[::-1]
-    N = shift_reps(arith, rows, arith.one)
-    if any(arith.is_zero(N[i + 1][i]) for i in range(n - 1)):
+        rows, Tr, Tinv = _flip(arith, rows), _reversed(arith, Tr), Tinv[::-1]
+    N = arith.shift(rows, one)
+    if any(is_zero(entry(N[i + 1], i)) for i in range(n - 1)):
         return None
-    f = next(j for j, v in enumerate(Tinv[0]) if not arith.is_zero(v))
-    powers = [[r[f] for r in Tinv]]
+    f = next(j for j in range(n) if not is_zero(entry(Tinv[0], j)))
+    powers = [[entry(r, f) for r in Tinv]]
     for _ in range(n - 1):
-        powers.append(apply_reps(arith, N, powers[-1]))
-    K_rev = [list(r) for r in zip(*powers)]  # K J, lower triangular
-    Q = [r[::-1] for r in arith.product_reps(Tr, K_rev)]
-    P = arith.product_reps(_lower_inverse(arith, K_rev)[::-1], Tinv)
-    return JordanData((n,), Matrix.from_reps(field, P),
-                      Matrix.from_reps(field, Q))
+        powers.append(apply_rows(arith, N, powers[-1]))
+    K_rev = arith.form([list(r) for r in zip(*powers)])  # K J, lower triangular
+    Q = _reversed(arith, arith.chain([Tr, K_rev]))
+    P = arith.chain([_lower_inverse(arith, K_rev)[::-1], Tinv])
+    return JordanData((n,), Matrix.from_form(field, P),
+                      Matrix.from_form(field, Q))
 
 
 # -- similarity transforms ---------------------------------------------------
@@ -689,51 +694,66 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     """
     field, n = R.field, R.n
     arith = field.arith
-    zero, one, mul, is_zero = arith.zero, arith.one, arith.mul, arith.is_zero
+    zero, one = arith.zero, arith.one
     spectrum = _reps_of(field, spectrum)
-    rows, Tr, Tinv = R._reps, T._reps, T_inv._form
+    rows, Tr, Tinv = R.form(), T.form(), T_inv.form()
     if _has_upper(arith, rows):
         # J R J, with J the reversal, is lower, in the basis T J
-        rows, Tr, Tinv = _flip(rows), [r[::-1] for r in Tr], Tinv[::-1]
-    diag = [r[i] for i, r in enumerate(rows)]
-    if len(set(spectrum)) != n or set(spectrum) != set(diag):
+        rows, Tr, Tinv = _flip(arith, rows), _reversed(arith, Tr), Tinv[::-1]
+    diag = [arith.row_entry(r, i) for i, r in enumerate(rows)]
+    # order[i] is the column of spectrum[i]; a permutation exactly when
+    # the spectrum is distinct and equals the diagonal
+    where = {lam: k for k, lam in enumerate(diag)}
+    order = [where.get(lam, n) for lam in spectrum]
+    if sorted(order) != list(range(n)):
         raise SpectrumMismatch("spectrum must be distinct and equal the "
                                "diagonal of R")
     # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k],
     # and W[:i] is zero right of column i - 1, so the product reads only
     # W's leading i x i block
+    diag_row, ones = arith.row(diag), arith.row([one] * n)
     W = []
     for i, r in enumerate(rows):
-        s = arith.product_reps([r[:i]], [w[:i] for w in W])[0]
-        W.append([mul(s[k], arith.inv(arith.sub(diag[k], diag[i])))
-                  for k in range(i)] + [one] + [zero] * (n - 1 - i))
+        gaps = arith.row_sub_scaled(diag_row, diag[i], ones)
+        W.append(arith.row_cat(
+            arith.row_divide(_leading_product(arith, r, W, i)[0],
+                             arith.row_pick(gaps, slice(i))),
+            arith.row([one] + [zero] * (n - 1 - i))))
     W_inv = _lower_inverse(arith, W)
-    where = {lam: k for k, lam in enumerate(diag)}
-    TW = arith.product_reps(Tr, W)
-    cols, P_rows = [], []
-    for lam in spectrum:
-        k = where[lam]
-        v = [r[k] for r in TW]
-        last = next(j for j in range(n - 1, -1, -1) if not is_zero(v[j]))
-        col = arith.primitive(arith.scale(v, arith.inv(v[last])))
-        cols.append(col)
-        # col = c v with c = col[last] / v[last]; P's row is W^-1[k] / c
-        back = mul(v[last], arith.inv(col[last]))
-        P_rows.append(arith.scale(W_inv[k], back))
-    return (Matrix.from_form(field, arith.chain([arith.form(P_rows), Tinv])),
-            Matrix.from_reps(field, list(zip(*cols))))
+    # column i of P^-1 is T w for the column w of spectrum[i], put to the
+    # eigenvector scale: c T w, and P's row i is W^-1's row for w over c
+    Q, scales = arith.primitive_columns(arith.chain(
+        [Tr, [arith.row_pick(w, order) for w in W]]))
+    P_rows = [arith.row_scale(W_inv[k], arith.inv(c))
+              for k, c in zip(order, scales)]
+    return (Matrix.from_form(field, arith.chain([P_rows, Tinv])),
+            Matrix.from_form(field, Q))
 
 
-def _flip(rows) -> list:
+def _flip(arith, rows) -> list:
     """Rows of J X J, J the reversal permutation: X turned by 180 degrees."""
-    return [list(r[::-1]) for r in reversed(rows)]
+    return _reversed(arith, rows[::-1])
+
+
+def _reversed(arith, rows) -> list:
+    """Rows of X J, J the reversal permutation: each row reversed."""
+    back = slice(None, None, -1)
+    return [arith.row_pick(r, back) for r in rows]
 
 
 def _has_upper(arith, rows) -> bool:
     """Whether a square matrix given as rows has a nonzero entry above
     its diagonal."""
-    return not all(map(arith.is_zero, chain.from_iterable(
-        r[i + 1:] for i, r in enumerate(rows))))
+    return not all(arith.row_is_zero(arith.row_pick(r, slice(i + 1, None)))
+                   for i, r in enumerate(rows))
+
+
+def _leading_product(arith, r, X, i) -> list:
+    """The one row of r[:i] @ X[:i][:i], for X given as at least i rows:
+    the vector product of the substitutions."""
+    lead = slice(i)
+    return arith.chain([[arith.row_pick(r, lead)],
+                        [arith.row_pick(x, lead) for x in X[:i]]])
 
 
 def _lower_inverse(arith, rows) -> list:
@@ -746,9 +766,11 @@ def _lower_inverse(arith, rows) -> list:
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
-        head = arith.product_reps([r[:i]], [x[:i] for x in out])[0]
-        e = arith.negate(head) + [one] + [zero] * (n - 1 - i)
-        out.append(arith.scale(e, arith.inv(r[i])))
+        head = _leading_product(arith, r, out, i)[0]
+        e = arith.row_cat(arith.row_negate(head),
+                          arith.row([one] + [zero] * (n - 1 - i)))
+        pivot = arith.row_entry(r, i)
+        out.append(e if pivot == one else arith.row_scale(e, arith.inv(pivot)))
     return out
 
 

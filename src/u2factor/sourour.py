@@ -48,8 +48,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .field import FieldSpec
-from .linalg import Matrix, ScalarInput, apply_reps, diagonal_reps, \
-    is_scalar_reps
+from .linalg import Matrix, ScalarInput, diagonal_reps
 
 
 class SourourError(Exception):
@@ -93,12 +92,6 @@ class SourourFactorization:
         bs = ",".join(e.token() for e in betas)
         gs = ",".join(e.token() for e in gammas)
         return f"sourour(betas={bs};gammas={gs};backtracks={self.backtracks})"
-
-
-def _bump(arith, rows):
-    """Rows of 1 (+) X, for X given as rows."""
-    return ([[arith.one] + [arith.zero] * len(rows)]
-            + [[arith.zero] + r for r in rows])
 
 
 def _candidate_supports(m):
@@ -171,54 +164,56 @@ class _Basis:
     def solve_rows(self, W):
         """Rows of Q^-1 W, for W given as m rows."""
         ar = self.arith
+        sub_scaled = ar.row_sub_scaled
         Wa, Wp = W[self.a], W[self.p]
         if self.xp:
-            Wp = list(map(ar.sub, Wp, Wa))
-        cy = ar.scale(Wp, self.d_inv)
-        cx = ar.sub_scaled(Wa, self.ya, cy)
+            Wp = sub_scaled(Wp, ar.one, Wa)
+        cy = ar.row_scale(Wp, self.d_inv)
+        cx = sub_scaled(Wa, self.ya, cy)
         out = [cx, cy]
         for t in self.kept:
             row = W[t]
             if t == self.xt:
-                row = list(map(ar.sub, row, cx))
-            out.append(ar.sub_scaled(row, self.y[t], cy))
+                row = sub_scaled(row, ar.one, cx)
+            out.append(sub_scaled(row, self.y[t], cy))
         return out
 
     def left_mul(self, X):
         """Rows of Q X, for X given as m rows, one per basis vector."""
         ar, m = self.arith, self.m
+        sub_scaled, neg = ar.row_sub_scaled, ar.neg
         # row r is x_r X[0] + y_r X[1], plus X's row for e_r if kept
         QX = [None] * m
         for idx, t in enumerate(self.kept):
             QX[t] = X[2 + idx]
         QX[self.a] = X[0]
-        QX[self.p] = X[0] if self.xp else [ar.zero] * m
+        QX[self.p] = X[0] if self.xp else ar.row([ar.zero] * m)
         if self.xt is not None:
-            QX[self.xt] = list(map(ar.add, QX[self.xt], X[0]))
-        return [ar.sub_scaled(row, ar.neg(yr), X[1])
+            QX[self.xt] = sub_scaled(QX[self.xt], neg(ar.one), X[0])
+        return [sub_scaled(row, neg(yr), X[1])
                 for row, yr in zip(QX, self.y)]
 
     def right_div(self, W):
         """Rows of W Q^-1, for W given as rows whose m columns follow the
         basis vectors."""
-        ar = self.arith
-        sub, mul = ar.sub, ar.mul
-        a, p, xt = self.a, self.p, self.xt
+        ar, m = self.arith, self.m
+        one, zero = ar.one, ar.zero
         # s = w Q^-1 solves s Q = w: s_t = w_t' on kept t, then the 2x2
-        # system s.x = w_0, s.y = w_1 in s_a, s_p
-        r1s = apply_reps(ar, [w[2:] for w in W], self.y_kept)
-        out = []
-        xt_col = 2 + self.kept.index(xt) if xt is not None else None
-        for w, dot in zip(W, r1s):
-            r0 = w[0] if xt_col is None else sub(w[0], w[xt_col])
-            r1 = sub(w[1], dot)
-            sp = mul(self.d_inv, sub(r1, mul(self.ya, r0)))
-            sa = sub(r0, sp) if self.xp else r0
-            s = w[2:]
-            for i, v in sorted(((a, sa), (p, sp))):
-                s.insert(i, v)
-            out.append(s)
-        return out
+        # system s.x = w_0, s.y = w_1 in s_a, s_p, whose solution is w
+        # times the two columns c_a and c_p
+        r0 = [one] + [zero] * (m - 1)                    # w_0 - w_t', t = xt
+        if self.xt is not None:
+            r0[2 + self.kept.index(self.xt)] = ar.neg(one)
+        r0 = ar.row(r0)
+        r1 = ar.row([zero, one] + [ar.neg(v) for v in self.y_kept])  # w_1 - w'.y'
+        c_p = ar.row_scale(ar.row_sub_scaled(r1, self.ya, r0), self.d_inv)
+        c_a = ar.row_sub_scaled(r0, one, c_p) if self.xp else r0
+        # [w (c_a c_p) | w] has s_a at 0, s_p at 1 and w_t' at 4 + idx
+        order = [0] * m
+        order[self.p] = 1
+        for idx, t in enumerate(self.kept):
+            order[t] = 4 + idx
+        return ar.augment(W, [c_a, c_p], W, order)
 
 
 def _split(ar, A, betas, gammas, fixes):
@@ -226,61 +221,65 @@ def _split(ar, A, betas, gammas, fixes):
     None when A is a scalar that no pairing of betas with gammas splits.
     Each level that fixes its basis appends its size to ``fixes``."""
     m = len(A)
-    if is_scalar_reps(ar, A):
-        matched = _match_scalar(ar.mul, A[0][0], betas, gammas)
+    if ar.is_scalar(A):
+        matched = _match_scalar(ar.mul, ar.row_entry(A[0], 0), betas, gammas)
         return None if matched is None else \
             _diagonal_split(ar, betas, matched)
-    add, sub, mul = ar.add, ar.sub, ar.mul
+    add, sub, mul, entry = ar.add, ar.sub, ar.mul, ar.row_entry
     b1, g1 = betas[0], gammas[0]
     mu = mul(b1, g1)
     for support in _candidate_supports(m):
         # y = (A - mu I) x
         if len(support) == 1:
-            y = [row[support[0]] for row in A]
+            y = [entry(row, support[0]) for row in A]
         else:
             i, j = support
-            y = [add(row[i], row[j]) for row in A]
+            y = [add(entry(row, i), entry(row, j)) for row in A]
         for s in support:
             y[s] = sub(y[s], mu)
         basis = _Basis.extend(ar, support, y)
         if basis is not None:
             break  # x is not an eigenvector of A
-    # columns 1.. of Q^-1 A Q; column 0 is (mu, 1, 0, ..., 0)^T
-    Ay = apply_reps(ar, A, y)
-    u, *A1 = basis.solve_rows(
-        [[v] + [row[t] for t in basis.kept] for row, v in zip(A, Ay)])
-    A1[0] = ar.sub_scaled(A1[0], ar.inv(mu), u)
+    # columns 1.. of Q^-1 A Q, from the rows [A y | A's kept columns];
+    # column 0 is (mu, 1, 0, ..., 0)^T
+    u, *A1 = basis.solve_rows(ar.augment(
+        A, [ar.row(y)], A, [0] + [1 + t for t in basis.kept]))
+    A1[0] = ar.row_sub_scaled(A1[0], ar.inv(mu), u)
     inner = _split(ar, A1, betas[1:], gammas[1:], fixes)
     fixed = inner is None
     if fixed:
-        # A1 = lam I, at least 2 x 2: basis vector 2 becomes e_t + mu x,
-        # which adds mu (mu e_1 - row 1 of A1) to u and lam to A1[0][1]
+        # A1 = lam I, lam != 0 and at least 2 x 2: basis vector 2 becomes
+        # e_t + mu x, which adds mu (mu e_1 - row 1 of A1) to u and lam
+        # to A1[0][1], row 1 of A1 being lam e_1
         fixes.append(m)
-        lam = A1[0][0]
-        u[1] = add(u[1], mul(mu, sub(mu, lam)))
-        A1[0][1] = lam
+        lam = entry(A1[0], 0)
+        lift = ar.neg(mul(mul(mu, sub(mu, lam)), ar.inv(lam)))
+        u = ar.row_sub_scaled(u, lift, A1[1])
+        A1[0] = ar.row_sub_scaled(A1[0], ar.neg(ar.one), A1[1])
         inner = _split(ar, A1, betas[1:], gammas[1:], fixes)
     T1, T1_inv, L1, U1 = inner
     # Q^-1 B Q = [[b1, 0], [g1^-1 e1, B1]] and Q^-1 C Q =
     # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
-    top = ar.scale(u, ar.inv(b1))
+    top = ar.row_scale(u, ar.inv(b1))
     g1_inv = ar.inv(g1)
-    L = [[b1] + [ar.zero] * (m - 1)] + [
-        [mul(g1_inv, t[0])] + r for t, r in zip(T1_inv, L1)]
-    U = ([[g1] + ar.product_reps([top], T1)[0]]
-         + [[ar.zero] + r for r in U1])
-    T, T_inv = _bump(ar, T1), _bump(ar, T1_inv)
+    L = [ar.row([b1] + [ar.zero] * (m - 1))] + ar.augment(
+        T1_inv, [ar.row([g1_inv] + [ar.zero] * (m - 2))], L1)
+    U = ([ar.row_cat(ar.row([g1]), ar.chain([[top], T1])[0])]
+         + ar.bump(U1)[1:])
+    T, T_inv = ar.bump(T1), ar.bump(T1_inv)
     if fixed:
         # E (1 (+) T1) and (1 (+) T1^-1) E^-1, E = I + mu e_0 e_2^T
-        T[0] = [ar.one] + ar.scale(T1[1], mu)
-        T_inv[0][2] = ar.neg(mu)
+        T[0] = ar.row_cat(ar.row([ar.one]), ar.row_scale(T1[1], mu))
+        T_inv[0] = ar.row([ar.one, ar.zero, ar.neg(mu)]
+                          + [ar.zero] * (m - 3))
     return basis.left_mul(T), basis.right_div(T_inv), L, U
 
 
 def _diagonal_split(arith, betas, gammas):
     """(T, T^-1, L, U) of the split diag(betas) diag(gammas), T = I."""
-    T = diagonal_reps(arith, [arith.one] * len(betas))
-    return T, T, diagonal_reps(arith, betas), diagonal_reps(arith, gammas)
+    T = arith.form(diagonal_reps(arith, [arith.one] * len(betas)))
+    return (T, T, arith.form(diagonal_reps(arith, betas)),
+            arith.form(diagonal_reps(arith, gammas)))
 
 
 def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:
@@ -314,7 +313,7 @@ def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:
     if prod != det:
         raise DeterminantMismatch("prod(betas)*prod(gammas) != det(A)")
     fixes = []
-    rows = _split(field.arith, A.reps(), tuple(e.rep for e in betas),
+    rows = _split(field.arith, A.form(), tuple(e.rep for e in betas),
                   tuple(e.rep for e in gammas), fixes)
     return SourourFactorization(
-        field, len(fixes), *(Matrix.from_reps(field, X) for X in rows))
+        field, len(fixes), *(Matrix.from_form(field, X) for X in rows))

@@ -579,9 +579,12 @@ class TestBasis:
                     assert basis.kept == added
                     Q = Matrix(F, zip(x, y, *(units[i] for i in added)))
                     Qinv = Q.inverse()
-                    assert basis.solve_rows(W.reps()) == (Qinv @ W).reps()
-                    assert basis.left_mul(X.reps()) == (Q @ X).reps()
-                    assert basis.right_div(X.reps()) == (X @ Qinv).reps()
+                    assert Matrix.from_form(
+                        F, basis.solve_rows(W.form())) == Qinv @ W
+                    assert Matrix.from_form(
+                        F, basis.left_mul(X.form())) == Q @ X
+                    assert Matrix.from_form(
+                        F, basis.right_div(X.form())) == X @ Qinv
                     cases.add((len(support), basis.xp, basis.xt is not None))
         assert cases == {(1, False, False), (2, True, False), (2, False, True)}
 
