@@ -409,7 +409,8 @@ class _FiniteArith:
     # (or tuple) of reps, so a row of a form is one, and ``row_scale``,
     # ``row_sub_scaled`` and ``row_negate`` are the row operations above.
 
-    row_entry = staticmethod(operator.getitem)
+    # row_entry(row, i) and row_cut(row, slice) are both row[...]
+    row_entry = row_cut = staticmethod(operator.getitem)
 
     def row(self, reps):
         """The row of a list of reps: the list itself."""
@@ -418,6 +419,14 @@ class _FiniteArith:
     def row_cat(self, a, b) -> list:
         """The row a followed by the row b."""
         return [*a, *b]
+
+    def row_push(self, v, row) -> list:
+        """The row of v followed by row's entries."""
+        return [v, *row]
+
+    def lead_product(self, r, X, i) -> list:
+        """The row r[:i] @ X[:i][:i], for X given as at least i rows."""
+        return self.chain([[r[:i]], [x[:i] for x in X[:i]]])[0]
 
     def bump(self, rows) -> list:
         """Rows of 1 (+) X, for X given as rows."""
@@ -430,12 +439,15 @@ class _FiniteArith:
         each with its entries taken in ``order`` when it is given."""
         out = [[*c, *r] for c, r in
                zip(self.chain([rows, list(zip(*cols))]), rest)]
-        return out if order is None else [[r[j] for j in order] for r in out]
+        if order is None:
+            return out
+        if len(order) == 1:
+            return [[r[order[0]]] for r in out]
+        return list(map(operator.itemgetter(*order), out))
 
-    def row_pick(self, row, cols):
-        """The row of row's entries at ``cols``, a slice or a list of
-        indices."""
-        return row[cols] if isinstance(cols, slice) else [row[j] for j in cols]
+    def row_pick(self, row, cols) -> list:
+        """The row of row's entries at the indices ``cols``."""
+        return [row[j] for j in cols]
 
     def row_is_zero(self, row) -> bool:
         return all(map(self.is_zero, row))
@@ -966,6 +978,17 @@ class RationalArith:
         return ([(1, (1,) + (0,) * len(rows))]
                 + [(d, (0,) + r) for d, r in rows])
 
+    def row_push(self, v, row) -> tuple:
+        """The row of v followed by row's entries: ``row_cat`` of v's
+        row and row."""
+        num, den = v.as_integer_ratio()
+        d, r = row
+        if den == d:
+            return d, (num,) + r
+        big = math.lcm(den, d)
+        lift = big // d
+        return big, (num * (big // den),) + tuple([x * lift for x in r])
+
     def augment(self, rows, cols, rest, order=None) -> list:
         """Rows of [rows @ C | rest], for C given by its columns as rows,
         each with its entries taken in ``order`` when it is given: one
@@ -985,12 +1008,24 @@ class RationalArith:
                                else [ext[j] for j in order]))
         return out
 
-    def row_pick(self, row, cols) -> tuple:
-        """The row of row's entries at ``cols``, a slice or a list of
-        indices, divided by its gcd."""
+    def lead_product(self, r, X, i) -> tuple:
+        """The row r[:i] @ X[:i][:i], for X given as at least i rows: the
+        chain takes the cut rows over their denominators as they are,
+        and its result is in lowest terms."""
+        d, s = r
+        return self.chain([[(d, s[:i])], [(e, x[:i]) for e, x in X[:i]]])[0]
+
+    def row_cut(self, row, cols) -> tuple:
+        """The row of row's entries in the slice ``cols``, divided by its
+        gcd."""
         d, r = row
-        return _lowest(d, r[cols] if isinstance(cols, slice)
-                       else [r[j] for j in cols])
+        return _lowest(d, r[cols])
+
+    def row_pick(self, row, cols) -> tuple:
+        """The row of row's entries at the indices ``cols``, divided by
+        its gcd."""
+        d, r = row
+        return _lowest(d, [r[j] for j in cols])
 
     def row_is_zero(self, row) -> bool:
         return not any(row[1])

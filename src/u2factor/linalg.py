@@ -711,13 +711,12 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     # row i of R W = W diag: (d_k - d_i) W[i][k] = R[i][:i] . W[:i][k],
     # and W[:i] is zero right of column i - 1, so the product reads only
     # W's leading i x i block
-    diag_row, ones = arith.row(diag), arith.row([one] * n)
+    sub = arith.sub
     W = []
     for i, r in enumerate(rows):
-        gaps = arith.row_sub_scaled(diag_row, diag[i], ones)
+        gaps = arith.row([sub(d, diag[i]) for d in diag[:i]])
         W.append(arith.row_cat(
-            arith.row_divide(_leading_product(arith, r, W, i)[0],
-                             arith.row_pick(gaps, slice(i))),
+            arith.row_divide(arith.lead_product(r, W, i), gaps),
             arith.row([one] + [zero] * (n - 1 - i))))
     W_inv = _lower_inverse(arith, W)
     # column i of P^-1 is T w for the column w of spectrum[i], put to the
@@ -738,22 +737,14 @@ def _flip(arith, rows) -> list:
 def _reversed(arith, rows) -> list:
     """Rows of X J, J the reversal permutation: each row reversed."""
     back = slice(None, None, -1)
-    return [arith.row_pick(r, back) for r in rows]
+    return [arith.row_cut(r, back) for r in rows]
 
 
 def _has_upper(arith, rows) -> bool:
     """Whether a square matrix given as rows has a nonzero entry above
     its diagonal."""
-    return not all(arith.row_is_zero(arith.row_pick(r, slice(i + 1, None)))
+    return not all(arith.row_is_zero(arith.row_cut(r, slice(i + 1, None)))
                    for i, r in enumerate(rows))
-
-
-def _leading_product(arith, r, X, i) -> list:
-    """The one row of r[:i] @ X[:i][:i], for X given as at least i rows:
-    the vector product of the substitutions."""
-    lead = slice(i)
-    return arith.chain([[arith.row_pick(r, lead)],
-                        [arith.row_pick(x, lead) for x in X[:i]]])
 
 
 def _lower_inverse(arith, rows) -> list:
@@ -766,7 +757,7 @@ def _lower_inverse(arith, rows) -> list:
     n = len(rows)
     out = []
     for i, r in enumerate(rows):
-        head = _leading_product(arith, r, out, i)[0]
+        head = arith.lead_product(r, out, i)
         e = arith.row_cat(arith.row_negate(head),
                           arith.row([one] + [zero] * (n - 1 - i)))
         pivot = arith.row_entry(r, i)

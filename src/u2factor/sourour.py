@@ -197,23 +197,31 @@ class _Basis:
         """Rows of W Q^-1, for W given as rows whose m columns follow the
         basis vectors."""
         ar, m = self.arith, self.m
-        one, zero = ar.one, ar.zero
+        neg, one = ar.neg, ar.one
         # s = w Q^-1 solves s Q = w: s_t = w_t' on kept t, then the 2x2
-        # system s.x = w_0, s.y = w_1 in s_a, s_p, whose solution is w
-        # times the two columns c_a and c_p
-        r0 = [one] + [zero] * (m - 1)                    # w_0 - w_t', t = xt
+        # system s.x = w_0, s.y = w_1 in s_a, s_p.  With r0 = w_0 - w_t'
+        # for t = xt (w_0 if x is e_a), s_p = (w_1 - w'.y' - ya r0) / d
+        # and s_a = r0 - x_p s_p: w times the columns c_p and c_a, and
+        # c_a = e_0 picks w_0 when x is e_a
+        r0 = [one] + [ar.zero] * (m - 1)
+        v = [neg(self.ya), one] + [neg(c) for c in self.y_kept]
         if self.xt is not None:
-            r0[2 + self.kept.index(self.xt)] = ar.neg(one)
-        r0 = ar.row(r0)
-        r1 = ar.row([zero, one] + [ar.neg(v) for v in self.y_kept])  # w_1 - w'.y'
-        c_p = ar.row_scale(ar.row_sub_scaled(r1, self.ya, r0), self.d_inv)
-        c_a = ar.row_sub_scaled(r0, one, c_p) if self.xp else r0
-        # [w (c_a c_p) | w] has s_a at 0, s_p at 1 and w_t' at 4 + idx
-        order = [0] * m
-        order[self.p] = 1
+            at = 2 + self.kept.index(self.xt)
+            r0[at] = neg(one)
+            v[at] = ar.add(v[at], self.ya)
+        cols = [ar.row_scale(ar.row(v), self.d_inv)]
+        if self.xt is not None or self.xp:
+            r0 = ar.row(r0)
+            cols.append(ar.row_sub_scaled(r0, one, cols[0]) if self.xp
+                        else r0)
+        # [w c_p w c_a | w], or [w c_p | w], has s_p at 0, s_a at 1 and
+        # w_t' at k + 2 + idx for k columns
+        k = len(cols)
+        order = [1] * m
+        order[self.p] = 0
         for idx, t in enumerate(self.kept):
-            order[t] = 4 + idx
-        return ar.augment(W, [c_a, c_p], W, order)
+            order[t] = k + 2 + idx
+        return ar.augment(W, cols, W, order)
 
 
 def _split(ar, A, betas, gammas, fixes):
@@ -262,14 +270,13 @@ def _split(ar, A, betas, gammas, fixes):
     # [[g1, u / b1], [0, C1]], with B1 = T1 L1 T1^-1 and C1 likewise
     top = ar.row_scale(u, ar.inv(b1))
     g1_inv = ar.inv(g1)
-    L = [ar.row([b1] + [ar.zero] * (m - 1))] + ar.augment(
-        T1_inv, [ar.row([g1_inv] + [ar.zero] * (m - 2))], L1)
-    U = ([ar.row_cat(ar.row([g1]), ar.chain([[top], T1])[0])]
-         + ar.bump(U1)[1:])
+    L = [ar.row([b1] + [ar.zero] * (m - 1))] + [
+        ar.row_push(mul(g1_inv, entry(t, 0)), r) for t, r in zip(T1_inv, L1)]
+    U = [ar.row_push(g1, ar.chain([[top], T1])[0])] + ar.bump(U1)[1:]
     T, T_inv = ar.bump(T1), ar.bump(T1_inv)
     if fixed:
         # E (1 (+) T1) and (1 (+) T1^-1) E^-1, E = I + mu e_0 e_2^T
-        T[0] = ar.row_cat(ar.row([ar.one]), ar.row_scale(T1[1], mu))
+        T[0] = ar.row_push(ar.one, ar.row_scale(T1[1], mu))
         T_inv[0] = ar.row([ar.one, ar.zero, ar.neg(mu)]
                           + [ar.zero] * (m - 3))
     return basis.left_mul(T), basis.right_div(T_inv), L, U
