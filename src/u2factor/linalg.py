@@ -19,9 +19,11 @@ operation, not one per entry.
 Over Q a ``Matrix`` also holds the form, canonical integer rows.  A
 product's result has only the form, and a matrix made from rows of
 reps only those, until the other view is first read: products and the
-certificate checks, determinants and tokens run on the form, and the
-``Fraction`` rows are made only for the entry-level algorithms (the
-eliminations, the substitutions, Jordan data).
+certificate checks, determinants and tokens run on the form, and so do
+the substitutions of ``diagonalize_triangular`` and
+``single_block_jordan``, through the row API of the arith class
+(``field`` lists it).  The ``Fraction`` rows are made only for the
+eliminations and the Jordan data of ``unipotent_jordan``.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -596,6 +598,10 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     columns the chain of N on w = T^-1 e_f.  N^k w has its first
     nonzero at k, so K reversed in column order is lower triangular:
     P^-1 = T K, and P = K^-1 T^-1 with K^-1 by substitution.
+
+    T, T^-1 and R are read as forms and K is built as one, so over Q
+    the chains and the substitution run on integer rows, and P and P^-1
+    are the forms they return.
     """
     field, n = R.field, R.n
     arith = field.arith
@@ -691,6 +697,14 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     eigenspace of a distinct spectrum is a line, so both give the same
     column, and the same P: the matching row of W^-1, divided by that
     column's scale, times T^-1.
+
+    All of it runs on rows of forms (the arith class's row API): row i
+    of W is the product of R[i][:i] with W's leading block, divided
+    entry by entry by the gaps d_k - d_i and followed by a unit tail;
+    ``primitive_columns`` scales the columns of T W; and P is the chain
+    of the scaled rows of W^-1 with T^-1's form.  Over Q that is one
+    integer pass and one ``gcd`` per row, and P and P^-1 go to
+    ``Matrix.from_form`` as they are.
     """
     field, n = R.field, R.n
     arith = field.arith
@@ -748,11 +762,11 @@ def _has_upper(arith, rows) -> bool:
 
 
 def _lower_inverse(arith, rows) -> list:
-    """Rows of X^-1, for X lower triangular with no zero on its diagonal,
-    by substitution: row i of X X^-1 = I gives
-    X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i].  X^-1 is lower
-    triangular too, so the product reads only its leading i x i block
-    and is zero from column i on."""
+    """Rows of X^-1, for X given as rows of the arith class's row type,
+    lower triangular with no zero on its diagonal, by substitution: row
+    i of X X^-1 = I gives X^-1[i] = (e_i - X[i][:i] . X^-1[:i]) / X[i][i].
+    X^-1 is lower triangular too, so the product reads only its leading
+    i x i block (``lead_product``) and is zero from column i on."""
     zero, one = arith.zero, arith.one
     n = len(rows)
     out = []

@@ -18,13 +18,22 @@ level replaces its third basis vector e_t by e_t + b1 g1 x, the
 similarity E = I + b1 g1 e_0 e_2^T: column 0 stays (b1 g1, 1, 0, ...),
 and A' becomes lam I + lam e_0 e_1^T, which is not scalar.
 
-The split runs on rows of raw reps through the field's arith class,
-with the rep helpers ``linalg`` shares; ``Matrix`` appears only in
-``SourourFactorization`` and ``sourour_factor``.  A level's basis change
+The split runs on rows of A's form through the row API of the field's
+arith class (``field`` lists it); ``Matrix`` appears only in
+``SourourFactorization`` and ``sourour_factor``.  Over a finite field a
+row is a list of reps; over Q it is integers over one positive
+denominator, in lowest terms, so every row operation is one integer
+pass and one ``gcd``, and the scalars (the entries of y, the heads, the
+pivot d) are the only ``Fraction``s, O(m) of them at an m x m level.
+T, T^-1, L and U come out as forms and go to ``Matrix.from_form`` as
+they are.  A level's basis change
 Q = [x, y, e_t, ...] is the identity up to column order, except for the
 dense column y and, when x = e_i + e_j, one extra 1 (``_Basis``).  So
 Q^-1 A Q and the correction cost O(m^2) each at an m x m level, O(n^3)
-in all, with no elimination and no dense matrix product.
+in all, with no elimination and no dense matrix product: the rows
+[A y | A's kept columns] and W Q^-1 are one ``augment`` each, a product
+with one or two columns put in front of each row and the entries
+rearranged.
 
 The split builds neither B nor C.  At every level Q^-1 B Q is lower
 and Q^-1 C Q upper block triangular around the next level's parts, so
@@ -225,7 +234,7 @@ class _Basis:
 
 
 def _split(ar, A, betas, gammas, fixes):
-    """Split A, given as rows of reps: the rows of (T, T^-1, L, U), or
+    """Split A, given as rows of its form: the rows of (T, T^-1, L, U), or
     None when A is a scalar that no pairing of betas with gammas splits.
     Each level that fixes its basis appends its size to ``fixes``."""
     m = len(A)

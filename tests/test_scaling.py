@@ -9,18 +9,34 @@ over seeded ``random_sl`` inputs at a fixed n.  The prime ladder runs
 from 10007 to 2^61 - 1: the counts must be equal on every rung, and no
 table of the field's elements or squares may be built.  Memos are
 cleared before each rung, so every rung starts cold.
+
+The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10
+and 14.  The largest numerator or denominator of a certificate entry
+may not grow past the bits it has had since the split and the
+substitutions moved onto integer rows, and while ``sourour_factor`` and
+``diagonalize_triangular`` run, no row operation on rows of Fractions
+(``RationalArith.scale``, ``sub_scaled``, ``product_reps``) is made.
 """
 
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
-from u2factor import factor, verify
-from u2factor.field import GF, PrimeArith
+from u2factor import factor, linalg, verify
+from u2factor.field import GF, PrimeArith, RationalArith, rationals
 from u2factor.sampling import random_sl
+
+# the module, which the package's factor_sl2 function shadows
+sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 PRIME_LADDER = (10007, 1000003, 2 ** 31 - 1, 2 ** 61 - 1)
 INPUTS = 5
+# n: the largest numerator or denominator of a certificate entry, in
+# bits, of the seeded input at n
+Q_LADDER = {6: 201, 10: 1173, 14: 3621}
+FRACTION_ROW_OPS = ("scale", "sub_scaled", "product_reps")
 
 
 def _work(mats) -> int:
@@ -70,3 +86,63 @@ def test_prime_ladder_work_is_independent_of_p(n, counts, memos,
     assert first["chains"] > 0 and first["is_product"] > 0
     assert all(c == first for c in per_p.values()), per_p
     assert table_calls == []
+
+
+def _entry_bits(cert) -> int:
+    """The largest numerator or denominator of an entry of a pair member,
+    in bits."""
+    return max(abs(int(part)).bit_length()
+               for pair in cert.pairs for member in (pair.x, pair.y)
+               for row in member.tokens() for token in row
+               for part in token.split("/"))
+
+
+@pytest.fixture
+def fraction_rows(monkeypatch):
+    """Calls of the Fraction-row operations of ``RationalArith``, by name,
+    made while the route's ``sourour_factor`` or
+    ``diagonalize_triangular`` runs; "stages" counts those runs."""
+    seen, inside = Counter(), []
+
+    def staged(fn):
+        def wrapped(*args, **kwargs):
+            seen["stages"] += 1
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            if inside:
+                seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("sourour_factor", "diagonalize_triangular"):
+        monkeypatch.setattr(sl2_routes, name,
+                            staged(getattr(sl2_routes, name)))
+    for name in FRACTION_ROW_OPS:
+        monkeypatch.setattr(RationalArith, name,
+                            counted(name, getattr(RationalArith, name)))
+    return seen, staged
+
+
+@pytest.mark.parametrize("n", sorted(Q_LADDER))
+def test_rational_ladder(n, fraction_rows):
+    seen, staged = fraction_rows
+    A = random_sl(rationals(), n, random.Random(f"ladder:{n}"))
+    cert = factor(A)
+    report = verify(cert)
+    assert report.passed, report.text()
+    assert f"prop5.2(n={n})" in cert.route
+    assert _entry_bits(cert) <= Q_LADDER[n]
+    assert seen["stages"] == 3  # one split, two diagonalizations
+    assert not any(seen[name] for name in FRACTION_ROW_OPS), seen
+    # the counters do see the eliminations, which keep rows of Fractions
+    part = linalg.Matrix.from_ints(rationals(), [[2, 1], [0, 3]])
+    staged(linalg.similarity_to_diagonal)(
+        part, [rationals().element(2), rationals().element(3)])
+    assert seen["scale"] > 0 and seen["sub_scaled"] > 0

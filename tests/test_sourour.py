@@ -1,9 +1,11 @@
 import importlib
+import importlib.util
 import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,21 @@ from u2factor.sourour import (sourour_factor, SourourError,
 
 # the module, which the package's factor_sl2 function shadows
 sl2_routes = importlib.import_module("u2factor.factor_sl2")
+
+
+def _q_digests_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_q_digests.py"
+    spec = importlib.util.spec_from_file_location("make_q_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the P of the Q digest corpus: unit upper triangular, each entry above
+# the diagonal over a denominator of its own with the given bits
+wide_conjugator = _q_digests_script().wide_conjugator
+# (bits, n) of the inputs conjugated by such a P
+WIDE_CASES = [(64, 4), (64, 6), (500, 3), (500, 4)]
 
 
 def random_prescription(F, n, det, rng):
@@ -343,7 +360,7 @@ def distinct_prescription(F, n, det, rng):
         for v in betas + gammas:
             prod = prod * v
         gammas.append(det * prod.inverse())
-        if len(set(gammas)) == n:
+        if len(set(betas)) == len(set(gammas)) == n:
             return tuple(betas), tuple(gammas)
 
 
@@ -373,6 +390,16 @@ def nonscalar_sl(F, n, rng):
     while A.is_scalar():
         A = random_sl(F, n, rng)
     return A
+
+
+def wide_q_input(bits, n, rng):
+    """A nonscalar seeded input in SL_n(Q) conjugated by a
+    ``wide_conjugator`` P, so each of its rows has a denominator as wide
+    as the lcm of many unrelated ones."""
+    F = rationals()
+    A = nonscalar_sl(F, n, rng)
+    P = wide_conjugator(F, n, bits, rng)
+    return P @ A @ P.inverse()
 
 
 def assert_same_as_dense(A, betas, gammas):
@@ -407,7 +434,7 @@ class TestAgainstDenseSplit:
         ("GF(9)", 4), ("GF(9)", 8),
         ("GF(31)", 6), ("GF(31)", 12), ("GF(31)", 16),
         ("GF(10007)", 9), ("GF(10007)", 16),
-        ("Q", 3), ("Q", 5), ("Q", 7),
+        ("Q", 3), ("Q", 5), ("Q", 7), ("Q", 10),
     ])
     def test_same_split(self, spec, n):
         F = parse_field_spec(spec)
@@ -416,6 +443,13 @@ class TestAgainstDenseSplit:
             A = nonscalar_sl(F, n, rng)
             for _, (betas, gammas) in prescriptions(F, n, A, rng):
                 assert_same_as_dense(A, betas, gammas)
+
+    @pytest.mark.parametrize("bits,n", WIDE_CASES)
+    def test_wide_rows_same_split(self, bits, n):
+        rng = random.Random(f"wide-{bits}-{n}")
+        A = wide_q_input(bits, n, rng)
+        for _, (betas, gammas) in prescriptions(A.field, n, A, rng):
+            assert_same_as_dense(A, betas, gammas)
 
     def test_backtracking_splits(self):
         # about one repeated prescription in a hundred meets a scalar
@@ -446,12 +480,21 @@ class TestTriangularize:
         ("GF(31)", 7), ("GF(31)", 16),
         ("GF(10007)", 2), ("GF(10007)", 11), ("GF(10007)", 16),
         ("GF(256;1,1,0,1,1,0,0,0,1)", 5), ("GF(256;1,1,0,1,1,0,0,0,1)", 16),
-        ("Q", 2), ("Q", 4), ("Q", 7),
+        ("Q", 2), ("Q", 4), ("Q", 7), ("Q", 10),
     ])
     def test_factors_and_diagonalization(self, spec, n):
         F = parse_field_spec(spec)
         rng = random.Random(f"triangular-{spec}-{n}")
-        A = nonscalar_sl(F, n, rng)
+        self.check(nonscalar_sl(F, n, rng), rng)
+
+    @pytest.mark.parametrize("bits,n", WIDE_CASES)
+    def test_wide_rows(self, bits, n):
+        rng = random.Random(f"triangular-wide-{bits}-{n}")
+        self.check(wide_q_input(bits, n, rng), rng)
+
+    @staticmethod
+    def check(A, rng):
+        F, n = A.field, A.n
         for kind, (betas, gammas) in prescriptions(F, n, A, rng):
             split = sourour_factor(A, betas, gammas)
             T, T_inv, L, U = assert_triangularized(split, betas, gammas)
