@@ -19,8 +19,8 @@ The Sourour split and the triangular substitutions (``sourour``,
 matrices as rows of the form and work on them through the row API:
 ``row`` makes one from reps and ``row_entry`` reads one entry back;
 ``row_scale``, ``row_sub_scaled``, ``row_negate``, ``row_divide``;
-``row_cut``, ``row_pick``, ``row_cat``, ``row_push`` and ``bump`` for
-the rearrangements; ``lead_product`` and ``augment`` for their small
+``row_cut``, ``row_pick``, ``row_cat`` and ``row_push`` for the
+rearrangements; ``lead_product`` and ``augment`` for their small
 products, besides ``chain``; and ``is_scalar`` and
 ``primitive_columns`` on whole matrices.  Over a finite field a row is a
 list of reps, and its row operations are ``scale``, ``sub_scaled`` and
@@ -84,8 +84,8 @@ coefficients; a float or any other type raises FieldError.
 
 Every integer in a token or a field spec is an optional sign and ASCII
 digits, and a Q token is such an integer and optionally ``/digits``.
-Tokens convert by ``int``, and through ``decimal`` past Python's
-int <-> str digit limit, so they may have any length.
+Tokens convert by ``int`` and print by ``str``, and through ``decimal``
+past Python's int <-> str digit limit, so they may have any length.
 
 Each arith class answers ``sqrt`` and ``is_square`` with the first
 root in canonical order.  Over GF(p) that is min(r, p - r) for the two
@@ -446,12 +446,6 @@ class _FiniteArith:
     def lead_product(self, r, X, i) -> list:
         """The row r[:i] @ X[:i][:i], for X given as at least i rows."""
         return self.chain([[r[:i]], [x[:i] for x in X[:i]]])[0]
-
-    def bump(self, rows) -> list:
-        """Rows of 1 (+) X, for X given as rows."""
-        zero = self.zero
-        return ([[self.one] + [zero] * len(rows)]
-                + [[zero, *r] for r in rows])
 
     def augment(self, rows, cols, rest, order=None) -> list:
         """Rows of [rows @ C | rest], for C given by its columns as rows,
@@ -851,13 +845,22 @@ def _common(vecs) -> tuple:
                  for d, v in vecs]
 
 
+def _digits(x: int) -> str:
+    """The decimal digits of an int, with its sign: by ``str``, and
+    through ``decimal`` past Python's int <-> str digit limit, where
+    ``str`` raises ValueError (``_int`` reads them back the same way)."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
+
+
 def _ratio_token(num: int, den: int) -> str:
-    """The token of num / den, den > 0, in lowest terms, through
-    ``decimal``, which has no digit limit."""
+    """The token of num / den, den > 0, in lowest terms."""
     g = math.gcd(num, den)
     if g == den:
-        return str(Decimal(num // g))
-    return f"{Decimal(num // g)}/{Decimal(den // g)}"
+        return _digits(num // g)
+    return f"{_digits(num // g)}/{_digits(den // g)}"
 
 
 class RationalArith:
@@ -866,15 +869,15 @@ class RationalArith:
     the split and the substitutions.
 
     Element operations and the eliminations' row operations (``scale``,
-    ``sub_scaled``, ``negate``) are ``Fraction``'s.  A matrix form holds each row once as
-    integers over one positive denominator, (d, ints) with ints a tuple
-    and gcd(d, *ints) = 1, so a zero row is (1, zeros).  A row has one
-    such form: d must be the lcm of its entries' reduced denominators,
-    since any other d with integer multiples is a multiple m > 1 of it,
-    and m then divides d and all the integers.  So two matrices are
-    equal iff their forms are equal tuples.  ``form`` clears rows of
-    Fractions to it (``_clear_denominators``) and ``reps`` reads the
-    Fractions back, one per entry.
+    ``sub_scaled``, ``negate``) are ``Fraction``'s.  A matrix form holds
+    each row once as integers over one positive denominator, (d, ints)
+    with ints a tuple and gcd(d, *ints) = 1, so a zero row is (1, zeros).
+    A row has one such form: d must be the lcm of its entries' reduced
+    denominators, since any other d with integer multiples is a
+    multiple m > 1 of it, and m then divides d and all the integers.  So
+    two matrices are equal iff their forms are equal tuples.  ``form``
+    clears rows of Fractions to it (``_clear_denominators``) and
+    ``reps`` reads the Fractions back, one per entry.
 
     ``chain`` and ``is_product`` take each factor's form as it is, so no
     product clears an operand.  ``_columns`` runs right to left on
@@ -890,15 +893,17 @@ class RationalArith:
     and returns them in lowest terms: each operation is one pass over
     the integers and one ``gcd``, where a row of Fractions takes one
     ``Fraction`` operation per entry (about 18 against 5 us for a
-    6-entry row - c other with 60-bit entries, 2-vCPU VM); ``row_cat``, ``row_push`` and ``bump`` need no
-    ``gcd`` at all, as the lcm of two rows in lowest terms keeps them
-    so.  ``product_reps`` multiplies rows of Fractions as the
-    eliminations' Jordan data hold them (``unipotent_jordan``,
-    ``apply_reps``), without forms.  ``det`` runs Bareiss's fraction-free elimination
-    on the form's integer rows, so it makes one ``Fraction`` in all, and
-    ``tokens`` prints the form's entries.  ``primitive`` clears a
-    vector's denominators and divides out the gcd of its coordinates.
-    Tokens convert through ``decimal``, which has no digit limit.
+    6-entry row - c other with 60-bit entries, 2-vCPU VM).  ``row_cat``
+    and ``row_push`` need no ``gcd`` at all, as the lcm of two rows in
+    lowest terms keeps them so.  ``product_reps`` multiplies rows of
+    Fractions as the eliminations' Jordan data hold them
+    (``unipotent_jordan``, ``apply_reps``), without forms.  ``det``
+    runs Bareiss's fraction-free elimination on the form's integer rows,
+    so it makes one ``Fraction`` in all, and ``tokens`` prints the
+    form's entries.  ``primitive`` clears a vector's denominators and
+    divides out the gcd of its coordinates.  Tokens print by ``str``,
+    and through ``decimal``, which has no digit limit, only past
+    Python's int <-> str digit limit.
     """
 
     __slots__ = ()
@@ -997,22 +1002,15 @@ class RationalArith:
             s = tuple([x * (big // e) for x in s])
         return big, r + s
 
-    def bump(self, rows) -> list:
-        """Rows of 1 (+) X, for X given as rows: a zero in front of each
-        row keeps it in lowest terms."""
-        return ([(1, (1,) + (0,) * len(rows))]
-                + [(d, (0,) + r) for d, r in rows])
-
     def row_push(self, v, row) -> tuple:
         """The row of v followed by row's entries: ``row_cat`` of v's
         row and row."""
         num, den = v.as_integer_ratio()
         d, r = row
-        if den == d:
-            return d, (num,) + r
         big = math.lcm(den, d)
-        lift = big // d
-        return big, (num * (big // den),) + tuple([x * lift for x in r])
+        if big != d:
+            r = tuple([x * (big // d) for x in r])
+        return big, (num * (big // den),) + r
 
     def augment(self, rows, cols, rest, order=None) -> list:
         """Rows of [rows @ C | rest], for C given by its columns as rows,

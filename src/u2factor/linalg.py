@@ -618,7 +618,8 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     powers = [[entry(r, f) for r in Tinv]]
     for _ in range(n - 1):
         powers.append(apply_rows(arith, N, powers[-1]))
-    K_rev = arith.form([list(r) for r in zip(*powers)])  # K J, lower triangular
+    # K J, lower triangular
+    K_rev = arith.form([list(r) for r in zip(*powers)])
     Q = _reversed(arith, arith.chain([Tr, K_rev]))
     P = arith.chain([_lower_inverse(arith, K_rev)[::-1], Tinv])
     return JordanData((n,), Matrix.from_form(field, P),

@@ -103,6 +103,13 @@ class SourourFactorization:
         return f"sourour(betas={bs};gammas={gs};backtracks={self.backtracks})"
 
 
+def _bump(arith, rows):
+    """Rows of 1 (+) X, for X given as rows."""
+    zero = arith.zero
+    return ([arith.row([arith.one] + [zero] * len(rows))]
+            + [arith.row_push(zero, r) for r in rows])
+
+
 def _candidate_supports(m):
     """Supports of e_1..e_m, then of e_i + e_j: for a nonscalar matrix at
     least one of these vectors is not an eigenvector."""
@@ -281,8 +288,8 @@ def _split(ar, A, betas, gammas, fixes):
     g1_inv = ar.inv(g1)
     L = [ar.row([b1] + [ar.zero] * (m - 1))] + [
         ar.row_push(mul(g1_inv, entry(t, 0)), r) for t, r in zip(T1_inv, L1)]
-    U = [ar.row_push(g1, ar.chain([[top], T1])[0])] + ar.bump(U1)[1:]
-    T, T_inv = ar.bump(T1), ar.bump(T1_inv)
+    U = [ar.row_push(g1, ar.chain([[top], T1])[0])] + _bump(ar, U1)[1:]
+    T, T_inv = _bump(ar, T1), _bump(ar, T1_inv)
     if fixed:
         # E (1 (+) T1) and (1 (+) T1^-1) E^-1, E = I + mu e_0 e_2^T
         T[0] = ar.row_push(ar.one, ar.row_scale(T1[1], mu))

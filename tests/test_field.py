@@ -1,3 +1,5 @@
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,41 @@ class TestTokens:
             assert parse_element(f, token) == e
         digits = "9" * 4400
         assert parse_element(f, "-" + digits).rep == -(10 ** 4400 - 1)
+
+    @staticmethod
+    def _decimal_token(value: Fraction) -> str:
+        # the token as printed through ``decimal`` alone
+        num, den = value.numerator, value.denominator
+        return str(Decimal(num)) + ("" if den == 1 else f"/{Decimal(den)}")
+
+    def _assert_tokens_at(self, digits):
+        # numbers of exactly `digits` digits, as integers, numerators and
+        # denominators: the same bytes as through ``decimal``, read back
+        f = rationals()
+        big = 10 ** (digits - 1) + 7
+        for value in (Fraction(big), Fraction(-big), Fraction(big, 3),
+                      Fraction(-3, big), Fraction(big, big + 2)):
+            e = f.element(value)
+            token = e.token()
+            assert token == self._decimal_token(value)
+            assert parse_element(f, token) == e
+            assert f.arith.tokens(f.arith.form([[value]])) == [[token]]
+
+    def test_rational_tokens_at_the_int_str_limit(self):
+        # str(int) prints at most sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        for digits in (limit - 1, limit, limit + 1):
+            self._assert_tokens_at(digits)
+
+    def test_rational_tokens_under_a_lowered_int_str_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit Python allows
+        try:
+            for digits in (639, 640, 641, 5000):
+                self._assert_tokens_at(digits)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert sys.get_int_max_str_digits() == old
 
     def test_extension_tokens(self):
         f = GF(9)

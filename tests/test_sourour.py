@@ -29,7 +29,8 @@ sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 
 def _q_digests_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_q_digests.py"
+    path = Path(__file__).resolve().parents[1] / "scripts" \
+        / "make_q_digests.py"
     spec = importlib.util.spec_from_file_location("make_q_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
