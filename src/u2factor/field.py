@@ -18,15 +18,14 @@ The Sourour split and the triangular substitutions (``sourour``,
 ``linalg.diagonalize_triangular``, ``single_block_jordan``) hold their
 matrices as rows of the form and work on them through the row API:
 ``row`` makes one from reps and ``row_entry`` reads one entry back;
-``row_scale``, ``row_sub_scaled``, ``row_negate``, ``row_divide``;
-``row_cut``, ``row_pick``, ``row_cat`` and ``row_push`` for the
-rearrangements; ``lead_product`` and ``augment`` for their small
-products, besides ``chain``; and ``is_scalar`` and
-``primitive_columns`` on whole matrices.  Over a finite field a row is a
-list of reps, and its row operations are ``scale``, ``sub_scaled`` and
-``negate`` themselves; over Q it is a row of the form, (d, ints), and no
-row operation makes a ``Fraction``.  Their results are forms as they
-stand.
+``row_scale``, ``row_sub_scaled``, ``row_negate`` and ``row_divide``
+compute; ``row_cut``, ``row_cat`` and ``row_push`` rearrange;
+``lead_product`` and ``augment`` are their small products, besides
+``chain``; and ``is_scalar``, ``is_lower`` and ``primitive_columns``
+read whole matrices.  Over a finite field a row is a list of reps, and its row
+operations are ``scale``, ``sub_scaled`` and ``negate`` themselves; over
+Q it is a row of the form, (d, ints), and no row operation makes a
+``Fraction``.  Their results are forms as they stand.
 
 Each class has one matrix product, ``chain``: mats[0] @ ... @ mats[-1]
 evaluated right to left in one pass, a product of two being a chain of
@@ -458,12 +457,11 @@ class _FiniteArith:
             return [[r[order[0]]] for r in out]
         return list(map(operator.itemgetter(*order), out))
 
-    def row_pick(self, row, cols) -> list:
-        """The row of row's entries at the indices ``cols``."""
-        return [row[j] for j in cols]
-
-    def row_is_zero(self, row) -> bool:
-        return all(map(self.is_zero, row))
+    def is_lower(self, rows) -> bool:
+        """Whether the square matrix given as rows has no nonzero entry
+        above its diagonal."""
+        return all(map(self.is_zero, itertools.chain.from_iterable(
+            r[i + 1:] for i, r in enumerate(rows))))
 
     def row_divide(self, row, by) -> list:
         """The row of row[k] / by[k], for a row ``by`` with no zero."""
@@ -476,15 +474,17 @@ class _FiniteArith:
         return all(v == d if i == j else is_zero(v)
                    for i, row in enumerate(rows) for j, v in enumerate(row))
 
-    def primitive_columns(self, rows) -> tuple:
-        """(rows, scales): the matrix given as rows with column k
-        multiplied by scales[k], the inverse of its last nonzero entry,
-        so that it ends in 1, as ``primitive`` leaves it; no column may be
-        zero."""
-        is_zero, inv, scale = self.is_zero, self.inv, self.scale
+    def primitive_columns(self, rows, order) -> tuple:
+        """(rows, scales): the columns ``order`` of the matrix given as
+        rows, column order[k] multiplied by scales[k], the inverse of its
+        last nonzero entry, so that it ends in 1, as ``primitive`` leaves
+        it; no such column may be zero."""
+        is_zero, inv = self.is_zero, self.inv
+        cols = list(zip(*rows))
+        cols = [cols[k] for k in order]
         scales = [inv(next(x for x in reversed(c) if not is_zero(x)))
-                  for c in zip(*rows)]
-        cols = map(scale, zip(*rows), scales)
+                  for c in cols]
+        cols = map(self.scale, cols, scales)
         return [list(r) for r in zip(*cols)], scales
 
     def tokens(self, form) -> list:
@@ -1044,14 +1044,10 @@ class RationalArith:
         d, r = row
         return _lowest(d, r[cols])
 
-    def row_pick(self, row, cols) -> tuple:
-        """The row of row's entries at the indices ``cols``, divided by
-        its gcd."""
-        d, r = row
-        return _lowest(d, [r[j] for j in cols])
-
-    def row_is_zero(self, row) -> bool:
-        return not any(row[1])
+    def is_lower(self, form) -> bool:
+        """Whether the square matrix given as its form has no nonzero
+        entry above its diagonal."""
+        return not any(any(r[i + 1:]) for i, (_, r) in enumerate(form))
 
     def row_divide(self, row, by) -> tuple:
         """The row of row[k] / by[k], for a row ``by`` with no zero: with
@@ -1095,16 +1091,18 @@ class RationalArith:
                                    for j, x in enumerate(r))
                    for i, (d, r) in enumerate(form))
 
-    def primitive_columns(self, form) -> tuple:
-        """(rows, scales): the matrix given as its form with column k
-        multiplied by scales[k], so that it is a primitive integer vector
-        whose last nonzero entry is positive, as ``primitive`` leaves it;
-        no column may be zero.  The rows over the lcm L of their
-        denominators are an integer matrix; each of its columns is
-        divided by its gcd, signed, and the rows are integers over 1."""
+    def primitive_columns(self, form, order) -> tuple:
+        """(rows, scales): the columns ``order`` of the matrix given as
+        its form, column order[k] multiplied by scales[k] so that it is a
+        primitive integer vector whose last nonzero entry is positive, as
+        ``primitive`` leaves it; no such column may be zero.  The rows
+        over the lcm L of their denominators are an integer matrix; each
+        of its columns is divided by its gcd, signed, and the rows are
+        integers over 1."""
         big, rows = _common(form)
         scales, cols = [], []
-        for c in zip(*rows):
+        every = list(zip(*rows))
+        for c in (every[k] for k in order):
             g = math.gcd(*c)
             if next(x for x in reversed(c) if x) < 0:
                 g = -g

@@ -609,7 +609,7 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     rows, Tr, Tinv = R.form(), T.form(), T_inv.form()
     if any(entry(r, i) != one for i, r in enumerate(rows)):
         raise NotUnipotent("matrix is not unit triangular")
-    if _has_upper(arith, rows):
+    if not arith.is_lower(rows):
         rows, Tr, Tinv = _flip(arith, rows), _reversed(arith, Tr), Tinv[::-1]
     N = arith.shift(rows, one)
     if any(is_zero(entry(N[i + 1], i)) for i in range(n - 1)):
@@ -712,7 +712,7 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     zero, one = arith.zero, arith.one
     spectrum = _reps_of(field, spectrum)
     rows, Tr, Tinv = R.form(), T.form(), T_inv.form()
-    if _has_upper(arith, rows):
+    if not arith.is_lower(rows):
         # J R J, with J the reversal, is lower, in the basis T J
         rows, Tr, Tinv = _flip(arith, rows), _reversed(arith, Tr), Tinv[::-1]
     diag = [arith.row_entry(r, i) for i, r in enumerate(rows)]
@@ -736,8 +736,7 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     W_inv = _lower_inverse(arith, W)
     # column i of P^-1 is T w for the column w of spectrum[i], put to the
     # eigenvector scale: c T w, and P's row i is W^-1's row for w over c
-    Q, scales = arith.primitive_columns(arith.chain(
-        [Tr, [arith.row_pick(w, order) for w in W]]))
+    Q, scales = arith.primitive_columns(arith.chain([Tr, W]), order)
     P_rows = [arith.row_scale(W_inv[k], arith.inv(c))
               for k, c in zip(order, scales)]
     return (Matrix.from_form(field, arith.chain([P_rows, Tinv])),
@@ -751,15 +750,8 @@ def _flip(arith, rows) -> list:
 
 def _reversed(arith, rows) -> list:
     """Rows of X J, J the reversal permutation: each row reversed."""
-    back = slice(None, None, -1)
-    return [arith.row_cut(r, back) for r in rows]
-
-
-def _has_upper(arith, rows) -> bool:
-    """Whether a square matrix given as rows has a nonzero entry above
-    its diagonal."""
-    return not all(arith.row_is_zero(arith.row_cut(r, slice(i + 1, None)))
-                   for i, r in enumerate(rows))
+    back, cut = slice(None, None, -1), arith.row_cut
+    return [cut(r, back) for r in rows]
 
 
 def _lower_inverse(arith, rows) -> list:
