@@ -22,10 +22,11 @@ matrices as rows of the form and work on them through the row API:
 compute; ``row_cut``, ``row_cat`` and ``row_push`` rearrange;
 ``lead_product`` and ``augment`` are their small products, besides
 ``chain``; and ``is_scalar``, ``is_lower`` and ``primitive_columns``
-read whole matrices.  Over a finite field a row is a list of reps, and its row
-operations are ``scale``, ``sub_scaled`` and ``negate`` themselves; over
-Q it is a row of the form, (d, ints), and no row operation makes a
-``Fraction``.  Their results are forms as they stand.
+read whole matrices.  Over a finite field a row is a list of reps, and
+its row operations are ``scale``, ``sub_scaled`` and ``negate``
+themselves; over Q it is a row of the form, (d, ints), and no row
+operation makes a ``Fraction``.  Their results are forms as they
+stand.
 
 Each class has one matrix product, ``chain``: mats[0] @ ... @ mats[-1]
 evaluated right to left in one pass, a product of two being a chain of
@@ -442,37 +443,35 @@ class _FiniteArith:
         """The row of v followed by row's entries."""
         return [v, *row]
 
-    def lead_product(self, r, X, i) -> list:
-        """The row r[:i] @ X[:i][:i], for X given as at least i rows."""
-        return self.chain([[r[:i]], [x[:i] for x in X[:i]]])[0]
-
-    def augment(self, rows, cols, rest, order=None) -> list:
-        """Rows of [rows @ C | rest], for C given by its columns as rows,
-        each with its entries taken in ``order`` when it is given."""
-        out = [[*c, *r] for c, r in
-               zip(self.chain([rows, list(zip(*cols))]), rest)]
-        if order is None:
-            return out
-        if len(order) == 1:
-            return [[r[order[0]]] for r in out]
-        return list(map(operator.itemgetter(*order), out))
-
-    def is_lower(self, rows) -> bool:
-        """Whether the square matrix given as rows has no nonzero entry
-        above its diagonal."""
-        return all(map(self.is_zero, itertools.chain.from_iterable(
-            r[i + 1:] for i, r in enumerate(rows))))
-
     def row_divide(self, row, by) -> list:
         """The row of row[k] / by[k], for a row ``by`` with no zero."""
         mul, inv = self.mul, self.inv
         return [mul(x, inv(y)) for x, y in zip(row, by)]
+
+    def lead_product(self, r, X, i) -> list:
+        """The row r[:i] @ X[:i][:i], for X given as at least i rows."""
+        return self.chain([[r[:i]], [x[:i] for x in X[:i]]])[0]
+
+    def augment(self, rows, cols, rest, order) -> list:
+        """Rows of [rows @ C | rest], for C given by its columns as rows,
+        each with its entries taken in ``order``."""
+        out = [[*c, *r] for c, r in
+               zip(self.chain([rows, list(zip(*cols))]), rest)]
+        if len(order) == 1:  # an itemgetter of one index returns no tuple
+            return [[r[order[0]]] for r in out]
+        return list(map(operator.itemgetter(*order), out))
 
     def is_scalar(self, rows) -> bool:
         """Whether the square matrix given as rows of reps is scalar."""
         d, is_zero = rows[0][0], self.is_zero
         return all(v == d if i == j else is_zero(v)
                    for i, row in enumerate(rows) for j, v in enumerate(row))
+
+    def is_lower(self, rows) -> bool:
+        """Whether the square matrix given as rows has no nonzero entry
+        above its diagonal."""
+        return all(map(self.is_zero, itertools.chain.from_iterable(
+            r[i + 1:] for i, r in enumerate(rows))))
 
     def primitive_columns(self, rows, order) -> tuple:
         """(rows, scales): the columns ``order`` of the matrix given as
@@ -986,6 +985,12 @@ class RationalArith:
         d, ints = row
         return Fraction(ints[i], d)
 
+    def row_cut(self, row, cols) -> tuple:
+        """The row of row's entries in the slice ``cols``, divided by its
+        gcd."""
+        d, r = row
+        return _lowest(d, r[cols])
+
     def row_cat(self, a, b) -> tuple:
         """The row a followed by the row b, over the lcm L of their
         denominators.  It is in lowest terms as it stands: for a prime
@@ -1012,51 +1017,6 @@ class RationalArith:
             r = tuple([x * (big // d) for x in r])
         return big, (num * (big // den),) + r
 
-    def augment(self, rows, cols, rest, order=None) -> list:
-        """Rows of [rows @ C | rest], for C given by its columns as rows,
-        each with its entries taken in ``order`` when it is given: one
-        pass and one gcd per row.  The columns are put over the lcm L of
-        their denominators, so row r / d of ``rows`` gives the entries
-        (r . c) / (d L), and the row s / e of ``rest`` joins them over
-        the lcm of d L and e."""
-        big, cols = _common(cols)
-        mul, out = operator.mul, []
-        for (d, r), (e, s) in zip(rows, rest):
-            den = d * big
-            lcm = den // math.gcd(den, e) * e
-            lift, lift_rest = lcm // den, lcm // e
-            ext = [sum(map(mul, r, c)) * lift for c in cols]
-            ext += [x * lift_rest for x in s] if lift_rest > 1 else s
-            out.append(_lowest(lcm, ext if order is None
-                               else [ext[j] for j in order]))
-        return out
-
-    def lead_product(self, r, X, i) -> tuple:
-        """The row r[:i] @ X[:i][:i], for X given as at least i rows: the
-        chain takes the cut rows over their denominators as they are,
-        and its result is in lowest terms."""
-        d, s = r
-        return self.chain([[(d, s[:i])], [(e, x[:i]) for e, x in X[:i]]])[0]
-
-    def row_cut(self, row, cols) -> tuple:
-        """The row of row's entries in the slice ``cols``, divided by its
-        gcd."""
-        d, r = row
-        return _lowest(d, r[cols])
-
-    def is_lower(self, form) -> bool:
-        """Whether the square matrix given as its form has no nonzero
-        entry above its diagonal."""
-        return not any(any(r[i + 1:]) for i, (_, r) in enumerate(form))
-
-    def row_divide(self, row, by) -> tuple:
-        """The row of row[k] / by[k], for a row ``by`` with no zero: with
-        row = s / d and by = g / e, entry k is s_k e / (d g_k), over d
-        times the lcm G of the |g_k|."""
-        (d, s), (e, g) = row, by
-        big = math.lcm(*g)
-        return _lowest(d * big, [x * e * (big // y) for x, y in zip(s, g)])
-
     def row_scale(self, row, c) -> tuple:
         """c * row, with one gcd."""
         num, den = c.as_integer_ratio()
@@ -1082,6 +1042,39 @@ class RationalArith:
         d, r = row
         return d, tuple([-x for x in r])
 
+    def row_divide(self, row, by) -> tuple:
+        """The row of row[k] / by[k], for a row ``by`` with no zero: with
+        row = s / d and by = g / e, entry k is s_k e / (d g_k), over d
+        times the lcm G of the |g_k|."""
+        (d, s), (e, g) = row, by
+        big = math.lcm(*g)
+        return _lowest(d * big, [x * e * (big // y) for x, y in zip(s, g)])
+
+    def lead_product(self, r, X, i) -> tuple:
+        """The row r[:i] @ X[:i][:i], for X given as at least i rows: the
+        chain takes the cut rows over their denominators as they are,
+        and its result is in lowest terms."""
+        d, s = r
+        return self.chain([[(d, s[:i])], [(e, x[:i]) for e, x in X[:i]]])[0]
+
+    def augment(self, rows, cols, rest, order) -> list:
+        """Rows of [rows @ C | rest], for C given by its columns as rows,
+        each with its entries taken in ``order``: one pass and one gcd
+        per row.  The columns are put over the lcm L of their
+        denominators, so row r / d of ``rows`` gives the entries
+        (r . c) / (d L), and the row s / e of ``rest`` joins them over
+        the lcm of d L and e."""
+        big, cols = _common(cols)
+        mul, out = operator.mul, []
+        for (d, r), (e, s) in zip(rows, rest):
+            den = d * big
+            lcm = den // math.gcd(den, e) * e
+            lift, lift_rest = lcm // den, lcm // e
+            ext = [sum(map(mul, r, c)) * lift for c in cols]
+            ext += [x * lift_rest for x in s] if lift_rest > 1 else s
+            out.append(_lowest(lcm, [ext[j] for j in order]))
+        return out
+
     def is_scalar(self, form) -> bool:
         """Whether the square matrix given as its form is scalar: lam =
         a / b in lowest terms has the rows (b, a e_i), and zero the rows
@@ -1090,6 +1083,11 @@ class RationalArith:
         return all(d == d0 and all(x == lam if i == j else not x
                                    for j, x in enumerate(r))
                    for i, (d, r) in enumerate(form))
+
+    def is_lower(self, form) -> bool:
+        """Whether the square matrix given as its form has no nonzero
+        entry above its diagonal."""
+        return not any(any(r[i + 1:]) for i, (_, r) in enumerate(form))
 
     def primitive_columns(self, form, order) -> tuple:
         """(rows, scales): the columns ``order`` of the matrix given as
@@ -1100,8 +1098,8 @@ class RationalArith:
         of its columns is divided by its gcd, signed, and the rows are
         integers over 1."""
         big, rows = _common(form)
-        scales, cols = [], []
         every = list(zip(*rows))
+        scales, cols = [], []
         for c in (every[k] for k in order):
             g = math.gcd(*c)
             if next(x for x in reversed(c) if x) < 0:
