@@ -288,7 +288,8 @@ def _split(ar, A, betas, gammas, fixes):
     g1_inv = ar.inv(g1)
     L = [ar.row([b1] + [ar.zero] * (m - 1))] + [
         ar.row_push(mul(g1_inv, entry(t, 0)), r) for t, r in zip(T1_inv, L1)]
-    U = [ar.row_push(g1, ar.chain([[top], T1])[0])] + _bump(ar, U1)[1:]
+    U = [ar.row_push(g1, ar.chain([[top], T1])[0])] + [
+        ar.row_push(ar.zero, r) for r in U1]
     T, T_inv = _bump(ar, T1), _bump(ar, T1_inv)
     if fixed:
         # E (1 (+) T1) and (1 (+) T1^-1) E^-1, E = I + mu e_0 e_2^T
