@@ -8,8 +8,11 @@ The corpus is every case ``cases()`` yields, all over Q:
   upper triangular P whose entries above the diagonal have unrelated
   64-bit (n 3..6) or 500-bit (n 3..5) denominators, so every row of the
   input has a denominator as wide as the lcm of many unrelated ones;
-- ``structured``: the Q inputs of
-  ``tests/test_sourour.py::test_structured_corpus_factors``, n 3..7.
+- ``structured``: the Q inputs of ``structured_corpus``, n 3..7.
+
+``wide_conjugator`` and ``structured_corpus`` live in
+``tests/corpora.py``, which this script loads by path and
+``tests/test_sourour.py`` imports.
 
 For each case it records the SHA-256 of the input as a matrix file
 (``matrix_to_text``) and of the certificate bytes
@@ -32,7 +35,6 @@ import argparse
 import hashlib
 import importlib.util
 import random
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,28 +46,12 @@ WIDE = ((64, (3, 4, 5, 6)), (500, (3, 4, 5)))
 STRUCTURED_SIZES = range(3, 8)
 
 
-def wide_conjugator(F, n: int, bits: int, rng):
-    """A unit upper triangular P over Q whose entries above the diagonal
-    have a signed numerator below 2^bits and their own odd denominator
-    of exactly ``bits`` bits, so the denominators in a row are
-    unrelated."""
-    from u2factor.linalg import Matrix
-    top = 1 << bits
-    rows = [[F.element(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = rng.getrandbits(bits) | 1 | (top >> 1)
-            rows[i][j] = F.element(Fraction(rng.randrange(-top, top), den))
-    return Matrix(F, rows)
-
-
-def _structured_corpus():
+def _corpora():
     spec = importlib.util.spec_from_file_location(
-        "test_sourour", ROOT / "tests" / "test_sourour.py")
+        "corpora", ROOT / "tests" / "corpora.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.structured_corpus
+    return module
 
 
 def cases():
@@ -73,6 +59,7 @@ def cases():
     from u2factor.field import rationals
     from u2factor.sampling import random_sl
 
+    corpora = _corpora()
     F = rationals()
     for n in RANDOM_SIZES:
         for i in range(RANDOM_PER_SIZE):
@@ -82,11 +69,10 @@ def cases():
         for n in sizes:
             rng = random.Random(f"q-digests:wide:{bits}:{n}")
             A = random_sl(F, n, rng)
-            P = wide_conjugator(F, n, bits, rng)
+            P = corpora.wide_conjugator(F, n, bits, rng)
             yield f"wide{bits}-n{n}", P @ A @ P.inverse()
-    structured_corpus = _structured_corpus()
     for n in STRUCTURED_SIZES:
-        for i, A in enumerate(structured_corpus(F, n)):
+        for i, A in enumerate(corpora.structured_corpus(F, n)):
             yield f"structured-n{n}-{i}", A
 
 

@@ -327,16 +327,6 @@ def apply_reps(arith, rows, vec) -> list:
     return [r[0] for r in arith.product_reps(rows, [[v] for v in vec])]
 
 
-def apply_rows(arith, rows, vec) -> list:
-    """rows @ vec as reps, for rows of the arith class's row type and
-    vec given as reps, by a chain with vec as one column."""
-    if not vec:
-        return [arith.zero] * len(rows)
-    entry = arith.row_entry
-    return [entry(r, 0) for r in
-            arith.chain([rows, arith.form([[v] for v in vec])])]
-
-
 # -- constructors ---------------------------------------------------------
 
 def identity(field: FieldSpec, n: int) -> Matrix:
@@ -617,7 +607,8 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     f = next(j for j in range(n) if not is_zero(entry(Tinv[0], j)))
     powers = [[entry(r, f) for r in Tinv]]
     for _ in range(n - 1):
-        powers.append(apply_rows(arith, N, powers[-1]))
+        powers.append([entry(r, 0) for r in arith.chain(
+            [N, arith.form([[v] for v in powers[-1]])])])
     # K J, lower triangular
     K_rev = arith.form([list(r) for r in zip(*powers)])
     Q = _reversed(arith, arith.chain([Tr, K_rev]))

@@ -1,11 +1,8 @@
 import importlib
-import importlib.util
-import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,30 +14,20 @@ from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
                              single_block_jordan, unipotent_jordan,
                              ScalarInput, SpectrumMismatch, NotUnipotent,
-                             IndependentSet, jordan_block)
+                             IndependentSet)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
                               DeterminantMismatch, _Basis,
                               _candidate_supports, _match_scalar)
 
+from corpora import structured_corpus, wide_conjugator
+
 # the module, which the package's factor_sl2 function shadows
 sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 
-def _q_digests_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" \
-        / "make_q_digests.py"
-    spec = importlib.util.spec_from_file_location("make_q_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# the P of the Q digest corpus: unit upper triangular, each entry above
-# the diagonal over a denominator of its own with the given bits
-wide_conjugator = _q_digests_script().wide_conjugator
-# (bits, n) of the inputs conjugated by such a P
+# (bits, n) of the inputs conjugated by a ``wide_conjugator`` P
 WIDE_CASES = [(64, 4), (64, 6), (500, 3), (500, 4)]
 
 
@@ -189,59 +176,6 @@ def test_scalar_residual_inputs_factor(name):
     assert_factors(A)
     ones = (A.field.one(),) * A.n
     assert assert_same_as_dense(A, ones, ones).backtracks == 1
-
-
-def _spread(items, k):
-    """At most k of items, evenly spaced, first included."""
-    items = list(items)
-    step = max(1, -(-len(items) // k))
-    return items[::step]
-
-
-def _permutation_matrix(F, perm):
-    n = len(perm)
-    return Matrix(F, [[F.one() if perm[i] == j else F.zero()
-                       for j in range(n)] for i in range(n)])
-
-
-def structured_corpus(F, n):
-    """A fixed subset of structured inputs in SL_n(F): diag(a I_k,
-    b I_{n-k}) with a != b, with and without E_1n; signed permutation
-    matrices; direct sums of three scalar blocks; J_n(1) conjugated by
-    permutations."""
-    pool = (F.nonzero_elements() if F.is_finite else
-            tuple(F.element(Fraction(s * v)) for s in (1, -1)
-                  for v in (1, 2, 4, Fraction(1, 2), Fraction(1, 4))))
-    one = F.one()
-    diag = []
-    for k in range(1, n):
-        for a in pool:
-            for b in pool:
-                if a != b and a ** k * b ** (n - k) == one:
-                    diag.append([a] * k + [b] * (n - k))
-    for entries in _spread(diag, 6):
-        A = diagonal(F, entries)
-        yield A
-        rows = [list(r) for r in A.rows]
-        rows[0][-1] = one
-        yield Matrix(F, rows)
-    perms = list(itertools.islice(itertools.permutations(range(n)), 40))
-    for perm in _spread(perms, 5):
-        A = _permutation_matrix(F, perm)
-        if A.det() != one:
-            rows = [list(r) for r in A.rows]
-            rows[0] = [-v for v in rows[0]]
-            A = Matrix(F, rows)
-        if not A.is_scalar():
-            yield A
-    for k1 in _spread(range(1, n - 1), 2):
-        for a1, a2 in _spread(itertools.permutations(pool[:4], 2), 3):
-            last = (a1 ** k1 * a2 ** (n - 1 - k1)).inverse()
-            yield diagonal(F, [a1] * k1 + [a2] * (n - 1 - k1) + [last])
-    J = jordan_block(F, n, one)
-    for perm in _spread(perms[1:], 3):
-        P = _permutation_matrix(F, perm)
-        yield P @ J @ P.inverse()
 
 
 @pytest.mark.parametrize("spec,n", [
