@@ -10,35 +10,32 @@ canonical order so results are reproducible run to run.
 Arithmetic on those representations lives in one class per field kind
 (``PrimeArith``, ``ExtensionArith``, ``RationalArith``), which
 ``FieldSpec`` chooses when it is made.  Element operators, matrix
-products, row operations (``scale``, ``sub_scaled``) and determinants
-(``det``) all call it, so no elimination outside this module makes a
+products, row operations, eliminations (``rref``) and determinants
+(``det``) all call it, so no algorithm outside this module makes a
 call per entry.
 
-The Sourour split and the triangular substitutions (``sourour``,
-``linalg.diagonalize_triangular``, ``single_block_jordan``) hold their
-matrices as rows of the form and work on them through the row API:
-``row`` makes one from reps and ``row_entry`` reads one entry back;
-``row_scale``, ``row_sub_scaled``, ``row_negate`` and ``row_divide``
-compute; ``row_cut``, ``row_cat`` and ``row_push`` rearrange;
-``lead_product`` and ``augment`` are their small products, besides
-``chain``; and ``is_scalar``, ``is_lower`` and ``primitive_columns``
-read whole matrices.  Over a finite field a row is a list of reps, and
-its row operations are ``scale``, ``sub_scaled`` and ``negate``
-themselves; over Q it is a row of the form, (d, ints), and no row
-operation makes a ``Fraction``.  Their results are forms as they
-stand.
+A matrix is held as the kind's matrix form: over a finite field its
+rows of reps, over Q canonical integer rows, which ``form`` makes from
+rows of Fractions and ``reps`` reads back.  Every algorithm on matrices
+works on the form's rows through one row API: ``row`` makes a row from
+reps and ``row_entry`` reads one entry back; ``row_scale``,
+``row_sub_scaled``, ``row_negate`` and ``row_divide`` compute;
+``row_cut``, ``row_cat`` and ``row_push`` rearrange; ``lead_product``
+and ``augment`` are their small products, besides ``chain``; ``rref``
+eliminates; and ``is_scalar``, ``is_lower``, ``primitive_columns``,
+``diagonal`` and ``transpose`` read or make whole matrices.  Over a
+finite field a row is a list of reps; over Q it is a row of the form,
+(d, ints), and no row operation makes a ``Fraction``.  Their results
+are forms as they stand.
 
 Each class has one matrix product, ``chain``: mats[0] @ ... @ mats[-1]
 evaluated right to left in one pass, a product of two being a chain of
-two, on the kind's matrix form.  Over a finite field the form is the
-rows of reps; over Q it is canonical integer rows, which ``form`` makes
-from rows of Fractions and ``reps`` reads back.  ``is_product`` runs the
-same chain and decides whether it equals a given matrix without cutting
-the product into reps.  ``shift`` makes X - lam I and lam I - X on the
-form, and ``product_reps`` multiplies two matrices given as rows of
-reps, as the entry-level algorithms hold them.  GF(p) and GF(p^k) share
-one packed chain and its exact zero test, GF(p) as the k = 1 case;
-``_FiniteArith`` describes both.  What is each kind's own:
+two, on the form.  ``is_product`` runs the same chain and decides
+whether it equals a given matrix without cutting the product into reps.
+``shift`` makes X - lam I and lam I - X on the form.  GF(p) and GF(p^k)
+share one packed chain, its exact zero test and one elimination, GF(p)
+as the k = 1 case; ``_FiniteArith`` describes them.  What is each kind's
+own:
 
 - Over GF(p) a rep is an int mod p, and a row operation is one
   comprehension of int arithmetic.  A chain of two with fewer than
@@ -51,33 +48,29 @@ one packed chain and its exact zero test, GF(p) as the k = 1 case;
   q - 1 polynomial products; a row operation is one antilog lookup and
   one coefficient-wise difference per entry.  The packed chain reduces
   each step mod the modulus by folds.
-- Over Q element operations, and the row operations of the
-  eliminations (``_rref``, ``IndependentSet``, ``charpoly``, the Jordan
-  data of ``unipotent_jordan``), use ``Fraction``.  A
-  matrix form holds each row once as integers over one positive
-  denominator, in lowest terms, so equal matrices have equal forms
-  (``RationalArith``).  A chain takes the factors' integer rows as they
-  are: the last factor's rows over their lcm cut into columns, each
-  earlier factor read by row, and each column divided by its gcd
-  between steps, so no chain clears an operand and the result's rows,
-  over the first factor's row denominators, cost one ``gcd`` each, with
-  no ``Fraction``.  ``is_product`` compares
-  the chain's columns with the target's rows by cross-multiplication.
-  X - I and 2I - X are one integer operation per row, and so is each
-  operation of the row API, with one ``gcd``.
-  ``product_reps`` clears each row of its left factor and each column
-  of its right one over their own common denominator, one ``Fraction``
-  per entry.  A determinant runs Bareiss's fraction-free elimination on
-  the form's integer rows, one ``Fraction`` in all, and tokens are cut
-  from the form too, so neither builds the ``Fraction`` rows.
+- Over Q element operations use ``Fraction``.  A matrix form holds
+  each row once as integers over one positive denominator, in lowest
+  terms, so equal matrices have equal forms (``RationalArith``).  A
+  chain takes the factors' integer rows as they are: the last factor's
+  rows over their lcm cut into columns, each earlier factor read by
+  row, and each column divided by its gcd between steps, so no chain
+  clears an operand and the result's rows, over the first factor's row
+  denominators, cost one ``gcd`` each, with no ``Fraction``.
+  ``is_product`` compares the chain's columns with the target's rows by
+  cross-multiplication.  X - I and 2I - X are one integer operation per
+  row, and so is each operation of the row API and each row operation
+  of ``rref``, with one ``gcd``.  A determinant runs Bareiss's
+  fraction-free elimination on the form's integer rows, one
+  ``Fraction`` in all, and tokens are cut from the form too.  Entries
+  are read back as Fractions only by ``reps`` and ``row_entry``.
 
 The finite kinds share their determinant, Gaussian elimination through
-``sub_scaled``.  ``primitive`` is the scale that
-``similarity_to_diagonal`` puts on each eigenvector: over Q a primitive
-integer vector with a positive last nonzero coordinate, over a finite
-field the vector as it is.  ``primitive_columns`` gives the columns of
-``diagonalize_triangular`` the same scale, after dividing each by its
-last nonzero entry.
+``row_sub_scaled``.  ``primitive`` is the scale that
+``similarity_to_diagonal`` puts on each eigenvector, given as a row:
+over Q a primitive integer vector with a positive last nonzero
+coordinate, over a finite field the vector as it is.
+``primitive_columns`` gives the columns of ``diagonalize_triangular``
+the same scale, after dividing each by its last nonzero entry.
 ``FieldSpec.element`` takes an int, a Fraction (a / b is a * b^-1 in a
 finite field) or, over GF(p^k), a tuple or list of them as
 coefficients; a float or any other type raises FieldError.
@@ -293,8 +286,9 @@ def _poly_is_irreducible(modulus, p: int) -> bool:
 
 
 # -- one arithmetic class per field kind, on canonical reps ---------------
-# FieldSpec picks one in __init__.  Every Matrix algorithm runs on reps
-# through it; FieldElement's operators hand it reps and wrap the result.
+# FieldSpec picks one in __init__.  Every Matrix algorithm runs on the
+# matrix form through it; FieldElement's operators hand it reps and wrap
+# the result.
 
 def _residue(value, p: int) -> int:
     """The residue of an int mod p, or of a Fraction a/b as a * b^-1;
@@ -333,28 +327,12 @@ def _dot_sized(a, b) -> bool:
     return len(a) < _PACK_MIN or not b or len(b[0]) < _PACK_MIN
 
 
-def shift_reps(arith, rows, lam, negate=False) -> list:
-    """Rows of X - lam I, or of lam I - X when ``negate``, for X given as
-    rows of reps: the finite kinds' ``shift``, and over Q the shift of
-    rows of Fractions as the entry-level algorithms hold them."""
-    sub = arith.sub
-    if negate:
-        out = [arith.negate(r) for r in rows]
-        for i, r in enumerate(out):
-            r[i] = sub(lam, rows[i][i])
-    else:
-        out = [list(r) for r in rows]
-        for i, r in enumerate(out):
-            r[i] = sub(r[i], lam)
-    return out
-
-
 class _FiniteArith:
     """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
-    determinant is Gaussian elimination through ``sub_scaled``, the
-    matrix form is the rows of reps (``reps_are_form``, so ``form`` and
-    ``reps`` return what they are given), and the product is one packed
-    chain with one exact zero test, GF(p) being its k = 1 case.
+    determinant and ``rref`` are Gaussian elimination through
+    ``row_sub_scaled``, the matrix form is the rows of reps (so ``form``
+    and ``reps`` return what they are given), and the product is one
+    packed chain with one exact zero test, GF(p) being its k = 1 case.
 
     ``chain`` evaluates mats[0] @ ... @ mats[-1] right to left with no
     cut between steps (Kronecker substitution).  A rep becomes one int
@@ -398,7 +376,6 @@ class _FiniteArith:
 
     __slots__ = ("p", "k", "zero", "one", "_xk", "_folds", "_growth",
                  "_shapes")
-    reps_are_form = True
 
     def __init__(self, p: int, k: int, zero, one, xk, folds: int):
         self.p, self.k, self.zero, self.one = p, k, zero, one
@@ -406,9 +383,10 @@ class _FiniteArith:
         self._growth = k * (p - 1) * (1 + k * (p - 1)) ** folds
         self._shapes = {}
 
-    def primitive(self, vec):
-        """The eigenvector scale over Q; a finite field keeps vec as is."""
-        return vec
+    def primitive(self, row):
+        """The eigenvector scale over Q; a finite field keeps the row as
+        it is."""
+        return row
 
     def form(self, rows):
         """The matrix form ``chain`` takes: over a finite field the rows of
@@ -419,14 +397,8 @@ class _FiniteArith:
         """Rows of reps of a matrix form: the form itself."""
         return form
 
-    def product_reps(self, a, b) -> list:
-        """Rows of reps of a @ b, for a and b given as rows of reps: the
-        chain of two."""
-        return self.chain([a, b])
-
-    # The row API of the split and the substitutions: a row is a list
-    # (or tuple) of reps, so a row of a form is one, and ``row_scale``,
-    # ``row_sub_scaled`` and ``row_negate`` are the row operations above.
+    # The row API: a row is a list (or tuple) of reps, so a row of a
+    # form is one.
 
     # row_entry(row, i) and row_cut(row, slice) are both row[...]
     row_entry = row_cut = staticmethod(operator.getitem)
@@ -483,7 +455,7 @@ class _FiniteArith:
         cols = [cols[k] for k in order]
         scales = [inv(next(x for x in reversed(c) if not is_zero(x)))
                   for c in cols]
-        cols = map(self.scale, cols, scales)
+        cols = map(self.row_scale, cols, scales)
         return [list(r) for r in zip(*cols)], scales
 
     def tokens(self, form) -> list:
@@ -495,7 +467,30 @@ class _FiniteArith:
         """Rows of the n x n zero matrix, one list shared by every row."""
         return [[self.zero] * n] * n
 
-    shift = shift_reps
+    def diagonal(self, entries) -> list:
+        """Rows of the diagonal matrix with the given reps on its
+        diagonal."""
+        zero, n = self.zero, len(entries)
+        return [[e if i == j else zero for j in range(n)]
+                for i, e in enumerate(entries)]
+
+    def transpose(self, rows) -> list:
+        """Rows of the transpose of the matrix given as rows."""
+        return [list(c) for c in zip(*rows)]
+
+    def shift(self, rows, lam, negate=False) -> list:
+        """Rows of X - lam I, or of lam I - X when ``negate``, for X
+        given as rows of reps."""
+        sub = self.sub
+        if negate:
+            out = [self.row_negate(r) for r in rows]
+            for i, r in enumerate(out):
+                r[i] = sub(lam, rows[i][i])
+        else:
+            out = [list(r) for r in rows]
+            for i, r in enumerate(out):
+                r[i] = sub(r[i], lam)
+        return out
 
     def det(self, rows):
         """Determinant of square rows of reps.  The first nonzero entry
@@ -518,9 +513,46 @@ class _FiniteArith:
             tail = work[col][col + 1:]
             for row in work[col + 1:]:
                 if not is_zero(row[col]):
-                    row[col + 1:] = self.sub_scaled(
+                    row[col + 1:] = self.row_sub_scaled(
                         row[col + 1:], mul(row[col], inv), tail)
         return det
+
+    def rref(self, rows, limit=None) -> tuple:
+        """(rows, pivots): the reduced row echelon form of the rows of
+        reps, made on copies, and its pivot columns, among the first
+        ``limit`` columns (all when None).
+
+        Pivot choice: first nonzero entry scanning rows top-down within
+        each column, columns left to right (deterministic in exact
+        arithmetic).  Left of the pivot column the pivot row is zero, so
+        only the columns from the pivot on are scaled and subtracted.
+        """
+        work = [list(r) for r in rows]
+        if not work:
+            return work, []
+        is_zero, sub_scaled = self.is_zero, self.row_sub_scaled
+        nrows = len(work)
+        ncols = len(work[0]) if limit is None else limit
+        pivots = []
+        row = 0
+        for col in range(ncols):
+            if row >= nrows:
+                break
+            pivot = next((r for r in range(row, nrows)
+                          if not is_zero(work[r][col])), None)
+            if pivot is None:
+                continue
+            work[row], work[pivot] = work[pivot], work[row]
+            head = work[row]
+            head[col:] = tail = self.row_scale(head[col:],
+                                               self.inv(head[col]))
+            for r in range(nrows):
+                factor = work[r][col]
+                if r != row and not is_zero(factor):
+                    work[r][col:] = sub_scaled(work[r][col:], factor, tail)
+            pivots.append(col)
+            row += 1
+        return work, pivots
 
     def chain(self, mats) -> list:
         """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
@@ -645,24 +677,22 @@ class PrimeArith(_FiniteArith):
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def scale(self, row, c) -> list:
+    def row_scale(self, row, c) -> list:
         """c * row."""
         p = self.p
         return [x * c % p for x in row]
 
-    def sub_scaled(self, row, c, other):
+    def row_sub_scaled(self, row, c, other):
         """row - c * other, or row itself when c is zero."""
         if not c:
             return row
         p = self.p
         return [(x - c * y) % p for x, y in zip(row, other)]
 
-    def negate(self, row) -> list:
+    def row_negate(self, row) -> list:
         """-row."""
         p = self.p
         return [-x % p for x in row]
-
-    row_scale, row_sub_scaled, row_negate = scale, sub_scaled, negate
 
     def chain(self, mats) -> list:
         """``_FiniteArith.chain``, or dot products for a small chain of
@@ -770,13 +800,13 @@ class ExtensionArith(_FiniteArith):
     def inv(self, a):
         return self._exp[-self._log[a] % self._order]
 
-    def scale(self, row, c) -> list:
+    def row_scale(self, row, c) -> list:
         """c * row, one antilog lookup per entry."""
         log, exp = self._log, self._exp
         lc = log[c]
         return [exp[lc + log[x]] for x in row]
 
-    def sub_scaled(self, row, c, other):
+    def row_sub_scaled(self, row, c, other):
         """row - c * other, or row itself when c is zero: one antilog
         lookup and one coefficient-wise difference per entry."""
         if c == self.zero:
@@ -787,12 +817,10 @@ class ExtensionArith(_FiniteArith):
         return [tuple(map(mod_p, map(sub, x, exp[lc + log[y]])))
                 for x, y in zip(row, other)]
 
-    def negate(self, row) -> list:
+    def row_negate(self, row) -> list:
         """-row, one antilog lookup per entry."""
         log, exp, shift = self._log, self._exp, self._neg_log
         return [exp[log[x] + shift] for x in row]
-
-    row_scale, row_sub_scaled, row_negate = scale, sub_scaled, negate
 
     def sqrt(self, a):
         """The first root of a = g^e in canonical order, or None.  For odd
@@ -863,15 +891,13 @@ def _ratio_token(num: int, den: int) -> str:
 
 
 class RationalArith:
-    """Q: reduced Fractions for elements and the rows of the
-    eliminations, canonical integer rows for matrices and for the rows of
-    the split and the substitutions.
+    """Q: reduced Fractions for elements, canonical integer rows for
+    matrices and their rows.
 
-    Element operations and the eliminations' row operations (``scale``,
-    ``sub_scaled``, ``negate``) are ``Fraction``'s.  A matrix form holds
-    each row once as integers over one positive denominator, (d, ints)
-    with ints a tuple and gcd(d, *ints) = 1, so a zero row is (1, zeros).
-    A row has one such form: d must be the lcm of its entries' reduced
+    Element operations are ``Fraction``'s.  A matrix form holds each row
+    once as integers over one positive denominator, (d, ints) with ints
+    a tuple and gcd(d, *ints) = 1, so a zero row is (1, zeros).  A row
+    has one such form: d must be the lcm of its entries' reduced
     denominators, since any other d with integer multiples is a
     multiple m > 1 of it, and m then divides d and all the integers.  So
     two matrices are equal iff their forms are equal tuples.  ``form``
@@ -894,20 +920,17 @@ class RationalArith:
     ``Fraction`` operation per entry (about 18 against 5 us for a
     6-entry row - c other with 60-bit entries, 2-vCPU VM).  ``row_cat``
     and ``row_push`` need no ``gcd`` at all, as the lcm of two rows in
-    lowest terms keeps them so.  ``product_reps`` multiplies rows of
-    Fractions as the eliminations' Jordan data hold them
-    (``unipotent_jordan``, ``apply_reps``), without forms.  ``det``
-    runs Bareiss's fraction-free elimination on the form's integer rows,
-    so it makes one ``Fraction`` in all, and ``tokens`` prints the
-    form's entries.  ``primitive`` clears a vector's denominators and
-    divides out the gcd of its coordinates.  Tokens print by ``str``,
-    and through ``decimal``, which has no digit limit, only past
-    Python's int <-> str digit limit.
+    lowest terms keeps them so.  ``rref`` is the finite kinds'
+    elimination on such rows.  ``det`` runs Bareiss's fraction-free
+    elimination on the form's integer rows, so it makes one ``Fraction``
+    in all, and ``tokens`` prints the form's entries.  ``primitive``
+    divides a row's integers by their gcd.  Tokens print by ``str``, and
+    through ``decimal``, which has no digit limit, only past Python's
+    int <-> str digit limit.
     """
 
     __slots__ = ()
     zero, one = Fraction(0), Fraction(1)
-    reps_are_form = False
 
     def coerce(self, value) -> Fraction:
         if not isinstance(value, (int, Fraction)):
@@ -933,20 +956,6 @@ class RationalArith:
     def inv(self, a):
         return 1 / a
 
-    def scale(self, row, c) -> list:
-        """c * row."""
-        return [x * c for x in row]
-
-    def sub_scaled(self, row, c, other):
-        """row - c * other, or row itself when c is zero."""
-        if c == 0:
-            return row
-        return [x - c * y for x, y in zip(row, other)]
-
-    def negate(self, row) -> list:
-        """-row."""
-        return [-x for x in row]
-
     def form(self, rows) -> tuple:
         """The form of rows of Fractions or ints: each row cleared to
         integers over the lcm of its entries' denominators."""
@@ -958,23 +967,9 @@ class RationalArith:
         return [[Fraction(x) for x in r] if d == 1
                 else [Fraction(x, d) for x in r] for d, r in form]
 
-    def product_reps(self, a, b) -> list:
-        """Rows of reps of a @ b, for a and b given as rows of reps, as the
-        entry-level algorithms hold them: each row of a and each column
-        of b is cleared to integers over the lcm of its own
-        denominators, so entry (i, j) is one integer dot product over
-        d_i d_j, one reduced ``Fraction``.  A form would clear b by rows
-        and then cut it into columns, which costs 1.6 to 2.1 times as
-        much on the vector products these algorithms make."""
-        rows = [_clear_denominators(r) for r in a]
-        cols = [_clear_denominators(c) for c in zip(*b)]
-        mul = operator.mul
-        return [[Fraction(sum(map(mul, r, c)), dr * dc) for dc, c in cols]
-                for dr, r in rows]
-
-    # The row API of the split and the substitutions: a row is a row of a
-    # form, (d, ints) in lowest terms, and every operation returns one,
-    # so the rows an algorithm ends with are a form as they stand.
+    # The row API: a row is a row of a form, (d, ints) in lowest terms,
+    # and every operation returns one, so the rows an algorithm ends
+    # with are a form as they stand.
 
     def row(self, reps) -> tuple:
         """The row of a list of Fractions or ints."""
@@ -1112,6 +1107,21 @@ class RationalArith:
         """The form of the n x n zero matrix."""
         return ((1, (0,) * n),) * n
 
+    def diagonal(self, entries) -> list:
+        """The form of the diagonal matrix with the given Fractions on
+        its diagonal: a / b in lowest terms is the row (b, a e_i)."""
+        n, out = len(entries), []
+        for i, x in enumerate(entries):
+            num, den = x.as_integer_ratio()
+            out.append((den, (0,) * i + (num,) + (0,) * (n - 1 - i)))
+        return out
+
+    def transpose(self, form) -> list:
+        """The form of the transpose: the rows over the lcm of their
+        denominators, cut into columns, each divided by its gcd."""
+        big, rows = _common(form)
+        return [_lowest(big, c) for c in zip(*rows)]
+
     def shift(self, form, lam, negate=False) -> tuple:
         """The form of X - lam I, or of lam I - X when ``negate``, for X
         given as its form, with lam = a / b: row i becomes
@@ -1159,6 +1169,43 @@ class RationalArith:
                                  for x, y in zip(row[col + 1:], tail)]
             prev = head
         return Fraction(sign * prev, den)
+
+    def rref(self, rows, limit=None) -> tuple:
+        """(rows, pivots): ``_FiniteArith.rref`` on rows of forms, with
+        its pivot rule and its row operations in its order, so the
+        values are the same.  The pivot row t / d becomes t / t_c, c the
+        pivot column, put in lowest terms with t_c = h > 0; a row s / e
+        with s_c != 0 becomes (h s - s_c t) / (e h), in lowest terms:
+        one pass and one ``gcd`` per row operation."""
+        work = list(rows)
+        if not work:
+            return work, []
+        nrows = len(work)
+        ncols = len(work[0][1]) if limit is None else limit
+        pivots = []
+        row = 0
+        for col in range(ncols):
+            if row >= nrows:
+                break
+            pivot = next((r for r in range(row, nrows) if work[r][1][col]),
+                         None)
+            if pivot is None:
+                continue
+            work[row], work[pivot] = work[pivot], work[row]
+            t = work[row][1]
+            if t[col] < 0:
+                t = [-x for x in t]
+            work[row] = head = _lowest(t[col], t)
+            h, t = head
+            for r in range(nrows):
+                e, s = work[r]
+                f = s[col]
+                if f and r != row:
+                    work[r] = _lowest(e * h, [h * x - f * y
+                                              for x, y in zip(s, t)])
+            pivots.append(col)
+            row += 1
+        return work, pivots
 
     def chain(self, mats) -> tuple:
         """The form of mats[0] @ ... @ mats[-1], for factors given as
@@ -1242,17 +1289,18 @@ class RationalArith:
         return [d for d, _ in mats[0]], [
             (e, [sum(map(mul, r, c)) for r in rows]) for e, c in cols]
 
-    def primitive(self, vec) -> list:
-        """vec scaled to a primitive integer vector (coprime integer
-        coordinates) whose last nonzero coordinate is positive; a zero
-        vec is returned as is."""
-        _, ints = _clear_denominators(vec)
+    def primitive(self, row) -> tuple:
+        """The row scaled to a primitive integer vector (coprime integer
+        coordinates) whose last nonzero coordinate is positive: its
+        integers divided by their gcd, over 1.  A zero row is returned
+        as is."""
+        _, ints = row
         g = math.gcd(*ints)
         if not g:
-            return vec
+            return row
         if next(x for x in reversed(ints) if x) < 0:
             g = -g
-        return [Fraction(x // g) for x in ints]
+        return 1, tuple([x // g for x in ints])
 
     def sqrt(self, a):
         """The nonnegative root of a, or None."""

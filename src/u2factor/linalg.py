@@ -6,28 +6,21 @@ deterministic choice in exact arithmetic), and the canonical-form
 transforms are constructed so identical inputs always give identical
 outputs.
 
-A ``Matrix`` holds rows of canonical reps, and every algorithm here
-runs on them through the field's arith class, with rep helpers
-(``*_reps``) that ``unipotent`` and ``sourour`` share.  The arith class
-does the per-entry work: products (``chain``, one pass over any number
-of factors on the field's matrix form, which ``@`` and
-``chain_product`` wrap, and ``product_reps`` on rows of reps; ``field``
-describes them per kind), row operations (``scale``, ``sub_scaled``,
-``negate``) and the determinant (``det``, Bareiss over Q, on the form).
-So ``_rref``, ``IndependentSet`` and ``charpoly`` make one call per row
-operation, not one per entry.
-Over Q a ``Matrix`` also holds the form, canonical integer rows.  A
-product's result has only the form, and a matrix made from rows of
-reps only those, until the other view is first read: products and the
-certificate checks, determinants and tokens run on the form, and so do
-the substitutions of ``diagonalize_triangular`` and
-``single_block_jordan``, through the row API of the arith class
-(``field`` lists it).  The ``Fraction`` rows are made only for the
-eliminations and the Jordan data of ``unipotent_jordan``.
+A ``Matrix`` holds its entries once, as the field's matrix form: rows
+of reps over a finite field, canonical integer rows over Q.  Every
+algorithm here runs on the form's rows through the field's arith class
+(``field`` describes it per kind): the product (``chain``, one pass over
+any number of factors, which ``@`` and ``chain_product`` wrap), the row
+API, the elimination (``rref``) that ``inverse``, the kernels and
+``IndependentSet`` share, and the determinant (``det``, Bareiss over
+Q).  So no algorithm makes a call per entry, and over Q none makes a
+``Fraction`` per entry; ``charpoly`` alone reads the entries as reps and
+updates them element by element.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
-``kernel_basis``, ``apply`` and ``charpoly``.
+``kernel_basis``, ``apply`` and ``charpoly``, read through the arith
+class's ``reps`` or ``row_entry``.
 
 Two similarities diagonalize a matrix.  ``similarity_to_diagonal``
 takes each eigenspace as a kernel, one elimination per eigenvalue, and
@@ -52,10 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 from .field import FieldSpec, FieldElement, FieldMismatch, parse_field_spec, \
-    parse_rep, parse_int, is_int_token, shift_reps
+    parse_rep, parse_int, is_int_token
 from .poly import Poly
 
 
@@ -95,17 +87,15 @@ class Matrix:
     """Immutable square matrix over a field; entries read through the API
     are FieldElements.  The determinant is kept once computed.
 
-    A matrix has two views: ``_reps``, rows of canonical reps, which the
-    entry-level algorithms read, and ``_form``, the field's matrix form,
-    which its arith class's ``chain`` and ``is_product`` take and return.
-    Over a finite field they are one tuple.  Over Q the form is the
-    canonical integer rows (``field.RationalArith``): the constructor
-    makes both views, and ``from_reps`` and ``from_form`` make a
-    ``_RationalMatrix``, which has one of them and makes the other when
-    it is first read.  Equality and the hash are the form's.
+    A matrix holds its entries once, as ``_form``, the field's matrix
+    form, which its arith class's ``chain``, ``is_product``, ``rref``
+    and row API take and return: over a finite field the rows of reps,
+    over Q the canonical integer rows (``field.RationalArith``).  The
+    constructor and ``from_reps`` make the form at once, and equality
+    and the hash are the form's.
     """
 
-    __slots__ = ("field", "n", "_reps", "_form", "_det")
+    __slots__ = ("field", "n", "_form", "_det")
 
     def __init__(self, field: FieldSpec, rows):
         reps = tuple(_reps_of(field, r) for r in rows)
@@ -114,9 +104,7 @@ class Matrix:
             raise SizeMismatch("matrix must be square")
         self.field = field
         self.n = n
-        self._reps = reps
-        self._form = reps if field.arith.reps_are_form else \
-            field.arith.form(reps)
+        self._form = field.arith.form(reps)
         self._det = None
 
     # -- construction helpers --
@@ -128,31 +116,21 @@ class Matrix:
     @classmethod
     def from_reps(cls, field: FieldSpec, rows) -> "Matrix":
         """Square rows of canonical reps, taken without checking them."""
-        reps = tuple(map(tuple, rows))
-        if field.arith.reps_are_form:
-            out = object.__new__(cls)
-            out._form = reps
-        else:
-            out = object.__new__(_RationalMatrix)
-        out.field, out.n, out._reps, out._det = field, len(reps), reps, None
-        return out
+        return cls.from_form(field, field.arith.form(rows))
 
     @classmethod
     def from_form(cls, field: FieldSpec, form) -> "Matrix":
         """A square matrix given as the field's matrix form, as its arith
-        class's ``chain`` returns it, taken without checking it."""
-        if field.arith.reps_are_form:
-            out = object.__new__(cls)
-            out._reps = out._form = tuple(map(tuple, form))
-        else:
-            out = object.__new__(_RationalMatrix)
-            out._form = tuple(form)
+        class's ``chain`` and row API return it, taken without checking
+        it."""
+        out = object.__new__(cls)
+        out._form = form = tuple(map(tuple, form))
         out.field, out.n, out._det = field, len(form), None
         return out
 
     def reps(self) -> list:
         """Rows of raw reps, for the field's arith class."""
-        return [list(r) for r in self._reps]
+        return [list(r) for r in self.field.arith.reps(self._form)]
 
     def form(self):
         """The field's matrix form, for its arith class's ``chain`` and
@@ -163,11 +141,13 @@ class Matrix:
     def rows(self) -> tuple:
         """Rows of FieldElements."""
         f = self.field
-        return tuple(tuple(FieldElement(f, x) for x in r) for r in self._reps)
+        return tuple(tuple(FieldElement(f, x) for x in r)
+                     for r in f.arith.reps(self._form))
 
     def __getitem__(self, ij):
         i, j = ij
-        return FieldElement(self.field, self._reps[i][j])
+        return FieldElement(self.field,
+                            self.field.arith.row_entry(self._form[i], j))
 
     def check_operand(self, other):
         """Raise as an arithmetic operation with ``other`` would: TypeError
@@ -184,8 +164,10 @@ class Matrix:
 
     def _entrywise(self, op, other):
         self.check_operand(other)
+        reps = self.field.arith.reps
         return Matrix.from_reps(self.field, [
-            list(map(op, ra, rb)) for ra, rb in zip(self._reps, other._reps)])
+            list(map(op, ra, rb))
+            for ra, rb in zip(reps(self._form), reps(other._form))])
 
     def __add__(self, other):
         return self._entrywise(self.field.arith.add, other)
@@ -194,8 +176,8 @@ class Matrix:
         return self._entrywise(self.field.arith.sub, other)
 
     def __neg__(self):
-        negate = self.field.arith.negate
-        return Matrix.from_reps(self.field, [negate(r) for r in self._reps])
+        negate = self.field.arith.row_negate
+        return Matrix.from_form(self.field, [negate(r) for r in self._form])
 
     def __matmul__(self, other):
         """The product, a ``chain`` of two forms."""
@@ -205,12 +187,12 @@ class Matrix:
 
     def scalar_mul(self, c: FieldElement):
         (c,) = _reps_of(self.field, (c,))
-        scale = self.field.arith.scale
-        return Matrix.from_reps(self.field, [scale(r, c)
-                                             for r in self._reps])
+        scale = self.field.arith.row_scale
+        return Matrix.from_form(self.field, [scale(r, c) for r in self._form])
 
     def transpose(self):
-        return Matrix.from_reps(self.field, list(zip(*self._reps)))
+        return Matrix.from_form(self.field,
+                                self.field.arith.transpose(self._form))
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -228,13 +210,13 @@ class Matrix:
         """Matrix-vector product; vec is a tuple of FieldElements."""
         f = self.field
         return tuple(FieldElement(f, x) for x in
-                     apply_reps(f.arith, self._reps, _reps_of(f, vec)))
+                     _apply(f.arith, self._form, _reps_of(f, vec)))
 
     # -- scalar invariants --
 
     def trace(self) -> FieldElement:
-        return FieldElement(self.field, reduce(
-            self.field.arith.add, (r[i] for i, r in enumerate(self._reps))))
+        return FieldElement(self.field, reduce(self.field.arith.add,
+                                               self._diagonal()))
 
     def det(self) -> FieldElement:
         if self._det is None:
@@ -242,20 +224,21 @@ class Matrix:
         return FieldElement(self.field, self._det)
 
     def inverse(self) -> "Matrix":
+        """[A | I] eliminated over its first n columns: its right half."""
         arith, n = self.field.arith, self.n
-        eye = diagonal_reps(arith, [arith.one] * n)
-        work, pivots = _rref(arith, [list(r) + e
-                                     for r, e in zip(self._reps, eye)],
-                             limit=n)
+        work, pivots = arith.rref(map(arith.row_cat, self._form,
+                                      arith.diagonal([arith.one] * n)), n)
         if len(pivots) != n:
             raise Singular("matrix is not invertible")
-        return Matrix.from_reps(self.field, [r[n:] for r in work])
+        right = slice(n, None)
+        return Matrix.from_form(self.field,
+                                [arith.row_cut(r, right) for r in work])
 
     # -- predicates --
 
     def is_zero(self) -> bool:
-        return all(map(self.field.arith.is_zero,
-                       chain.from_iterable(self._reps)))
+        return self == Matrix.from_form(self.field,
+                                        self.field.arith.zeros(self.n))
 
     def is_identity(self) -> bool:
         return self == identity(self.field, self.n)
@@ -265,12 +248,18 @@ class Matrix:
 
     def is_diagonal(self) -> bool:
         is_zero = self.field.arith.is_zero
-        return all(is_zero(v) for i, r in enumerate(self._reps)
+        return all(is_zero(v)
+                   for i, r in enumerate(self.field.arith.reps(self._form))
                    for j, v in enumerate(r) if i != j)
 
     def diagonal(self):
         f = self.field
-        return tuple(FieldElement(f, r[i]) for i, r in enumerate(self._reps))
+        return tuple(FieldElement(f, x) for x in self._diagonal())
+
+    def _diagonal(self) -> list:
+        """The reps on the diagonal."""
+        entry = self.field.arith.row_entry
+        return [entry(r, i) for i, r in enumerate(self._form)]
 
     # -- identity / io --
 
@@ -290,60 +279,32 @@ class Matrix:
         return self.field.arith.tokens(self._form)
 
 
-class _RationalMatrix(Matrix):
-    """A Matrix over Q made by ``from_reps`` or ``from_form``, with one of
-    its two views, ``_reps`` or ``_form``; ``__getattr__`` makes the
-    other from it when it is first read and keeps it, so a product that
-    is only multiplied again, compared or verified never builds a
-    ``Fraction``.  A class of its own, as a ``__getattr__`` on ``Matrix``
-    would slow every attribute read of every matrix over a finite field
-    (CPython then gives up its fast path for slot reads)."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name == "_reps":
-            self._reps = tuple(map(tuple, self.field.arith.reps(self._form)))
-            return self._reps
-        if name == "_form":
-            self._form = self.field.arith.form(self._reps)
-            return self._form
-        raise AttributeError(name)
-
-
-# -- helpers on rows of reps ----------------------------------------------
-
-def diagonal_reps(arith, entries) -> list:
-    """Rows of the diagonal matrix with the given reps on its diagonal."""
-    zero, m = arith.zero, len(entries)
-    return [[e if i == j else zero for j in range(m)]
-            for i, e in enumerate(entries)]
-
-
-def apply_reps(arith, rows, vec) -> list:
-    """rows @ vec, also when vec is empty."""
-    if not vec:
-        return [arith.zero] * len(rows)
-    return [r[0] for r in arith.product_reps(rows, [[v] for v in vec])]
+def _apply(arith, form, vec) -> list:
+    """The reps of X vec, for X given as its form and vec as reps: the
+    chain of X and vec as one column, read at column 0."""
+    return [arith.row_entry(r, 0)
+            for r in arith.chain([form, arith.form([[x] for x in vec])])]
 
 
 # -- constructors ---------------------------------------------------------
 
 def identity(field: FieldSpec, n: int) -> Matrix:
     arith = field.arith
-    return Matrix.from_reps(field, diagonal_reps(arith, [arith.one] * n))
+    return Matrix.from_form(field, arith.diagonal([arith.one] * n))
 
 
 def diagonal(field: FieldSpec, entries) -> Matrix:
-    return Matrix.from_reps(field, diagonal_reps(field.arith,
-                                                 _reps_of(field, entries)))
+    return Matrix.from_form(field, field.arith.diagonal(
+        _reps_of(field, entries)))
 
 
 def jordan_block(field: FieldSpec, n: int, lam: FieldElement) -> Matrix:
-    rows = diagonal_reps(field.arith, _reps_of(field, [lam]) * n)
-    for i in range(n - 1):
-        rows[i][i + 1] = field.arith.one
-    return Matrix.from_reps(field, rows)
+    """J_n(lam): lam on the diagonal and 1 right above it."""
+    (lam,) = _reps_of(field, [lam])
+    one, zero = field.arith.one, field.arith.zero
+    return Matrix.from_reps(field, [
+        [lam if j == i else one if j == i + 1 else zero for j in range(n)]
+        for i in range(n)])
 
 
 def chain_product(*mats: Matrix) -> Matrix:
@@ -358,70 +319,40 @@ def chain_product(*mats: Matrix) -> Matrix:
 
 
 def direct_sum(*mats: Matrix) -> Matrix:
-    """The block-diagonal matrix of the given blocks, in order."""
+    """The block-diagonal matrix of the given blocks, in order: each
+    block's rows between zero rows, by ``row_cat``."""
     field = mats[0].field
     if any(m.field != field for m in mats):
         raise FieldMismatch("direct sum over different fields")
-    zero = field.arith.zero
+    arith = field.arith
+    cat, zero = arith.row_cat, arith.zero
     n = sum(m.n for m in mats)
     rows, before = [], 0
     for m in mats:
-        left, right = (zero,) * before, (zero,) * (n - before - m.n)
-        rows.extend(left + r + right for r in m._reps)
+        left = arith.row([zero] * before)
+        right = arith.row([zero] * (n - before - m.n))
+        rows.extend(cat(cat(left, r), right) for r in m._form)
         before += m.n
-    return Matrix.from_reps(field, rows)
+    return Matrix.from_form(field, rows)
 
 
-# -- elimination core ------------------------------------------------------
+# -- kernels -----------------------------------------------------------------
 
-def _rref(arith, work, limit=None):
-    """In-place reduced row echelon form of rows of reps; returns (rows,
-    pivot_columns).
-
-    Pivot choice: first nonzero entry scanning rows top-down within each
-    column, columns left to right (deterministic in exact arithmetic).
-    Left of the pivot column the pivot row is zero, so only the columns
-    from the pivot on are scaled and subtracted.
-    """
-    if not work:
-        return work, []
-    is_zero, sub_scaled = arith.is_zero, arith.sub_scaled
-    nrows = len(work)
-    ncols = len(work[0]) if limit is None else limit
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot = next((r for r in range(row, nrows)
-                      if not is_zero(work[r][col])), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        head = work[row]
-        head[col:] = tail = arith.scale(head[col:], arith.inv(head[col]))
-        for r in range(nrows):
-            factor = work[r][col]
-            if r != row and not is_zero(factor):
-                work[r][col:] = sub_scaled(work[r][col:], factor, tail)
-        pivots.append(col)
-        row += 1
-    return work, pivots
-
-
-def _kernel_reps(arith, rows) -> list:
-    """Basis of the right kernel of square rows of reps, in canonical
-    (free-column) order: each vector has a 1 at its free column."""
+def _kernel(arith, rows) -> list:
+    """Basis of the right kernel of the square matrix given as rows of
+    its form, as rows, in canonical (free-column) order: each vector has
+    a 1 at its free column."""
     n = len(rows)
-    work, pivots = _rref(arith, [list(r) for r in rows])
+    work, pivots = arith.rref(rows)
+    entry, neg = arith.row_entry, arith.neg
     pivot_set = set(pivots)
     basis = []
     for f in (j for j in range(n) if j not in pivot_set):
         vec = [arith.zero] * n
         vec[f] = arith.one
         for rowi, pj in enumerate(pivots):
-            vec[pj] = arith.neg(work[rowi][f])
-        basis.append(vec)
+            vec[pj] = neg(entry(work[rowi], f))
+        basis.append(arith.row(vec))
     return basis
 
 
@@ -430,36 +361,33 @@ def kernel_basis(A: Matrix):
     order."""
     f = A.field
     return [tuple(FieldElement(f, x) for x in v)
-            for v in _kernel_reps(f.arith, A._reps)]
+            for v in f.arith.reps(_kernel(f.arith, A._form))]
 
 
 class IndependentSet:
     """Incremental linear-independence tracker over a field, on vectors
-    of reps."""
+    given as rows of its arith class's row API."""
 
-    def __init__(self, field: FieldSpec, dim: int):
+    def __init__(self, field: FieldSpec):
         self.arith = field.arith
-        self.dim = dim
         self.rows = []       # reduced, each with a recorded pivot column
         self.pivots = []
 
-    def reduce(self, vec) -> list:
-        sub_scaled = self.arith.sub_scaled
-        vec = list(vec)
+    def reduce(self, vec):
+        entry, sub_scaled = self.arith.row_entry, self.arith.row_sub_scaled
         for row, p in zip(self.rows, self.pivots):
-            vec = sub_scaled(vec, vec[p], row)
+            vec = sub_scaled(vec, entry(vec, p), row)
         return vec
 
     def add(self, vec) -> bool:
-        """Add vec if independent of the current span; returns True if added."""
-        arith = self.arith
-        red = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(red) if not arith.is_zero(c)),
-                     None)
-        if pivot is None:
+        """Add vec if independent of the current span; returns True if
+        added.  The reduced vec, eliminated as one row, is scaled to 1
+        at its pivot, its first nonzero entry."""
+        (row,), pivots = self.arith.rref([self.reduce(vec)])
+        if not pivots:
             return False
-        self.rows.append(arith.scale(red, arith.inv(red[pivot])))
-        self.pivots.append(pivot)
+        self.rows.append(row)
+        self.pivots += pivots
         return True
 
 
@@ -473,12 +401,17 @@ def charpoly(A: Matrix) -> Poly:
     principal minors p_k = det(xI - H[:k, :k]) follow the standard
     recurrence (Cohen, A Course in Computational Algebraic Number
     Theory, Alg. 2.2.9).  Valid in any characteristic.  Both run on
-    reps; the minors are ascending coefficient lists.
+    reps, with element operations; the minors are ascending coefficient
+    lists.
     """
     field, n = A.field, A.n
     arith = field.arith
-    is_zero, mul, sub_scaled = arith.is_zero, arith.mul, arith.sub_scaled
-    H = [list(r) for r in A._reps]
+    is_zero, mul, sub = arith.is_zero, arith.mul, arith.sub
+
+    def sub_scaled(row, c, other):
+        return [sub(x, mul(c, y)) for x, y in zip(row, other)]
+
+    H = [list(r) for r in arith.reps(A._form)]
     for m in range(1, n - 1):
         i = next((r for r in range(m, n) if not is_zero(H[r][m - 1])), None)
         if i is None:
@@ -545,31 +478,37 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     """
     field, n = A.field, A.n
     arith = field.arith
-    N = shift_reps(arith, A._reps, arith.one)
-    npowers = [diagonal_reps(arith, [arith.one] * n), N]
-    while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
+    N = arith.shift(A._form, arith.one)
+    npowers = [arith.diagonal([arith.one] * n), N]
+    zeros = arith.zeros(n)
+    while npowers[-1] != zeros:
         if len(npowers) > n:
             raise NotUnipotent("matrix is not unipotent")
-        npowers.append(arith.product_reps(npowers[-1], N))
+        npowers.append(arith.chain([npowers[-1], N]))
     index = len(npowers) - 1
-    bottoms = IndependentSet(field, n)
+    bottoms = IndependentSet(field)
     tops = []  # (vector, height), heights non-increasing by construction
     rest = n  # total size of the blocks no chosen chain covers
     for j in range(index, 0, -1):
         if j > rest:
             continue  # no block of size j is left; none at all once rest = 0
-        kernel = _kernel_reps(arith, npowers[j])
-        # the bottom N^(j-1) v of every kernel vector v, in one product
-        images = zip(*arith.product_reps(npowers[j - 1], list(zip(*kernel))))
+        kernel = _kernel(arith, npowers[j])
+        # the bottoms N^(j-1) v of the kernel vectors v, as rows, in one
+        # product: (N^(j-1) v)^T = v^T (N^(j-1))^T
+        images = arith.chain([kernel, arith.transpose(npowers[j - 1])])
         for v, bottom in zip(kernel, images):
             if bottoms.add(bottom):
                 tops.append((v, j))
                 rest -= j
-    cols = []
-    for (v, h) in tops:
-        cols.extend(apply_reps(arith, npowers[h - 1 - i], v) for i in range(h))
-    Q = Matrix.from_reps(field, list(zip(*cols)))
-    return JordanData(tuple(h for (_, h) in tops), Q.inverse(), Q)
+    # the columns N^(h-1) v, ..., N v, v of each chain, as rows
+    Nt, cols = arith.transpose(N), []
+    for v, h in tops:
+        links = [v]
+        for _ in range(h - 1):
+            links.append(arith.chain([[links[-1]], Nt])[0])
+        cols.extend(reversed(links))
+    Q = Matrix.from_form(field, arith.transpose(cols))
+    return JordanData(tuple(h for _, h in tops), Q.inverse(), Q)
 
 
 def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
@@ -607,8 +546,7 @@ def single_block_jordan(T: Matrix, T_inv: Matrix, R: Matrix):
     f = next(j for j in range(n) if not is_zero(entry(Tinv[0], j)))
     powers = [[entry(r, f) for r in Tinv]]
     for _ in range(n - 1):
-        powers.append([entry(r, 0) for r in arith.chain(
-            [N, arith.form([[v] for v in powers[-1]])])])
+        powers.append(_apply(arith, N, powers[-1]))
     # K J, lower triangular
     K_rev = arith.form([list(r) for r in zip(*powers)])
     Q = _reversed(arith, arith.chain([Tr, K_rev]))
@@ -629,10 +567,10 @@ def companion_similarity_2x2(A: Matrix):
     arith = A.field.arith
     one, zero, mul = arith.one, arith.zero, arith.mul
     for v in ((one, zero), (zero, one), (one, one)):
-        av = apply_reps(arith, A._reps, v)
+        av = _apply(arith, A._form, v)
         # independent iff the 2x2 det [v | Av] is nonzero
         if not arith.is_zero(arith.sub(mul(v[0], av[1]), mul(v[1], av[0]))):
-            Q = Matrix.from_reps(A.field, list(zip(v, av)))
+            Q = Matrix.from_reps(A.field, zip(v, av))
             return Q.inverse(), Q
     raise ScalarInput("no non-eigenvector found; matrix is scalar")
 
@@ -659,13 +597,13 @@ def similarity_to_diagonal(A: Matrix, entries):
     cols = [None] * n
     for i, lam in enumerate(entries):
         if lam not in pools:
-            pools[lam] = list(map(arith.primitive, _kernel_reps(
-                arith, shift_reps(arith, A._reps, lam))))
+            pools[lam] = list(map(arith.primitive, _kernel(
+                arith, arith.shift(A._form, lam))))
         if not pools[lam]:
             raise SpectrumMismatch(
                 f"eigenspace of {arith.token(lam)} too small")
         cols[i] = pools[lam].pop(0)
-    Q = Matrix.from_reps(field, list(zip(*cols)))
+    Q = Matrix.from_form(field, arith.transpose(cols))
     try:
         P = Q.inverse()
     except Singular:
@@ -769,16 +707,16 @@ def find_diagonal_permutation(source: Matrix, target: Matrix) -> Matrix:
     P's transpose."""
     if not (source.is_diagonal() and target.is_diagonal()):
         raise LinalgError("both matrices must be diagonal")
-    unused = [r[i] for i, r in enumerate(source._reps)]
-    eye = identity(source.field, source.n)._reps
+    unused = source._diagonal()
+    eye = identity(source.field, source.n).form()
     rows = []
-    for i, r in enumerate(target._reps):
-        j = next((j for j, s in enumerate(unused) if s == r[i]), None)
+    for x in target._diagonal():
+        j = next((j for j, s in enumerate(unused) if s == x), None)
         if j is None:
             raise LinalgError("diagonal multisets differ")
         unused[j] = None  # no rep equals None
         rows.append(eye[j])
-    return Matrix.from_reps(source.field, rows)
+    return Matrix.from_form(source.field, rows)
 
 
 # -- matrix file format -------------------------------------------------------

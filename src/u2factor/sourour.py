@@ -57,7 +57,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .field import FieldSpec
-from .linalg import Matrix, ScalarInput, diagonal_reps
+from .linalg import Matrix, ScalarInput
 
 
 class SourourError(Exception):
@@ -301,9 +301,8 @@ def _split(ar, A, betas, gammas, fixes):
 
 def _diagonal_split(arith, betas, gammas):
     """(T, T^-1, L, U) of the split diag(betas) diag(gammas), T = I."""
-    T = arith.form(diagonal_reps(arith, [arith.one] * len(betas)))
-    return (T, T, arith.form(diagonal_reps(arith, betas)),
-            arith.form(diagonal_reps(arith, gammas)))
+    T = arith.diagonal([arith.one] * len(betas))
+    return T, T, arith.diagonal(betas), arith.diagonal(gammas)
 
 
 def sourour_factor(A: Matrix, betas, gammas) -> SourourFactorization:

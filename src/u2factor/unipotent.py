@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .field import FieldSpec, parse_field_spec, parse_rep
-from .linalg import Matrix, identity, chain_product, direct_sum, diagonal_reps
+from .linalg import Matrix, identity, chain_product, direct_sum
 
 
 class CertificateError(Exception):
@@ -68,7 +68,7 @@ class VerificationFailed(CertificateError):
 
 def _identity_form(arith, n: int):
     """The form of I_n."""
-    return arith.form(diagonal_reps(arith, [arith.one] * n))
+    return arith.diagonal([arith.one] * n)
 
 
 def _index_form(arith, form, k: int) -> bool:

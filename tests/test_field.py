@@ -1,6 +1,7 @@
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,13 +154,13 @@ class TestArithmetic:
                                       "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
     def test_matmul_with_empty_inner_dimension(self, spec):
         # an empty right operand has no columns, so every row is empty,
-        # whether the chain takes the factors' forms or product_reps
-        # their rows
+        # in the chain of the factors' forms as in the entry-wise product
         arith = parse_field_spec(spec).arith
 
         def chain(a, b):
             got = arith.reps(arith.chain([arith.form(a), arith.form(b)]))
-            assert got == arith.product_reps(a, b)
+            assert got == [[reduce(arith.add, map(arith.mul, r, c),
+                                   arith.zero) for c in zip(*b)] for r in a]
             return got
 
         assert chain([[]], []) == [[]]
@@ -313,10 +314,11 @@ class TestPrimitive:
                           ([F(1, 6), F(1, 4), F(0)], [2, 3, 0]),
                           ([F(-5, 7)], [1]),
                           ([F(4), F(6)], [2, 3])):
-            got = arith.primitive(vec)
-            assert got == want
-            assert all(type(x) is Fraction for x in got)
-        zero = [F(0), F(0)]
+            got = arith.primitive(arith.row(vec))
+            assert got == (1, tuple(want))
+            assert arith.reps([got]) == [want]
+            assert all(type(x) is Fraction for x in arith.reps([got])[0])
+        zero = arith.row([F(0), F(0)])
         assert arith.primitive(zero) == zero
 
     def test_finite_fields_keep_the_vector(self):

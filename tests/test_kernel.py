@@ -318,25 +318,24 @@ def test_q_chains_that_cancel():
         S = q_matrix([[rng.randint(-3, 3) if j else 1 for j in range(n)]
                       for _ in range(n)])  # a column of ones: not scalar
         X = Pinv @ S @ P
-        mats = [P._reps, X._reps, Pinv._reps]
+        mats = [P.reps(), X.reps(), Pinv.reps()]
         got = chain_reps(Q, mats)
-        assert got == naive_chain(Q, mats) == [list(r) for r in S._reps]
+        assert got == naive_chain(Q, mats) == S.reps()
         assert all(type(x) is Fraction for r in got for x in r)
         assert q_bits(mats[1]) > 200 and q_bits(got) <= 2
         # the chain of the matrices' forms is S's form, built from ints
         product = chain_product(P, X, Pinv)
         assert product == S and hash(product) == hash(S)
-        assert product.form() == S.form() == Q.arith.form(S._reps)
+        assert product.form() == S.form() == Q.arith.form(S.reps())
 
         A = q_matrix([[Fraction(rng.getrandbits(80), rng.getrandbits(80) + 1)
                        for _ in range(n)] for _ in range(n)])
         X, Y = A @ A + identity(Q, n), A @ A @ A - A
         if X.det() == 0 or Y.det() == 0:
             continue
-        mats = [X._reps, Y._reps, X.inverse()._reps, Y.inverse()._reps]
+        mats = [X.reps(), Y.reps(), X.inverse().reps(), Y.inverse().reps()]
         got = chain_reps(Q, mats)
-        assert got == naive_chain(Q, mats) == [list(r) for r in
-                                               identity(Q, n)._reps]
+        assert got == naive_chain(Q, mats) == identity(Q, n).reps()
         assert all(type(x) is Fraction for r in got for x in r)
         assert q_bits(mats[0]) > 100 and q_bits(got) == 1
 

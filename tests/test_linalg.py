@@ -3,12 +3,12 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from u2factor import factor, linalg, verify
+from u2factor import field as field_module
 from u2factor.field import GF, rationals, FieldMismatch, FieldElement, \
     parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
@@ -22,6 +22,8 @@ from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
                              IndependentSet)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
+
+from corpora import wide_conjugator
 
 
 def mats(q, n):
@@ -243,24 +245,19 @@ def _every_level_jordan(A):
     """unipotent_jordan without the skip rule: one kernel of N^j at
     every level j from the index down."""
     field, n = A.field, A.n
-    arith = field.arith
-    N = linalg.shift_reps(arith, A.reps(), arith.one)
-    npowers = [linalg.diagonal_reps(arith, [arith.one] * n), N]
-    while not all(map(arith.is_zero, chain.from_iterable(npowers[-1]))):
-        npowers.append(arith.product_reps(npowers[-1], N))
+    N = A - identity(field, n)
+    npowers = [identity(field, n), N]
+    while not npowers[-1].is_zero():
+        npowers.append(npowers[-1] @ N)
     index = len(npowers) - 1
-    bottoms = IndependentSet(field, n)
+    bottoms = _RefIndependentSet(field, n)
     tops = []
     for j in range(index, 0, -1):
-        kernel = linalg._kernel_reps(arith, npowers[j])
-        images = zip(*arith.product_reps(npowers[j - 1],
-                                         list(zip(*kernel))))
-        for v, bottom in zip(kernel, images):
-            if bottoms.add(bottom):
+        for v in kernel_basis(npowers[j]):
+            if bottoms.add(npowers[j - 1].apply(v)):
                 tops.append((v, j))
-    cols = [linalg.apply_reps(arith, npowers[h - 1 - i], v)
-            for v, h in tops for i in range(h)]
-    Q = Matrix.from_reps(field, list(zip(*cols)))
+    cols = [npowers[h - 1 - i].apply(v) for v, h in tops for i in range(h)]
+    Q = Matrix(field, zip(*cols))
     return linalg.JordanData(tuple(h for _, h in tops), Q.inverse(), Q)
 
 
@@ -270,28 +267,25 @@ def _level_by_level_jordan(A):
     the chains chosen so far, and a vector of ker N^j tops a new chain
     when it is independent of that span."""
     field, n = A.field, A.n
-    arith = field.arith
     N = [[a - b for a, b in zip(r, e)]
          for r, e in zip(A.rows, identity(field, n).rows)]
     powers = [identity(field, n), Matrix(field, N)]
     while not powers[-1].is_zero():
         powers.append(powers[-1] @ powers[1])
     index = len(powers) - 1
-    kernels = [[]] + [[[x.rep for x in v] for v in kernel_basis(powers[j])]
-                      for j in range(1, index + 1)]
+    kernels = [[]] + [kernel_basis(powers[j]) for j in range(1, index + 1)]
     tops = []
     for j in range(index, 0, -1):
-        span = IndependentSet(field, n)
+        span = _RefIndependentSet(field, n)
         for v in kernels[j - 1]:
             span.add(v)
         for u, h in tops:
-            span.add(linalg.apply_reps(arith, powers[h - j].reps(), u))
+            span.add(powers[h - j].apply(u))
         for v in kernels[j]:
             if span.add(v):
                 tops.append((v, j))
-    cols = [linalg.apply_reps(arith, powers[h - 1 - i].reps(), v)
-            for v, h in tops for i in range(h)]
-    Q = Matrix.from_reps(field, list(zip(*cols)))
+    cols = [powers[h - 1 - i].apply(v) for v, h in tops for i in range(h)]
+    Q = Matrix(field, zip(*cols))
     return Q.inverse(), Q
 
 
@@ -557,6 +551,11 @@ def _reps(rows):
     return [[e.rep for e in r] for r in rows]
 
 
+def _rows(F, rows):
+    """Rows of FieldElements as rows of the arith class's row API."""
+    return [F.arith.row(r) for r in _reps(rows)]
+
+
 def _entry_pool(F, rng):
     """A function that draws one entry: any element of a finite field,
     or over Q a fraction with a 500-bit numerator and denominator."""
@@ -584,12 +583,22 @@ def _elimination_inputs(F, rng):
                 yield Matrix(F, rows[:-1] + [dep])
             col = [entry() for _ in range(n)]
             yield Matrix(F, [[c * e for e in rows[0]] for c in col])
+    if not F.is_finite:
+        # rows whose entries have unrelated 64- or 500-bit denominators
+        for bits in (64, 500):
+            for n in (3, 4):
+                P = wide_conjugator(F, n, bits, rng)
+                A = P @ random_sl(F, n, rng) @ P.inverse()
+                yield A
+                rows = [list(r) for r in A.rows]
+                dep = [x + y for x, y in zip(rows[0], rows[1])]
+                yield Matrix(F, rows[:-1] + [dep])
 
 
 class TestEliminationReference:
-    """``_rref``, ``kernel_basis``, ``inverse`` and ``IndependentSet`` on
-    reps give what the element-level versions gave, pivot order
-    included."""
+    """``rref``, ``kernel_basis``, ``inverse`` and ``IndependentSet`` on
+    the rows of the row API give what the element-level versions gave,
+    pivot order included."""
 
     @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
                                       "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
@@ -603,9 +612,12 @@ class TestEliminationReference:
             for rows, limit in ((A.rows, None), (A.rows, n - 1),
                                 ([r + r[:2] for r in A.rows], n)):
                 want, want_pivots = _ref_rref([list(r) for r in rows], limit)
-                got, got_pivots = linalg._rref(F.arith, _reps(rows), limit)
+                given = _rows(F, rows)
+                got, got_pivots = F.arith.rref(given, limit)
+                assert given == _rows(F, rows)  # rref works on copies
                 assert got_pivots == want_pivots
-                assert got == _reps(want)
+                assert F.arith.reps(got) == _reps(want)
+                assert got == _rows(F, want)
             assert kernel_basis(A) == _ref_kernel_basis(A)
             try:
                 want_inv = _ref_inverse(A)
@@ -616,11 +628,11 @@ class TestEliminationReference:
             else:
                 assert A.inverse() == want_inv
             vecs = list(A.rows) + list(zip(*A.rows)) + _ref_kernel_basis(A)
-            ref, span = _RefIndependentSet(F, n), IndependentSet(F, n)
+            ref, span = _RefIndependentSet(F, n), IndependentSet(F)
             for v in vecs:
-                assert span.add(_reps([v])[0]) == ref.add(v)
+                assert span.add(_rows(F, [v])[0]) == ref.add(v)
             assert span.pivots == ref.pivots
-            assert span.rows == _reps(ref.rows)
+            assert span.rows == _rows(F, ref.rows)
         assert singular > 0
 
     @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
@@ -641,13 +653,13 @@ class TestEliminationReference:
             for x, y in zip(rows, rows[1:] + rows[:1]):
                 for c in (entry(), F.zero(), F.one()):
                     want_row = [a - c * b for a, b in zip(x, y)]
-                    got_row = arith.sub_scaled(_reps([x])[0], c.rep,
-                                               _reps([y])[0])
-                    assert got_row == _reps([want_row])[0]
-                    assert arith.scale(_reps([y])[0], c.rep) == \
-                        _reps([[c * b for b in y]])[0]
-            row = _reps([rows[0]])[0]
-            assert arith.sub_scaled(row, arith.zero, row) is row
+                    got_row = arith.row_sub_scaled(_rows(F, [x])[0], c.rep,
+                                                   _rows(F, [y])[0])
+                    assert got_row == _rows(F, [want_row])[0]
+                    assert arith.row_scale(_rows(F, [y])[0], c.rep) == \
+                        _rows(F, [[c * b for b in y]])[0]
+            row = _rows(F, [rows[0]])[0]
+            assert arith.row_sub_scaled(row, arith.zero, row) is row
         assert singular > 0
 
     @pytest.mark.parametrize("spec", ["GF(2)", "GF(9)", "GF(31)", "Q"])
@@ -677,20 +689,25 @@ class TestNoElementOps:
     """While ``factor`` runs, the eliminations and the algorithms on them
     make no FieldElement arithmetic and no ``_check``."""
 
-    WATCHED = ("_rref", "Matrix.inverse", "kernel_basis",
-               "IndependentSet.reduce", "IndependentSet.add", "Matrix.apply",
-               "unipotent_jordan", "single_block_jordan",
-               "similarity_to_diagonal", "diagonalize_triangular")
+    # by module: the eliminations of the arith classes, and linalg's
+    # algorithms on them
+    WATCHED = {field_module: ("_FiniteArith.rref", "RationalArith.rref"),
+               linalg: ("Matrix.inverse", "kernel_basis",
+                        "IndependentSet.reduce", "IndependentSet.add",
+                        "Matrix.apply", "unipotent_jordan",
+                        "single_block_jordan", "similarity_to_diagonal",
+                        "diagonalize_triangular")}
 
     def test_factor(self, monkeypatch, memos):
         # memos: the J_k(1) blocks are built afresh, which is where the
         # eliminations run when the Sourour parts are single blocks
         codes = {}
-        for name in self.WATCHED:
-            obj = linalg
-            for part in name.split("."):
-                obj = getattr(obj, part)
-            codes[obj.__code__] = name
+        for module, names in self.WATCHED.items():
+            for name in names:
+                obj = module
+                for part in name.split("."):
+                    obj = getattr(obj, part)
+                codes[obj.__code__] = name
         reached, outside = Counter(), Counter()
 
         def spy(op, fn):
@@ -714,7 +731,8 @@ class TestNoElementOps:
             if event == "call" and frame.f_code in codes:
                 entered.add(codes[frame.f_code])
 
-        for spec, n in (("GF(10007)", 12), ("GF(9)", 6)):
+        # over Q the memoised 2x2 blocks invert their companion similarity
+        for spec, n in (("GF(10007)", 12), ("GF(9)", 6), ("Q", 6)):
             F = parse_field_spec(spec)
             A = random_sl(F, n, random.Random(spec))
             sys.setprofile(profile)
@@ -726,6 +744,7 @@ class TestNoElementOps:
         assert reached == Counter()
         # the spies are installed, and the watched functions did run
         assert outside["__mul__"] > 0 and outside["_check"] > 0
-        assert entered >= {"_rref", "Matrix.inverse", "IndependentSet.add",
+        assert entered >= {"_FiniteArith.rref", "RationalArith.rref",
+                           "Matrix.inverse", "IndependentSet.add",
                            "unipotent_jordan", "single_block_jordan",
                            "diagonalize_triangular"}

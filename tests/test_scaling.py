@@ -13,9 +13,10 @@ cleared before each rung, so every rung starts cold.
 The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10
 and 14.  The largest numerator or denominator of a certificate entry
 may not grow past the bits it has had since the split and the
-substitutions moved onto integer rows, and while ``sourour_factor`` and
-``diagonalize_triangular`` run, no row operation on rows of Fractions
-(``RationalArith.scale``, ``sub_scaled``, ``product_reps``) is made.
+substitutions moved onto integer rows.  ``RationalArith.reps``, the one
+whole-matrix view of a form as rows of Fractions, is called as often as
+recorded, never while ``sourour_factor`` or ``diagonalize_triangular``
+runs, and never by ``Matrix.inverse`` or ``unipotent_jordan``.
 """
 
 import importlib
@@ -36,7 +37,6 @@ INPUTS = 5
 # n: the largest numerator or denominator of a certificate entry, in
 # bits, of the seeded input at n
 Q_LADDER = {6: 201, 10: 1173, 14: 3621}
-FRACTION_ROW_OPS = ("scale", "sub_scaled", "product_reps")
 
 
 def _work(mats) -> int:
@@ -98,51 +98,59 @@ def _entry_bits(cert) -> int:
 
 
 @pytest.fixture
-def fraction_rows(monkeypatch):
-    """Calls of the Fraction-row operations of ``RationalArith``, by name,
-    made while the route's ``sourour_factor`` or
-    ``diagonalize_triangular`` runs; "stages" counts those runs."""
-    seen, inside = Counter(), []
+def reps_calls(monkeypatch):
+    """Calls of ``RationalArith.reps`` ("reps"), and runs of the route's
+    ``sourour_factor`` and ``diagonalize_triangular`` ("stages"), as a
+    Counter updated while the test runs."""
+    seen = Counter()
 
-    def staged(fn):
+    def counted(key, fn):
         def wrapped(*args, **kwargs):
-            seen["stages"] += 1
-            inside.append(fn)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
-        return wrapped
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            if inside:
-                seen[name] += 1
+            seen[key] += 1
             return fn(*args, **kwargs)
         return wrapped
 
     for name in ("sourour_factor", "diagonalize_triangular"):
         monkeypatch.setattr(sl2_routes, name,
-                            staged(getattr(sl2_routes, name)))
-    for name in FRACTION_ROW_OPS:
-        monkeypatch.setattr(RationalArith, name,
-                            counted(name, getattr(RationalArith, name)))
-    return seen, staged
+                            counted("stages", getattr(sl2_routes, name)))
+    monkeypatch.setattr(RationalArith, "reps",
+                        counted("reps", RationalArith.reps))
+    return seen
 
 
 @pytest.mark.parametrize("n", sorted(Q_LADDER))
-def test_rational_ladder(n, fraction_rows):
-    seen, staged = fraction_rows
+def test_rational_ladder(n, reps_calls, memos):
     A = random_sl(rationals(), n, random.Random(f"ladder:{n}"))
+    reps_calls.clear()  # random_sl reads the entries
     cert = factor(A)
     report = verify(cert)
     assert report.passed, report.text()
     assert f"prop5.2(n={n})" in cert.route
     assert _entry_bits(cert) <= Q_LADDER[n]
-    assert seen["stages"] == 3  # one split, two diagonalizations
-    assert not any(seen[name] for name in FRACTION_ROW_OPS), seen
-    # the counters do see the eliminations, which keep rows of Fractions
-    part = linalg.Matrix.from_ints(rationals(), [[2, 1], [0, 3]])
-    staged(linalg.similarity_to_diagonal)(
-        part, [rationals().element(2), rationals().element(3)])
-    assert seen["scale"] > 0 and seen["sub_scaled"] > 0
+    assert reps_calls["stages"] == 3  # one split, two diagonalizations
+    # factor and verify build no Fraction view of a matrix
+    assert reps_calls["reps"] == 0, reps_calls
+
+
+def test_rational_eliminations_read_no_fractions(reps_calls):
+    Q = rationals()
+    rng = random.Random("eliminations")
+    one = Q.one()
+    inputs = []
+    for n in (3, 6):
+        P = random_sl(Q, n, rng)
+        J = linalg.direct_sum(linalg.jordan_block(Q, n - 1, one),
+                              linalg.identity(Q, 1))
+        inputs.append((P, J))
+    reps_calls.clear()
+    for P, J in inputs:
+        P_inv = P.inverse()
+        A = P @ J @ P_inv
+        jd = linalg.unipotent_jordan(A)
+        assert P @ P_inv == linalg.identity(Q, P.n)
+        assert jd.partition == (P.n - 1, 1)
+        assert jd.transform @ A @ jd.transform_inverse == jd.form
+    assert reps_calls["reps"] == 0
+    # the counter does see a read of the entries
+    A.rows
+    assert reps_calls["reps"] == 1

@@ -210,9 +210,16 @@ def _old_candidate_vectors(field, m):
             yield tuple(vec)
 
 
-def _reps(vec):
-    """A vector of FieldElements as the reps IndependentSet takes."""
-    return [e.rep for e in vec]
+def spy_on_rref(monkeypatch, spy):
+    """Replace the elimination of every field kind, ``rref``, by
+    spy("rref", rref)."""
+    for kind in (_FiniteArith, RationalArith):
+        monkeypatch.setattr(kind, "rref", spy("rref", kind.rref))
+
+
+def _row(vec):
+    """A vector of FieldElements as the row IndependentSet takes."""
+    return vec[0].field.arith.row([e.rep for e in vec])
 
 
 def _old_match_scalar(lam, betas, gammas):
@@ -244,16 +251,16 @@ def _dense_split(A, betas, gammas, fixes):
     one, zero = field.one(), field.zero()
     for x in _old_candidate_vectors(field, m):
         y = shifted.apply(x)
-        span = IndependentSet(field, m)
-        span.add(_reps(x))
-        if span.add(_reps(y)):
+        span = IndependentSet(field)
+        span.add(_row(x))
+        if span.add(_row(y)):
             break
     cols = [x, y]
     for i in range(m):
         if len(cols) == m:
             break
         e = tuple(one if t == i else zero for t in range(m))
-        if span.add(_reps(e)):
+        if span.add(_row(e)):
             cols.append(e)
 
     def peel():
@@ -492,7 +499,7 @@ class TestSingleBlockJordan:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
+        spy_on_rref(monkeypatch, spy)
         monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
         found = 0
         for spec, n in (("GF(7)", 12), ("GF(9)", 6), ("GF(4)", 5)):
@@ -546,14 +553,14 @@ class TestBasis:
                     x = tuple(one if t in support else zero for t in range(m))
                     basis = _Basis.extend(F.arith, support,
                                           [v.rep for v in y])
-                    span = IndependentSet(F, m)
-                    span.add(_reps(x))
-                    if not span.add(_reps(y)):
+                    span = IndependentSet(F)
+                    span.add(_row(x))
+                    if not span.add(_row(y)):
                         assert basis is None
                         continue
                     units = [tuple(one if t == i else zero for t in range(m))
                              for i in range(m)]
-                    added = [i for i in range(m) if span.add(_reps(units[i]))]
+                    added = [i for i in range(m) if span.add(_row(units[i]))]
                     assert basis.kept == added
                     Q = Matrix(F, zip(x, y, *(units[i] for i in added)))
                     Qinv = Q.inverse()
@@ -608,7 +615,7 @@ class TestStructure:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
+        spy_on_rref(monkeypatch, spy)
         monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
         monkeypatch.setattr(Matrix, "__matmul__",
                             spy("matmul", Matrix.__matmul__))
@@ -679,9 +686,8 @@ class TestStructure:
             return out
 
         monkeypatch.setattr(sl2_routes, "sourour_factor", split)
-        monkeypatch.setattr(linalg, "_rref", spy("rref", linalg._rref))
-        monkeypatch.setattr(linalg, "_kernel_reps",
-                            spy("kernel", linalg._kernel_reps))
+        spy_on_rref(monkeypatch, spy)
+        monkeypatch.setattr(linalg, "_kernel", spy("kernel", linalg._kernel))
         monkeypatch.setattr(Matrix, "inverse", spy("inverse", Matrix.inverse))
         for spec, n in (("GF(10007)", 16), ("Q", 7)):
             F = parse_field_spec(spec)
