@@ -10,9 +10,10 @@ canonical order so results are reproducible run to run.
 Arithmetic on those representations lives in one class per field kind
 (``PrimeArith``, ``ExtensionArith``, ``RationalArith``), which
 ``FieldSpec`` chooses when it is made.  Element operators, matrix
-products, row operations, eliminations (``rref``) and determinants
-(``det``) all call it, so no algorithm outside this module makes a
-call per entry.
+products, row operations and determinants (``det``) all call it, so no
+algorithm outside this module makes a call per entry.  There is one
+elimination for every kind, ``linalg.rref``, written on the row API
+below.
 
 A matrix is held as the kind's matrix form: over a finite field its
 rows of reps, over Q canonical integer rows, which ``form`` makes from
@@ -21,21 +22,20 @@ works on the form's rows through one row API: ``row`` makes a row from
 reps and ``row_entry`` reads one entry back; ``row_scale``,
 ``row_sub_scaled``, ``row_negate`` and ``row_divide`` compute;
 ``row_cut``, ``row_cat`` and ``row_push`` rearrange; ``lead_product``
-and ``augment`` are their small products, besides ``chain``; ``rref``
-eliminates; and ``is_scalar``, ``is_lower``, ``primitive_columns``,
-``diagonal`` and ``transpose`` read or make whole matrices.  Over a
-finite field a row is a list of reps; over Q it is a row of the form,
-(d, ints), and no row operation makes a ``Fraction``.  Their results
-are forms as they stand.
+and ``augment`` are their small products, besides ``chain``; and
+``is_scalar``, ``is_lower``, ``primitive_columns``, ``diagonal`` and
+``transpose`` read or make whole matrices.  Over a finite field a row
+is a list of reps; over Q it is a row of the form, (d, ints), and no
+row operation makes a ``Fraction``.  Their results are forms as they
+stand.
 
 Each class has one matrix product, ``chain``: mats[0] @ ... @ mats[-1]
 evaluated right to left in one pass, a product of two being a chain of
 two, on the form.  ``is_product`` runs the same chain and decides
 whether it equals a given matrix without cutting the product into reps.
 ``shift`` makes X - lam I and lam I - X on the form.  GF(p) and GF(p^k)
-share one packed chain, its exact zero test and one elimination, GF(p)
-as the k = 1 case; ``_FiniteArith`` describes them.  What is each kind's
-own:
+share one packed chain and its exact zero test, GF(p) as the k = 1
+case; ``_FiniteArith`` describes them.  What is each kind's own:
 
 - Over GF(p) a rep is an int mod p, and a row operation is one
   comprehension of int arithmetic.  A chain of two with fewer than
@@ -58,11 +58,12 @@ own:
   denominators, cost one ``gcd`` each, with no ``Fraction``.
   ``is_product`` compares the chain's columns with the target's rows by
   cross-multiplication.  X - I and 2I - X are one integer operation per
-  row, and so is each operation of the row API and each row operation
-  of ``rref``, with one ``gcd``.  A determinant runs Bareiss's
-  fraction-free elimination on the form's integer rows, one
-  ``Fraction`` in all, and tokens are cut from the form too.  Entries
-  are read back as Fractions only by ``reps`` and ``row_entry``.
+  row, and so is each computing operation of the row API, with one
+  ``gcd``.  A determinant runs Bareiss's fraction-free elimination on
+  the form's integer rows, one ``Fraction`` in all, and tokens are cut
+  from the form too.  Entries are read back as Fractions only by
+  ``reps`` and ``row_entry``, so ``linalg.rref`` makes one ``Fraction``
+  per entry it reads: each pivot probe and each row's multiplier.
 
 The finite kinds share their determinant, Gaussian elimination through
 ``row_sub_scaled``.  ``primitive`` is the scale that
@@ -329,10 +330,10 @@ def _dot_sized(a, b) -> bool:
 
 class _FiniteArith:
     """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
-    determinant and ``rref`` are Gaussian elimination through
-    ``row_sub_scaled``, the matrix form is the rows of reps (so ``form``
-    and ``reps`` return what they are given), and the product is one
-    packed chain with one exact zero test, GF(p) being its k = 1 case.
+    determinant is Gaussian elimination through ``row_sub_scaled``, the
+    matrix form is the rows of reps (so ``form`` and ``reps`` return
+    what they are given), and the product is one packed chain with one
+    exact zero test, GF(p) being its k = 1 case.
 
     ``chain`` evaluates mats[0] @ ... @ mats[-1] right to left with no
     cut between steps (Kronecker substitution).  A rep becomes one int
@@ -516,43 +517,6 @@ class _FiniteArith:
                     row[col + 1:] = self.row_sub_scaled(
                         row[col + 1:], mul(row[col], inv), tail)
         return det
-
-    def rref(self, rows, limit=None) -> tuple:
-        """(rows, pivots): the reduced row echelon form of the rows of
-        reps, made on copies, and its pivot columns, among the first
-        ``limit`` columns (all when None).
-
-        Pivot choice: first nonzero entry scanning rows top-down within
-        each column, columns left to right (deterministic in exact
-        arithmetic).  Left of the pivot column the pivot row is zero, so
-        only the columns from the pivot on are scaled and subtracted.
-        """
-        work = [list(r) for r in rows]
-        if not work:
-            return work, []
-        is_zero, sub_scaled = self.is_zero, self.row_sub_scaled
-        nrows = len(work)
-        ncols = len(work[0]) if limit is None else limit
-        pivots = []
-        row = 0
-        for col in range(ncols):
-            if row >= nrows:
-                break
-            pivot = next((r for r in range(row, nrows)
-                          if not is_zero(work[r][col])), None)
-            if pivot is None:
-                continue
-            work[row], work[pivot] = work[pivot], work[row]
-            head = work[row]
-            head[col:] = tail = self.row_scale(head[col:],
-                                               self.inv(head[col]))
-            for r in range(nrows):
-                factor = work[r][col]
-                if r != row and not is_zero(factor):
-                    work[r][col:] = sub_scaled(work[r][col:], factor, tail)
-            pivots.append(col)
-            row += 1
-        return work, pivots
 
     def chain(self, mats) -> list:
         """Rows of mats[0] @ ... @ mats[-1], for factors given as rows of
@@ -920,10 +884,11 @@ class RationalArith:
     ``Fraction`` operation per entry (about 18 against 5 us for a
     6-entry row - c other with 60-bit entries, 2-vCPU VM).  ``row_cat``
     and ``row_push`` need no ``gcd`` at all, as the lcm of two rows in
-    lowest terms keeps them so.  ``rref`` is the finite kinds'
-    elimination on such rows.  ``det`` runs Bareiss's fraction-free
-    elimination on the form's integer rows, so it makes one ``Fraction``
-    in all, and ``tokens`` prints the form's entries.  ``primitive``
+    lowest terms keeps them so, and ``linalg.rref`` eliminates on such
+    rows with ``row_scale`` and ``row_sub_scaled``.  ``det`` runs
+    Bareiss's fraction-free elimination on the form's integer rows, so
+    it makes one ``Fraction`` in all, and ``tokens`` prints the form's
+    entries.  ``primitive``
     divides a row's integers by their gcd.  Tokens print by ``str``, and
     through ``decimal``, which has no digit limit, only past Python's
     int <-> str digit limit.
@@ -1169,43 +1134,6 @@ class RationalArith:
                                  for x, y in zip(row[col + 1:], tail)]
             prev = head
         return Fraction(sign * prev, den)
-
-    def rref(self, rows, limit=None) -> tuple:
-        """(rows, pivots): ``_FiniteArith.rref`` on rows of forms, with
-        its pivot rule and its row operations in its order, so the
-        values are the same.  The pivot row t / d becomes t / t_c, c the
-        pivot column, put in lowest terms with t_c = h > 0; a row s / e
-        with s_c != 0 becomes (h s - s_c t) / (e h), in lowest terms:
-        one pass and one ``gcd`` per row operation."""
-        work = list(rows)
-        if not work:
-            return work, []
-        nrows = len(work)
-        ncols = len(work[0][1]) if limit is None else limit
-        pivots = []
-        row = 0
-        for col in range(ncols):
-            if row >= nrows:
-                break
-            pivot = next((r for r in range(row, nrows) if work[r][1][col]),
-                         None)
-            if pivot is None:
-                continue
-            work[row], work[pivot] = work[pivot], work[row]
-            t = work[row][1]
-            if t[col] < 0:
-                t = [-x for x in t]
-            work[row] = head = _lowest(t[col], t)
-            h, t = head
-            for r in range(nrows):
-                e, s = work[r]
-                f = s[col]
-                if f and r != row:
-                    work[r] = _lowest(e * h, [h * x - f * y
-                                              for x, y in zip(s, t)])
-            pivots.append(col)
-            row += 1
-        return work, pivots
 
     def chain(self, mats) -> tuple:
         """The form of mats[0] @ ... @ mats[-1], for factors given as

@@ -11,11 +11,13 @@ of reps over a finite field, canonical integer rows over Q.  Every
 algorithm here runs on the form's rows through the field's arith class
 (``field`` describes it per kind): the product (``chain``, one pass over
 any number of factors, which ``@`` and ``chain_product`` wrap), the row
-API, the elimination (``rref``) that ``inverse``, the kernels and
-``IndependentSet`` share, and the determinant (``det``, Bareiss over
-Q).  So no algorithm makes a call per entry, and over Q none makes a
-``Fraction`` per entry; ``charpoly`` alone reads the entries as reps and
-updates them element by element.
+API and the determinant (``det``, Bareiss over Q).  The one elimination,
+``rref``, is written here once for every kind, on the row API alone;
+``inverse``, the kernels and the independence test of
+``unipotent_jordan`` share it.  So no algorithm makes a call per entry,
+and over Q only ``rref`` makes a ``Fraction`` per entry it reads (each
+pivot probe and each row's multiplier); ``charpoly`` alone reads the
+entries as reps and updates them element by element.
 FieldElements are checked where a matrix is built from them, and made
 only where a caller reads a scalar: ``A[i, j]``, ``rows``,
 ``diagonal()``, ``trace()``, ``det()`` and the results of
@@ -33,8 +35,9 @@ the same way, so for a distinct spectrum they give the same P and P^-1.
 Two functions give the Jordan data of a unipotent matrix.
 ``unipotent_jordan`` takes the kernels of the powers of A - I, one
 elimination per level that can still start a chain, which is O(n^4) when
-A is one Jordan block, and picks the tops of the Jordan chains against
-one growing set of chain bottoms.
+A is one Jordan block, and picks the tops of the Jordan chains by one
+more elimination per level, of the chain bottoms so far and the level's
+new ones.
 ``single_block_jordan`` is given A as T R T^-1 with R unit triangular,
 as a unipotent Sourour split provides it; when A is one block it gives
 the same data with no elimination, by a chain in the basis T and
@@ -88,11 +91,11 @@ class Matrix:
     are FieldElements.  The determinant is kept once computed.
 
     A matrix holds its entries once, as ``_form``, the field's matrix
-    form, which its arith class's ``chain``, ``is_product``, ``rref``
-    and row API take and return: over a finite field the rows of reps,
-    over Q the canonical integer rows (``field.RationalArith``).  The
-    constructor and ``from_reps`` make the form at once, and equality
-    and the hash are the form's.
+    form, which its arith class's ``chain``, ``is_product`` and row API
+    take and return: over a finite field the rows of reps, over Q the
+    canonical integer rows (``field.RationalArith``).  The constructor
+    and ``from_reps`` make the form at once, and equality and the hash
+    are the form's.
     """
 
     __slots__ = ("field", "n", "_form", "_det")
@@ -226,8 +229,8 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """[A | I] eliminated over its first n columns: its right half."""
         arith, n = self.field.arith, self.n
-        work, pivots = arith.rref(map(arith.row_cat, self._form,
-                                      arith.diagonal([arith.one] * n)), n)
+        work, pivots = rref(arith, map(arith.row_cat, self._form,
+                                       arith.diagonal([arith.one] * n)), n)
         if len(pivots) != n:
             raise Singular("matrix is not invertible")
         right = slice(n, None)
@@ -336,14 +339,47 @@ def direct_sum(*mats: Matrix) -> Matrix:
     return Matrix.from_form(field, rows)
 
 
-# -- kernels -----------------------------------------------------------------
+# -- elimination and kernels -------------------------------------------------
+
+def rref(arith, rows, limit: int) -> tuple:
+    """(rows, pivots): the reduced row echelon form of rows of the row
+    API, and its pivot columns among the first ``limit`` columns.  The
+    given rows are not changed.
+
+    Pivot choice: the first nonzero entry, scanning the rows not yet
+    pivoted top-down, of each column, columns left to right
+    (deterministic in exact arithmetic).  The pivot row is scaled to 1
+    at its pivot and every other row takes off its multiple; both are
+    whole-row operations, ``row_scale`` and ``row_sub_scaled``, so this
+    is the one elimination of every field kind.
+    """
+    work = list(rows)
+    entry, is_zero = arith.row_entry, arith.is_zero
+    scale, sub_scaled = arith.row_scale, arith.row_sub_scaled
+    pivots = []
+    for col in range(limit):
+        row = len(pivots)
+        if row == len(work):
+            break
+        pivot = next((r for r in range(row, len(work))
+                      if not is_zero(entry(work[r], col))), None)
+        if pivot is None:
+            continue
+        top, work[pivot] = work[pivot], work[row]
+        work[row] = head = scale(top, arith.inv(entry(top, col)))
+        for r, other in enumerate(work):
+            if r != row:
+                work[r] = sub_scaled(other, entry(other, col), head)
+        pivots.append(col)
+    return work, pivots
+
 
 def _kernel(arith, rows) -> list:
     """Basis of the right kernel of the square matrix given as rows of
     its form, as rows, in canonical (free-column) order: each vector has
     a 1 at its free column."""
     n = len(rows)
-    work, pivots = arith.rref(rows)
+    work, pivots = rref(arith, rows, n)
     entry, neg = arith.row_entry, arith.neg
     pivot_set = set(pivots)
     basis = []
@@ -362,33 +398,6 @@ def kernel_basis(A: Matrix):
     f = A.field
     return [tuple(FieldElement(f, x) for x in v)
             for v in f.arith.reps(_kernel(f.arith, A._form))]
-
-
-class IndependentSet:
-    """Incremental linear-independence tracker over a field, on vectors
-    given as rows of its arith class's row API."""
-
-    def __init__(self, field: FieldSpec):
-        self.arith = field.arith
-        self.rows = []       # reduced, each with a recorded pivot column
-        self.pivots = []
-
-    def reduce(self, vec):
-        entry, sub_scaled = self.arith.row_entry, self.arith.row_sub_scaled
-        for row, p in zip(self.rows, self.pivots):
-            vec = sub_scaled(vec, entry(vec, p), row)
-        return vec
-
-    def add(self, vec) -> bool:
-        """Add vec if independent of the current span; returns True if
-        added.  The reduced vec, eliminated as one row, is scaled to 1
-        at its pivot, its first nonzero entry."""
-        (row,), pivots = self.arith.rref([self.reduce(vec)])
-        if not pivots:
-            return False
-        self.rows.append(row)
-        self.pivots += pivots
-        return True
 
 
 # -- characteristic polynomial --------------------------------------------
@@ -473,8 +482,13 @@ def unipotent_jordan(A: Matrix) -> JordanData:
     tops a new chain of height j exactly when its bottom N^(j-1) v is
     independent of the bottoms of the chains already chosen; candidates
     are scanned in the deterministic order of each kernel basis, so
-    transforms are reproducible.  A level j larger than the blocks left
-    uncovered can start no chain, so its kernel is not computed.
+    transforms are reproducible.  At each level that test is one
+    ``rref`` of the matrix whose columns are the earlier levels' bottoms,
+    then this level's: the pivot columns of an RREF are the columns
+    independent of those before them, so the new chains start at its
+    pivot columns past the old bottoms.  A level j larger than the
+    blocks left uncovered can start no chain, so its kernel is not
+    computed.
     """
     field, n = A.field, A.n
     arith = field.arith
@@ -486,7 +500,7 @@ def unipotent_jordan(A: Matrix) -> JordanData:
             raise NotUnipotent("matrix is not unipotent")
         npowers.append(arith.chain([npowers[-1], N]))
     index = len(npowers) - 1
-    bottoms = IndependentSet(field)
+    bottoms = []  # of the chains chosen so far, as rows
     tops = []  # (vector, height), heights non-increasing by construction
     rest = n  # total size of the blocks no chosen chain covers
     for j in range(index, 0, -1):
@@ -496,10 +510,14 @@ def unipotent_jordan(A: Matrix) -> JordanData:
         # the bottoms N^(j-1) v of the kernel vectors v, as rows, in one
         # product: (N^(j-1) v)^T = v^T (N^(j-1))^T
         images = arith.chain([kernel, arith.transpose(npowers[j - 1])])
-        for v, bottom in zip(kernel, images):
-            if bottoms.add(bottom):
-                tops.append((v, j))
-                rest -= j
+        # new chains start at the pivot columns past the old bottoms
+        old = len(bottoms)
+        _, pivots = rref(arith, arith.transpose([*bottoms, *images]),
+                         old + len(images))
+        for p in pivots[old:]:
+            tops.append((kernel[p - old], j))
+            bottoms.append(images[p - old])
+            rest -= j
     # the columns N^(h-1) v, ..., N v, v of each chain, as rows
     Nt, cols = arith.transpose(N), []
     for v, h in tops:

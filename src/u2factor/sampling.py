@@ -7,12 +7,14 @@ import random
 from .field import FieldSpec
 from .linalg import Matrix
 
+# draws of a matrix before random_sl gives up finding an invertible one
+MAX_TRIES = 1000
 
-def random_sl(F: FieldSpec, n: int, rng: random.Random,
-              max_tries: int = 1000) -> Matrix:
+
+def random_sl(F: FieldSpec, n: int, rng: random.Random) -> Matrix:
     """Uniform-ish random element of SL_n(F): rejection-sample an
     invertible matrix, then divide one row by its determinant."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if F.kind == "prime":
             # one _randbelow(p) per entry, as rng.choice(F.elements()) makes
             rows = [[F.element(rng.randrange(F.p)) for _ in range(n)]

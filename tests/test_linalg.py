@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from u2factor import factor, linalg, verify
-from u2factor import field as field_module
 from u2factor.field import GF, rationals, FieldMismatch, FieldElement, \
     parse_field_spec
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
@@ -19,11 +18,12 @@ from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
                              parse_matrix_text, matrix_to_text,
                              Singular, SizeMismatch, NotUnipotent,
                              ScalarInput, SpectrumMismatch, LinalgError,
-                             IndependentSet)
+                             rref)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 
 from corpora import wide_conjugator
+from reference import RefIndependentSet
 
 
 def mats(q, n):
@@ -250,7 +250,7 @@ def _every_level_jordan(A):
     while not npowers[-1].is_zero():
         npowers.append(npowers[-1] @ N)
     index = len(npowers) - 1
-    bottoms = _RefIndependentSet(field, n)
+    bottoms = RefIndependentSet()
     tops = []
     for j in range(index, 0, -1):
         for v in kernel_basis(npowers[j]):
@@ -276,7 +276,7 @@ def _level_by_level_jordan(A):
     kernels = [[]] + [kernel_basis(powers[j]) for j in range(1, index + 1)]
     tops = []
     for j in range(index, 0, -1):
-        span = _RefIndependentSet(field, n)
+        span = RefIndependentSet()
         for v in kernels[j - 1]:
             span.add(v)
         for u, h in tops:
@@ -523,30 +523,6 @@ def _ref_det(A):
     return det
 
 
-class _RefIndependentSet:
-    def __init__(self, field, dim):
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vec) -> bool:
-        red = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(red) if not c.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = red[pivot].inverse()
-        self.rows.append([c * inv for c in red])
-        self.pivots.append(pivot)
-        return True
-
-
 def _reps(rows):
     return [[e.rep for e in r] for r in rows]
 
@@ -596,9 +572,10 @@ def _elimination_inputs(F, rng):
 
 
 class TestEliminationReference:
-    """``rref``, ``kernel_basis``, ``inverse`` and ``IndependentSet`` on
-    the rows of the row API give what the element-level versions gave,
-    pivot order included."""
+    """``rref``, ``kernel_basis`` and ``inverse`` on the rows of the row
+    API give what the element-level versions gave, pivot order included,
+    and ``rref``'s pivot columns are the vectors that an element-level
+    independent set accepts."""
 
     @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
                                       "GF(256;1,1,0,1,1,0,0,0,1)", "Q"])
@@ -609,11 +586,11 @@ class TestEliminationReference:
         for A in _elimination_inputs(F, rng):
             n = A.n
             # square, a column limit, and two extra columns as in inverse
-            for rows, limit in ((A.rows, None), (A.rows, n - 1),
+            for rows, limit in ((A.rows, n), (A.rows, n - 1),
                                 ([r + r[:2] for r in A.rows], n)):
                 want, want_pivots = _ref_rref([list(r) for r in rows], limit)
                 given = _rows(F, rows)
-                got, got_pivots = F.arith.rref(given, limit)
+                got, got_pivots = rref(F.arith, given, limit)
                 assert given == _rows(F, rows)  # rref works on copies
                 assert got_pivots == want_pivots
                 assert F.arith.reps(got) == _reps(want)
@@ -627,12 +604,12 @@ class TestEliminationReference:
                     A.inverse()
             else:
                 assert A.inverse() == want_inv
+            # the pivot columns of an RREF are the columns independent of
+            # those before them
             vecs = list(A.rows) + list(zip(*A.rows)) + _ref_kernel_basis(A)
-            ref, span = _RefIndependentSet(F, n), IndependentSet(F)
-            for v in vecs:
-                assert span.add(_rows(F, [v])[0]) == ref.add(v)
-            assert span.pivots == ref.pivots
-            assert span.rows == _rows(F, ref.rows)
+            ref = RefIndependentSet()
+            _, pivots = rref(F.arith, _rows(F, zip(*vecs)), len(vecs))
+            assert pivots == [i for i, v in enumerate(vecs) if ref.add(v)]
         assert singular > 0
 
     @pytest.mark.parametrize("spec", ["GF(2)", "GF(4)", "GF(9)", "GF(31)",
@@ -686,28 +663,23 @@ class TestEliminationReference:
 
 
 class TestNoElementOps:
-    """While ``factor`` runs, the eliminations and the algorithms on them
+    """While ``factor`` runs, the elimination and the algorithms on it
     make no FieldElement arithmetic and no ``_check``."""
 
-    # by module: the eliminations of the arith classes, and linalg's
-    # algorithms on them
-    WATCHED = {field_module: ("_FiniteArith.rref", "RationalArith.rref"),
-               linalg: ("Matrix.inverse", "kernel_basis",
-                        "IndependentSet.reduce", "IndependentSet.add",
-                        "Matrix.apply", "unipotent_jordan",
-                        "single_block_jordan", "similarity_to_diagonal",
-                        "diagonalize_triangular")}
+    # the elimination, and the algorithms on it
+    WATCHED = ("rref", "Matrix.inverse", "kernel_basis", "Matrix.apply",
+               "unipotent_jordan", "single_block_jordan",
+               "similarity_to_diagonal", "diagonalize_triangular")
 
     def test_factor(self, monkeypatch, memos):
         # memos: the J_k(1) blocks are built afresh, which is where the
         # eliminations run when the Sourour parts are single blocks
         codes = {}
-        for module, names in self.WATCHED.items():
-            for name in names:
-                obj = module
-                for part in name.split("."):
-                    obj = getattr(obj, part)
-                codes[obj.__code__] = name
+        for name in self.WATCHED:
+            obj = linalg
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            codes[obj.__code__] = name
         reached, outside = Counter(), Counter()
 
         def spy(op, fn):
@@ -725,11 +697,11 @@ class TestNoElementOps:
         for op in ("__add__", "__sub__", "__mul__", "inverse", "_check"):
             monkeypatch.setattr(FieldElement, op,
                                 spy(op, getattr(FieldElement, op)))
-        entered = set()
+        entered = set()  # (name, spec)
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in codes:
-                entered.add(codes[frame.f_code])
+                entered.add((codes[frame.f_code], spec))
 
         # over Q the memoised 2x2 blocks invert their companion similarity
         for spec, n in (("GF(10007)", 12), ("GF(9)", 6), ("Q", 6)):
@@ -744,7 +716,8 @@ class TestNoElementOps:
         assert reached == Counter()
         # the spies are installed, and the watched functions did run
         assert outside["__mul__"] > 0 and outside["_check"] > 0
-        assert entered >= {"_FiniteArith.rref", "RationalArith.rref",
-                           "Matrix.inverse", "IndependentSet.add",
-                           "unipotent_jordan", "single_block_jordan",
-                           "diagonalize_triangular"}
+        assert {name for name, _ in entered} >= {
+            "rref", "Matrix.inverse", "unipotent_jordan",
+            "single_block_jordan", "diagonalize_triangular"}
+        # the one elimination ran over a finite field and over Q
+        assert {("rref", "GF(9)"), ("rref", "Q")} <= entered

@@ -1,5 +1,6 @@
 """Counted-work ladders: the work of ``factor`` and ``verify`` counted,
-not timed, so a hidden cost in the field size shows on any machine.
+not timed, so a hidden cost in the field size or in n shows on any
+machine.
 
 Over GF(p) every product is ``PrimeArith.chain`` and every exact
 comparison ``PrimeArith.is_product``.  A test-side wrapper counts, per
@@ -9,6 +10,12 @@ over seeded ``random_sl`` inputs at a fixed n.  The prime ladder runs
 from 10007 to 2^61 - 1: the counts must be equal on every rung, and no
 table of the field's elements or squares may be built.  Memos are
 cleared before each rung, so every rung starts cold.
+
+The unipotent ladder counts the same chains and work, over GF(4) and
+GF(31), and ``rref`` calls and their rows, at n = 8, 16 and 32 on the
+prop4.5 route (GF(31) takes prop5.2 at n = 8, so its ladder starts at
+16).  From n to 2n each count may grow by at most 2^3 times
+``UNIPOTENT_SLACK``.
 
 The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10
 and 14.  The largest numerator or denominator of a certificate entry
@@ -26,7 +33,8 @@ from collections import Counter
 import pytest
 
 from u2factor import factor, linalg, verify
-from u2factor.field import GF, PrimeArith, RationalArith, rationals
+from u2factor.field import GF, ExtensionArith, PrimeArith, RationalArith, \
+    rationals
 from u2factor.sampling import random_sl
 
 # the module, which the package's factor_sl2 function shadows
@@ -34,6 +42,11 @@ sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 PRIME_LADDER = (10007, 1000003, 2 ** 31 - 1, 2 ** 61 - 1)
 INPUTS = 5
+# the unipotent (prop4.5) ladder: inputs per rung, and the slack on the
+# growth of each count from n to 2n past 2^3 (chain work is n^3 per
+# chain, and the chains grow about twofold)
+UNIPOTENT_INPUTS = 2
+UNIPOTENT_SLACK = 2
 # n: the largest numerator or denominator of a certificate entry, in
 # bits, of the seeded input at n
 Q_LADDER = {6: 201, 10: 1173, 14: 3621}
@@ -47,22 +60,38 @@ def _work(mats) -> int:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Chain calls, their work and ``is_product`` calls over GF(p), as a
-    dict updated while the test runs."""
-    seen = {"chains": 0, "work": 0, "is_product": 0}
-    chain, is_product = PrimeArith.chain, PrimeArith.is_product
+    """Chain calls, their work and ``is_product`` calls over GF(p) and
+    GF(p^k), and ``rref`` calls and their rows, as a dict updated while
+    the test runs."""
+    seen = dict.fromkeys(("chains", "work", "is_product", "rref",
+                          "rref_rows"), 0)
 
-    def counted_chain(self, mats):
-        seen["chains"] += 1
-        seen["work"] += _work(mats)
-        return chain(self, mats)
+    def counted_chain(chain):
+        def wrapped(self, mats):
+            seen["chains"] += 1
+            seen["work"] += _work(mats)
+            return chain(self, mats)
+        return wrapped
 
-    def counted_is_product(self, mats, target):
-        seen["is_product"] += 1
-        return is_product(self, mats, target)
+    def counted_is_product(is_product):
+        def wrapped(self, mats, target):
+            seen["is_product"] += 1
+            return is_product(self, mats, target)
+        return wrapped
 
-    monkeypatch.setattr(PrimeArith, "chain", counted_chain)
-    monkeypatch.setattr(PrimeArith, "is_product", counted_is_product)
+    rref = linalg.rref
+
+    def counted_rref(arith, rows, limit):
+        rows = list(rows)
+        seen["rref"] += 1
+        seen["rref_rows"] += len(rows)
+        return rref(arith, rows, limit)
+
+    for kind in (PrimeArith, ExtensionArith):
+        monkeypatch.setattr(kind, "chain", counted_chain(kind.chain))
+        monkeypatch.setattr(kind, "is_product",
+                            counted_is_product(kind.is_product))
+    monkeypatch.setattr(linalg, "rref", counted_rref)
     return seen
 
 
@@ -86,6 +115,30 @@ def test_prime_ladder_work_is_independent_of_p(n, counts, memos,
     assert first["chains"] > 0 and first["is_product"] > 0
     assert all(c == first for c in per_p.values()), per_p
     assert table_calls == []
+
+
+@pytest.mark.parametrize("q, ns", [(4, (8, 16, 32)), (31, (16, 32))],
+                         ids=["GF(4)", "GF(31)"])
+def test_unipotent_ladder_growth_is_bounded(q, ns, counts, memos):
+    per_n = {}
+    for n in ns:
+        for memo in memos.values():
+            memo.cache_clear()
+        F, rng = GF(q), random.Random(f"ladder:{n}")
+        inputs = [random_sl(F, n, rng) for _ in range(UNIPOTENT_INPUTS)]
+        for key in counts:
+            counts[key] = 0
+        for A in inputs:
+            cert = factor(A)
+            report = verify(cert)
+            assert report.passed, report.text()
+            assert f"prop4.5(n={n})" in cert.route, cert.route
+        per_n[n] = dict(counts)
+    for n in ns[1:]:
+        small, large = per_n[n // 2], per_n[n]
+        for key in ("chains", "work", "rref", "rref_rows"):
+            assert 0 < large[key] <= 2 ** 3 * UNIPOTENT_SLACK * small[key], \
+                (key, per_n)
 
 
 def _entry_bits(cert) -> int:

@@ -13,8 +13,7 @@ from u2factor.field import GF, RationalArith, rationals, parse_field_spec, \
 from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
                              diagonalize_triangular, similarity_to_diagonal,
                              single_block_jordan, unipotent_jordan,
-                             ScalarInput, SpectrumMismatch, NotUnipotent,
-                             IndependentSet)
+                             ScalarInput, SpectrumMismatch, NotUnipotent)
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
@@ -22,6 +21,7 @@ from u2factor.sourour import (sourour_factor, SourourError,
                               _candidate_supports, _match_scalar)
 
 from corpora import structured_corpus, wide_conjugator
+from reference import RefIndependentSet
 
 # the module, which the package's factor_sl2 function shadows
 sl2_routes = importlib.import_module("u2factor.factor_sl2")
@@ -211,15 +211,9 @@ def _old_candidate_vectors(field, m):
 
 
 def spy_on_rref(monkeypatch, spy):
-    """Replace the elimination of every field kind, ``rref``, by
+    """Replace the elimination of every field kind, ``linalg.rref``, by
     spy("rref", rref)."""
-    for kind in (_FiniteArith, RationalArith):
-        monkeypatch.setattr(kind, "rref", spy("rref", kind.rref))
-
-
-def _row(vec):
-    """A vector of FieldElements as the row IndependentSet takes."""
-    return vec[0].field.arith.row([e.rep for e in vec])
+    monkeypatch.setattr(linalg, "rref", spy("rref", linalg.rref))
 
 
 def _old_match_scalar(lam, betas, gammas):
@@ -251,16 +245,16 @@ def _dense_split(A, betas, gammas, fixes):
     one, zero = field.one(), field.zero()
     for x in _old_candidate_vectors(field, m):
         y = shifted.apply(x)
-        span = IndependentSet(field)
-        span.add(_row(x))
-        if span.add(_row(y)):
+        span = RefIndependentSet()
+        span.add(x)
+        if span.add(y):
             break
     cols = [x, y]
     for i in range(m):
         if len(cols) == m:
             break
         e = tuple(one if t == i else zero for t in range(m))
-        if span.add(_row(e)):
+        if span.add(e):
             cols.append(e)
 
     def peel():
@@ -553,14 +547,14 @@ class TestBasis:
                     x = tuple(one if t in support else zero for t in range(m))
                     basis = _Basis.extend(F.arith, support,
                                           [v.rep for v in y])
-                    span = IndependentSet(F)
-                    span.add(_row(x))
-                    if not span.add(_row(y)):
+                    span = RefIndependentSet()
+                    span.add(x)
+                    if not span.add(y):
                         assert basis is None
                         continue
                     units = [tuple(one if t == i else zero for t in range(m))
                              for i in range(m)]
-                    added = [i for i in range(m) if span.add(_row(units[i]))]
+                    added = [i for i in range(m) if span.add(units[i])]
                     assert basis.kept == added
                     Q = Matrix(F, zip(x, y, *(units[i] for i in added)))
                     Qinv = Q.inverse()
@@ -631,7 +625,7 @@ class TestStructure:
             split.b.inverse()
             assert set(calls) == {"rref", "inverse", "matmul"}
             calls.clear()
-        assert not hasattr(sourour, "IndependentSet")
+        assert not hasattr(sourour, "rref")
 
     def test_two_commutator_route_builds_no_part(self, monkeypatch):
         # the route reads only the split's triangularization, so neither
