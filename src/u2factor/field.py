@@ -72,6 +72,9 @@ over Q a primitive integer vector with a positive last nonzero
 coordinate, over a finite field the vector as it is.
 ``primitive_columns`` gives the columns of ``diagonalize_triangular``
 the same scale, after dividing each by its last nonzero entry.
+``height`` is the size by which the Sourour split ranks its pivots:
+over Q the bits of numerator and denominator less the two of 1, over a
+finite field 0 for every element.
 ``FieldSpec.element`` takes an int, a Fraction (a / b is a * b^-1 in a
 finite field) or, over GF(p^k), a tuple or list of them as
 coefficients; a float or any other type raises FieldError.
@@ -388,6 +391,11 @@ class _FiniteArith:
         """The eigenvector scale over Q; a finite field keeps the row as
         it is."""
         return row
+
+    def height(self, a) -> int:
+        """The size the Sourour split ranks its pivots by: 0, the least,
+        for every element of a finite field."""
+        return 0
 
     def form(self, rows):
         """The matrix form ``chain`` takes: over a finite field the rows of
@@ -920,6 +928,12 @@ class RationalArith:
 
     def inv(self, a):
         return 1 / a
+
+    def height(self, a) -> int:
+        """The size the Sourour split ranks its pivots by: the bits of a
+        nonzero a's numerator and denominator, less the two of +-1, so
+        that +-1 has 0, the least."""
+        return a.numerator.bit_length() + a.denominator.bit_length() - 2
 
     def form(self, rows) -> tuple:
         """The form of rows of Fractions or ints: each row cleared to

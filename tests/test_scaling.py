@@ -17,13 +17,14 @@ prop4.5 route (GF(31) takes prop5.2 at n = 8, so its ladder starts at
 16).  From n to 2n each count may grow by at most 2^3 times
 ``UNIPOTENT_SLACK``.
 
-The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10
-and 14.  The largest numerator or denominator of a certificate entry
-may not grow past the bits it has had since the split and the
-substitutions moved onto integer rows.  ``RationalArith.reps``, the one
-whole-matrix view of a form as rows of Fractions, is called as often as
-recorded, never while ``sourour_factor`` or ``diagonalize_triangular``
-runs, and never by ``Matrix.inverse`` or ``unipotent_jordan``.
+The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10,
+14 and 20.  The largest numerator or denominator of a certificate entry
+may not grow past the bits it has had since each level of the Sourour
+split took the e_i whose pivot has the fewest bits.
+``RationalArith.reps``, the one whole-matrix view of a form as rows of
+Fractions, is called as often as recorded, never while
+``sourour_factor`` or ``diagonalize_triangular`` runs, and never by
+``Matrix.inverse`` or ``unipotent_jordan``.
 """
 
 import importlib
@@ -49,7 +50,7 @@ UNIPOTENT_INPUTS = 2
 UNIPOTENT_SLACK = 2
 # n: the largest numerator or denominator of a certificate entry, in
 # bits, of the seeded input at n
-Q_LADDER = {6: 201, 10: 1173, 14: 3621}
+Q_LADDER = {6: 166, 10: 661, 14: 1743, 20: 6419}
 
 
 def _work(mats) -> int:

@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations
 
 import pytest
 
@@ -17,8 +18,7 @@ from u2factor.linalg import (Matrix, identity, diagonal, charpoly,
 from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 from u2factor.sourour import (sourour_factor, SourourError,
-                              DeterminantMismatch, _Basis,
-                              _candidate_supports, _match_scalar)
+                              DeterminantMismatch, _Basis, _match_scalar)
 
 from corpora import structured_corpus, wide_conjugator
 from reference import RefIndependentSet
@@ -192,22 +192,39 @@ def test_structured_corpus_factors(spec, n):
 # -- the dense split this module replaced, kept as a reference -------------
 # Each level builds Q = [x, y, e_i, ...] as a dense matrix, inverts it by
 # RREF and forms Q^-1 A Q, Q Bt Q^-1 and Q Ct Q^-1 with dense products.
-# A scalar residual that no pairing splits adds b1 g1 x to column 2 of Q,
-# and the level starts again from the new Q.  The structured split must
-# give exactly the same B, C and number of fixes.
+# x is the e_i whose Q has the determinant of fewest bits over Q, the
+# first on a tie (the first e_i over a finite field), or the first
+# e_i + e_j when every e_i is an eigenvector.  A scalar residual that no
+# pairing splits adds b1 g1 x to column 2 of Q, and the level starts
+# again from the new Q.  The structured split must give exactly the same
+# B, C and number of fixes.
 
-def _old_candidate_vectors(field, m):
+def _units(field, m):
     one, zero = field.one(), field.zero()
-    for i in range(m):
-        vec = [zero] * m
-        vec[i] = one
-        yield tuple(vec)
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = [zero] * m
-            vec[i] = one
-            vec[j] = one
-            yield tuple(vec)
+    return [tuple(one if t == i else zero for t in range(m))
+            for i in range(m)]
+
+
+def _dense_extension(shifted, x, units):
+    """The columns [x, y, e_t, ...] of the greedy canonical extension of
+    x and y = shifted x by the unit vectors ``units``, or None when y is
+    in span(x)."""
+    y = shifted.apply(x)
+    span = RefIndependentSet()
+    span.add(x)
+    if not span.add(y):
+        return None
+    return [x, y] + [e for e in units if span.add(e)]
+
+
+def _dense_height(cols):
+    """The bits of numerator and denominator of det [x, y, e_t, ...], which
+    is +-z_p, over Q; 0 over a finite field."""
+    field = cols[0][0].field
+    if field.is_finite:
+        return 0
+    det = Matrix(field, zip(*cols)).det().rep
+    return abs(det.numerator).bit_length() + det.denominator.bit_length()
 
 
 def spy_on_rref(monkeypatch, spy):
@@ -242,20 +259,17 @@ def _dense_split(A, betas, gammas, fixes):
     b1, g1 = betas[0], gammas[0]
     mu = b1 * g1
     shifted = A - identity(field, m).scalar_mul(mu)
-    one, zero = field.one(), field.zero()
-    for x in _old_candidate_vectors(field, m):
-        y = shifted.apply(x)
-        span = RefIndependentSet()
-        span.add(x)
-        if span.add(y):
-            break
-    cols = [x, y]
-    for i in range(m):
-        if len(cols) == m:
-            break
-        e = tuple(one if t == i else zero for t in range(m))
-        if span.add(e):
-            cols.append(e)
+    zero, units = field.zero(), _units(field, m)
+    extensions = [c for c in (_dense_extension(shifted, e, units)
+                              for e in units) if c is not None]
+    if extensions:
+        cols = min(extensions, key=_dense_height)  # the first on a tie
+    else:
+        cols = next(c for c in (
+            _dense_extension(shifted, tuple(a + b for a, b in zip(ei, ej)),
+                             units)
+            for ei, ej in combinations(units, 2)) if c is not None)
+    x = cols[0]
 
     def peel():
         Q = Matrix(field, zip(*cols))
@@ -543,7 +557,8 @@ class TestBasis:
                                for _ in range(m)])
                 X = Matrix(F, [[rng.choice(elems) for _ in range(m)]
                                for _ in range(m)])
-                for support in _candidate_supports(m):
+                for support in chain(combinations(range(m), 1),
+                                     combinations(range(m), 2)):
                     x = tuple(one if t in support else zero for t in range(m))
                     basis = _Basis.extend(F.arith, support,
                                           [v.rep for v in y])
@@ -566,6 +581,49 @@ class TestBasis:
                         F, basis.right_div(X.form())) == X @ Qinv
                     cases.add((len(support), basis.xp, basis.xt is not None))
         assert cases == {(1, False, False), (2, True, False), (2, False, True)}
+
+
+class TestHeightScan:
+    """Each level scores the pivots of its e_i by ``height``.  Every
+    element of a finite field has height 0, which no pivot beats, so
+    there the scan stops at the first e_i that is not an eigenvector;
+    over Q it goes on.  Either way a level builds one y, for the basis
+    it takes."""
+
+    @pytest.mark.parametrize("spec,n", [("GF(7)", 6), ("GF(10007)", 8),
+                                        ("Q", 8)])
+    def test_candidates_scored_per_level(self, monkeypatch, spec, n):
+        F = parse_field_spec(spec)
+        levels = []  # per level: [pivots scored, bases built]
+
+        def choose(ar, A, mu, _choose=sourour._choose_basis):
+            levels.append([0, 0])
+            return _choose(ar, A, mu)
+
+        def height(arith, a, _height=type(F.arith).height):
+            levels[-1][0] += 1
+            return _height(arith, a)
+
+        def extend(arith, support, y, _extend=_Basis.extend):
+            levels[-1][1] += 1
+            return _extend(arith, support, y)
+
+        monkeypatch.setattr(sourour, "_choose_basis", choose)
+        monkeypatch.setattr(type(F.arith), "height", height)
+        monkeypatch.setattr(_Basis, "extend", staticmethod(extend))
+        rng = random.Random(f"height-scan-{spec}")
+        for _ in range(3):
+            A = nonscalar_sl(F, n, rng)
+            betas, gammas = random_prescription(F, n, A.det(), rng)
+            check_split(A, betas, gammas)
+        assert len(levels) >= 3 * (n - 1)
+        assert all(built == 1 for _, built in levels)
+        scored = [k for k, _ in levels]
+        if F.is_finite:
+            assert set(scored) == {1}
+        else:
+            # the positive control: the same spy sees the scan go on
+            assert max(scored) > 1 and sum(scored) > 2 * len(levels)
 
 
 class TestMatchScalar:
