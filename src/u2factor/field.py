@@ -1,11 +1,14 @@
 """Exact arithmetic for GF(p), GF(p^k), and the rationals.
 
 Elements carry a reference to their field descriptor and a canonical
-representation: a residue in [0, p) for prime fields, a coefficient
-tuple (ascending degree, each in [0, p)) for extension fields, and a
-reduced ``Fraction`` for the rationals.  All witness-producing scans
-(square roots, sum-of-squares, pairings) walk elements in a fixed
-canonical order so results are reproducible run to run.
+representation: a residue in [0, p) for prime fields, for extension
+fields the int code in [0, q) of the coefficient tuple (ascending
+degree, each in [0, p)), its digits in base p with the constant
+coefficient the most significant, and a reduced ``Fraction`` for the
+rationals.  So over every finite field the elements in canonical order,
+the sorted order of the tuples, are the ints 0, ..., q - 1.  All
+witness-producing scans (square roots, sum-of-squares, pairings) walk
+elements in that order so results are reproducible run to run.
 
 Arithmetic on those representations lives in one class per field kind
 (``PrimeArith``, ``ExtensionArith``, ``RationalArith``), which
@@ -44,10 +47,13 @@ case; ``_FiniteArith`` describes them.  What is each kind's own:
   entry, reduced once, and ``is_product`` compares those with the
   target.
 - Over GF(p^k) element products, inverses and negation go through
-  log/antilog tables of a primitive element, O(q) entries built from
-  q - 1 polynomial products; a row operation is one antilog lookup and
-  one coefficient-wise difference per entry.  The packed chain reduces
-  each step mod the modulus by folds.
+  log and antilog lists of a primitive element, indexed by code, O(q)
+  entries built with one walk of its powers.  A sum is an XOR of codes
+  for p = 2 and one Zech-logarithm lookup for odd p, so a row operation
+  is an antilog lookup and an XOR or a Zech lookup per entry.  The
+  packed chain maps codes to packed coefficients through one list per
+  slot width, reduces each step mod the modulus by folds and cuts the
+  coefficient slots back into codes.
 - Over Q element operations use ``Fraction``.  A matrix form holds
   each row once as integers over one positive denominator, in lowest
   terms, so equal matrices have equal forms (``RationalArith``).  A
@@ -77,7 +83,8 @@ over Q the bits of numerator and denominator less the two of 1, over a
 finite field 0 for every element.
 ``FieldSpec.element`` takes an int, a Fraction (a / b is a * b^-1 in a
 finite field) or, over GF(p^k), a tuple or list of them as
-coefficients; a float or any other type raises FieldError.
+coefficients; a float or any other type raises FieldError.  Tuples
+appear only there and in tokens: every GF(p^k) rep is a code.
 
 Every integer in a token or a field spec is an optional sign and ASCII
 digits, and a Q token is such an integer and optionally ``/digits``.
@@ -88,8 +95,9 @@ Each arith class answers ``sqrt`` and ``is_square`` with the first
 root in canonical order.  Over GF(p) that is min(r, p - r) for the two
 roots +-r, by Euler's criterion and Tonelli-Shanks, polylog(p) per
 call.  Over GF(p^k) it is read from the log table: a = g^e is a square
-iff e is even (p odd), with roots +-g^(e/2), and for p = 2 its one
-root is g^(e q/2).  Over Q it is the nonnegative root.  ``FieldSpec``
+iff e is even (p odd), with roots +-g^(e/2), the smaller code first,
+and for p = 2 its one root is g^(e q/2).  Over Q it is the nonnegative
+root.  ``FieldSpec``
 keeps no element or square table, and the witness scans make elements
 one at a time and stop at the first hit, so no O(q) table is built on
 the factorization path beyond the log tables of GF(p^k).
@@ -150,10 +158,10 @@ BUILTIN_MODULI = {
     27: (1, 2, 0, 1),      # x^3 + 2x + 1
 }
 
-# Extension fields build O(q) log/antilog tables when they are made, from
-# q - 1 polynomial products (about 5 ms at q = 256 and 2.7 s at q = 2^16 on
-# a 2-vCPU VM), and their witness scans may walk all q elements.  Larger q
-# is refused up front, before the modulus is tested.
+# Extension fields build O(q) log, antilog and Zech tables when they are
+# made, by walking the powers of candidate elements until one has order
+# q - 1, and their witness scans may walk all q elements.  Larger q is
+# refused up front, before the modulus is tested.
 _MAX_EXTENSION_SIZE = 256
 
 
@@ -240,17 +248,6 @@ def _ptrim(c):
     return c
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
 def _pmod(a, m, p):
     # remainder of a mod monic-normalizable m over GF(p)
     a = list(a)
@@ -266,13 +263,6 @@ def _pmod(a, m, p):
             a[shift + i] = (a[shift + i] - coef * c) % p
         a = _ptrim(a)
     return _ptrim(a)
-
-
-def _pmulmod(a, b, modulus, p) -> tuple:
-    """a * b mod the monic modulus over GF(p), as a coefficient tuple of
-    length deg(modulus)."""
-    prod = _pmod(_pmul(_ptrim(list(a)), _ptrim(list(b)), p), modulus, p)
-    return tuple(prod) + (0,) * (len(modulus) - 1 - len(prod))
 
 
 def _poly_is_irreducible(modulus, p: int) -> bool:
@@ -340,10 +330,11 @@ class _FiniteArith:
 
     ``chain`` evaluates mats[0] @ ... @ mats[-1] right to left with no
     cut between steps (Kronecker substitution).  A rep becomes one int
-    with coefficient i in bits [i w, (i+1) w), and row t of the last
-    factor one int with entry j in the superslot of 2k - 1 slots from
-    bit j (2k - 1) w; over GF(p) a rep is its own int and a superslot
-    one slot.  Each earlier factor maps the packed rows to new packed
+    with coefficient i in bits [i w, (i+1) w), read from a list per
+    width w (``ExtensionArith._pack``), and row t of the last factor
+    one int with entry j in the superslot of 2k - 1 slots from bit
+    j (2k - 1) w; over GF(p) a rep is its own int and a superslot one
+    slot.  Each earlier factor maps the packed rows to new packed
     rows: its row i becomes the integer sum of packed a[i][t] times
     packed row t, so superslot j holds entry (i, j) as a polynomial of
     degree <= 2k - 2 with unreduced integer coefficients.  Over GF(p^k)
@@ -360,9 +351,10 @@ class _FiniteArith:
     factor but the first, which over GF(p) is (p - 1)^L R for L factors
     and R the product of those row counts.  w is its bit length, so no
     slot of a partial or final product ever carries into the next.
-    Only the result is cut: each coefficient is one shift, one mask and
-    one reduction mod p.  An empty last factor has no columns, so each
-    row of the product is empty, as over Q.
+    Only the result is cut, by each kind's ``_cut``: over GF(p) each
+    entry is one shift, one mask and one reduction mod p, and over
+    GF(p^k) the coefficients become codes.  An empty last factor has no
+    columns, so each row of the product is empty, as over Q.
 
     ``is_product`` runs the same chain with w the bit length of the
     bound B plus p, and one spare bit.  Each packed row v of the product
@@ -386,6 +378,9 @@ class _FiniteArith:
         self._xk, self._folds = xk, folds
         self._growth = k * (p - 1) * (1 + k * (p - 1)) ** folds
         self._shapes = {}
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
     def primitive(self, row):
         """The eigenvector scale over Q; a finite field keeps the row as
@@ -531,12 +526,7 @@ class _FiniteArith:
         reps: the packed chain, cut once."""
         width = max(self._bound(mats).bit_length(), 1)
         acc, _, shape = self._packed_rows(mats, width)
-        p, k, mask, shifts = self.p, self.k, (1 << width) - 1, shape[6]
-        if k == 1:
-            return [[(v >> s & mask) % p for s in shifts] for v in acc]
-        # each row's coefficients in order, cut into consecutive k-tuples
-        return [list(zip(*[iter([(v >> s & mask) % p for s in shifts])] * k))
-                for v in acc]
+        return self._cut(acc, width, shape[6])
 
     def is_product(self, mats, target) -> bool:
         """Whether mats[0] @ ... @ mats[-1] equals ``target``, all given
@@ -586,24 +576,22 @@ class _FiniteArith:
     def _shape(self, width: int, cols: int) -> tuple:
         """What ``chain`` and ``is_product`` need for slot width w and
         this number of columns, built once per (w, columns) and kept in
-        ``_shapes``: the rep -> packed int lookup (None over GF(p), where
-        a rep packs as itself), packed x^k mod f, the superslot offsets,
-        the LOW and HIGH masks of the folds, the fold shift k w, the bit
-        offset of every coefficient, and the zero test's HIGH mask and p
-        in every slot (None when w is below bit_length(p), as only a
-        chain's width can be)."""
+        ``_shapes``: the code -> packed int lookup (None over GF(p), where
+        a rep packs as itself; over GF(p^k) the list ``_pack`` keeps per
+        width), packed x^k mod f, the superslot offsets, the LOW and HIGH
+        masks of the folds, the fold shift k w, the bit offsets of each
+        coefficient i of every entry, one list per i, and the zero test's
+        HIGH mask and p in every slot (None when w is below
+        bit_length(p), as only a chain's width can be)."""
         p, k, w = self.p, self.k, width
         span = (2 * k - 1) * w
         supers = range(0, span * cols, span)
         # over GF(p) a superslot is one slot, holding the rep itself
         at = xk = None
-        shifts = supers
         if k > 1:
-            offsets = range(0, k * w, w)
-            table = {x: sum(map(operator.lshift, x, offsets))
-                     for x in self._log}
-            at, xk = table.__getitem__, table[self._xk]
-            shifts = [s + i for s in supers for i in offsets]
+            at = self._pack(w)[0].__getitem__
+            xk = sum(c << i * w for i, c in enumerate(self._xk))
+        shifts = [range(i * w, span * cols, span) for i in range(k)]
         # 1 in the lowest slot of every superslot, and in every slot
         full = (1 << span * cols) - 1
         unit, ones = full // ((1 << span) - 1), full // ((1 << w) - 1)
@@ -630,9 +618,6 @@ class PrimeArith(_FiniteArith):
 
     def coerce(self, value) -> int:
         return _residue(value, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -666,6 +651,11 @@ class PrimeArith(_FiniteArith):
         p = self.p
         return [-x % p for x in row]
 
+    def _cut(self, acc, width: int, shifts) -> list:
+        """Rows of residues of packed rows: each slot reduced mod p."""
+        p, mask = self.p, (1 << width) - 1
+        return [[(v >> s & mask) % p for s in shifts[0]] for v in acc]
+
     def chain(self, mats) -> list:
         """``_FiniteArith.chain``, or dot products for a small chain of
         two."""
@@ -698,70 +688,121 @@ class PrimeArith(_FiniteArith):
 
 
 class ExtensionArith(_FiniteArith):
-    """GF(p^k): coefficient tuples (ascending degree) modulo the monic
-    irreducible modulus f.
+    """GF(p^k) modulo the monic irreducible modulus f, each element one
+    int, its code: the element c_0 + c_1 x + ... + c_(k-1) x^(k-1) has
+    the code c_0 p^(k-1) + c_1 p^(k-2) + ... + c_(k-1), the digits of
+    its coefficient tuple in base p with c_0 the most significant.  So
+    the codes 0, ..., q - 1 are the tuples in sorted order, the canonical
+    order, and comparing codes compares the tuples; one is p^(k-1) and x
+    is p^(k-2).
 
     Element products, inverses, negation, square roots and row
-    operations go through log/antilog tables of the first primitive element g in canonical
-    order (Lidl & Niederreiter, Finite Fields, ch. 2), built once with
-    q - 1 polynomial products.  Zero's log is the sentinel 2(q - 1) - 1
-    and the antilog table holds zero from that index on, so log a +
-    log b indexes the product of any a and b without a branch on zero.
-    -a is a * (-1), and log(-1) is 0 for p = 2 and (q - 1) / 2 otherwise.
-    Sums stay coefficient-wise mod p.  Products are ``_FiniteArith``'s
-    packed chain, whose folds run through x^k mod f.
+    operations go through log and antilog lists of the first primitive
+    element g in canonical order (Lidl & Niederreiter, Finite Fields,
+    ch. 2), indexed by code and by exponent.  Zero's log is the sentinel
+    S = 3(q - 1) - 2, and the antilog list holds zero from 2(q - 1) - 1
+    up to 2S, so log a + log b indexes the product of any a and b
+    without a branch on zero.  -a is a * (-1), and log(-1) is 0 for p = 2
+    and (q - 1) / 2 otherwise.
+
+    Sums: for p = 2 the digits are bits, so a + b = a - b is a ^ b.  For
+    odd p a sum is one lookup in the Zech table Z (Huber, IEEE Trans. IT
+    36(4), 1990): g^i + g^t = g^(i + Z(t - i)) with Z(d) = log(1 + g^d),
+    the sentinel when 1 + g^d = 0.  ``_zech`` holds Z at every
+    difference t - i that can occur with i a log (below q - 1, or S) and
+    t below 2(q - 1) - 1 or from S to S + q - 2, as a list that negative
+    differences index from its end: Z(d mod (q - 1)) when both are
+    nonzero, d when a is zero (so the sum is g^t) and 0 when g^t is zero
+    (so the sum is a).  Both zero land at S or above, which is zero.
+
+    The tables are built once, O(q) entries: the walk x -> x g of each
+    candidate g in canonical order, a k x k map over GF(p), until it
+    returns to 1; the first walk of q - 1 steps is g's, and a candidate
+    met in an earlier, shorter walk is skipped, as a power of an element
+    of smaller order.  Products are ``_FiniteArith``'s packed chain,
+    whose folds run through x^k mod f; ``_packs`` maps codes to the
+    packed coefficients, one list per slot width, and ``_cut`` joins
+    the coefficient slots back into codes.  Tokens print
+    (c_0,...,c_(k-1)) from a list of them made with the tables.
     """
 
-    __slots__ = ("_order", "_log", "_exp", "_neg_log")
+    __slots__ = ("_order", "_log", "_exp", "_neg_log", "_zech", "_tokens",
+                 "_packs")
 
     def __init__(self, p: int, k: int, modulus):
-        order = p ** k - 1
-        zero, one = (0,) * k, (1,) + (0,) * (k - 1)
-        for g in itertools.product(range(p), repeat=k):
-            if g == zero:
+        q, order, one = p ** k, p ** k - 1, p ** (k - 1)
+        digits = list(itertools.product(range(p), repeat=k))  # by code
+        # x^k mod f
+        xk = tuple(-c % p for c in modulus[:k])
+        mul, seen = operator.mul, set()
+        for g in digits[1:]:  # the nonzero elements in canonical order
+            if g in seen:
                 continue
-            powers, x = [one], g
-            while x != one:
+            cols = [g]  # x^i g mod f, i < k, the columns of the walk's map
+            for _ in range(k - 1):
+                c = cols[-1]
+                cols.append(tuple([(a + c[-1] * m) % p
+                                   for a, m in zip((0, *c[:-1]), xk)]))
+            rows = list(zip(*cols))
+            powers, x = [digits[one]], g
+            while x != powers[0]:
                 powers.append(x)
-                x = _pmulmod(x, g, modulus, p)
+                x = tuple([sum(map(mul, r, x)) % p for r in rows])
             if len(powers) == order:
                 break
+            seen.update(powers)
+        powers = list(map(dict(zip(digits, range(q))).__getitem__, powers))
+        sentinel = 3 * order - 2
         self._order = order
-        self._log = {x: i for i, x in enumerate(powers)}
-        self._log[zero] = 2 * order - 1
-        self._exp = powers + powers[:-1] + [zero] * (2 * order)
+        self._log = log = [sentinel, *sorted(range(order),
+                                            key=powers.__getitem__)]
+        self._exp = exp = powers + powers[:-1]
+        exp += [0] * (2 * sentinel + 1 - len(exp))  # zero up to 2S
         self._neg_log = 0 if p == 2 else order // 2
-        # x^k mod f, and the folds that bring a product of two reps,
-        # degree <= 2k - 2, down to degree <= k - 1: a fold maps degree
-        # d >= k to at most max(k - 1, d - k + deg(x^k mod f)).
-        xk = tuple(-c % p for c in modulus[:k])
+        self._zech = None
+        if p > 2:
+            # log(1 + g^d): 1 adds one to the most significant digit
+            wrap = (p - 1) * one
+            zech = [log[c + one if c < wrap else c - wrap] for c in powers]
+            self._zech = (zech + zech[:-1] + [0] * (sentinel - order + 1)
+                          + list(range(-sentinel, -order + 1)) + zech[1:])
+        self._tokens = [str(d).replace(" ", "") for d in digits]
+        self._packs = {}
+        # the folds that bring a product of two reps, degree <= 2k - 2,
+        # down to degree <= k - 1: a fold maps degree d >= k to at most
+        # max(k - 1, d - k + deg(x^k mod f)).
         top = max(i for i, c in enumerate(xk) if c)
         degree, folds = 2 * k - 2, 0
         while degree >= k:
             degree = max(k - 1, degree - k + top)
             folds += 1
-        super().__init__(p, k, zero, one, xk, folds)
+        super().__init__(p, k, 0, one, xk, folds)
 
-    def coerce(self, value) -> tuple:
-        """An int or Fraction in the prime subfield, or a tuple or list
-        of them as coefficients, padded with zeros to length k."""
+    def coerce(self, value) -> int:
+        """The code of an int or Fraction in the prime subfield, or of a
+        tuple or list of them as coefficients, padded with zeros to
+        length k."""
+        p, k = self.p, self.k
         if not isinstance(value, (tuple, list)):
-            return (_residue(value, self.p),) + self.zero[1:]
-        rep = tuple(_residue(c, self.p) for c in value)
-        if len(rep) < self.k:
-            rep = rep + self.zero[len(rep):]
-        if len(rep) != self.k:
+            return _residue(value, p) * self.one
+        if len(value) > k:
             raise FieldError("coefficient vector has wrong length")
-        return rep
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+        code = 0
+        for c in value:
+            code = code * p + _residue(c, p)
+        return code * p ** (k - len(value))
 
     def add(self, a, b):
-        return tuple(map(self.p.__rmod__, map(operator.add, a, b)))
+        if self._zech is None:
+            return a ^ b
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def sub(self, a, b):
-        return tuple(map(self.p.__rmod__, map(operator.sub, a, b)))
+        if self._zech is None:
+            return a ^ b
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] + self._neg_log - la]]
 
     def neg(self, a):
         return self._exp[self._log[a] + self._neg_log]
@@ -779,27 +820,34 @@ class ExtensionArith(_FiniteArith):
         return [exp[lc + log[x]] for x in row]
 
     def row_sub_scaled(self, row, c, other):
-        """row - c * other, or row itself when c is zero: one antilog
-        lookup and one coefficient-wise difference per entry."""
-        if c == self.zero:
+        """row - c * other, or row itself when c is zero: per entry one
+        antilog lookup and an XOR for p = 2, and for odd p x + (-c) y by
+        one Zech lookup on log(-c) + log y, below 2(q - 1) - 1 or from
+        the sentinel S on."""
+        if not c:
             return row
-        log, exp, sub = self._log, self._exp, operator.sub
-        mod_p = self.p.__rmod__  # mod_p(x) is x % p
-        lc = log[c]
-        return [tuple(map(mod_p, map(sub, x, exp[lc + log[y]])))
+        log, exp, zech = self._log, self._exp, self._zech
+        if zech is None:
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] for x, y in zip(row, other)]
+        lc = (log[c] + self._neg_log) % self._order
+        # lx is bound on the left of + before the right reads it
+        return [exp[(lx := log[x]) + zech[lc + log[y] - lx]]
                 for x, y in zip(row, other)]
 
     def row_negate(self, row) -> list:
-        """-row, one antilog lookup per entry."""
+        """-row, one antilog lookup per entry, a copy for p = 2."""
+        if self._zech is None:
+            return list(row)
         log, exp, shift = self._log, self._exp, self._neg_log
         return [exp[log[x] + shift] for x in row]
 
     def sqrt(self, a):
         """The first root of a = g^e in canonical order, or None.  For odd
         p, a is a square iff e is even, and its roots are g^(e/2) and
-        -g^(e/2), the smaller tuple first.  For p = 2 every element is a
+        -g^(e/2), the smaller code first.  For p = 2 every element is a
         square with one root, g^(e q/2 mod (q - 1)), as g^(e q) = g^e."""
-        if a == self.zero:
+        if not a:
             return a
         e, exp, order = self._log[a], self._exp, self._order
         if self.p == 2:
@@ -809,12 +857,52 @@ class ExtensionArith(_FiniteArith):
         return min(exp[e // 2], exp[e // 2 + self._neg_log])
 
     def is_square(self, a) -> bool:
-        """Whether log a is even; zero, whose log is odd, is a square, and
-        for p = 2 every element is."""
-        return self.p == 2 or a == self.zero or not self._log[a] % 2
+        """Whether log a is even; zero is a square, and for p = 2 every
+        element is."""
+        return self.p == 2 or not a or not self._log[a] % 2
 
     def token(self, a) -> str:
-        return "(" + ",".join(str(c) for c in a) + ")"
+        return self._tokens[a]
+
+    def _pack(self, width: int) -> tuple:
+        """(pack, unpack) for slot width w, kept in ``_packs``: pack[code]
+        is the packed int with coefficient i in bits [i w, (i+1) w),
+        built digit by digit, c_0 first, with one list comprehension per
+        digit; for p = 2 unpack is the dict back from packed ints to
+        codes, and None otherwise."""
+        out = self._packs.get(width)
+        if out is None:
+            pack = [0]
+            for i in range(self.k):
+                digit = [c << i * width for c in range(self.p)]
+                pack = [a + b for a in pack for b in digit]
+            out = self._packs[width] = pack, (
+                dict(zip(pack, range(len(pack)))) if self.p == 2 else None)
+        return out
+
+    def _cut(self, acc, width: int, shifts) -> list:
+        """Rows of codes of packed rows whose coefficient i of every
+        entry sits at the offsets shifts[i].  For p = 2 a coefficient is
+        its slot's low bit, so an entry's low bits, masked at once, are
+        the packed int of its code, which the width's unpack dict reads
+        back.  For odd p each slot is reduced mod p and the digits are
+        joined into the code by Horner's rule, the first two in one
+        pass."""
+        pack, unpack = self._pack(width)
+        if unpack is not None:
+            low = pack[-1]  # the code of 1 + x + ... + x^(k-1)
+            return [[unpack[v >> s & low] for s in shifts[0]] for v in acc]
+        p, mask = self.p, (1 << width) - 1
+        first, second, *rest = shifts
+        out = []
+        for v in acc:
+            row = [(v >> s & mask) % p * p + (v >> t & mask) % p
+                   for s, t in zip(first, second)]
+            for offsets in rest:
+                row = [c * p + (v >> s & mask) % p
+                       for c, s in zip(row, offsets)]
+            out.append(row)
+        return out
 
 
 def _clear_denominators(vec):
@@ -1359,10 +1447,10 @@ class FieldSpec:
         return FieldElement(self, self.arith.coerce(value))
 
     def generator(self) -> "FieldElement":
-        """The class of x in GF(p)[x]/(modulus)."""
+        """The class of x in GF(p)[x]/(modulus), whose code is p^(k-2)."""
         if self.kind != "extension":
             raise FieldError("generator only defined for extension fields")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return FieldElement(self, self.p ** (self.k - 2))
 
     # enumeration in canonical order ----------------------------------
     def elements(self) -> tuple:
@@ -1374,13 +1462,11 @@ class FieldSpec:
 
     def iter_nonzero(self) -> Iterator["FieldElement"]:
         """Nonzero elements in canonical order, made one at a time: the
-        residues 1, ..., p - 1, or the coefficient tuples after zero in
-        ``itertools.product`` order, which is sorted order."""
+        reps 1, ..., q - 1, residues over GF(p) and codes over GF(p^k),
+        whose order is the sorted order of the coefficient tuples."""
         if not self.is_finite:
             raise FieldError("cannot enumerate an infinite field")
-        reps = range(1, self.p) if self.k == 1 else itertools.islice(
-            itertools.product(range(self.p), repeat=self.k), 1, None)
-        return (FieldElement(self, r) for r in reps)
+        return (FieldElement(self, r) for r in range(1, self.size))
 
     def squares(self) -> frozenset:
         """S = {a^2 : a nonzero}, computed when asked."""

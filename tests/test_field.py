@@ -1,3 +1,4 @@
+import itertools
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +14,8 @@ from u2factor.field import (GF, rationals, make_field, parse_field_spec,
                             FieldError, NotPrime, ReducibleModulus,
                             NoBuiltinModulus, DivisionByZero, FieldTooSmall,
                             FieldMismatch)
+
+from reference import coefficients, poly_mulmod
 
 
 def _trial_division_prime(p):
@@ -188,6 +191,114 @@ class TestArithmetic:
                 f.element((1.5, 2))
 
 
+def code_of(F, coeffs) -> int:
+    """The code of a coefficient tuple: its digits in base p, c_0 the
+    most significant."""
+    return reduce(lambda code, c: code * F.p + c, coeffs, 0)
+
+
+def prime_factors(n):
+    return {d for d in range(2, n + 1) if n % d == 0
+            and all(d % e for e in range(2, d))}
+
+
+class TestExtensionCodes:
+    """A GF(p^k) rep is the int code of its coefficient tuple.  Every
+    operation of ``ExtensionArith`` is checked on every element, or pair
+    of elements, against coefficient-wise arithmetic and polynomial
+    products on the coefficient view of ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_EXTENSIONS)
+    def test_every_sum_difference_and_product(self, spec):
+        F = parse_field_spec(spec)
+        arith, p, q = F.arith, F.p, F.size
+        view = [coefficients(F, a) for a in range(q)]
+        for a, ca in enumerate(view):
+            assert arith.neg(a) == code_of(F, [-x % p for x in ca])
+            if a:
+                assert poly_mulmod(ca, view[arith.inv(a)], F.modulus, p) \
+                    == view[arith.one]
+            for b, cb in enumerate(view):
+                assert arith.add(a, b) == code_of(
+                    F, [(x + y) % p for x, y in zip(ca, cb)])
+                assert arith.sub(a, b) == code_of(
+                    F, [(x - y) % p for x, y in zip(ca, cb)])
+                assert view[arith.mul(a, b)] == poly_mulmod(
+                    ca, cb, F.modulus, p)
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_EXTENSIONS)
+    def test_row_operations_match_element_operations(self, spec):
+        # every multiplier against rows holding every element, zero
+        # among them, so each sum meets zero on either side
+        F = parse_field_spec(spec)
+        arith, elems = F.arith, F.elements()
+        row = [e.rep for e in elems]
+        other = row[::-1]
+        assert arith.row_negate(row) == [(-e).rep for e in elems]
+        for c in elems:
+            got = arith.row_sub_scaled(row, c.rep, other)
+            if c.is_zero():
+                assert got is row
+            else:
+                assert got == [(e - c * f).rep
+                               for e, f in zip(elems, elems[::-1])]
+            assert arith.row_scale(row, c.rep) == [(c * e).rep
+                                                   for e in elems]
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_EXTENSIONS)
+    def test_codes_are_the_canonical_order(self, spec):
+        # code order is sorted tuple order, so the elements are the codes
+        # 0, ..., q - 1; one is p^(k-1) and x is p^(k-2)
+        F = parse_field_spec(spec)
+        q, p, k = F.size, F.p, F.k
+        view = [coefficients(F, a) for a in range(q)]
+        assert view == sorted(view) == list(
+            itertools.product(range(p), repeat=k))
+        assert [e.rep for e in F.elements()] == list(range(q))
+        assert all(type(e.rep) is int for e in F.elements())
+        assert F.one().rep == p ** (k - 1) and F.zero().rep == 0
+        assert view[F.generator().rep] == (0, 1) + (0,) * (k - 2)
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_EXTENSIONS)
+    def test_tokens_round_trip_and_coercions_agree(self, spec):
+        F = parse_field_spec(spec)
+        p, k = F.p, F.k
+        for e in F.elements():
+            c = coefficients(F, e.rep)
+            assert e.token() == "(" + ",".join(map(str, c)) + ")"
+            assert parse_element(F, e.token()) == e
+            assert F.element(c) == F.element(list(c)) == e
+            # trailing zero coefficients may be left out
+            short = list(c)
+            while short and not short[-1]:
+                short.pop()
+            assert F.element(tuple(short)) == e
+        for m in range(-2 * p, 2 * p):
+            want = F.element((m,) + (0,) * (k - 1))
+            assert F.element(m) == F.element((m,)) == want
+            assert coefficients(F, want.rep) == (m % p,) + (0,) * (k - 1)
+            assert parse_element(F, str(m)) == want
+            assert F.element(Fraction(m, p + 1)) == want * F.element(
+                p + 1).inverse()
+        with pytest.raises(FieldError):
+            F.element((0,) * (k + 1))
+
+    @pytest.mark.parametrize("spec", CROSS_CHECK_EXTENSIONS)
+    def test_log_base_is_the_first_primitive_element(self, spec):
+        # the tables are built on the first element of order q - 1 in
+        # canonical order
+        F = parse_field_spec(spec)
+        order, one = F.size - 1, F.one()
+        cofactors = [order // r for r in prime_factors(order)]
+        g = F.arith._exp[1]
+        assert all(e ** order == one for e in F.nonzero_elements()[:3])
+        for e in F.iter_nonzero():
+            primitive = all(e ** c != one for c in cofactors)
+            assert primitive == (e.rep == g)
+            if primitive:
+                break
+
+
 class TestTokens:
     def test_prime_tokens(self):
         f = GF(7)
@@ -322,7 +433,8 @@ class TestPrimitive:
         assert arith.primitive(zero) == zero
 
     def test_finite_fields_keep_the_vector(self):
-        for F, vec in ((GF(7), [3, 0, 5]), (GF(9), [(1, 2), (0, 0)])):
+        for F, vec in ((GF(7), [3, 0, 5]),
+                       (GF(9), [GF(9).arith.coerce((1, 2)), 0])):
             assert F.arith.primitive(vec) is vec
 
 

@@ -49,6 +49,8 @@ from u2factor.field import GF, FieldElement, FieldMismatch, _MR_LIMIT, \
     _PACK_MIN, parse_field_spec, rationals
 from u2factor.linalg import Matrix, chain_product, identity
 
+from reference import coefficients, poly_mulmod
+
 GF256 = "GF(256;1,1,0,1,1,0,0,0,1)"
 # x^k mod f has degree k - 1 for these user moduli, so ``chain`` folds
 # k - 1 times: the most for their degree
@@ -189,7 +191,7 @@ def top_rep(F):
     if F.kind == "prime":
         return F.p - 1
     if F.kind == "extension":
-        return (F.p - 1,) * F.k
+        return F.arith.coerce((F.p - 1,) * F.k)
     return Fraction(-(2 ** 40 - 1), 2 ** 39 + 1)
 
 
@@ -352,7 +354,7 @@ def deltas(F):
     if F.kind == "prime":
         return range(1, F.p) if F.p <= 31 else (1, 2, F.p // 2, F.p - 1)
     if F.kind == "extension":
-        return [tuple(c if j == i else 0 for j in range(F.k))
+        return [F.arith.coerce(tuple(c if j == i else 0 for j in range(F.k)))
                 for i in range(F.k) for c in range(1, F.p)]
     return (Fraction(1), Fraction(-1), Fraction(1, 3),
             Fraction(-7, 2 ** 70 + 1))
@@ -525,7 +527,7 @@ def test_extension_products_of_every_shape(spec):
     F = parse_field_spec(spec)
     arith, rng = F.arith, random.Random(spec)
     elems = [e.rep for e in F.elements()]
-    top = (F.p - 1,) * F.k
+    top = top_rep(F)
 
     def rows(m, k, entry):
         return [[entry() for _ in range(k)] for _ in range(m)]
@@ -537,7 +539,8 @@ def test_extension_products_of_every_shape(spec):
                 got = arith.chain([a, b])
                 assert got == naive_rep_product(F, a, b)
                 assert all(type(r) is list for r in got)
-                assert all(type(x) is tuple for r in got for x in r)
+                assert all(type(x) is int and 0 <= x < F.size
+                           for r in got for x in r)
         # a right operand with no columns, and an empty right operand
         for m in (1, 4):
             assert arith.chain([rows(m, k, lambda: top),
@@ -551,20 +554,8 @@ def test_extension_products_of_every_shape(spec):
 def test_extension_neg_is_coefficientwise(spec):
     F = parse_field_spec(spec)
     for a in F.elements():
-        assert F.arith.neg(a.rep) == tuple(-c % F.p for c in a.rep)
-
-
-def poly_mulmod(a, b, modulus, p):
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    for d in range(2 * k - 2, k - 1, -1):
-        c = prod[d]
-        for i, m in enumerate(modulus):
-            prod[d - k + i] -= c * m
-    return tuple(c % p for c in prod[:k])
+        assert coefficients(F, F.arith.neg(a.rep)) == \
+            tuple(-c % F.p for c in coefficients(F, a.rep))
 
 
 @pytest.mark.parametrize("spec", EXTENSIONS)
@@ -576,7 +567,8 @@ def test_extension_products_match_polynomials(spec):
         rng = random.Random(spec)
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(4000)]
     for a, b in pairs:
-        assert (a * b).rep == poly_mulmod(a.rep, b.rep, F.modulus, F.p)
+        assert coefficients(F, (a * b).rep) == poly_mulmod(
+            coefficients(F, a.rep), coefficients(F, b.rep), F.modulus, F.p)
     one = F.one()
     for a in elems[1:]:
         assert a * a.inverse() == one
