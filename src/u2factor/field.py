@@ -373,8 +373,8 @@ class _FiniteArith:
     __slots__ = ("p", "k", "zero", "one", "_xk", "_folds", "_growth",
                  "_shapes")
 
-    def __init__(self, p: int, k: int, zero, one, xk, folds: int):
-        self.p, self.k, self.zero, self.one = p, k, zero, one
+    def __init__(self, p: int, k: int, one: int, xk, folds: int):
+        self.p, self.k, self.zero, self.one = p, k, 0, one
         self._xk, self._folds = xk, folds
         self._growth = k * (p - 1) * (1 + k * (p - 1)) ** folds
         self._shapes = {}
@@ -614,7 +614,7 @@ class PrimeArith(_FiniteArith):
     __slots__ = ()
 
     def __init__(self, p: int):
-        super().__init__(p, 1, 0, 1, None, 0)
+        super().__init__(p, 1, 1, None, 0)
 
     def coerce(self, value) -> int:
         return _residue(value, self.p)
@@ -764,6 +764,8 @@ class ExtensionArith(_FiniteArith):
             # log(1 + g^d): 1 adds one to the most significant digit
             wrap = (p - 1) * one
             zech = [log[c + one if c < wrap else c - wrap] for c in powers]
+            # d = 0 .. 2(q-1) - 2, then up to S + q - 2 (b zero); from
+            # the end d = -S .. -(q-1) (a zero), then -(q-2) .. -1
             self._zech = (zech + zech[:-1] + [0] * (sentinel - order + 1)
                           + list(range(-sentinel, -order + 1)) + zech[1:])
         self._tokens = [str(d).replace(" ", "") for d in digits]
@@ -776,7 +778,7 @@ class ExtensionArith(_FiniteArith):
         while degree >= k:
             degree = max(k - 1, degree - k + top)
             folds += 1
-        super().__init__(p, k, 0, one, xk, folds)
+        super().__init__(p, k, one, xk, folds)
 
     def coerce(self, value) -> int:
         """The code of an int or Fraction in the prime subfield, or of a

@@ -291,7 +291,6 @@ class TestExtensionCodes:
         order, one = F.size - 1, F.one()
         cofactors = [order // r for r in prime_factors(order)]
         g = F.arith._exp[1]
-        assert all(e ** order == one for e in F.nonzero_elements()[:3])
         for e in F.iter_nonzero():
             primitive = all(e ** c != one for c in cofactors)
             assert primitive == (e.rep == g)
