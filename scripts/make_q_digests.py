@@ -1,7 +1,7 @@
 """Write the certificate digests that tests/test_q_digests.py checks.
 
-There are two corpora, one digest file each, and every case is made over
-one field of the corpus's list:
+There are three corpora, one digest file each, and every case is made
+over one field of the corpus's list:
 
 - ``Q`` (``tests/golden/Q-digests.sha256``), over Q alone:
   - ``random``: five seeded ``random_sl(Q, n)`` inputs for each n in
@@ -20,9 +20,18 @@ one field of the corpus's list:
   - ``scalar``: lambda I_n for every lambda with lambda^n = 1, n in
     2..7;
   - ``structured``: the inputs of ``structured_corpus``, n 3..7, over
-    the fields of ``EXT_STRUCTURED`` (its diagonal scan tries every
+    the fields of ``STRUCTURED`` (its diagonal scan tries every
     pair of nonzero elements, so the 243- and 256-element fields are
     left out).
+- ``prime`` (``tests/golden/prime-digests.sha256``), over every GF(p) of
+  ``PRIME_FIELDS``: GF(5), GF(7), GF(31), GF(10007) and GF(2^31 - 1):
+  - ``random``: three seeded ``random_sl(F, n)`` inputs for each n in
+    2..8;
+  - ``scalar``: lambda I_n for every lambda with lambda^n = 1, n in
+    2..8, over GF(5), GF(7) and GF(31) (over GF(5), 2 I_n and 3 I_n
+    with 4 | n take the similarity of ``similarity_to_diagonal``);
+  - ``structured``: the inputs of ``structured_corpus``, n 3..7, over
+    GF(5), GF(7) and GF(31).
 
 ``wide_conjugator`` and ``structured_corpus`` live in
 ``tests/corpora.py``, which this script loads by path and
@@ -41,7 +50,7 @@ Regenerate only when a change is meant to alter certificate bytes, and
 say so in CHANGES.md.
 
 Usage:
-    PYTHONPATH=src python scripts/make_q_digests.py [--corpus Q|ext]
+    PYTHONPATH=src python scripts/make_q_digests.py [--corpus Q|ext|prime]
         [--out FILE]
 """
 
@@ -59,14 +68,20 @@ GOLDEN = ROOT / "tests" / "golden"
 EXT_FIELDS = ("GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)", "GF(27)",
               "GF(8;1,0,1,1)", "GF(243;1,0,0,0,2,1)",
               "GF(256;1,1,0,1,1,0,0,0,1)")
-EXT_STRUCTURED = EXT_FIELDS[:6]
+PRIME_FIELDS = ("GF(5)", "GF(7)", "GF(31)", "GF(10007)", "GF(2147483647)")
 # (digest file, fields) of each corpus
 CORPORA = {"Q": (GOLDEN / "Q-digests.sha256", ("Q",)),
-           "ext": (GOLDEN / "ext-digests.sha256", EXT_FIELDS)}
+           "ext": (GOLDEN / "ext-digests.sha256", EXT_FIELDS),
+           "prime": (GOLDEN / "prime-digests.sha256", PRIME_FIELDS)}
 
-Q_RANDOM = (range(2, 11), 5)  # (sizes, inputs per size)
-EXT_RANDOM = (range(2, 8), 3)
-SCALAR_SIZES = range(2, 8)
+# (sizes, inputs per size) of the random cases
+RANDOM = {"Q": (range(2, 11), 5), "ext": (range(2, 8), 3),
+          "prime": (range(2, 9), 3)}
+# (sizes, fields) of the scalar cases
+SCALAR = {"Q": (range(0), ()), "ext": (range(2, 8), EXT_FIELDS),
+          "prime": (range(2, 9), PRIME_FIELDS[:3])}
+# the fields of the structured cases
+STRUCTURED = {"Q": ("Q",), "ext": EXT_FIELDS[:6], "prime": PRIME_FIELDS[:3]}
 WIDE = ((64, (3, 4, 5, 6)), (500, (3, 4, 5)))
 STRUCTURED_SIZES = range(3, 8)
 
@@ -87,11 +102,12 @@ def cases(corpus: str = "Q"):
 
     corpora = _corpora()
     fields = CORPORA[corpus][1]
+    sizes, per_size = RANDOM[corpus]
+    scalar_sizes, scalar_fields = SCALAR[corpus]
     for spec in fields:
         F = parse_field_spec(spec)
         # the Q corpus keeps the names and seeds it had as the only one
         tag = "" if len(fields) == 1 else f"{spec}/"
-        sizes, per_size = Q_RANDOM if spec == "Q" else EXT_RANDOM
         for n in sizes:
             for i in range(per_size):
                 yield f"{tag}random-n{n}-{i}", random_sl(
@@ -103,12 +119,12 @@ def cases(corpus: str = "Q"):
                     A = random_sl(F, n, rng)
                     P = corpora.wide_conjugator(F, n, bits, rng)
                     yield f"wide{bits}-n{n}", P @ A @ P.inverse()
-        else:
-            for n in SCALAR_SIZES:
+        if spec in scalar_fields:
+            for n in scalar_sizes:
                 for i, lam in enumerate(F.nonzero_elements()):
                     if lam ** n == F.one():
                         yield f"{tag}scalar-n{n}-{i}", diagonal(F, [lam] * n)
-        if spec == "Q" or spec in EXT_STRUCTURED:
+        if spec in STRUCTURED[corpus]:
             for n in STRUCTURED_SIZES:
                 for i, A in enumerate(corpora.structured_corpus(F, n)):
                     yield f"{tag}structured-n{n}-{i}", A

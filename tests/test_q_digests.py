@@ -1,7 +1,7 @@
 """``factor`` reproduces every certificate of the digest corpora byte for
 byte.
 
-``scripts/make_q_digests.py`` lists the cases of two corpora and wrote
+``scripts/make_q_digests.py`` lists the cases of three corpora and wrote
 one digest file for each: the SHA-256 of each input as a matrix file and
 of its certificate JSON.
 
@@ -11,7 +11,11 @@ of its certificate JSON.
 - ``ext`` (``tests/golden/ext-digests.sha256``): over GF(4), GF(8),
   GF(9), GF(16), GF(25), GF(27) and user moduli of GF(8), GF(243) and
   GF(256), seeded ``random_sl`` inputs for n 2..7, every lambda I_n with
-  lambda^n = 1, and the structured corpus over the built-in fields.
+  lambda^n = 1, and the structured corpus over the built-in fields;
+- ``prime`` (``tests/golden/prime-digests.sha256``): over GF(5), GF(7),
+  GF(31), GF(10007) and GF(2^31 - 1), seeded ``random_sl`` inputs for
+  n 2..8, and over the first three fields every lambda I_n with
+  lambda^n = 1 (n 2..8) and the structured corpus.
 
 The checks are plain ``if`` statements, not ``assert``, so the test
 still checks under ``python -O``.
@@ -67,3 +71,7 @@ def test_q_certificate_digests():
 
 def test_ext_certificate_digests():
     check_corpus("ext", 900)
+
+
+def test_prime_certificate_digests():
+    check_corpus("prime", 500)
