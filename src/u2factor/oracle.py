@@ -129,28 +129,16 @@ def bfs_lengths(table: GroupTable, generators=None):
 
 
 def derived_subgroup(table: GroupTable) -> frozenset:
-    """Ids of the derived subgroup: closure of all [a, b] over the full
-    group under multiplication."""
+    """Ids of the derived subgroup: the elements ``bfs_lengths`` reaches
+    from the commutators [a, b] over the full group, since in a finite
+    group the monoid a set generates is the subgroup it generates."""
     gens = set()
     inverses = [A.inverse() for A in table.elements]
     for A, Ainv in zip(table.elements, inverses):
         for B, Binv in zip(table.elements, inverses):
             gens.add(table.id_of(A @ B @ Ainv @ Binv))
-    gen_mats = [table.elements[g] for g in sorted(gens)]
-    seen = set(gens)
-    seen.add(table.id_of(identity(table.field, table.n)))
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for eid in frontier:
-            A = table.elements[eid]
-            for G in gen_mats:
-                tid = table.id_of(A @ G)
-                if tid not in seen:
-                    seen.add(tid)
-                    nxt.append(tid)
-        frontier = nxt
-    return frozenset(seen)
+    lengths = bfs_lengths(table, gens)
+    return frozenset(i for i, d in enumerate(lengths) if d != UNREACHABLE)
 
 
 def check_trace_characterization(table: GroupTable) -> Report:
