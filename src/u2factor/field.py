@@ -72,12 +72,11 @@ case; ``_FiniteArith`` describes them.  What is each kind's own:
   per entry it reads: each pivot probe and each row's multiplier.
 
 The finite kinds share their determinant, Gaussian elimination through
-``row_sub_scaled``.  ``primitive`` is the scale that
-``similarity_to_diagonal`` puts on each eigenvector, given as a row:
-over Q a primitive integer vector with a positive last nonzero
-coordinate, over a finite field the vector as it is.
-``primitive_columns`` gives the columns of ``diagonalize_triangular``
-the same scale, after dividing each by its last nonzero entry.
+``row_sub_scaled``.  ``primitive_columns`` is the one eigenvector
+scale, which ``similarity_to_diagonal`` and ``diagonalize_triangular``
+put on the columns of P^-1: over a finite field each column divided by
+its last nonzero entry, so that it ends in 1, over Q a primitive integer
+vector with a positive last nonzero coordinate.
 ``height`` is the size by which the Sourour split ranks its pivots:
 over Q the bits of numerator and denominator less the two of 1, over a
 finite field 0 for every element.
@@ -160,8 +159,9 @@ BUILTIN_MODULI = {
 
 # Extension fields build O(q) log, antilog and Zech tables when they are
 # made, by walking the powers of candidate elements until one has order
-# q - 1, and their witness scans may walk all q elements.  Larger q is
-# refused up front, before the modulus is tested.
+# q - 1, which also decides whether the modulus is irreducible, and
+# their witness scans may walk all q elements.  Larger q is refused up
+# front, before any walk.
 _MAX_EXTENSION_SIZE = 256
 
 
@@ -240,45 +240,6 @@ def _prime_sqrt(a: int, p: int) -> Optional[int]:
     return min(r, p - r)
 
 
-# -- dense polynomial helpers over GF(p), coefficients as plain ints --
-
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _pmod(a, m, p):
-    # remainder of a mod monic-normalizable m over GF(p)
-    a = list(a)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        a = _ptrim(a)
-        if len(a) - 1 < dm:
-            break
-        coef = (a[-1] * lead_inv) % p
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-        a = _ptrim(a)
-    return _ptrim(a)
-
-
-def _poly_is_irreducible(modulus, p: int) -> bool:
-    """Brute-force irreducibility over GF(p): no monic factor of degree
-    1..k//2 divides the modulus."""
-    k = len(modulus) - 1
-    if k < 1 or modulus[-1] % p == 0:
-        return False
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = list(tail) + [1]  # monic degree d
-            if not _pmod(modulus, cand, p):
-                return False
-    return True
-
-
 # -- one arithmetic class per field kind, on canonical reps ---------------
 # FieldSpec picks one in __init__.  Every Matrix algorithm runs on the
 # matrix form through it; FieldElement's operators hand it reps and wrap
@@ -322,7 +283,7 @@ def _dot_sized(a, b) -> bool:
 
 
 class _FiniteArith:
-    """What GF(p) and GF(p^k) share: eigenvectors keep their scale, the
+    """What GF(p) and GF(p^k) share: eigenvectors end in 1, the
     determinant is Gaussian elimination through ``row_sub_scaled``, the
     matrix form is the rows of reps (so ``form`` and ``reps`` return
     what they are given), and the product is one packed chain with one
@@ -381,11 +342,6 @@ class _FiniteArith:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def primitive(self, row):
-        """The eigenvector scale over Q; a finite field keeps the row as
-        it is."""
-        return row
 
     def height(self, a) -> int:
         """The size the Sourour split ranks its pivots by: 0, the least,
@@ -452,8 +408,8 @@ class _FiniteArith:
     def primitive_columns(self, rows, order) -> tuple:
         """(rows, scales): the columns ``order`` of the matrix given as
         rows, column order[k] multiplied by scales[k], the inverse of its
-        last nonzero entry, so that it ends in 1, as ``primitive`` leaves
-        it; no such column may be zero."""
+        last nonzero entry, so that it ends in 1; no such column may be
+        zero."""
         is_zero, inv = self.is_zero, self.inv
         cols = list(zip(*rows))
         cols = [cols[k] for k in order]
@@ -716,10 +672,16 @@ class ExtensionArith(_FiniteArith):
     (so the sum is a).  Both zero land at S or above, which is zero.
 
     The tables are built once, O(q) entries: the walk x -> x g of each
-    candidate g in canonical order, a k x k map over GF(p), until it
-    returns to 1; the first walk of q - 1 steps is g's, and a candidate
-    met in an earlier, shorter walk is skipped, as a power of an element
-    of smaller order.  Products are ``_FiniteArith``'s packed chain,
+    candidate g in canonical order, a k x k map over GF(p), from 1 up to
+    its first repeated element; the first walk that returns to 1 after
+    q - 1 steps is g's, and a candidate met in an earlier walk is
+    skipped, as a power of an element of smaller order or of a zero
+    divisor.  The walk also decides that f is irreducible:
+    GF(p)[x]/(f) is a field exactly when some element has order q - 1
+    (Lidl & Niederreiter, ch. 2).  A unit of a ring that is not a field
+    has smaller order, and a zero divisor never returns to 1, so its
+    walk ends at the first element it meets twice, at most q steps on;
+    when no walk has order q - 1, ``ReducibleModulus`` is raised.  Products are ``_FiniteArith``'s packed chain,
     whose folds run through x^k mod f; ``_packs`` maps codes to the
     packed coefficients, one list per slot width, and ``_cut`` joins
     the coefficient slots back into codes.  Tokens print
@@ -734,7 +696,7 @@ class ExtensionArith(_FiniteArith):
         digits = list(itertools.product(range(p), repeat=k))  # by code
         # x^k mod f
         xk = tuple(-c % p for c in modulus[:k])
-        mul, seen = operator.mul, set()
+        mul, seen, first = operator.mul, set(), digits[one]
         for g in digits[1:]:  # the nonzero elements in canonical order
             if g in seen:
                 continue
@@ -744,13 +706,16 @@ class ExtensionArith(_FiniteArith):
                 cols.append(tuple([(a + c[-1] * m) % p
                                    for a, m in zip((0, *c[:-1]), xk)]))
             rows = list(zip(*cols))
-            powers, x = [digits[one]], g
-            while x != powers[0]:
-                powers.append(x)
+            # 1, g, g^2, ... up to the first repeated element, in order
+            powers, x = {first: None}, g
+            while x not in powers:
+                powers[x] = None
                 x = tuple([sum(map(mul, r, x)) % p for r in rows])
-            if len(powers) == order:
+            if x == first and len(powers) == order:
                 break
             seen.update(powers)
+        else:
+            raise ReducibleModulus(f"modulus {modulus} reducible mod {p}")
         powers = list(map(dict(zip(digits, range(q))).__getitem__, powers))
         sentinel = 3 * order - 2
         self._order = order
@@ -986,8 +951,8 @@ class RationalArith:
     rows with ``row_scale`` and ``row_sub_scaled``.  ``det`` runs
     Bareiss's fraction-free elimination on the form's integer rows, so
     it makes one ``Fraction`` in all, and ``tokens`` prints the form's
-    entries.  ``primitive``
-    divides a row's integers by their gcd.  Tokens print by ``str``, and
+    entries.  ``primitive_columns`` divides each column's integers by
+    their gcd.  Tokens print by ``str``, and
     through ``decimal``, which has no digit limit, only past Python's
     int <-> str digit limit.
     """
@@ -1156,8 +1121,8 @@ class RationalArith:
     def primitive_columns(self, form, order) -> tuple:
         """(rows, scales): the columns ``order`` of the matrix given as
         its form, column order[k] multiplied by scales[k] so that it is a
-        primitive integer vector whose last nonzero entry is positive, as
-        ``primitive`` leaves it; no such column may be zero.  The rows
+        primitive integer vector whose last nonzero entry is positive; no
+        such column may be zero.  The rows
         over the lcm L of their denominators are an integer matrix; each
         of its columns is divided by its gcd, signed, and the rows are
         integers over 1."""
@@ -1321,19 +1286,6 @@ class RationalArith:
         return [d for d, _ in mats[0]], [
             (e, [sum(map(mul, r, c)) for r in rows]) for e, c in cols]
 
-    def primitive(self, row) -> tuple:
-        """The row scaled to a primitive integer vector (coprime integer
-        coordinates) whose last nonzero coordinate is positive: its
-        integers divided by their gcd, over 1.  A zero row is returned
-        as is."""
-        _, ints = row
-        g = math.gcd(*ints)
-        if not g:
-            return row
-        if next(x for x in reversed(ints) if x) < 0:
-            g = -g
-        return 1, tuple([x // g for x in ints])
-
     def sqrt(self, a):
         """The nonnegative root of a, or None."""
         if a < 0:
@@ -1394,8 +1346,6 @@ class FieldSpec:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree k")
-            if not _poly_is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} reducible mod {p}")
             self.kind, self.p, self.k = "extension", p, k
             self.modulus = modulus
             self.size = q

@@ -30,7 +30,8 @@ allows repeated eigenvalues.  ``diagonalize_triangular`` is given the
 matrix as T R T^-1 with R triangular and a distinct spectrum, as a
 Sourour split provides it, and runs no elimination: triangular
 substitution and two products, O(n^3) in all.  Both scale eigenvectors
-the same way, so for a distinct spectrum they give the same P and P^-1.
+by the arith class's ``primitive_columns``, so for a distinct spectrum
+they give the same P and P^-1.
 
 Two functions give the Jordan data of a unipotent matrix.
 ``unipotent_jordan`` takes the kernels of the powers of A - I, one
@@ -600,11 +601,11 @@ def similarity_to_diagonal(A: Matrix, entries):
     Column i of P^-1 is taken from ker(A - entries[i] I), so an
     invertible P^-1 already proves P A P^-1 = diag(entries) exactly;
     a spectrum that does not match leaves some eigenspace too small.
-    Over a finite field the column is the ``kernel_basis`` vector as it
-    is (last nonzero coordinate 1).  Over Q it is that vector scaled to
-    a primitive integer vector whose last nonzero coordinate is
-    positive, which keeps the entries of P and of the certificates
-    built from it short.
+    The arith class's ``primitive_columns`` scales the ``kernel_basis``
+    vectors: over a finite field each already ends in 1 at its free
+    column and keeps its scale; over Q it becomes a primitive integer
+    vector whose last nonzero coordinate is positive, which keeps the
+    entries of P and of the certificates built from it short.
     """
     field, n = A.field, A.n
     arith = field.arith
@@ -615,13 +616,13 @@ def similarity_to_diagonal(A: Matrix, entries):
     cols = [None] * n
     for i, lam in enumerate(entries):
         if lam not in pools:
-            pools[lam] = list(map(arith.primitive, _kernel(
-                arith, arith.shift(A._form, lam))))
+            pools[lam] = _kernel(arith, arith.shift(A._form, lam))
         if not pools[lam]:
             raise SpectrumMismatch(
                 f"eigenspace of {arith.token(lam)} too small")
         cols[i] = pools[lam].pop(0)
-    Q = Matrix.from_form(field, arith.transpose(cols))
+    Q, _ = arith.primitive_columns(arith.transpose(cols), range(n))
+    Q = Matrix.from_form(field, Q)
     try:
         P = Q.inverse()
     except Singular:
@@ -640,11 +641,10 @@ def diagonalize_triangular(T: Matrix, T_inv: Matrix, R: Matrix, spectrum):
     are the columns of a unit lower triangular W, by substitution, and
     W^-1, whose rows are the left eigenvectors, follows by substitution
     too.  Column i of P^-1 is T w for the column w of spectrum[i],
-    scaled as ``similarity_to_diagonal`` scales its kernel
-    vectors: last nonzero coordinate 1, then ``primitive``.  An
-    eigenspace of a distinct spectrum is a line, so both give the same
-    column, and the same P: the matching row of W^-1, divided by that
-    column's scale, times T^-1.
+    scaled by ``primitive_columns``, as ``similarity_to_diagonal``
+    scales its kernel vectors.  An eigenspace of a distinct spectrum is
+    a line, so both give the same column, and the same P: the matching
+    row of W^-1, divided by that column's scale, times T^-1.
 
     All of it runs on rows of forms (the arith class's row API): row i
     of W is the product of R[i][:i] with W's leading block, divided

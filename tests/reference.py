@@ -1,11 +1,15 @@
 """Reference algorithms that several test files share.
 
-``RefIndependentSet`` works on FieldElements with their operators, as
-the library did before its algorithms moved onto the arith classes'
-rows, so a test can hold a row-level algorithm to it.  ``coefficients``
-and ``poly_mulmod`` are the coefficient view of a GF(p^k) rep and the
-polynomial product on it, computed here and not by the library.
+``RefIndependentSet`` and ``ref_det`` work on FieldElements with their
+operators, as the library did before its algorithms moved onto the arith
+classes' rows, so a test can hold a row-level algorithm to them.
+``coefficients`` and ``poly_mulmod`` are the coefficient view of a
+GF(p^k) rep and the polynomial product on it, and ``is_irreducible``
+decides a modulus by trial division, all computed here and not by the
+library.
 """
+
+import itertools
 
 
 def coefficients(F, rep) -> tuple:
@@ -34,6 +38,51 @@ def poly_mulmod(a, b, modulus, p) -> tuple:
         for i, m in enumerate(modulus):
             prod[d - k + i] -= c * m
     return tuple(c % p for c in prod[:k])
+
+
+def poly_rem(a, m, p) -> tuple:
+    """The remainder of a by the monic m over GF(p), both as ascending
+    coefficient tuples, as len(m) - 1 coefficients in [0, p)."""
+    a, d = list(a), len(m) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top] % p
+        for i, x in enumerate(m):
+            a[top - d + i] -= c * x
+    return tuple(x % p for x in a[:d])
+
+
+def is_irreducible(modulus, p) -> bool:
+    """Whether the monic modulus, ascending coefficients, is irreducible
+    over GF(p): no monic polynomial of degree 1..k//2 divides it."""
+    k = len(modulus) - 1
+    return not any(
+        not any(poly_rem(modulus, tail + (1,), p))
+        for d in range(1, k // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d))
+
+
+def ref_det(A):
+    """det A by element-level Gaussian elimination, pivoting on the first
+    nonzero entry of each column."""
+    work = [list(r) for r in A.rows]
+    field, n = A.field, A.n
+    det = field.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not work[r][col].is_zero()), None)
+        if pivot is None:
+            return field.zero()
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = work[col][col].inverse()
+        for r in range(col + 1, n):
+            if not work[r][col].is_zero():
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b
+                           for a, b in zip(work[r], work[col])]
+    return det
 
 
 class RefIndependentSet:

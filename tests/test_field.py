@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ from u2factor.field import (GF, rationals, make_field, parse_field_spec,
                             NoBuiltinModulus, DivisionByZero, FieldTooSmall,
                             FieldMismatch)
 
-from reference import coefficients, poly_mulmod
+from reference import coefficients, is_irreducible, poly_mulmod
 
 
 def _trial_division_prime(p):
@@ -417,6 +418,8 @@ class TestTokens:
 
 
 class TestPrimitive:
+    """``primitive_columns``, the one eigenvector scale, on one column."""
+
     def test_rational_vectors_become_primitive_integer_vectors(self):
         arith, F = rationals().arith, Fraction
         for vec, want in (([F(2, 3), F(-4, 3), F(-2)], [-1, 2, 3]),
@@ -424,17 +427,25 @@ class TestPrimitive:
                           ([F(1, 6), F(1, 4), F(0)], [2, 3, 0]),
                           ([F(-5, 7)], [1]),
                           ([F(4), F(6)], [2, 3])):
-            got = arith.primitive(arith.row(vec))
-            assert got == (1, tuple(want))
-            assert arith.reps([got]) == [want]
-            assert all(type(x) is Fraction for x in arith.reps([got])[0])
-        zero = arith.row([F(0), F(0)])
-        assert arith.primitive(zero) == zero
+            rows, scales = arith.primitive_columns(
+                arith.form([[x] for x in vec]), [0])
+            assert rows == [(1, (w,)) for w in want]
+            assert arith.reps(rows) == [[w] for w in want]
+            assert all(type(r[0]) is Fraction for r in arith.reps(rows))
+            assert [x * scales[0] for x in vec] == want
 
     def test_finite_fields_keep_the_vector(self):
+        # a vector is divided by its last nonzero entry, and one that
+        # ends in 1, as every kernel vector does, keeps its entries
         for F, vec in ((GF(7), [3, 0, 5]),
                        (GF(9), [GF(9).arith.coerce((1, 2)), 0])):
-            assert F.arith.primitive(vec) is vec
+            arith = F.arith
+            rows, scales = arith.primitive_columns([[x] for x in vec], [0])
+            last = next(x for x in reversed(vec) if x)
+            assert scales == [arith.inv(last)]
+            want = [[arith.mul(x, scales[0])] for x in vec]
+            assert rows == want
+            assert arith.primitive_columns(want, [0]) == (want, [arith.one])
 
 
 class TestSquareRoots:
@@ -596,6 +607,100 @@ class TestSquareClassPairing:
                                              Fraction(16)]
         for a, ainv in first:
             assert a * ainv == f.one()
+
+
+def _times(factors, p) -> tuple:
+    """The product over GF(p) of polynomials given as ascending
+    coefficient tuples."""
+    out = (1,)
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = tuple(c % p for c in prod)
+    return out
+
+
+def _first_of_full_order(F) -> int:
+    """The code of the first nonzero element, in canonical order, whose
+    powers by ``poly_mulmod`` first return to 1 after q - 1 steps."""
+    p, k, f = F.p, F.k, F.modulus
+    one = (1,) + (0,) * (k - 1)
+    for code in range(1, F.size):
+        e = x = coefficients(F, code)
+        steps = 1
+        while x != one:
+            x = poly_mulmod(x, e, f, p)
+            steps += 1
+        if steps == F.size - 1:
+            return code
+    raise AssertionError(f"{F} has no element of order q - 1")
+
+
+# (p, k): monic moduli of degree k over GF(p), each the product of the
+# irreducible factors given, ascending coefficients: powers of a linear
+# factor, products of distinct irreducibles, and x^3 (x^5 + x^3 + 1),
+# among the slowest reducible degree-8 moduli over GF(2) to refuse
+REDUCIBLE = {
+    (2, 8): [((1, 1),) * 8, ((0, 1),) * 8,
+             ((0, 1),) * 3 + ((1, 0, 0, 1, 0, 1),),
+             ((0, 1), (0, 1), (1, 0, 0, 0, 0, 1, 1)),
+             ((1, 1, 0, 1), (1, 0, 1, 0, 0, 1)),
+             ((1, 1, 0, 0, 1), (1, 0, 0, 1, 1)),
+             ((1, 1, 0, 0, 1),) * 2,
+             ((0, 1), (1, 1, 0, 0, 0, 0, 0, 1)),
+             ((1, 1, 1), (1, 1, 0, 0, 0, 0, 1))],
+    (3, 5): [((1, 1),) * 5, ((0, 1),) * 5,
+             ((1, 0, 1), (1, 2, 0, 1)),
+             ((2, 1), (2, 1, 0, 0, 1)),
+             ((2, 1, 1), (2, 2, 0, 1)),
+             ((1, 1), (2, 1), (1, 2, 0, 1)),
+             ((0, 1), (1, 0, 1), (1, 0, 1))],
+}
+
+
+class TestModulus:
+    """The power walk of ``ExtensionArith`` decides irreducibility: a
+    modulus builds a field exactly when trial division
+    (``tests/reference.py``) finds no factor, and the log base is then
+    the first element of order q - 1."""
+
+    @pytest.mark.parametrize("p, k, irreducible",
+                             [(2, 2, 1), (2, 3, 2), (3, 2, 3), (2, 4, 3),
+                              (5, 2, 10), (3, 3, 8)])
+    def test_every_small_modulus(self, p, k, irreducible):
+        found = 0
+        for tail in itertools.product(range(p), repeat=k):
+            modulus = tail + (1,)
+            if is_irreducible(modulus, p):
+                found += 1
+                F = make_field("extension", p, k, modulus)
+                assert F.arith._exp[1] == _first_of_full_order(F)
+            else:
+                message = f"modulus {modulus} reducible mod {p}"
+                with pytest.raises(ReducibleModulus,
+                                   match=re.escape(message)):
+                    make_field("extension", p, k, modulus)
+        # the count of monic irreducibles of degree k (Gauss)
+        assert found == irreducible
+
+    @pytest.mark.parametrize("spec", ["GF(243;1,0,0,0,2,1)",
+                                      "GF(256;1,1,0,1,1,0,0,0,1)"])
+    def test_large_irreducible_moduli(self, spec):
+        F = parse_field_spec(spec)
+        assert is_irreducible(F.modulus, F.p)
+        assert F.arith._exp[1] == _first_of_full_order(F)
+
+    @pytest.mark.parametrize("p, k", sorted(REDUCIBLE))
+    def test_large_reducible_moduli(self, p, k):
+        for factors in REDUCIBLE[(p, k)]:
+            assert all(is_irreducible(f, p) for f in factors)
+            modulus = _times(factors, p)
+            assert len(modulus) == k + 1 and modulus[-1] == 1
+            assert not is_irreducible(modulus, p)
+            with pytest.raises(ReducibleModulus):
+                make_field("extension", p, k, modulus)
 
 
 class TestExtensionSizeBound:

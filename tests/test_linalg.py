@@ -23,7 +23,7 @@ from u2factor.poly import Poly
 from u2factor.sampling import random_sl
 
 from corpora import wide_conjugator
-from reference import RefIndependentSet
+from reference import RefIndependentSet, ref_det
 
 
 def mats(q, n):
@@ -501,28 +501,6 @@ def _ref_inverse(A):
     return Matrix(field, [r[n:] for r in work])
 
 
-def _ref_det(A):
-    """det A by element-level Gaussian elimination, pivoting on the first
-    nonzero entry of each column."""
-    work = [list(r) for r in A.rows]
-    n = len(work)
-    det = A.field.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return A.field.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
-
-
 def _reps(rows):
     return [[e.rep for e in r] for r in rows]
 
@@ -621,7 +599,7 @@ class TestEliminationReference:
         entry = _entry_pool(F, rng)
         singular = 0
         for A in _elimination_inputs(F, rng):
-            want = _ref_det(A)
+            want = ref_det(A)
             got = arith.det(A.form())
             assert got == want.rep and type(got) is type(want.rep)
             assert A.det() == want
@@ -655,7 +633,7 @@ class TestEliminationReference:
         )
         for rows, expected in cases:
             A = Matrix(F, rows)
-            want = _ref_det(A)
+            want = ref_det(A)
             if expected is not None:
                 assert want == expected
             assert A.det() == want

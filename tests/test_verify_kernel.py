@@ -32,6 +32,8 @@ from u2factor.unipotent import (CommutatorPair, Factorization, Report,
                                 conjugate_factorization, is_u2,
                                 unchecked_factorization_from_json, verify)
 
+from reference import ref_det
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -47,28 +49,6 @@ def _ref_value(X, Y):
     return X @ Y @ (one + one - X) @ (one + one - Y)
 
 
-def _ref_det(A):
-    work = [list(r) for r in A.rows]
-    field, n = A.field, A.n
-    det = field.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            if not work[r][col].is_zero():
-                factor_ = work[r][col] * inv
-                work[r] = [a - factor_ * b
-                           for a, b in zip(work[r], work[col])]
-    return det
-
-
 def reference_verify(f):
     report = Report()
     one = f.target.field.one()
@@ -79,7 +59,7 @@ def reference_verify(f):
             report.record(f"{name} is U2", ok,
                           "" if ok else "index condition fails")
         value = _ref_value(pair.x, pair.y)
-        det = _ref_det(value)
+        det = ref_det(value)
         report.record(f"pair[{i}] value det=1", det == one,
                       "" if det == one else f"det={det.token()}")
         product = product @ value
@@ -254,7 +234,7 @@ def test_u2_pairs_have_det_one(F, data):
         if not (_ref_is_u2(p.x) and _ref_is_u2(p.y)):
             pytest.fail(f"I + u v^T with v^T u = 0 should be U2: {p}")
         value = _ref_value(p.x, p.y)
-        if _ref_det(value) != F.one():
+        if ref_det(value) != F.one():
             pytest.fail(f"det [X, Y] should be 1 for U2 X and Y: {p}")
         target = target @ value
     if not _same_report(Factorization(target, pairs, ())).passed:
@@ -429,7 +409,7 @@ def test_wrappers_match_reference(F):
         vals = [0, 0, 1] if F.is_finite else [0, 0, 1, Fraction(-2, 3)]
         A = Matrix(F, [[F.element(rng.choice(vals + [rng.randrange(5)]))
                         for _ in range(4)] for _ in range(4)])
-        if A.det() != _ref_det(A):
+        if A.det() != ref_det(A):
             pytest.fail(f"Matrix.det differs from the reference on {A}")
         if is_u2(A) != _ref_is_u2(A):
             pytest.fail(f"is_u2 differs from the reference on {A}")
