@@ -1,7 +1,10 @@
 """``factor`` checks every certificate once, at the end, with plain ``if``
 checks; these tests run it under ``python -O``, where ``assert`` is gone,
-and feed it broken certificates from a patched route."""
+and feed it broken certificates from a patched route.  One more test
+parses every library module and finds no ``assert`` statement, so no
+check of the library goes away under ``-O``."""
 
+import ast
 import json
 import os
 import subprocess
@@ -160,3 +163,16 @@ def test_wrong_memoised_block_caught_under_O(memo, field, n, seed):
     assert got["calls"] > 0
     assert got["raised"]
     assert got["failures"] == ["product equals target"]
+
+
+def test_no_assert_in_the_library():
+    paths = sorted((SRC / "u2factor").rglob("*.py"))
+    if not paths:
+        pytest.fail(f"no module found under {SRC / 'u2factor'}")
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.relative_to(SRC)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    if found:
+        pytest.fail(f"assert statements in the library: {found}")
