@@ -681,11 +681,12 @@ class ExtensionArith(_FiniteArith):
     (Lidl & Niederreiter, ch. 2).  A unit of a ring that is not a field
     has smaller order, and a zero divisor never returns to 1, so its
     walk ends at the first element it meets twice, at most q steps on;
-    when no walk has order q - 1, ``ReducibleModulus`` is raised.  Products are ``_FiniteArith``'s packed chain,
-    whose folds run through x^k mod f; ``_packs`` maps codes to the
-    packed coefficients, one list per slot width, and ``_cut`` joins
-    the coefficient slots back into codes.  Tokens print
-    (c_0,...,c_(k-1)) from a list of them made with the tables.
+    when no walk has order q - 1, ``ReducibleModulus`` is raised.
+    Products are ``_FiniteArith``'s packed chain, whose folds run
+    through x^k mod f; ``_packs`` maps codes to the packed
+    coefficients, one list per slot width, and ``_cut`` joins the
+    coefficient slots back into codes.  Tokens print (c_0,...,c_(k-1))
+    from a list of them made with the tables.
     """
 
     __slots__ = ("_order", "_log", "_exp", "_neg_log", "_zech", "_tokens",
@@ -952,9 +953,8 @@ class RationalArith:
     Bareiss's fraction-free elimination on the form's integer rows, so
     it makes one ``Fraction`` in all, and ``tokens`` prints the form's
     entries.  ``primitive_columns`` divides each column's integers by
-    their gcd.  Tokens print by ``str``, and
-    through ``decimal``, which has no digit limit, only past Python's
-    int <-> str digit limit.
+    their gcd.  Tokens print by ``str``, and through ``decimal``, which
+    has no digit limit, only past Python's int <-> str digit limit.
     """
 
     __slots__ = ()
@@ -1122,10 +1122,9 @@ class RationalArith:
         """(rows, scales): the columns ``order`` of the matrix given as
         its form, column order[k] multiplied by scales[k] so that it is a
         primitive integer vector whose last nonzero entry is positive; no
-        such column may be zero.  The rows
-        over the lcm L of their denominators are an integer matrix; each
-        of its columns is divided by its gcd, signed, and the rows are
-        integers over 1."""
+        such column may be zero.  The rows over the lcm L of their
+        denominators are an integer matrix; each of its columns is
+        divided by its gcd, signed, and the rows are integers over 1."""
         big, rows = _common(form)
         every = list(zip(*rows))
         scales, cols = [], []

@@ -621,8 +621,8 @@ def similarity_to_diagonal(A: Matrix, entries):
             raise SpectrumMismatch(
                 f"eigenspace of {arith.token(lam)} too small")
         cols[i] = pools[lam].pop(0)
-    Q, _ = arith.primitive_columns(arith.transpose(cols), range(n))
-    Q = Matrix.from_form(field, Q)
+    form, _ = arith.primitive_columns(arith.transpose(cols), range(n))
+    Q = Matrix.from_form(field, form)
     try:
         P = Q.inverse()
     except Singular:
