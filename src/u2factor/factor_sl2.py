@@ -23,7 +23,8 @@ from .linalg import (Matrix, diagonal, jordan_block, unipotent_jordan,
                      ScalarInput)
 from .unipotent import (Factorization, CommutatorPair,
                         identity_factorization, conjugate_factorization,
-                        invert_factorization, concat_factorizations)
+                        conjugate_pairs, invert_factorization,
+                        concat_factorizations)
 from .sourour import sourour_factor
 
 
@@ -187,14 +188,18 @@ def split_into_diagonal_parts(A: Matrix, spectrum, cert: Factorization,
     """A = B C by a split with both spectra ``spectrum``, whose entries
     are distinct, and ``cert`` a certificate for diag(spectrum): each
     part is diagonalized in the split's triangularizing basis and gets
-    ``cert``, conjugated.  Twice cert's pairs."""
+    ``cert``'s pairs, conjugated.  Twice cert's pairs.
+
+    Only the pairs are conjugated: no part target is built, and that
+    B C = A is left to ``factor``'s final ``verify``."""
     split = sourour_factor(A, spectrum, spectrum)
-    parts = []
+    pairs = []
     for R in (split.L, split.U):
         P, Pinv = diagonalize_triangular(split.T, split.T_inv, R, spectrum)
-        parts.append(conjugate_factorization(cert, Pinv, P))
-    return concat_factorizations(
-        A, parts, (split.route_tag(spectrum, spectrum), route))
+        pairs.extend(conjugate_pairs(cert.pairs, Pinv, P))
+    part_route = cert.route + ("transport:conjugate",)
+    return Factorization(A, pairs, part_route * 2 + (
+        split.route_tag(spectrum, spectrum), route))
 
 
 def _factor_nonscalar_gf5(A: Matrix) -> Factorization:

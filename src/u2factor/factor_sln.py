@@ -19,9 +19,9 @@ from .linalg import (Matrix, identity, diagonal, jordan_block, direct_sum,
                      ScalarInput)
 from .unipotent import (Factorization, CommutatorPair, VerificationFailed,
                         verify, identity_factorization,
-                        conjugate_factorization, invert_factorization,
-                        direct_sum_factorization, embed_factorization,
-                        concat_factorizations)
+                        conjugate_factorization, conjugate_pairs,
+                        invert_factorization, direct_sum_factorization,
+                        embed_factorization, concat_factorizations)
 from .factor_sl2 import (factor_sl2, diag_commutator, neg_identity,
                          split_into_diagonal_parts, FactorError)
 from .sourour import sourour_factor
@@ -324,15 +324,18 @@ def nonscalar_factor(A: Matrix) -> Factorization:
     return _nonscalar_unipotent_split(A)
 
 
-def _nonscalar_two_pairs(A: Matrix) -> Factorization:
-    """Prop-5.2-style route: split with a distinct all-square spectrum and
-    factor both parts as single diagonal commutators."""
-    F = A.field
-    n = A.n
+@lru_cache(maxsize=32)
+def _diagonal_block(F: FieldSpec, n: int):
+    """The distinct all-square spectrum of the prop5.2 route at n, 1 (if
+    n is odd) then k = n // 2 inverse square pairs (a, a^-1), and the
+    certificate for diag(spectrum), one pair per (a, a^-1) block.
+
+    Memoised per process, keyed by (field, n): callers get a shared,
+    immutable certificate.
+    """
     k = n // 2
-    pairing = square_class_pairing(F)
     alphas = []
-    for pair in pairing.iter_pairs():
+    for pair in square_class_pairing(F).iter_pairs():
         alphas.append(pair)
         if len(alphas) == k:
             break
@@ -344,13 +347,37 @@ def _nonscalar_two_pairs(A: Matrix) -> Factorization:
     cert = direct_sum_factorization(
         *[identity_factorization(F, 1)] * (n % 2),
         *(_diag_pair_cert(F, a) for (a, _) in alphas))
-    return split_into_diagonal_parts(A, tuple(spectrum), cert,
-                                     f"prop5.2(n={n})")
+    return tuple(spectrum), cert
+
+
+def _nonscalar_two_pairs(A: Matrix) -> Factorization:
+    """Prop-5.2-style route: split with a distinct all-square spectrum and
+    give both parts the conjugated pairs of the memoised certificate for
+    diag(spectrum), by ``split_into_diagonal_parts``."""
+    spectrum, cert = _diagonal_block(A.field, A.n)
+    return split_into_diagonal_parts(A, spectrum, cert, f"prop5.2(n={A.n})")
+
+
+@lru_cache(maxsize=128)
+def _partition_factor(F: FieldSpec, partition: tuple) -> Factorization:
+    """Certificate for the direct sum of the J_h(1), h in ``partition``,
+    in order: blockwise, nothing for a 1x1 block, ``j21_factor`` for
+    h = 2 and ``jn1_factor`` above.
+
+    Memoised per process, keyed by (field, partition): callers get a
+    shared, immutable certificate.
+    """
+    return direct_sum_factorization(*(
+        identity_factorization(F, 1) if size == 1
+        else j21_factor(F) if size == 2 else jn1_factor(size, F)
+        for size in partition))
 
 
 def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
-    """General route: A = B C with both parts unipotent; each part's
-    Jordan blocks are certified separately and direct-summed.
+    """General route: A = B C with both parts unipotent; each part gets
+    the conjugated pairs of the memoised certificate for its Jordan form
+    (``_partition_factor``).  No part target is built, and that B C = A
+    is left to ``factor``'s final ``verify``.
 
     A part that is one Jordan block gets its Jordan data by substitution
     in the split's triangularizing basis; only another part is built
@@ -359,18 +386,16 @@ def _nonscalar_unipotent_split(A: Matrix) -> Factorization:
     n = A.n
     ones = tuple([F.one()] * n)
     split = sourour_factor(A, ones, ones)
-    parts = []
+    pairs, route = [], []
     for R, side in ((split.L, "b"), (split.U, "c")):
         jd = (single_block_jordan(split.T, split.T_inv, R)
               or unipotent_jordan(getattr(split, side)))
-        cert = direct_sum_factorization(*(
-            identity_factorization(F, 1) if size == 1
-            else j21_factor(F) if size == 2 else jn1_factor(size, F)
-            for size in jd.partition))
-        parts.append(conjugate_factorization(cert, jd.transform_inverse,
-                                             jd.transform))
-    return concat_factorizations(
-        A, parts, (split.route_tag(ones, ones), f"prop4.5(n={n})"))
+        cert = _partition_factor(F, jd.partition)
+        pairs.extend(conjugate_pairs(cert.pairs, jd.transform_inverse,
+                                     jd.transform))
+        route.extend(cert.route + ("transport:conjugate",))
+    return Factorization(A, pairs, route + [split.route_tag(ones, ones),
+                                            f"prop4.5(n={n})"])
 
 
 # -- top-level dispatcher ---------------------------------------------------------

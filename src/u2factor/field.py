@@ -1510,15 +1510,26 @@ def make_field(kind: str, p: int = 0, k: int = 1, modulus=None) -> FieldSpec:
 
 def GF(q: int, modulus=None) -> FieldSpec:
     """Convenience: GF(q) for prime or built-in prime-power q.  A modulus
-    names an extension, so a prime q with one raises FieldError."""
-    if _is_prime(q):
+    names an extension, so a prime q with one raises FieldError.
+
+    Primality is tested once per candidate, by ``FieldSpec``: the prime
+    kind is tried first, then each integer root p of q as the base of
+    an extension."""
+    try:
+        F = FieldSpec("prime", q)
+    except NotPrime:
+        pass
+    else:
         if modulus is not None:
             raise FieldError(f"GF({q}) is a prime field and takes no modulus")
-        return FieldSpec("prime", q)
+        return F
     for k in range(2, max(q, 1).bit_length()):
         p = _iroot(q, k)
-        if p ** k == q and _is_prime(p):
-            return FieldSpec("extension", p, k, modulus)
+        if p ** k == q:
+            try:
+                return FieldSpec("extension", p, k, modulus)
+            except NotPrime:
+                pass
     raise FieldError(f"{q} is not a prime power")
 
 

@@ -15,8 +15,7 @@ operation per row over Q.  Products of several factors (a commutator,
 the running product folded in one pair at a time, a conjugation
 P X P^-1) are one ``chain`` each.  The equalities a certificate rests
 on, (X - I)^2 = 0 for every member and the product of the values
-[X, Y] = target, and the part-target check of
-``concat_factorizations``, are decided by the arith class's
+[X, Y] = target, are decided by the arith class's
 ``is_product`` without cutting the product into reps: an exact zero
 test on packed rows over a finite field, described once in
 ``field._FiniteArith``, and a cross-multiplied comparison of integer
@@ -31,6 +30,11 @@ for a pair with a member that fails the U2 test: when both pass, 2I - X
 and 2I - Y are the true inverses, so the det is exactly 1.
 ``is_u2``, ``CommutatorPair.value``, ``u2_inverse``,
 ``Factorization.product`` and ``Matrix.det`` wrap the same helpers.
+The split routes move each part's fixed certificate by a similarity
+with ``conjugate_pairs`` alone: they build no part target, so the
+product of their pairs is checked once, by ``verify``.
+``concat_factorizations``, which the scalar routes and the memoised
+blocks still use, checks its parts' targets by ``is_product`` too.
 ``factorization_from_json`` raises NotU2 for a pair that is not U2,
 while ``unchecked_factorization_from_json`` checks the shape only and
 leaves that finding to ``verify``'s report.  Certificates are written
@@ -274,17 +278,24 @@ def invert_factorization(f: Factorization) -> Factorization:
                          f.route + ("transport:invert",))
 
 
-def conjugate_factorization(f: Factorization, P: Matrix,
-                            Pinv: Matrix) -> Factorization:
-    """Certificate for P target P^-1, given P^-1 as ``Pinv``.
+def conjugate_pairs(pairs, P: Matrix, Pinv: Matrix) -> tuple:
+    """The pairs (P X P^-1, P Y P^-1), given P^-1 as ``Pinv``: their
+    values are P [X, Y] P^-1.
 
     ``Pinv`` is not checked against P (the similarity helpers return
     the inverse they built); ``verify`` catches a wrong one.
     """
-    pairs = tuple(CommutatorPair.unchecked(chain_product(P, p.x, Pinv),
-                                           chain_product(P, p.y, Pinv))
-                  for p in f.pairs)
-    return Factorization(chain_product(P, f.target, Pinv), pairs,
+    return tuple(CommutatorPair.unchecked(chain_product(P, p.x, Pinv),
+                                          chain_product(P, p.y, Pinv))
+                 for p in pairs)
+
+
+def conjugate_factorization(f: Factorization, P: Matrix,
+                            Pinv: Matrix) -> Factorization:
+    """Certificate for P target P^-1, given P^-1 as ``Pinv``: the pairs
+    by ``conjugate_pairs``, and the target conjugated too."""
+    return Factorization(chain_product(P, f.target, Pinv),
+                         conjugate_pairs(f.pairs, P, Pinv),
                          f.route + ("transport:conjugate",))
 
 

@@ -1,20 +1,26 @@
+import dataclasses
+import importlib
 import random
 
 import pytest
 
 from u2factor import factor_sln
-from u2factor.field import GF, rationals
+from u2factor.field import (GF, rationals, parse_field_spec, PrimeArith,
+                            ExtensionArith, RationalArith)
 from u2factor.linalg import (Matrix, identity, diagonal, jordan_block,
                              direct_sum, unipotent_jordan,
                              single_block_jordan, charpoly)
 from u2factor.poly import Poly
 from u2factor.unipotent import verify, commutator, is_u2, \
-    expand_to_u2_product
+    expand_to_u2_product, factorization_to_json, VerificationFailed
 from u2factor.factor_sln import (i_plus_j21, jn1_factor, scalar_factor,
                                  nonscalar_factor, factor, promised_max_pairs,
                                  NotSLn, UnsupportedFieldSize, _jn1_xy)
 from u2factor.sampling import random_sl
 from u2factor.sourour import sourour_factor
+
+# the module, which the package's factor_sl2 function shadows
+sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 
 def check(f):
@@ -276,3 +282,138 @@ class TestLargeFields:
             assert cert.target == A
             assert cert.pair_count() <= promised_max_pairs(F, n)
         assert table_calls == []
+
+
+# one input per split route: (field spec, n, route tag)
+SPLIT_ROUTE_CASES = [("GF(10007)", 8, "prop5.2"), ("Q", 6, "prop5.2"),
+                     ("GF(7)", 6, "prop4.5")]
+SPLIT_ROUTE_IDS = [f"{spec}-n{n}" for spec, n, _ in SPLIT_ROUTE_CASES]
+
+
+def _split_route_input(spec, n, route):
+    """A seeded input over a freshly parsed field that ``factor`` sends
+    through ``route``."""
+    F = parse_field_spec(spec)
+    A = random_sl(F, n, random.Random(f"split:{spec}:{n}"))
+    if A.is_scalar() or f"{route}(n={n})" not in factor(A).route:
+        pytest.fail(f"the {spec} input at n = {n} does not take {route}")
+    return A
+
+
+class TestSplitRoutes:
+    """prop5.2 and prop4.5 (and prop3.11's generic SL_2 route, through
+    the same ``split_into_diagonal_parts``) give each part the
+    conjugated pairs of a fixed certificate and nothing else: the
+    product is checked once, by ``factor``'s final ``verify``."""
+
+    @pytest.mark.parametrize("spec, n, route", SPLIT_ROUTE_CASES,
+                             ids=SPLIT_ROUTE_IDS)
+    def test_only_the_final_verify_compares_products(self, monkeypatch,
+                                                     spec, n, route):
+        A = _split_route_input(spec, n, route)  # warms the memos
+        calls = {"inside": 0, "outside": 0}
+        in_verify = []
+
+        def spy_is_product(is_product):
+            def wrapped(self, mats, target):
+                calls["inside" if in_verify else "outside"] += 1
+                return is_product(self, mats, target)
+            return wrapped
+
+        def spy_verify(f):
+            in_verify.append(f)
+            try:
+                return verify(f)
+            finally:
+                in_verify.pop()
+
+        for kind in (PrimeArith, ExtensionArith, RationalArith):
+            monkeypatch.setattr(kind, "is_product",
+                                spy_is_product(kind.is_product))
+        monkeypatch.setattr(factor_sln, "verify", spy_verify)
+        cert = factor(A)
+        # one U2 test per pair member, and one comparison with A
+        want = {"inside": 2 * cert.pair_count() + 1, "outside": 0}
+        if calls != want:
+            pytest.fail(f"is_product calls {calls}, expected {want}")
+
+    @pytest.mark.parametrize("spec, n, route", SPLIT_ROUTE_CASES,
+                             ids=SPLIT_ROUTE_IDS)
+    def test_no_concatenation(self, monkeypatch, spec, n, route):
+        A = _split_route_input(spec, n, route)  # warms the memos
+        concats = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                concats.append(args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (sl2_routes, factor_sln):
+            monkeypatch.setattr(module, "concat_factorizations",
+                                spy(module.concat_factorizations))
+        factor(A)
+        if concats:
+            pytest.fail(f"{route} concatenated {len(concats)} times")
+        # the spy does see a route that concatenates: the odd scalar one
+        F = GF(7)
+        factor(diagonal(F, [F.element(2)] * 3))
+        if not concats:
+            pytest.fail("the spy saw no concatenation")
+
+    @pytest.mark.parametrize("spec, n, route", SPLIT_ROUTE_CASES,
+                             ids=SPLIT_ROUTE_IDS)
+    def test_wrong_part_caught(self, monkeypatch, spec, n, route):
+        """Each similarity handed to the split route is P scaled by 2
+        with the old P^-1, so every conjugated part is wrong; the final
+        check raises."""
+        A = _split_route_input(spec, n, route)
+        F = A.field
+        two = diagonal(F, [F.element(2)] * n)
+        scaled = []
+
+        def wrong_diagonalize(*args):
+            P, Pinv = diagonalize(*args)
+            scaled.append(P)
+            return P @ two, Pinv
+
+        def wrong_single_block(*args):
+            jd = single_block(*args)
+            if jd is None:
+                return None
+            scaled.append(jd.transform)
+            return dataclasses.replace(jd, transform=jd.transform @ two)
+
+        diagonalize = sl2_routes.diagonalize_triangular
+        single_block = factor_sln.single_block_jordan
+        monkeypatch.setattr(sl2_routes, "diagonalize_triangular",
+                            wrong_diagonalize)
+        monkeypatch.setattr(factor_sln, "single_block_jordan",
+                            wrong_single_block)
+        with pytest.raises(VerificationFailed) as info:
+            factor(A)
+        if not scaled:
+            pytest.fail("no similarity of the route was scaled")
+        failed = {name for name, _ in info.value.report.failures()}
+        if "product equals target" not in failed:
+            pytest.fail(f"the report names {failed}")
+
+    @pytest.mark.parametrize("spec, n, route", SPLIT_ROUTE_CASES,
+                             ids=SPLIT_ROUTE_IDS)
+    def test_fixed_certificates_built_once(self, memos, spec, n, route):
+        name = {"prop5.2": "u2factor.factor_sln._diagonal_block",
+                "prop4.5": "u2factor.factor_sln._partition_factor"}[route]
+        if name not in memos:
+            pytest.fail(f"{name} is not a memo the fixture finds")
+        memo = memos[name]
+        texts = []
+        # two fields parsed apart, equal but not the same object
+        for _ in range(2):
+            F = parse_field_spec(spec)
+            A = random_sl(F, n, random.Random(f"split:{spec}:{n}"))
+            texts.append(factorization_to_json(factor(A)))
+        info = memo.cache_info()
+        if info.misses < 1 or info.hits < 1:
+            pytest.fail(f"{name}: {info}")
+        if texts[0] != texts[1] or f'"{route}(n={n})"' not in texts[0]:
+            pytest.fail("the two certificates differ")

@@ -16,6 +16,7 @@ from u2factor.field import (GF, rationals, make_field, parse_field_spec,
                             NoBuiltinModulus, DivisionByZero, FieldTooSmall,
                             FieldMismatch)
 
+import u2factor.field as field_module
 from reference import coefficients, is_irreducible, poly_mulmod
 
 
@@ -108,6 +109,50 @@ class TestPrimality:
             GF(10 ** 12)  # not a prime power
         with pytest.raises(FieldError):
             GF(2 ** 127 - 1)  # beyond the deterministic bases
+
+    @pytest.mark.parametrize("make, tested", [
+        (lambda: GF(100003), [100003]),
+        (lambda: parse_field_spec("GF(100003)"), [100003]),
+        # 9 as a prime, then its square root as an extension's base
+        (lambda: GF(9), [9, 3]),
+    ], ids=["GF(100003)", "parse GF(100003)", "GF(9)"])
+    def test_each_candidate_tested_once(self, monkeypatch, make, tested):
+        calls = []
+
+        def spy(p, _is_prime=field_module._is_prime):
+            calls.append(p)
+            return _is_prime(p)
+
+        monkeypatch.setattr(field_module, "_is_prime", spy)
+        make()
+        if calls != tested:
+            pytest.fail(f"primality tests {calls}, expected {tested}")
+
+    # the errors of GF, type and message, as they were when GF tested
+    # primality before FieldSpec did
+    @pytest.mark.parametrize("args, kind, message", [
+        ((7, (1, 2)), FieldError, "GF(7) is a prime field and takes no "
+                                  "modulus"),
+        ((6,), FieldError, "6 is not a prime power"),
+        ((10 ** 12,), FieldError, "1000000000000 is not a prime power"),
+        ((1,), FieldError, "1 is not a prime power"),
+        ((-7,), FieldError, "-7 is not a prime power"),
+        ((2 ** 127 - 1,), FieldError, "cannot certify that "
+         "170141183460469231731687303715884105727 is prime"),
+        (((2 ** 127 - 1) ** 2,), FieldError, "cannot certify that "
+         "170141183460469231731687303715884105727 is prime"),
+        ((49,), NoBuiltinModulus, "no built-in modulus for GF(49)"),
+        ((64,), NoBuiltinModulus, "no built-in modulus for GF(64)"),
+        ((729,), FieldError, "GF(729) is too large: extension fields need "
+                             "q <= 256"),
+        ((9, (0, 0, 1)), ReducibleModulus, "modulus (0, 0, 1) reducible "
+                                           "mod 3"),
+    ])
+    def test_errors_unchanged(self, args, kind, message):
+        with pytest.raises(FieldError) as info:
+            GF(*args)
+        if type(info.value) is not kind or str(info.value) != message:
+            pytest.fail(f"GF{args} raised {info.value!r}")
 
 
 class TestArithmetic:

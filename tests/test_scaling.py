@@ -14,8 +14,9 @@ cleared before each rung, so every rung starts cold.
 The unipotent ladder counts the same chains and work, over GF(4) and
 GF(31), and ``rref`` calls and their rows, at n = 8, 16 and 32 on the
 prop4.5 route (GF(31) takes prop5.2 at n = 8, so its ladder starts at
-16).  From n to 2n each count may grow by at most 2^3 times
-``UNIPOTENT_SLACK``.
+16).  The two-pair ladder counts chains, work, ``is_product`` and
+``rref`` calls over GF(10007) at n = 8, 16 and 32 on the prop5.2 route.
+From n to 2n each count may grow by at most 2^3 times ``GROWTH_SLACK``.
 
 The Q ladder factors one seeded ``random_sl(Q, n)`` input at n = 6, 10,
 14 and 20.  The largest numerator or denominator of a certificate entry
@@ -43,11 +44,11 @@ sl2_routes = importlib.import_module("u2factor.factor_sl2")
 
 PRIME_LADDER = (10007, 1000003, 2 ** 31 - 1, 2 ** 61 - 1)
 INPUTS = 5
-# the unipotent (prop4.5) ladder: inputs per rung, and the slack on the
-# growth of each count from n to 2n past 2^3 (chain work is n^3 per
-# chain, and the chains grow about twofold)
-UNIPOTENT_INPUTS = 2
-UNIPOTENT_SLACK = 2
+# the unipotent (prop4.5) and two-pair (prop5.2) ladders: inputs per
+# rung, and the slack on the growth of each count from n to 2n past 2^3
+# (chain work is n^3 per chain, and the chains grow about twofold)
+LADDER_INPUTS = 2
+GROWTH_SLACK = 2
 # n: the largest numerator or denominator of a certificate entry, in
 # bits, of the seeded input at n
 Q_LADDER = {6: 166, 10: 661, 14: 1743, 20: 6419}
@@ -118,28 +119,52 @@ def test_prime_ladder_work_is_independent_of_p(n, counts, memos,
     assert table_calls == []
 
 
-@pytest.mark.parametrize("q, ns", [(4, (8, 16, 32)), (31, (16, 32))],
-                         ids=["GF(4)", "GF(31)"])
-def test_unipotent_ladder_growth_is_bounded(q, ns, counts, memos):
+def _ladder_counts(q, ns, route, counts, memos) -> dict:
+    """The counts of ``factor`` + ``verify`` on LADDER_INPUTS seeded
+    inputs over GF(q) at each n, memos cleared before each rung; every
+    certificate passes and was built by ``route``."""
     per_n = {}
     for n in ns:
         for memo in memos.values():
             memo.cache_clear()
         F, rng = GF(q), random.Random(f"ladder:{n}")
-        inputs = [random_sl(F, n, rng) for _ in range(UNIPOTENT_INPUTS)]
+        inputs = [random_sl(F, n, rng) for _ in range(LADDER_INPUTS)]
         for key in counts:
             counts[key] = 0
         for A in inputs:
             cert = factor(A)
             report = verify(cert)
-            assert report.passed, report.text()
-            assert f"prop4.5(n={n})" in cert.route, cert.route
+            if not report.passed:
+                pytest.fail(report.text())
+            if f"{route}(n={n})" not in cert.route:
+                pytest.fail(f"route {cert.route}, expected {route}")
         per_n[n] = dict(counts)
-    for n in ns[1:]:
-        small, large = per_n[n // 2], per_n[n]
-        for key in ("chains", "work", "rref", "rref_rows"):
-            assert 0 < large[key] <= 2 ** 3 * UNIPOTENT_SLACK * small[key], \
-                (key, per_n)
+    return per_n
+
+
+def _growth_failures(per_n, keys) -> list:
+    """The (key, n) whose count is 0 or grew by more than 2^3 times
+    GROWTH_SLACK from n / 2 to n."""
+    return [(key, n) for n in list(per_n)[1:] for key in keys
+            if not 0 < per_n[n][key]
+            <= 2 ** 3 * GROWTH_SLACK * per_n[n // 2][key]]
+
+
+@pytest.mark.parametrize("q, ns", [(4, (8, 16, 32)), (31, (16, 32))],
+                         ids=["GF(4)", "GF(31)"])
+def test_unipotent_ladder_growth_is_bounded(q, ns, counts, memos):
+    per_n = _ladder_counts(q, ns, "prop4.5", counts, memos)
+    failures = _growth_failures(per_n, ("chains", "work", "rref",
+                                        "rref_rows"))
+    assert not failures, (failures, per_n)
+
+
+def test_two_pair_ladder_growth_is_bounded(counts, memos):
+    per_n = _ladder_counts(10007, (8, 16, 32), "prop5.2", counts, memos)
+    failures = _growth_failures(per_n, ("chains", "work", "is_product",
+                                        "rref"))
+    if failures:
+        pytest.fail(f"counts past the bound: {failures} in {per_n}")
 
 
 def _entry_bits(cert) -> int:
